@@ -110,18 +110,10 @@ func Color(g *graph.G, seed int64) (*Result, error) {
 	var rres *brooks.BatchResult
 	if len(stuck) > 0 {
 		var err error
-		rres, err = brooks.RepairHoles(g, colors, stuck, delta, seed+2)
+		rres, err = brooks.RepairInSpan(acct, "token-walks", "token", g, colors, stuck, delta, seed+2)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: token walks: %w", err)
 		}
-		acct.Begin("token-walks")
-		for bi, b := range rres.Batches {
-			if b.SchedRounds > 0 {
-				acct.Charge(fmt.Sprintf("token-sched[%d]", bi), b.SchedRounds)
-			}
-			acct.Charge(fmt.Sprintf("token-batch[%d]", bi), b.Rounds)
-		}
-		acct.End()
 	}
 
 	if err := dist.VerifyColoring(g, colors); err != nil {

@@ -98,13 +98,39 @@ func (r *BatchResult) BatchRounds() []int {
 // Repair completes every uncolored node of g with batched Brooks repairs,
 // mutating colors in place. See RepairHoles.
 func Repair(g *graph.G, colors []int, delta int, seed int64) (*BatchResult, error) {
+	return RepairHoles(g, colors, Holes(colors), delta, seed)
+}
+
+// Holes returns the uncolored nodes (colors[v] < 0) in ascending order.
+func Holes(colors []int) []int {
 	var holes []int
-	for v := 0; v < g.N(); v++ {
-		if colors[v] < 0 {
+	for v, c := range colors {
+		if c < 0 {
 			holes = append(holes, v)
 		}
 	}
-	return RepairHoles(g, colors, holes, delta, seed)
+	return holes
+}
+
+// RepairInSpan runs RepairHoles inside a span named span on acct and
+// charges every batch as "<prefix>-sched[i]" (when it needed scheduling)
+// and "<prefix>-batch[i]". The span is open while the repair runs, so the
+// repair's wall time and engine rounds land in the phase that bills them;
+// it is closed on the error path too.
+func RepairInSpan(acct *local.Accountant, span, prefix string, g *graph.G, colors, holes []int, delta int, seed int64) (*BatchResult, error) {
+	acct.Begin(span)
+	defer acct.End()
+	res, err := RepairHoles(g, colors, holes, delta, seed)
+	if err != nil {
+		return res, err
+	}
+	for i, b := range res.Batches {
+		if b.SchedRounds > 0 {
+			acct.Charge(fmt.Sprintf("%s-sched[%d]", prefix, i), b.SchedRounds)
+		}
+		acct.Charge(fmt.Sprintf("%s-batch[%d]", prefix, i), b.Rounds)
+	}
+	return res, nil
 }
 
 // RepairHoles completes the given uncolored nodes (already-colored entries

@@ -152,11 +152,10 @@ func Deterministic(g *graph.G, seed int64) (*Result, error) {
 	// every B0 repair into one batch charged max rounds — the same
 	// accounting the old hand-rolled loop used, now with the independence
 	// verified instead of assumed.
-	b0res, err := brooks.RepairHoles(g, colors, base, delta, seed+0xb0)
+	b0res, err := brooks.RepairInSpan(acct, "brooks-B0", "brooks-B0", g, colors, base, delta, seed+0xb0)
 	if err != nil {
 		return nil, fmt.Errorf("deterministic: color B0: %w", err)
 	}
-	chargeRepairBatches(acct, "brooks-B0", b0res)
 
 	rres, err := RepairUncolored(g, colors, delta, seed+0x4e9, acct)
 	if err != nil {

@@ -161,23 +161,9 @@ func repairDefer(colors []int, active []bool) int {
 // scheduling cost — not the sum the pre-batching safety net billed. Used
 // as the safety net that makes every algorithm total on all nice inputs.
 func RepairUncolored(g *graph.G, colors []int, delta int, seed int64, acct *local.Accountant) (*brooks.BatchResult, error) {
-	res, err := brooks.Repair(g, colors, delta, seed)
+	res, err := brooks.RepairInSpan(acct, "repair", "repair", g, colors, brooks.Holes(colors), delta, seed)
 	if err != nil {
 		return res, fmt.Errorf("repair: %w", err)
 	}
-	chargeRepairBatches(acct, "repair", res)
 	return res, nil
-}
-
-// chargeRepairBatches records a batched repair run's per-batch costs under
-// phase names "<prefix>-sched[i]" / "<prefix>-batch[i]".
-func chargeRepairBatches(acct *local.Accountant, prefix string, res *brooks.BatchResult) {
-	acct.Begin(prefix)
-	defer acct.End()
-	for i, b := range res.Batches {
-		if b.SchedRounds > 0 {
-			acct.Charge(fmt.Sprintf("%s-sched[%d]", prefix, i), b.SchedRounds)
-		}
-		acct.Charge(fmt.Sprintf("%s-batch[%d]", prefix, i), b.Rounds)
-	}
 }

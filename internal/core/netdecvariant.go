@@ -80,11 +80,10 @@ func DeterministicNetDec(g *graph.G, seed int64) (*Result, error) {
 
 	// (4) B0 via Theorem 5 through the batch engine (independent
 	// recolorings; spacing >= bigR puts them all in one batch).
-	b0res, err := brooks.RepairHoles(g, colors, base, delta, seed+0xb0)
+	b0res, err := brooks.RepairInSpan(acct, "brooks-B0", "brooks-B0", g, colors, base, delta, seed+0xb0)
 	if err != nil {
 		return nil, fmt.Errorf("netdec variant: color B0: %w", err)
 	}
-	chargeRepairBatches(acct, "brooks-B0", b0res)
 
 	rres, err := RepairUncolored(g, colors, delta, seed+0x4e9, acct)
 	if err != nil {

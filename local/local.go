@@ -167,13 +167,13 @@ func (c *Ctx) N() int { return c.n }
 // MaxDegree returns Δ, the maximum degree of the network.
 func (c *Ctx) MaxDegree() int { return c.maxDeg }
 
-// Rand returns the node's private randomness source (deterministically
-// derived from the run seed and the node ID). The generator is created on
-// first use: seeding math/rand state is the single most expensive part of
-// node setup, and most deterministic protocols never draw randomness.
+// Rand returns the node's private randomness source. Its stream equals
+// rand.New(rand.NewSource(seed*1_000_003 + id)) for the run seed and the
+// node's external ID, but seeding it is O(1) (see rand.go). The generator
+// is created on first use, so protocols that never draw allocate nothing.
 func (c *Ctx) Rand() *rand.Rand {
 	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.net.seed*1_000_003 + int64(c.id)))
+		c.rng = rand.New(newLazySource(c.net.seed*1_000_003 + int64(c.id)))
 	}
 	return c.rng
 }

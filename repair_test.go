@@ -7,10 +7,14 @@ package deltacolor_test
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"deltacolor"
+	"deltacolor/graph"
 	"deltacolor/graph/gen"
+	"deltacolor/local"
 	"deltacolor/verify"
 )
 
@@ -88,5 +92,55 @@ func TestForcedRepairAllAlgorithms(t *testing.T) {
 				t.Fatalf("%v: B0 engine run missing from the batch stats", alg)
 			}
 		}
+	}
+}
+
+// TestRepairRoundsInsidePhaseSpans: the engine rounds a Brooks repair
+// executes (the MIS that schedules its batch) belong to the phase that
+// charges them, so under a full tracer every recorded round must start
+// inside a top-level child of Result.Span. The input is four disjoint
+// random 4-regular graphs, so the deterministic pipelines' ruling set has
+// one B0 node per component and their B0 batch needs scheduling.
+func TestRepairRoundsInsidePhaseSpans(t *testing.T) {
+	part := gen.MustRandomRegular(rand.New(rand.NewSource(6)), 64, 4)
+	g := graph.New(4 * part.N())
+	for c := 0; c < 4; c++ {
+		off := c * part.N()
+		for _, e := range part.Edges() {
+			g.MustEdge(off+e[0], off+e[1])
+		}
+	}
+	for _, tc := range []struct {
+		alg   deltacolor.Algorithm
+		sched string // phase-name prefix of a repair batch's scheduling charge
+	}{
+		{deltacolor.AlgDeterministic, "brooks-B0-sched["},
+		{deltacolor.AlgNetDec, "brooks-B0-sched["},
+		{deltacolor.AlgBaseline, "token-sched["},
+	} {
+		t.Run(tc.alg.String(), func(t *testing.T) {
+			tr := local.NewTracer(local.TraceFull, 0)
+			local.SetDefaultTracer(tr)
+			res, err := deltacolor.Color(g, deltacolor.Options{Algorithm: tc.alg, Seed: 5})
+			local.SetDefaultTracer(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.ContainsFunc(res.Phases, func(p deltacolor.PhaseStat) bool { return strings.HasPrefix(p.Name, tc.sched) }) {
+				t.Fatalf("no %s… phase; the input no longer makes the repair run an MIS: %s", tc.sched, phaseString(res.Phases))
+			}
+			rounds := tr.Rounds()
+			if int64(len(rounds)) != tr.Counters().Rounds {
+				t.Fatal("the tracer ring wrapped")
+			}
+			for _, r := range rounds {
+				in := slices.ContainsFunc(res.Span.Children, func(sp *local.Span) bool {
+					return sp.StartNanos <= r.StartNanos && r.StartNanos < sp.StartNanos+sp.DurNanos
+				})
+				if !in {
+					t.Fatalf("run %d round %d starts at %d ns, outside every phase span", r.Run, r.Round, r.StartNanos)
+				}
+			}
+		})
 	}
 }
