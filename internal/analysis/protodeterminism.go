@@ -13,8 +13,8 @@ import (
 // different runs, which the golden tests only catch after the fact.
 //
 // Protocol scope is any function or function literal that takes a
-// *local.Ctx parameter or receiver (the shape of every NodeFunc, every
-// Stepped Init/Step and every helper they call with the ctx), plus
+// *local.Ctx parameter or receiver (the shape of every Stepped Init/Step
+// and every helper they call with the ctx), plus
 // functions annotated //deltacolor:protocol, plus literals nested inside
 // either.
 var Protodeterminism = &Analyzer{

@@ -16,5 +16,4 @@ func (c *Ctx) Rand() *rand.Rand      { return rand.New(rand.NewSource(int64(c.id
 func (c *Ctx) Send(p int, m Message) {}
 func (c *Ctx) Broadcast(m Message)   {}
 func (c *Ctx) Recv(p int) Message    { return nil }
-func (c *Ctx) Next()                 {}
 func (c *Ctx) SetOutput(v any)       {}

@@ -114,50 +114,27 @@ func DeterministicNetDec(g *graph.G, seed int64) (*Result, error) {
 // which the layering pass still covers because Layering assigns -1 only
 // to disconnected nodes — callers treat the whole reachable set).
 //
-// The blocking probe is symmetric — a candidate is rejected iff some
-// already-chosen node lies within distance bigR-1 of it — so the default
-// path runs one stepped distance-(bigR-1) flood from the chosen set per
-// class (the real message-passing form, allocation-free int rounds) and
-// only the intra-class additions are marked centrally as each center is
-// accepted. The ablated path (SetSteppedGather(false)) is the original
-// per-candidate central BFS probe; both produce the identical base set,
-// and the manual round charge at the call site covers either form.
+// The rejection test is symmetric — a candidate is rejected iff some
+// already-chosen node lies within distance bigR-1 of it — so each class
+// runs one stepped distance-(bigR-1) flood from the chosen set (the real
+// message-passing form, allocation-free int rounds), and only the
+// intra-class additions are marked centrally as each center is accepted.
+// The result equals a per-candidate central BFS probe, which the tests
+// keep as the reference.
 func rulingSetViaDecomposition(g *graph.G, dec *dist.Decomposition, bigR int) []int {
 	var base []int
 	chosen := make([]bool, g.N())
-	if local.SteppedGatherEnabled() {
-		fnet := local.NewNetwork(g, 1)
-		for class := 0; class < dec.NumColors; class++ {
-			blocked := local.FloodStepped(fnet, chosen, bigR-1)
-			for ci, center := range dec.Centers {
-				if dec.ClusterColor[ci] != class || blocked[center] {
-					continue
-				}
-				chosen[center] = true
-				base = append(base, center)
-				for _, u := range g.BFSLimited(center, bigR-1).Order {
-					blocked[u] = true
-				}
-			}
-		}
-		return base
-	}
+	fnet := local.NewNetwork(g, 1)
 	for class := 0; class < dec.NumColors; class++ {
+		blocked := local.FloodStepped(fnet, chosen, bigR-1)
 		for ci, center := range dec.Centers {
-			if dec.ClusterColor[ci] != class {
+			if dec.ClusterColor[ci] != class || blocked[center] {
 				continue
 			}
-			ok := true
-			res := g.BFSLimited(center, bigR-1)
-			for _, u := range res.Order {
-				if chosen[u] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				chosen[center] = true
-				base = append(base, center)
+			chosen[center] = true
+			base = append(base, center)
+			for _, u := range g.BFSLimited(center, bigR-1).Order {
+				blocked[u] = true
 			}
 		}
 	}

@@ -146,14 +146,15 @@ func colorSmallComponents(g *graph.G, inL []bool, colors []int, delta int, o Ran
 // falls back to the central traversal.
 const smallComponentNetLimit = 65536
 
-// componentsOf computes the connected components of the masked L-graph,
-// through the stepped engine by default (the message-passing form the
-// shattering analysis describes) with the central traversal as the
-// ablated and fallback path. Both number components in ascending order of
-// their minimum member, so the choice is observationally invisible; the
-// equivalence suite pins that.
+// componentsOf computes the connected components of the masked L-graph
+// through the stepped engine (the message-passing form the shattering
+// analysis describes), falling back to the central traversal above
+// smallComponentNetLimit or when a component overruns the collector's
+// cap. Both number components in ascending order of their minimum
+// member, so the fallback is observationally invisible; the tests pin
+// that against ConnectedComponents.
 func componentsOf(lGraph *graph.G) ([]int, int) {
-	if local.SteppedGatherEnabled() && lGraph.N() <= smallComponentNetLimit {
+	if lGraph.N() <= smallComponentNetLimit {
 		if comp, count, ok := local.CollectComponents(local.NewNetwork(lGraph, 1)); ok {
 			return comp, count
 		}

@@ -6,24 +6,41 @@ import (
 	"reflect"
 	"testing"
 
+	"deltacolor/graph"
 	"deltacolor/graph/gen"
 	"deltacolor/internal/dist"
-	"deltacolor/local"
 )
 
-// withSteppedGather runs f under the given package-wide gather default
-// and restores the previous one.
-func withSteppedGather(on bool, f func()) {
-	prev := local.SteppedGatherEnabled()
-	local.SetSteppedGather(on)
-	defer local.SetSteppedGather(prev)
-	f()
+// rulingSetCentral is the reference for rulingSetViaDecomposition: the
+// per-candidate central probe, which accepts a center iff no
+// already-chosen node lies within distance bigR-1 of it.
+func rulingSetCentral(g *graph.G, dec *dist.Decomposition, bigR int) []int {
+	var base []int
+	chosen := make([]bool, g.N())
+	for class := 0; class < dec.NumColors; class++ {
+		for ci, center := range dec.Centers {
+			if dec.ClusterColor[ci] != class {
+				continue
+			}
+			ok := true
+			for _, u := range g.BFSLimited(center, bigR-1).Order {
+				if chosen[u] {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				chosen[center] = true
+				base = append(base, center)
+			}
+		}
+	}
+	return base
 }
 
-// TestRulingSetViaDecompositionSteppedMatchesCentral pins the ported
-// ruling-set probe: the per-class stepped flood must accept the exact
-// same centers, in the same order, as the original per-candidate central
-// BFS probe.
+// TestRulingSetViaDecompositionSteppedMatchesCentral pins the ruling-set
+// selection: the per-class stepped flood must accept the exact same
+// centers, in the same order, as the per-candidate central BFS probe.
 func TestRulingSetViaDecompositionSteppedMatchesCentral(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []struct {
@@ -40,9 +57,8 @@ func TestRulingSetViaDecompositionSteppedMatchesCentral(t *testing.T) {
 		beta := 1.0 / math.Max(1, math.Log(float64(tc.n+2)))
 		dec := dist.Decompose(g, nil, beta, tc.seed)
 		for _, bigR := range []int{3, 9, 27} {
-			var stepped, central []int
-			withSteppedGather(true, func() { stepped = rulingSetViaDecomposition(g, dec, bigR) })
-			withSteppedGather(false, func() { central = rulingSetViaDecomposition(g, dec, bigR) })
+			stepped := rulingSetViaDecomposition(g, dec, bigR)
+			central := rulingSetCentral(g, dec, bigR)
 			if !reflect.DeepEqual(stepped, central) {
 				t.Fatalf("%s bigR=%d: stepped base %v, central %v", tc.name, bigR, stepped, central)
 			}
@@ -50,9 +66,9 @@ func TestRulingSetViaDecompositionSteppedMatchesCentral(t *testing.T) {
 	}
 }
 
-// TestComponentsOfMatchesCentral pins the ported component discovery on
-// masked L-graphs: identical labels and counts whichever engine runs,
-// including graphs where the mask isolates nodes.
+// TestComponentsOfMatchesCentral pins the stepped component discovery on
+// masked L-graphs against ConnectedComponents: identical labels and
+// counts, including graphs where the mask isolates nodes.
 func TestComponentsOfMatchesCentral(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 4; trial++ {
@@ -63,15 +79,9 @@ func TestComponentsOfMatchesCentral(t *testing.T) {
 		}
 		lGraph := maskGraph(g, inL)
 		wantComp, wantCount := lGraph.ConnectedComponents()
-		var comp []int
-		var count int
-		withSteppedGather(true, func() { comp, count = componentsOf(lGraph) })
+		comp, count := componentsOf(lGraph)
 		if count != wantCount || !reflect.DeepEqual(comp, wantComp) {
 			t.Fatalf("trial %d: stepped components diverge (count %d vs %d)", trial, count, wantCount)
-		}
-		withSteppedGather(false, func() { comp, count = componentsOf(lGraph) })
-		if count != wantCount || !reflect.DeepEqual(comp, wantComp) {
-			t.Fatalf("trial %d: ablated componentsOf diverges from central", trial)
 		}
 	}
 }

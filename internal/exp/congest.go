@@ -61,15 +61,10 @@ func E11Congest(cfg Config) *Table {
 			panic(err)
 		}
 	})
-	run("gather radius-4 balls (stepped)", func(net *local.Network) {
+	run("gather radius-4 balls", func(net *local.Network) {
 		local.GatherStepped(net, 4)
 	})
-	run("gather radius-4 balls (blocking shim)", func(net *local.Network) {
-		net.Run(func(ctx *local.Ctx) {
-			local.GatherBall(ctx, 4)
-		})
-	})
 
-	t.AddNote("the symmetry-breaking protocols (Linial, MIS, list coloring) move a few bytes per edge per round — CONGEST-portable as-is — while ball gathering ships whole neighborhoods (max message orders of magnitude larger): exactly the phases that make the paper's algorithms LOCAL-model results. The stepped gather packs each round's frontier into one flat integer record per edge, so it ships the same information in strictly fewer bytes than the blocking shim's map-shaped payloads.")
+	t.AddNote("the symmetry-breaking protocols (Linial, MIS, list coloring) move a few bytes per edge per round — CONGEST-portable as-is — while ball gathering ships whole neighborhoods (max message orders of magnitude larger): exactly the phases that make the paper's algorithms LOCAL-model results. The gather packs each round's frontier into one flat integer record per edge.")
 	return t
 }

@@ -37,7 +37,7 @@ type LocalityRow struct {
 	Relabel        bool    `json:"relabel"`
 	Rounds         int     `json:"rounds"`
 	BuildMillis    float64 `json:"build_ms"` // NewNetwork incl. the order pass
-	RunMillis      float64 `json:"run_ms"`   // full Run wall time, 1 worker
+	RunMillis      float64 `json:"run_ms"`   // full run wall time, 1 worker
 	RoundsPerSec   float64 `json:"rounds_per_sec"`
 	AllocsPerRound float64 `json:"allocs_per_round"`
 }

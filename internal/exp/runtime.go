@@ -27,11 +27,14 @@ import (
 // explicit workers column (rounds/s is always measured single-worker for
 // machine comparability) and the GOMAXPROCS-sweep columns; v3 added the
 // reference-loop score that makes the CI delta gate machine-independent
-// (see ReferenceScore); v4 adds the gather and tiled-delivery workload
-// families, the per-row max message size (from an untimed instrumented
-// re-run), the ns/node-round normalization, and always populates the
-// sweep columns (on a single-CPU host the sweep runs two workers on the
-// one CPU, measuring coordination overhead instead of speedup).
+// (see ReferenceScore); v4 adds the gather workload family, the per-row
+// max message size (from an untimed instrumented re-run), the
+// ns/node-round normalization, and always populates the sweep columns (on
+// a single-CPU host the sweep runs two workers on the one CPU, measuring
+// coordination overhead instead of speedup). v4 reports written before the
+// tiled delivery kernel and the blocking gather were deleted also carry
+// rr4-tiled and rr4-gather-blocking rows; no current run produces them,
+// so CompareRuntime never gates on them.
 const RuntimeSchema = "deltacolor/bench-runtime/v4"
 
 // Older layouts accepted as comparison baselines (PR 2–8 reports).
@@ -49,7 +52,7 @@ type RuntimeRow struct {
 	Delta          int     `json:"delta"`
 	Rounds         int     `json:"rounds"`
 	BuildMillis    float64 `json:"build_ms"` // NewNetwork construction
-	RunMillis      float64 `json:"run_ms"`   // full Run wall time, 1 worker
+	RunMillis      float64 `json:"run_ms"`   // full run wall time, 1 worker
 	Workers        int     `json:"workers"`  // worker count of the main measurement (always 1)
 	RoundsPerSec   float64 `json:"rounds_per_sec"`
 	AllocsPerRound float64 `json:"allocs_per_round"`
@@ -163,14 +166,14 @@ type heartbeatState struct {
 	round int
 }
 
-// runtimeCase builds one graph family instance. The gather and tiled
-// families reuse the rr4 expander — the graph with no exploitable label
-// order, where delivery locality and payload shape dominate.
+// runtimeCase builds one graph family instance. The gather family reuses
+// the rr4 expander — the graph with no exploitable label order, where
+// delivery locality and payload shape dominate.
 func runtimeCase(family string, n int, seed int64) *graph.G {
 	switch family {
 	case "path":
 		return gen.Path(n)
-	case "rr4", "rr4-tiled", "rr4-gather", "rr4-gather-blocking":
+	case "rr4", "rr4-gather":
 		return gen.MustRandomRegular(rand.New(rand.NewSource(seed)), n, 4)
 	case "clique":
 		return gen.Complete(n)
@@ -193,19 +196,14 @@ const runtimeGatherRadius = 2
 const runtimeReps = 3
 
 // runRuntimeWorkload executes one family's workload on a prepared
-// network: the int-path heartbeat for the scheduler families, the native
-// stepped gather or its blocking coroutine shim for the gather families.
+// network: the int-path heartbeat for the scheduler families, the ball
+// gather for rr4-gather.
 func runRuntimeWorkload(family string, net *local.Network, rounds int) {
-	switch family {
-	case "rr4-gather":
+	if family == "rr4-gather" {
 		local.GatherStepped(net, runtimeGatherRadius)
-	case "rr4-gather-blocking":
-		net.Run(func(ctx *local.Ctx) {
-			local.GatherBall(ctx, runtimeGatherRadius)
-		})
-	default:
-		local.RunStepped(net, heartbeat(rounds))
+		return
 	}
+	local.RunStepped(net, heartbeat(rounds))
 }
 
 // RuntimeThroughput measures scheduler throughput across the graph
@@ -214,11 +212,7 @@ func runRuntimeWorkload(family string, net *local.Network, rounds int) {
 // GOMAXPROCS sweep with a worker per CPU (two workers on a single-CPU
 // host, where the column measures coordination overhead). The clique
 // family is capped by edge count (a million-node clique has 5·10¹¹
-// edges), so it scales n where the others scale edges. The
-// rr4-gather-blocking family is capped at n=100k: the coroutine shim
-// parks one goroutine stack per node, and a million suspended stacks
-// measure the allocator, not the scheduler — the cap is deliberate and
-// the README's blocking-vs-stepped table says so.
+// edges), so it scales n where the others scale edges.
 func RuntimeThroughput(cfg Config) *RuntimeReport {
 	cfg.install()
 	rep := &RuntimeReport{
@@ -241,7 +235,7 @@ func RuntimeThroughput(cfg Config) *RuntimeReport {
 		}
 		cases = append(cases, c{"clique", 128}, c{"clique", 256})
 		for _, n := range []int{1_000, 10_000} {
-			cases = append(cases, c{"rr4-tiled", n}, c{"rr4-gather", n}, c{"rr4-gather-blocking", n})
+			cases = append(cases, c{"rr4-gather", n})
 		}
 	} else {
 		for _, n := range []int{10_000, 100_000, 1_000_000} {
@@ -252,9 +246,8 @@ func RuntimeThroughput(cfg Config) *RuntimeReport {
 		// family (CompareRuntime can only gate common (family, n) rows).
 		cases = append(cases, c{"clique", 256}, c{"clique", 512}, c{"clique", 1024}, c{"clique", 2048})
 		for _, n := range []int{10_000, 100_000, 1_000_000} {
-			cases = append(cases, c{"rr4-tiled", n}, c{"rr4-gather", n})
+			cases = append(cases, c{"rr4-gather", n})
 		}
-		cases = append(cases, c{"rr4-gather-blocking", 10_000}, c{"rr4-gather-blocking", 100_000})
 	}
 	sweepWorkers := runtime.NumCPU()
 	if sweepWorkers < 2 {
@@ -266,13 +259,9 @@ func RuntimeThroughput(cfg Config) *RuntimeReport {
 		net := local.NewNetwork(g, cfg.Seed)
 		build := time.Since(t0)
 		net.SetWorkers(1)
-		if tc.family == "rr4-tiled" {
-			net.SetTiledDelivery(true)
-		}
 
 		// Warm-up run: the first run on a fresh network pays cold page
-		// faults, lazy engine-buffer setup (the tile tables in particular)
-		// and branch-predictor training; at quick scale that cold start is
+		// faults, lazy engine-buffer setup and branch-predictor training; at quick scale that cold start is
 		// a large fraction of the ~20ms timed window and made the CI delta
 		// gate flake on the smaller families.
 		runRuntimeWorkload(tc.family, net, rounds)
@@ -332,7 +321,7 @@ func RuntimeThroughput(cfg Config) *RuntimeReport {
 func (rep *RuntimeReport) Table() *Table {
 	t := &Table{
 		ID:     "E12",
-		Title:  "Runtime throughput (batched LOCAL round engine: heartbeat, tiled-delivery and ball-gather workloads)",
+		Title:  "Runtime throughput (batched LOCAL round engine: heartbeat and ball-gather workloads)",
 		Header: []string{"family", "n", "edges", "rounds", "build ms", "run ms", "rounds/s (1w)", "ns/node-round", "allocs/round", "max msg B", fmt.Sprintf("rounds/s (%dw)", rep.sweepWorkers())},
 	}
 	for _, r := range rep.Rows {
@@ -344,7 +333,7 @@ func (rep *RuntimeReport) Table() *Table {
 			f2(r.BuildMillis), f2(r.RunMillis), f2(r.RoundsPerSec),
 			f2(r.NsPerNodeRound), fmt.Sprintf("%.0f", r.AllocsPerRound), itoa(r.MaxMsgBytes), mp)
 	}
-	t.AddNote("GOMAXPROCS=%d, quick=%v, reference-loop score %.3g iters/s; rounds/s is the best of %d warmed reps with one worker (host-comparable), the sweep column the best of %d with a worker per CPU (two workers on a single-CPU host, where it measures coordination overhead). max msg B comes from a separate instrumented run. The rr4-gather family runs the native stepped radius-%d gather, rr4-gather-blocking the coroutine shim it retired (capped at n=100k: one parked goroutine stack per node), rr4-tiled the heartbeat under tiled delivery. Network construction is O(n + Σ deg); a round costs O(workers) park/wake transitions and zero allocations on the int path.",
+	t.AddNote("GOMAXPROCS=%d, quick=%v, reference-loop score %.3g iters/s; rounds/s is the best of %d warmed reps with one worker (host-comparable), the sweep column the best of %d with a worker per CPU (two workers on a single-CPU host, where it measures coordination overhead). max msg B comes from a separate instrumented run. The rr4-gather family runs the radius-%d ball gather. Network construction is O(n + Σ deg); a round costs O(workers) park/wake transitions and zero allocations on the int path.",
 		rep.GoMaxProcs, rep.Quick, rep.RefScore, runtimeReps, runtimeReps, runtimeGatherRadius)
 	return t
 }

@@ -365,7 +365,7 @@ func withoutNode(nodes []int, v int) []int {
 // DCC's index (-1 when none found).
 //
 // rounds reports the LOCAL cost charged: collecting the radius-2r ball
-// costs 2r rounds (see local.GatherBall).
+// costs 2r rounds (see local.GatherStepped).
 func SelectDCCs(g *graph.G, r int) (dccs [][]int, owner []int, rounds int) {
 	owner = make([]int, g.N())
 	for v := range owner {

@@ -1,7 +1,6 @@
 package gallai
 
 import (
-	"maps"
 	"slices"
 
 	"deltacolor/graph"
@@ -19,29 +18,10 @@ import (
 // asserts that agreement. Use the central form in experiments — this
 // form costs real memory (every node holds its ball) and exists to
 // validate the shortcut and to exercise the runtime's gather primitive.
-//
-// The gather itself dispatches on local.SteppedGatherEnabled: the default
-// is the native stepped engine reading flat balls (no per-ball map
-// materialization); the ablated path is the blocking coroutine shim. The
-// two produce identical compacted subgraphs — edges are inserted in
-// sorted-ID order either way — so the selected DCCs are byte-identical;
-// the equivalence suite pins that.
 func SelectDCCsDistributed(g *graph.G, r int) (dccs [][]int, owner []int, rounds int) {
 	n := g.N()
 	net := local.NewNetwork(g, 1)
-	var outs []any
-	if local.SteppedGatherEnabled() {
-		balls := local.GatherStepped(net, 2*r)
-		outs = make([]any, n)
-		for v, b := range balls {
-			outs[v] = dccFromFlatBall(b, r)
-		}
-	} else {
-		outs = net.Run(func(ctx *local.Ctx) {
-			ball := local.GatherBall(ctx, 2*r)
-			ctx.SetOutput(dccFromBallInfo(ball, r))
-		})
-	}
+	balls := local.GatherStepped(net, 2*r)
 
 	owner = make([]int, n)
 	for v := range owner {
@@ -49,7 +29,7 @@ func SelectDCCsDistributed(g *graph.G, r int) (dccs [][]int, owner []int, rounds
 	}
 	seen := map[string]int{}
 	for v := 0; v < n; v++ {
-		d, _ := outs[v].([]int)
+		d := dccFromBall(balls[v], r)
 		if d == nil {
 			continue
 		}
@@ -65,40 +45,13 @@ func SelectDCCsDistributed(g *graph.G, r int) (dccs [][]int, owner []int, rounds
 	return dccs, owner, net.Rounds()
 }
 
-// dccFromBallInfo rebuilds the known subgraph of a map-form ball with IDs
+// dccFromBall rebuilds the known subgraph of a gathered ball with IDs
 // compacted and runs FindDCC at the center. Known adjacency covers every
 // node the DCC search can touch (distance <= r plus one hop of slack).
-func dccFromBallInfo(ball *local.BallInfo, r int) []int {
-	ids := slices.Sorted(maps.Keys(ball.Adj))
-	idx := make(map[int]int, len(ids))
-	for i, v := range ids {
-		idx[v] = i
-	}
-	sub := graph.New(len(ids))
-	// Insert edges in sorted-ID order: sub's adjacency lists (and so
-	// FindDCC's traversal) must not inherit map iteration order.
-	for _, v := range ids {
-		nbrs := ball.Adj[v]
-		iv := idx[v]
-		for _, u := range nbrs {
-			iu, ok := idx[u]
-			if !ok || iv >= iu {
-				continue
-			}
-			if !sub.HasEdge(iv, iu) {
-				sub.MustEdge(iv, iu)
-			}
-		}
-	}
-	return mapBack(FindDCC(sub, idx[ball.Center], r), ids)
-}
-
-// dccFromFlatBall is dccFromBallInfo on the stepped engine's flat ball:
-// same compaction, same sorted-ID edge-insertion order (entries are
-// visited through a sorted index, adjacency stays in port order), so the
-// reconstructed subgraph — and therefore the DCC — is identical to the
-// map-form rebuild.
-func dccFromFlatBall(b *local.Ball, r int) []int {
+// Entries are visited in sorted-ID order and adjacency stays in port
+// order, so the reconstructed subgraph — and FindDCC's tie-breaking —
+// does not depend on discovery order.
+func dccFromBall(b *local.Ball, r int) []int {
 	order := make([]int, len(b.IDs))
 	for i := range order {
 		order[i] = i

@@ -3,11 +3,11 @@ package gallai
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"deltacolor/graph"
 	"deltacolor/graph/gen"
-	"deltacolor/local"
 )
 
 // TestSelectDCCsDistributedAgreesWithCentral: the message-passing form
@@ -61,16 +61,54 @@ func TestSelectDCCsDistributedAgreesWithCentral(t *testing.T) {
 	}
 }
 
-// TestSelectDCCsDistributedSteppedMatchesBlocking is the byte-identity
-// pin for the engine port: the stepped flat-ball path and the blocking
-// coroutine shim must return the exact same DCC sets, owner array and
-// round count — not merely owner-existence agreement. The reconstructed
-// per-node subgraphs are identical (sorted-ID edge insertion either way),
-// so FindDCC's tie-breaking cannot diverge.
-func TestSelectDCCsDistributedSteppedMatchesBlocking(t *testing.T) {
-	prev := local.SteppedGatherEnabled()
-	defer local.SetSteppedGather(prev)
+// selectDCCsFromCentralBalls is the reference for SelectDCCsDistributed:
+// every node's radius-2r ball is read off the graph by BFS instead of
+// gathered by message passing (complete adjacency below distance 2r, none
+// at 2r, exactly what flooding delivers), rebuilt with IDs compacted in
+// sorted order and edges inserted in sorted-ID, port order, and searched
+// with FindDCC at the center.
+func selectDCCsFromCentralBalls(g *graph.G, r int) (dccs [][]int, owner []int) {
+	owner = make([]int, g.N())
+	seen := map[string]int{}
+	for v := range owner {
+		owner[v] = -1
+		bfs := g.BFSLimited(v, 2*r)
+		ids := slices.Sorted(slices.Values(bfs.Order))
+		idx := make(map[int]int, len(ids))
+		for i, u := range ids {
+			idx[u] = i
+		}
+		sub := graph.New(len(ids))
+		for i, u := range ids {
+			if bfs.Dist[u] == 2*r {
+				continue
+			}
+			for _, w := range g.Neighbors(u) {
+				if j, ok := idx[w]; ok && i < j && !sub.HasEdge(i, j) {
+					sub.MustEdge(i, j)
+				}
+			}
+		}
+		d := mapBack(FindDCC(sub, idx[v], r), ids)
+		if d == nil {
+			continue
+		}
+		di, ok := seen[dccKey(d)]
+		if !ok {
+			di = len(dccs)
+			seen[dccKey(d)] = di
+			dccs = append(dccs, d)
+		}
+		owner[v] = di
+	}
+	return dccs, owner
+}
 
+// TestSelectDCCsDistributedMatchesCentralBalls is the byte-identity pin
+// for the message-passing form: against the central-ball reference it
+// must return the exact same DCC sets and owner array — not merely
+// owner-existence agreement — and charge exactly the 2r gather rounds.
+func TestSelectDCCsDistributedMatchesCentralBalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cases := []struct {
 		name string
@@ -85,18 +123,16 @@ func TestSelectDCCsDistributedSteppedMatchesBlocking(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			local.SetSteppedGather(true)
-			sd, sOwner, sRounds := SelectDCCsDistributed(tc.g, tc.r)
-			local.SetSteppedGather(false)
-			bd, bOwner, bRounds := SelectDCCsDistributed(tc.g, tc.r)
-			if sRounds != bRounds {
-				t.Fatalf("rounds: stepped %d, blocking %d", sRounds, bRounds)
+			dd, dOwner, rounds := SelectDCCsDistributed(tc.g, tc.r)
+			wd, wOwner := selectDCCsFromCentralBalls(tc.g, tc.r)
+			if rounds != 2*tc.r {
+				t.Fatalf("rounds: distributed %d, want %d", rounds, 2*tc.r)
 			}
-			if !reflect.DeepEqual(sd, bd) {
-				t.Fatalf("DCC sets diverge:\nstepped  %v\nblocking %v", sd, bd)
+			if !reflect.DeepEqual(dd, wd) {
+				t.Fatalf("DCC sets diverge:\ndistributed %v\ncentral     %v", dd, wd)
 			}
-			if !reflect.DeepEqual(sOwner, bOwner) {
-				t.Fatalf("owners diverge:\nstepped  %v\nblocking %v", sOwner, bOwner)
+			if !reflect.DeepEqual(dOwner, wOwner) {
+				t.Fatalf("owners diverge:\ndistributed %v\ncentral     %v", dOwner, wOwner)
 			}
 		})
 	}

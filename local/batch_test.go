@@ -1,14 +1,17 @@
 package local
 
 import (
+	"math/rand"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"deltacolor/graph"
 )
 
-// intFlood mirrors floodProtocol on the int fast path, as a stepped
-// program: irregular halting, per-node randomness, broadcast+fold.
+// intFloodStepped mirrors floodProtocol on the int fast path, with
+// explicit Init/Step segments: irregular halting, per-node randomness,
+// broadcast+fold.
 func intFloodStepped(rounds int) Stepped[[2]int] {
 	return Stepped[[2]int]{
 		Init: func(ctx *Ctx, s *[2]int) bool {
@@ -47,7 +50,7 @@ func TestBatchSizeInvariance(t *testing.T) {
 		net := NewNetwork(g, 7)
 		net.setBatch(batchSize)
 		net.setShards(workers)
-		outs := net.Run(floodProtocol(4))
+		outs := RunStepped(net, floodProtocol(4))
 		return outs, net.Rounds()
 	}
 	base, baseRounds := run(0, 1)
@@ -66,36 +69,45 @@ func TestBatchSizeInvariance(t *testing.T) {
 	}
 }
 
-// TestSteppedMatchesBlocking runs the same irregular protocol in blocking
-// (coroutine) and stepped form and requires identical outputs and rounds:
-// the stepped form is the exact unrolling of the blocking one.
-func TestSteppedMatchesBlocking(t *testing.T) {
+// TestSteppedMatchesCentralSimulation runs an irregular protocol
+// (per-node randomness, staggered halts, 16-node batches) and checks its
+// outputs and rounds against a central round-by-round simulation: node v
+// broadcasts its running sum in rounds 1..k(v) = 4+v%5, folds in what its
+// still-running neighbors sent, and halts after round k(v).
+func TestSteppedMatchesCentralSimulation(t *testing.T) {
+	const rounds, seed = 4, 7
 	g := randomGraph(150, 0.04, 9)
-	blocking := NewNetwork(g, 7)
-	wantOuts := blocking.Run(func(ctx *Ctx) {
-		sum := ctx.Rand().Intn(1000)
-		for i := 0; i < 4+ctx.ID()%5; i++ {
-			ctx.BroadcastInt(sum)
-			ctx.Next()
-			for p := 0; p < ctx.Degree(); p++ {
-				if m, ok := ctx.RecvInt(p); ok {
-					sum = (sum + m) % 1_000_003
+	k := func(v int) int { return rounds + v%5 }
+	sum := make([]int, g.N())
+	wantRounds := 0
+	for v := range sum {
+		sum[v] = rand.New(rand.NewSource(seed*1_000_003 + int64(v))).Intn(1000)
+		wantRounds = max(wantRounds, k(v))
+	}
+	for r := 1; r <= wantRounds; r++ {
+		next := slices.Clone(sum)
+		for v := range sum {
+			if r > k(v) {
+				continue
+			}
+			for _, u := range g.Neighbors(v) {
+				if r <= k(u) {
+					next[v] = (next[v] + sum[u]) % 1_000_003
 				}
 			}
 		}
-		ctx.SetOutput(sum)
-	})
-	wantRounds := blocking.Rounds()
-
-	stepped := NewNetwork(g, 7)
-	stepped.setBatch(16)
-	gotOuts := RunStepped(stepped, intFloodStepped(4))
-	if stepped.Rounds() != wantRounds {
-		t.Fatalf("stepped rounds=%d, blocking rounds=%d", stepped.Rounds(), wantRounds)
+		sum = next
 	}
-	for v := range wantOuts {
-		if gotOuts[v] != wantOuts[v] {
-			t.Fatalf("node %d: stepped=%v blocking=%v", v, gotOuts[v], wantOuts[v])
+
+	net := NewNetwork(g, seed)
+	net.setBatch(16)
+	outs := RunStepped(net, intFloodStepped(rounds))
+	if net.Rounds() != wantRounds {
+		t.Fatalf("rounds=%d, central simulation %d", net.Rounds(), wantRounds)
+	}
+	for v := range outs {
+		if outs[v] != sum[v] {
+			t.Fatalf("node %d: stepped=%v central=%v", v, outs[v], sum[v])
 		}
 	}
 }
@@ -106,28 +118,28 @@ func TestSteppedMatchesBlocking(t *testing.T) {
 func TestIntPathDirectionalityAndOverwrite(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g, 1)
-	outs := net.Run(func(ctx *Ctx) {
-		switch ctx.ID() {
-		case 0:
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		switch {
+		case round == 0 && ctx.ID() == 0:
 			// Stage boxed, overwrite with int: receiver must see the int.
 			ctx.Send(0, "boxed")
 			ctx.SendInt(0, 41)
-			ctx.Next()
+		case round == 0:
+			// Stage int, overwrite with boxed: receiver must see the boxed.
+			ctx.SendInt(0, 99)
+			ctx.Send(0, 42)
+		case ctx.ID() == 0:
 			v, ok := ctx.RecvInt(0)
 			if !ok {
 				t.Error("node 0: no int received")
 			}
 			ctx.SetOutput(v)
-		case 1:
-			// Stage int, overwrite with boxed: receiver must see the boxed.
-			ctx.SendInt(0, 99)
-			ctx.Send(0, 42)
-			ctx.Next()
+		default:
 			// Mixed read: Recv surfaces the int-path message too.
-			m := ctx.Recv(0)
-			ctx.SetOutput(m)
+			ctx.SetOutput(ctx.Recv(0))
 		}
-	})
+		return round == 0
+	}))
 	if outs[0] != 42 || outs[1] != 41 {
 		t.Fatalf("outs = %v, want [42 41]", outs)
 	}
@@ -139,15 +151,18 @@ func TestIntPathOverflowFallsBack(t *testing.T) {
 	g := pathGraph(2)
 	big := int(1) << 40
 	net := NewNetwork(g, 1)
-	outs := net.Run(func(ctx *Ctx) {
-		ctx.BroadcastInt(big)
-		ctx.Next()
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		if round == 0 {
+			ctx.BroadcastInt(big)
+			return true
+		}
 		v, ok := ctx.RecvInt(0)
 		if !ok {
 			t.Errorf("node %d: no int received", ctx.ID())
 		}
 		ctx.SetOutput(v)
-	})
+		return false
+	}))
 	for v, o := range outs {
 		if o != big {
 			t.Fatalf("node %d got %v, want %d", v, o, big)
@@ -162,19 +177,22 @@ func TestBroadcastDegreeZero(t *testing.T) {
 	g := graph.New(3)
 	g.MustEdge(0, 1) // node 2 stays isolated
 	net := NewNetwork(g, 1)
-	outs := net.Run(func(ctx *Ctx) {
-		ctx.Broadcast("x")
-		ctx.BroadcastInt(7)
-		if ctx.Degree() == 0 && ctx.sentAny {
-			t.Error("degree-0 broadcast must not register the node as a sender")
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		if round == 0 {
+			ctx.Broadcast("x")
+			ctx.BroadcastInt(7)
+			if ctx.Degree() == 0 && ctx.sentAny {
+				t.Error("degree-0 broadcast must not register the node as a sender")
+			}
+			return true
 		}
-		ctx.Next()
 		got := false
 		if ctx.Degree() > 0 {
 			got = ctx.Recv(0) != nil
 		}
 		ctx.SetOutput(got)
-	})
+		return false
+	}))
 	if outs[0] != true || outs[1] != true || outs[2] != false {
 		t.Fatalf("outs = %v, want [true true false]", outs)
 	}
@@ -187,15 +205,15 @@ func TestIntPathDeadSendsAndStats(t *testing.T) {
 	net := NewNetwork(g, 1)
 	net.TrackDeadSends(true)
 	net.EnableMessageStats()
-	net.Run(func(ctx *Ctx) {
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if ctx.ID() == 0 {
-			return // halts in sweep 0 => HaltRound 1
+			return false // halts in sweep 0 => HaltRound 1
 		}
-		ctx.SendInt(0, 1)
-		ctx.Next()
-		ctx.SendInt(0, 2)
-		ctx.Next()
-	})
+		if round < 2 {
+			ctx.SendInt(0, round+1)
+		}
+		return round < 2
+	}))
 	dead := net.DeadSends()
 	if len(dead) != 2 {
 		t.Fatalf("dead sends = %v, want 2 records", dead)

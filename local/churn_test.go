@@ -12,9 +12,11 @@ import (
 // portProbe outputs, per node, the external IDs heard per port — which
 // must equal the node's external adjacency order, the port-numbering
 // contract churn has to preserve.
-func portProbe(ctx *Ctx) {
-	ctx.BroadcastInt(ctx.ID())
-	ctx.Next()
+var portProbe = roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+	if round == 0 {
+		ctx.BroadcastInt(ctx.ID())
+		return true
+	}
 	ids := make([]int, ctx.Degree())
 	for p := range ids {
 		v, ok := ctx.RecvInt(p)
@@ -24,14 +26,15 @@ func portProbe(ctx *Ctx) {
 		ids[p] = v
 	}
 	ctx.SetOutput(fmt.Sprint(ids))
-}
+	return false
+})
 
 // checkPortsMatchGraph runs portProbe and asserts every node's port
 // order equals its adjacency order in net.Graph().
 func checkPortsMatchGraph(t *testing.T, net *Network) {
 	t.Helper()
 	g := net.Graph()
-	outs := net.Run(portProbe)
+	outs := RunStepped(net, portProbe)
 	for v := 0; v < g.N(); v++ {
 		want := fmt.Sprint(append([]int{}, g.Neighbors(v)...))
 		if outs[v].(string) != want {
@@ -42,20 +45,23 @@ func checkPortsMatchGraph(t *testing.T, net *Network) {
 
 // floodHashProbe floods IDs for a few rounds and hashes what each node
 // saw; mutated and fresh networks must agree byte for byte.
-func floodHashProbe(rounds int) NodeFunc {
-	return func(ctx *Ctx) {
-		acc := ctx.ID()
-		for r := 0; r < rounds; r++ {
-			ctx.BroadcastInt(acc & 0xffff)
-			ctx.Next()
-			for p := 0; p < ctx.Degree(); p++ {
-				if v, ok := ctx.RecvInt(p); ok {
-					acc = acc*31 + v + p
-				}
+func floodHashProbe(rounds int) Stepped[roundState[int]] {
+	return roundProgram(func(ctx *Ctx, acc *int, round int) bool {
+		if round == 0 {
+			*acc = ctx.ID()
+		}
+		for p := 0; p < ctx.Degree(); p++ {
+			if v, ok := ctx.RecvInt(p); ok {
+				*acc = *acc*31 + v + p
 			}
 		}
-		ctx.SetOutput(acc)
-	}
+		if round == rounds {
+			ctx.SetOutput(*acc)
+			return false
+		}
+		ctx.BroadcastInt(*acc & 0xffff)
+		return true
+	})
 }
 
 func TestChurnAddRemoveEdgeBasics(t *testing.T) {
@@ -197,8 +203,8 @@ func TestChurnEquivalenceRandomScript(t *testing.T) {
 			}
 			checkPortsMatchGraph(t, net)
 			fresh := NewNetwork(mirror.Clone(), 7)
-			a := net.Run(floodHashProbe(4))
-			b := fresh.Run(floodHashProbe(4))
+			a := RunStepped(net, floodHashProbe(4))
+			b := RunStepped(fresh, floodHashProbe(4))
 			if net.Rounds() != fresh.Rounds() {
 				t.Fatalf("trial %d burst %d: rounds %d != %d", trial, burst, net.Rounds(), fresh.Rounds())
 			}
@@ -249,9 +255,9 @@ func TestChurnPreservesDeliveryAcrossWorkers(t *testing.T) {
 	}
 	net.SetWorkers(4)
 	net.setBatch(32)
-	a := net.Run(floodHashProbe(5))
+	a := RunStepped(net, floodHashProbe(5))
 	net.SetWorkers(1)
-	b := net.Run(floodHashProbe(5))
+	b := RunStepped(net, floodHashProbe(5))
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatalf("node %d differs across worker counts after churn", v)

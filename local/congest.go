@@ -9,7 +9,7 @@ import "reflect"
 // algorithms blow up (they ship whole balls), while the color-trial
 // phases fit comfortably.
 //
-// Enable with Network.EnableMessageStats before Run; read the result via
+// Enable with Network.EnableMessageStats before the run; read the result via
 // Network.MessageStats afterwards.
 
 // MessageStats aggregates per-run message-size measurements.

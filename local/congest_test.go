@@ -19,11 +19,8 @@ func TestMessageStatsCountsAndSizes(t *testing.T) {
 	g := path4()
 	net := NewNetwork(g, 1)
 	net.EnableMessageStats()
-	net.Run(func(ctx *Ctx) {
-		// One round: everyone broadcasts a single int (8 bytes).
-		ctx.Broadcast(42)
-		ctx.Next()
-	})
+	// One round: everyone broadcasts a single int (8 bytes).
+	RunStepped(net, oneRound(func(ctx *Ctx) { ctx.Broadcast(42) }))
 	st := net.MessageStats()
 	if st == nil {
 		t.Fatal("stats not recorded")
@@ -44,14 +41,17 @@ func TestMessageStatsGrowingMessages(t *testing.T) {
 	g := path4()
 	net := NewNetwork(g, 1)
 	net.EnableMessageStats()
-	net.Run(func(ctx *Ctx) {
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		// Round 1: small message; round 2: big slice.
-		ctx.Broadcast(1)
-		ctx.Next()
-		big := make([]int, 100)
-		ctx.Broadcast(big)
-		ctx.Next()
-	})
+		switch round {
+		case 0:
+			ctx.Broadcast(1)
+		case 1:
+			big := make([]int, 100)
+			ctx.Broadcast(big)
+		}
+		return round < 2
+	}))
 	st := net.MessageStats()
 	if st.MaxBytes < 800 {
 		t.Fatalf("max bytes = %d, want >= 800 (100 ints)", st.MaxBytes)
@@ -66,10 +66,7 @@ func TestMessageStatsGrowingMessages(t *testing.T) {
 
 func TestMessageStatsOffByDefault(t *testing.T) {
 	net := NewNetwork(path4(), 1)
-	net.Run(func(ctx *Ctx) {
-		ctx.Broadcast(1)
-		ctx.Next()
-	})
+	RunStepped(net, oneRound(func(ctx *Ctx) { ctx.Broadcast(1) }))
 	if net.MessageStats() != nil {
 		t.Fatal("stats should be nil when not enabled")
 	}
@@ -170,15 +167,14 @@ func TestEstimateSizeCycleTerminates(t *testing.T) {
 func TestMessageStatsTruncatedSurface(t *testing.T) {
 	net := NewNetwork(path4(), 1)
 	net.EnableMessageStats()
-	net.Run(func(ctx *Ctx) {
+	RunStepped(net, oneRound(func(ctx *Ctx) {
 		switch ctx.ID() {
 		case 0:
 			ctx.Send(0, makeChain(40))
 		case 3:
 			ctx.Send(0, "shallow")
 		}
-		ctx.Next()
-	})
+	}))
 	st := net.MessageStats()
 	if st.Messages != 2 {
 		t.Fatalf("messages = %d, want 2", st.Messages)
@@ -200,12 +196,11 @@ func TestEstimateSizeKinds(t *testing.T) {
 	p := payload{A: 1, B: "abc", C: []byte{1, 2}, D: map[int]int{1: 2}, E: &x}
 	net := NewNetwork(path4(), 1)
 	net.EnableMessageStats()
-	net.Run(func(ctx *Ctx) {
+	RunStepped(net, oneRound(func(ctx *Ctx) {
 		if ctx.ID() == 0 {
 			ctx.Send(0, p)
 		}
-		ctx.Next()
-	})
+	}))
 	st := net.MessageStats()
 	if st.Messages != 1 {
 		t.Fatalf("messages = %d, want 1", st.Messages)

@@ -9,27 +9,38 @@ import (
 
 // Writing a LOCAL algorithm from scratch: each node learns the minimum ID
 // in its 2-neighborhood in exactly two rounds. The harness delivers one
-// message per edge per round; Next() is the round barrier.
-func ExampleNetwork_Run() {
+// message per edge per round; Init stages the first round's messages, and
+// each Step reads one round's arrivals and stages the next.
+func ExampleRunStepped() {
 	// A path 0-1-2-3.
 	g := graph.New(4)
 	g.MustEdge(0, 1)
 	g.MustEdge(1, 2)
 	g.MustEdge(2, 3)
 
+	// Per-node state: the smallest ID seen so far and the rounds done.
+	type state struct{ min, round int }
 	net := local.NewNetwork(g, 1)
-	outs := net.Run(func(ctx *local.Ctx) {
-		min := ctx.ID()
-		for round := 0; round < 2; round++ {
-			ctx.Broadcast(min)
-			ctx.Next()
+	outs := local.RunStepped(net, local.Stepped[state]{
+		Init: func(ctx *local.Ctx, s *state) bool {
+			s.min = ctx.ID()
+			ctx.Broadcast(s.min)
+			return true
+		},
+		Step: func(ctx *local.Ctx, s *state) bool {
 			for p := 0; p < ctx.Degree(); p++ {
-				if m, ok := ctx.Recv(p).(int); ok && m < min {
-					min = m
+				if m, ok := ctx.Recv(p).(int); ok && m < s.min {
+					s.min = m
 				}
 			}
-		}
-		ctx.SetOutput(min)
+			s.round++
+			if s.round == 2 {
+				ctx.SetOutput(s.min)
+				return false
+			}
+			ctx.Broadcast(s.min)
+			return true
+		},
 	})
 
 	fmt.Println(outs, "in", net.Rounds(), "rounds")

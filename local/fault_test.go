@@ -2,8 +2,11 @@ package local
 
 import (
 	"fmt"
+	"hash"
 	"hash/fnv"
+	"runtime"
 	"testing"
+	"time"
 
 	"deltacolor/graph"
 )
@@ -72,20 +75,20 @@ func TestDefaultFaultPlanPickup(t *testing.T) {
 
 // broadcastRounds is the shared fixed-round probe: every node broadcasts
 // its ID for rounds rounds and outputs how many int messages it received.
-func broadcastRounds(rounds int) NodeFunc {
-	return func(ctx *Ctx) {
-		got := 0
-		for r := 0; r < rounds; r++ {
-			ctx.BroadcastInt(ctx.ID())
-			ctx.Next()
-			for p := 0; p < ctx.Degree(); p++ {
-				if _, ok := ctx.RecvInt(p); ok {
-					got++
-				}
+func broadcastRounds(rounds int) Stepped[roundState[int]] {
+	return roundProgram(func(ctx *Ctx, got *int, round int) bool {
+		for p := 0; p < ctx.Degree(); p++ {
+			if _, ok := ctx.RecvInt(p); ok {
+				*got++
 			}
 		}
-		ctx.SetOutput(got)
-	}
+		if round == rounds {
+			ctx.SetOutput(*got)
+			return false
+		}
+		ctx.BroadcastInt(ctx.ID())
+		return true
+	})
 }
 
 func TestDropAllMessages(t *testing.T) {
@@ -97,7 +100,7 @@ func TestDropAllMessages(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 9, DropProb: 1, RoundLimit: 50}); err != nil {
 		t.Fatal(err)
 	}
-	outs := net.Run(broadcastRounds(3))
+	outs := RunStepped(net, broadcastRounds(3))
 	for v, o := range outs {
 		if o.(int) != 0 {
 			t.Fatalf("node %d received %v messages despite DropProb=1", v, o)
@@ -122,7 +125,7 @@ func TestDropAllMessages(t *testing.T) {
 func TestNoFaultsLeaveStatsZero(t *testing.T) {
 	net := NewNetwork(pathGraph(4), 1)
 	net.EnableMessageStats()
-	net.Run(broadcastRounds(2))
+	RunStepped(net, broadcastRounds(2))
 	if fs := net.FaultStats(); fs != (FaultStats{}) {
 		t.Fatalf("fault stats nonzero without a plan: %+v", fs)
 	}
@@ -134,28 +137,31 @@ func TestNoFaultsLeaveStatsZero(t *testing.T) {
 // faultHashProbe runs a fixed number of rounds and outputs a hash of
 // everything the node observed (per-port values per round), so any
 // schedule difference changes the output.
-func faultHashProbe(rounds int) NodeFunc {
-	return func(ctx *Ctx) {
-		h := fnv.New64a()
-		buf := make([]byte, 8)
+func faultHashProbe(rounds int) Stepped[roundState[hash.Hash64]] {
+	return roundProgram(func(ctx *Ctx, h *hash.Hash64, round int) bool {
+		if round == 0 {
+			*h = fnv.New64a()
+		}
 		put := func(v int) {
+			var buf [8]byte
 			for i := range buf {
 				buf[i] = byte(v >> (8 * i))
 			}
-			h.Write(buf)
+			(*h).Write(buf[:])
 		}
-		for r := 0; r < rounds; r++ {
-			ctx.BroadcastInt(ctx.ID()*1000 + r)
-			ctx.Next()
-			for p := 0; p < ctx.Degree(); p++ {
-				if v, ok := ctx.RecvInt(p); ok {
-					put(p)
-					put(v)
-				}
+		for p := 0; p < ctx.Degree(); p++ {
+			if v, ok := ctx.RecvInt(p); ok {
+				put(p)
+				put(v)
 			}
 		}
-		ctx.SetOutput(h.Sum64())
-	}
+		if round == rounds {
+			ctx.SetOutput((*h).Sum64())
+			return false
+		}
+		ctx.BroadcastInt(ctx.ID()*1000 + round)
+		return true
+	})
 }
 
 func TestFaultScheduleDeterministicAcrossWorkers(t *testing.T) {
@@ -171,7 +177,7 @@ func TestFaultScheduleDeterministicAcrossWorkers(t *testing.T) {
 		if err := net.SetFaultPlan(plan); err != nil {
 			t.Fatal(err)
 		}
-		outs := net.Run(faultHashProbe(6))
+		outs := RunStepped(net, faultHashProbe(6))
 		return outs, net.FaultStats(), net.Rounds()
 	}
 	base, baseStats, baseRounds := run(1, 0)
@@ -202,8 +208,8 @@ func TestFaultScheduleVariesAcrossRuns(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 7, DropProb: 0.3, RoundLimit: 60}); err != nil {
 		t.Fatal(err)
 	}
-	a := net.Run(faultHashProbe(6))
-	b := net.Run(faultHashProbe(6))
+	a := RunStepped(net, faultHashProbe(6))
+	b := RunStepped(net, faultHashProbe(6))
 	same := true
 	for v := range a {
 		if a[v] != b[v] {
@@ -224,7 +230,7 @@ func TestCrashWindowFreezeAndRestart(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	outs := net.Run(broadcastRounds(5))
+	outs := RunStepped(net, broadcastRounds(5))
 	// Node 1 freezes during rounds 2 and 3: it misses those two steps (so
 	// its five loop iterations stretch to round 7) and the messages sent
 	// to it in rounds 2 and 3 are dropped. It hears both neighbors in
@@ -255,23 +261,26 @@ func TestDelayedMessageArrivesLater(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 3, DelayProb: 1, MaxDelay: 1, RoundLimit: 20}); err != nil {
 		t.Fatal(err)
 	}
-	outs := net.Run(func(ctx *Ctx) {
-		if ctx.ID() == 0 {
-			ctx.SendInt(0, 7)
-		}
-		got := 0
-		for r := 1; r <= 4; r++ {
-			ctx.Next()
-			if v, ok := ctx.RecvInt(0); ok && got == 0 {
-				if v != 7 {
-					ctx.SetOutput(-v)
-					return
-				}
-				got = r
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, got *int, round int) bool {
+		if round == 0 {
+			if ctx.ID() == 0 {
+				ctx.SendInt(0, 7)
 			}
+			return true
 		}
-		ctx.SetOutput(got)
-	})
+		if v, ok := ctx.RecvInt(0); ok && *got == 0 {
+			if v != 7 {
+				ctx.SetOutput(-v)
+				return false
+			}
+			*got = round
+		}
+		if round == 4 {
+			ctx.SetOutput(*got)
+			return false
+		}
+		return true
+	}))
 	// MaxDelay=1 makes every delay exactly one round: the round-1 message
 	// arrives in round 2.
 	if got := outs[1].(int); got != 2 {
@@ -289,19 +298,22 @@ func TestDuplicatedMessageArrivesTwice(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 3, DupProb: 1, RoundLimit: 20}); err != nil {
 		t.Fatal(err)
 	}
-	outs := net.Run(func(ctx *Ctx) {
-		if ctx.ID() == 0 {
-			ctx.SendInt(0, 7)
-		}
-		seen := 0
-		for r := 1; r <= 4; r++ {
-			ctx.Next()
-			if _, ok := ctx.RecvInt(0); ok {
-				seen++
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, seen *int, round int) bool {
+		if round == 0 {
+			if ctx.ID() == 0 {
+				ctx.SendInt(0, 7)
 			}
+			return true
 		}
-		ctx.SetOutput(seen)
-	})
+		if _, ok := ctx.RecvInt(0); ok {
+			*seen++
+		}
+		if round == 4 {
+			ctx.SetOutput(*seen)
+			return false
+		}
+		return true
+	}))
 	// One staged message, duplicated: delivered in round 1 and re-injected
 	// in round 2. The duplicate is not re-faulted, so exactly twice.
 	if got := outs[1].(int); got != 2 {
@@ -317,12 +329,10 @@ func TestRoundLimitForceHalts(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{RoundLimit: 5}); err != nil {
 		t.Fatal(err)
 	}
-	outs := net.Run(func(ctx *Ctx) {
-		for {
-			ctx.BroadcastInt(1)
-			ctx.Next()
-		}
-	})
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, _ int) bool {
+		ctx.BroadcastInt(1)
+		return true
+	}))
 	if net.Rounds() != 5 {
 		t.Fatalf("rounds = %d, want the limit 5", net.Rounds())
 	}
@@ -339,16 +349,21 @@ func TestNodePanicContained(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{RoundLimit: 10}); err != nil {
 		t.Fatal(err)
 	}
-	outs := net.Run(func(ctx *Ctx) {
-		ctx.BroadcastInt(1)
-		ctx.Next()
-		if ctx.ID() == 1 {
-			panic("fault-mangled state")
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		switch round {
+		case 0:
+			ctx.BroadcastInt(1)
+		case 1:
+			if ctx.ID() == 1 {
+				panic("fault-mangled state")
+			}
+			ctx.BroadcastInt(2)
+		default:
+			ctx.SetOutput("done")
+			return false
 		}
-		ctx.BroadcastInt(2)
-		ctx.Next()
-		ctx.SetOutput("done")
-	})
+		return true
+	}))
 	if outs[0] != "done" || outs[2] != "done" {
 		t.Fatalf("healthy nodes did not finish: %v", outs)
 	}
@@ -360,17 +375,54 @@ func TestNodePanicContained(t *testing.T) {
 	}
 }
 
+// TestPanicWithoutPlanStillPropagates: on a healthy network a node panic
+// ends the run and reaches the caller with its original value, whether
+// the panicking nodes run inline, on the coordinator or on helper
+// workers, and the run leaves no worker goroutine behind.
 func TestPanicWithoutPlanStillPropagates(t *testing.T) {
-	net := NewNetwork(pathGraph(2), 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic did not propagate on a healthy network")
-		}
-	}()
-	net.SetWorkers(1)
-	net.Run(func(ctx *Ctx) {
-		panic("protocol bug")
-	})
+	const n = 4096 // far above parallelWork: every phase fans out to the pool
+	cases := []struct {
+		name    string
+		n       int
+		workers int
+		panics  func(id int) bool
+	}{
+		{"one-worker", 2, 1, func(int) bool { return true }},
+		{"every-64th-node", n, 4, func(id int) bool { return id%64 == 0 }},
+		{"node-0-only", n, 4, func(id int) bool { return id == 0 }},
+		{"last-node-only", n, 4, func(id int) bool { return id == n-1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := NewNetwork(pathGraph(tc.n), 1)
+			net.SetWorkers(tc.workers)
+			net.setBatch(64) // one panicking node per batch in every-64th-node
+			before := runtime.NumGoroutine()
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+					if round == 2 && tc.panics(ctx.ID()) {
+						panic("protocol bug")
+					}
+					ctx.BroadcastInt(round)
+					return round < 5
+				}))
+				return nil
+			}()
+			if got != "protocol bug" {
+				t.Fatalf("caller recovered %v, want the node's panic value", got)
+			}
+			// A helper that has signalled its exit may still be unwinding;
+			// allow it a moment, but a parked helper never leaves.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("goroutines: %d before the run, %d after", before, after)
+			}
+		})
+	}
 }
 
 func TestMessageFaultWindow(t *testing.T) {
@@ -379,7 +431,7 @@ func TestMessageFaultWindow(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 1, DropProb: 1, FromRound: 2, ToRound: 2, RoundLimit: 50}); err != nil {
 		t.Fatal(err)
 	}
-	outs := net.Run(broadcastRounds(3))
+	outs := RunStepped(net, broadcastRounds(3))
 	// Each node misses exactly its round-2 inbound messages (degree each).
 	want := map[int]int{0: 2, 1: 4, 2: 4, 3: 2}
 	for v, o := range outs {
@@ -404,15 +456,15 @@ func TestStrictDeadSendsSuppressedUnderFaults(t *testing.T) {
 
 	// Node 0 halts in sweep 0; node 1 keeps talking to it for two rounds.
 	// The round-2 send is a late dead send: strict mode panics on it.
-	chatty := func(ctx *Ctx) {
+	chatty := roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if ctx.ID() == 0 {
-			return
+			return false
 		}
-		ctx.SendInt(0, 1)
-		ctx.Next()
-		ctx.SendInt(0, 2)
-		ctx.Next()
-	}
+		if round < 2 {
+			ctx.SendInt(0, round+1)
+		}
+		return round < 2
+	})
 
 	func() {
 		defer func() {
@@ -420,7 +472,7 @@ func TestStrictDeadSendsSuppressedUnderFaults(t *testing.T) {
 				t.Fatal("strict mode did not panic on a late dead send without a plan")
 			}
 		}()
-		NewNetwork(pathGraph(2), 1).Run(chatty)
+		RunStepped(NewNetwork(pathGraph(2), 1), chatty)
 	}()
 
 	// Same protocol, plan attached (its fault window never fires): the
@@ -429,7 +481,7 @@ func TestStrictDeadSendsSuppressedUnderFaults(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 1, DropProb: 1, FromRound: 1000, ToRound: 1000, RoundLimit: 2000}); err != nil {
 		t.Fatal(err)
 	}
-	net.Run(chatty)
+	RunStepped(net, chatty)
 	if late := net.LateDeadSends(); len(late) != 1 {
 		t.Fatalf("late dead sends still tracked for post-mortems, got %v", late)
 	}

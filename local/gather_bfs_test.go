@@ -1,101 +1,95 @@
 package local
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
 	"deltacolor/graph"
 )
 
-// TestGatherBallMatchesBFS is the ground-truth property test for the
-// flooding primitive: on random graphs, the ball gathered in t rounds
-// must contain exactly the nodes at BFS distance <= t, with complete
-// adjacency for every node at distance <= t-1 (their adjacency had t-1
+// TestGatherBallMatchesBFS is the ground-truth property test for ball
+// gathering: the ball gathered in t rounds must hold exactly the nodes at
+// BFS distance <= t, center first and each once, with complete adjacency
+// in port order for every node at distance < t (its adjacency had t-1
 // rounds to travel) and only the bare self-report (nil adjacency) for
-// nodes at distance exactly t. Both implementations are pinned against
-// the same ground truth: the blocking coroutine GatherBall (the
-// compatibility shim's reference) and the native stepped gather.
+// nodes at distance exactly t. A radius-0 ball is the center alone, with
+// an empty adjacency. Gathering takes exactly t rounds.
 func TestGatherBallMatchesBFS(t *testing.T) {
-	impls := []struct {
-		name    string
-		collect func(net *Network, radius int) []*BallInfo
-	}{
-		{"blocking", gatherBallsBlocking},
-		{"stepped", func(net *Network, radius int) []*BallInfo {
-			flat := GatherStepped(net, radius)
-			balls := make([]*BallInfo, len(flat))
-			for v, b := range flat {
-				balls[v] = b.Info()
-			}
-			return balls
-		}},
-	}
+	isolated := graph.New(12)
+	isolated.MustEdge(0, 1)
+	isolated.MustEdge(1, 2)
+	isolated.MustEdge(4, 5)
 	cases := []struct {
-		n    int
-		p    float64
-		seed int64
+		name string
+		g    *graph.G
 	}{
-		{40, 0.05, 1},
-		{60, 0.08, 2},
-		{50, 0.15, 3},
-		{30, 0.5, 4},
+		{"path-17", pathGraph(17)},
+		{"cycle-24", cycleGraph(24)},
+		{"rand-40", randomGraph(40, 0.05, 1)},
+		{"rand-60", randomGraph(60, 0.08, 2)},
+		{"rand-50", randomGraph(50, 0.15, 3)},
+		{"rand-50-sparse", randomGraph(50, 0.1, 7)},
+		{"rand-30", randomGraph(30, 0.5, 4)},
+		{"rand-dense-30", randomGraph(30, 0.4, 8)},
+		{"isolated", isolated},
 	}
-	for _, impl := range impls {
-		t.Run(impl.name, func(t *testing.T) {
-			for _, tc := range cases {
-				g := randomGraph(tc.n, tc.p, tc.seed)
-				for _, radius := range []int{1, 2, 3} {
-					net := NewNetwork(g, tc.seed)
-					net.setShards(4)
-					balls := impl.collect(net, radius)
-					if net.Rounds() != radius {
-						t.Fatalf("n=%d p=%v t=%d: rounds=%d", tc.n, tc.p, radius, net.Rounds())
-					}
-					for v := 0; v < g.N(); v++ {
-						assertBallMatchesBFS(t, g, v, radius, balls[v])
-					}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for radius := 0; radius <= 4; radius++ {
+				net := NewNetwork(tc.g, 1)
+				net.setShards(4)
+				balls := GatherStepped(net, radius)
+				if net.Rounds() != radius {
+					t.Fatalf("t=%d: rounds=%d", radius, net.Rounds())
+				}
+				for v := 0; v < tc.g.N(); v++ {
+					assertBallMatchesBFS(t, tc.g, v, radius, balls[v])
 				}
 			}
 		})
 	}
 }
 
-func assertBallMatchesBFS(t *testing.T, g *graph.G, v, radius int, ball *BallInfo) {
+func assertBallMatchesBFS(t *testing.T, g *graph.G, v, radius int, ball *Ball) {
 	t.Helper()
 	bfs := g.BFSLimited(v, radius)
-	want := map[int]bool{}
-	for _, u := range bfs.Order {
-		want[u] = true
-	}
 	if ball.Center != v || ball.Radius != radius {
 		t.Fatalf("ball center/radius = %d/%d, want %d/%d", ball.Center, ball.Radius, v, radius)
 	}
-	if len(ball.Adj) != len(want) {
-		t.Fatalf("t=%d center=%d: knows %d nodes, BFS ball has %d", radius, v, len(ball.Adj), len(want))
+	if len(ball.IDs) == 0 || int(ball.IDs[0]) != v {
+		t.Fatalf("t=%d center=%d: IDs = %v, want the center first", radius, v, ball.IDs)
 	}
-	for u, adj := range ball.Adj {
-		if !want[u] {
-			t.Fatalf("center %d learned %d outside its %d-ball", v, u, radius)
+	if len(ball.Adj) != len(ball.IDs) {
+		t.Fatalf("t=%d center=%d: %d adjacency lists for %d IDs", radius, v, len(ball.Adj), len(ball.IDs))
+	}
+	if len(ball.IDs) != len(bfs.Order) {
+		t.Fatalf("t=%d center=%d: knows %d nodes, BFS ball has %d", radius, v, len(ball.IDs), len(bfs.Order))
+	}
+	seen := make(map[int]bool, len(ball.IDs))
+	for i, id := range ball.IDs {
+		u, adj := int(id), ball.Adj[i]
+		if seen[u] {
+			t.Fatalf("t=%d center=%d: node %d listed twice in %v", radius, v, u, ball.IDs)
 		}
-		switch {
-		case bfs.Dist[u] < radius:
-			got := append([]int(nil), adj...)
-			exp := append([]int(nil), g.Neighbors(u)...)
-			sort.Ints(got)
-			sort.Ints(exp)
-			if len(got) != len(exp) {
-				t.Fatalf("center %d: adjacency of %d (dist %d) has %d entries, want %d",
-					v, u, bfs.Dist[u], len(got), len(exp))
+		seen[u] = true
+		switch d := bfs.Dist[u]; {
+		case d < 0:
+			t.Fatalf("center %d learned %d outside its %d-ball", v, u, radius)
+		case radius == 0:
+			if adj == nil || len(adj) != 0 {
+				t.Fatalf("center %d: radius-0 adjacency %v, want empty", v, adj)
 			}
-			for i := range got {
-				if got[i] != exp[i] {
-					t.Fatalf("center %d: adjacency of %d = %v, want %v", v, u, got, exp)
-				}
+		case d < radius:
+			got := make([]int, len(adj))
+			for j, w := range adj {
+				got[j] = int(w)
 			}
-		default: // dist == radius: only the self-report made it
+			if !slices.Equal(got, g.Neighbors(u)) {
+				t.Fatalf("center %d: adjacency of %d (dist %d) = %v, want port order %v", v, u, d, got, g.Neighbors(u))
+			}
+		default: // d == radius: only the self-report made it
 			if adj != nil {
-				t.Fatalf("center %d: node %d at distance %d should have nil adjacency, got %v",
-					v, u, radius, adj)
+				t.Fatalf("center %d: node %d at distance %d should have nil adjacency, got %v", v, u, radius, adj)
 			}
 		}
 	}

@@ -8,100 +8,6 @@ import (
 	"deltacolor/graph"
 )
 
-// TestGatherSteppedMatchesBlocking pins the stepped gather against the
-// blocking coroutine reference: for every node, the materialized BallInfo
-// must be deeply equal (same key sets, same adjacency contents, same
-// nil-vs-empty distinction) and the two runs must consume identical
-// rounds. This is the contract that lets the consumers swap engines
-// without observable change.
-func TestGatherSteppedMatchesBlocking(t *testing.T) {
-	graphs := []struct {
-		name string
-		g    *graph.G
-	}{
-		{"path-17", pathGraph(17)},
-		{"cycle-24", cycleGraph(24)},
-		{"rand-50", randomGraph(50, 0.1, 7)},
-		{"rand-dense-30", randomGraph(30, 0.4, 8)},
-		{"isolated", func() *graph.G {
-			g := graph.New(12)
-			g.MustEdge(0, 1)
-			g.MustEdge(1, 2)
-			g.MustEdge(4, 5)
-			return g
-		}()},
-	}
-	for _, tc := range graphs {
-		for _, radius := range []int{0, 1, 2, 3, 4} {
-			bnet := NewNetwork(tc.g, 1)
-			want := gatherBallsBlocking(bnet, radius)
-			wantRounds := bnet.Rounds()
-
-			snet := NewNetwork(tc.g, 1)
-			flat := GatherStepped(snet, radius)
-			if snet.Rounds() != wantRounds {
-				t.Fatalf("%s t=%d: stepped rounds=%d, blocking=%d", tc.name, radius, snet.Rounds(), wantRounds)
-			}
-			for v := range flat {
-				got := flat[v].Info()
-				if !reflect.DeepEqual(got, want[v]) {
-					t.Fatalf("%s t=%d node %d:\nstepped  %+v\nblocking %+v", tc.name, radius, v, got, want[v])
-				}
-			}
-		}
-	}
-}
-
-// TestGatherBallsHookDispatch pins the SetSteppedGather ablation hook:
-// both settings must return identical balls through the GatherBalls
-// entry point, and the toggle must be readable.
-func TestGatherBallsHookDispatch(t *testing.T) {
-	prev := SteppedGatherEnabled()
-	defer SetSteppedGather(prev)
-
-	g := randomGraph(40, 0.12, 3)
-	SetSteppedGather(true)
-	if !SteppedGatherEnabled() {
-		t.Fatal("hook did not enable")
-	}
-	stepped := GatherBalls(NewNetwork(g, 1), 2)
-
-	SetSteppedGather(false)
-	if SteppedGatherEnabled() {
-		t.Fatal("hook did not disable")
-	}
-	blocking := GatherBalls(NewNetwork(g, 1), 2)
-
-	if !reflect.DeepEqual(stepped, blocking) {
-		t.Fatal("GatherBalls diverges across SetSteppedGather settings")
-	}
-}
-
-// TestGatherSteppedPayloadSmaller pins the wire-format win: the packed
-// []int32 frontier encoding must ship strictly fewer estimated bytes than
-// the blocking path's per-round map payloads on the same gather.
-func TestGatherSteppedPayloadSmaller(t *testing.T) {
-	g := randomGraph(60, 0.08, 2)
-
-	bnet := NewNetwork(g, 1)
-	bnet.EnableMessageStats()
-	gatherBallsBlocking(bnet, 3)
-	blocking := bnet.MessageStats()
-
-	snet := NewNetwork(g, 1)
-	snet.EnableMessageStats()
-	GatherStepped(snet, 3)
-	stepped := snet.MessageStats()
-
-	if stepped.TotalBytes >= blocking.TotalBytes {
-		t.Fatalf("stepped gather ships %d bytes, blocking %d — expected a strict shrink",
-			stepped.TotalBytes, blocking.TotalBytes)
-	}
-	if stepped.MaxBytes >= blocking.MaxBytes {
-		t.Fatalf("stepped MaxBytes %d >= blocking %d", stepped.MaxBytes, blocking.MaxBytes)
-	}
-}
-
 // TestFloodSteppedMatchesCentral checks FloodStepped against the central
 // multi-source BFS: a node is reached iff its distance to the nearest
 // source is within the radius.
@@ -186,8 +92,7 @@ func TestGatherSteppedAllocsBounded(t *testing.T) {
 	perNodeRound := (long - short) / (20 * 256)
 	// On a cycle every round ships one two-record frontier per node: the
 	// packed buffer, its boxing, and amortized state growth. Anything past
-	// ~6 allocs/node-round means a regression (the blocking path costs a
-	// map + ballMsg + coroutine bookkeeping per node-round, ~3x more).
+	// ~6 allocs/node-round means a regression.
 	if perNodeRound > 6 {
 		t.Fatalf("stepped gather allocates %.1f allocs/node-round (short=%.0f long=%.0f)", perNodeRound, short, long)
 	}

@@ -2,25 +2,22 @@
 // runtime: synchronous rounds over a fixed graph, per-round message delivery
 // along edges, and automatic round accounting.
 //
-// An algorithm is a function executed by every node against a *Ctx. Nodes
-// know initially only their own ID, their degree and port numbering, and
-// the global parameters n and Δ (as is standard in the LOCAL model). A node
-// communicates by writing messages to ports and calling Next, which blocks
-// until every running node has finished the round; Next returns after the
-// messages that arrived are available. A node halts by returning from the
-// function; its final state is whatever the algorithm recorded through
+// An algorithm is a node program executed by every node against a *Ctx.
+// Nodes know initially only their own ID, their degree and port numbering,
+// and the global parameters n and Δ (as is standard in the LOCAL model).
+// A program is given in stepped form (Stepped, RunStepped): Init runs
+// once before the first round, and each Step reads the messages of the
+// round that just completed and stages the next round's. A node halts by
+// returning false; its final state is whatever it recorded through
 // SetOutput.
 //
 // Messages are unbounded (LOCAL model), so any t-round algorithm is
 // equivalent to a function of the t-hop neighborhood. GatherStepped
-// implements exactly that flooding pattern as a reusable building block on
-// the stepped executor (flat per-round frontiers packed into int32
-// records); GatherBall is the blocking reference implementation the shim
-// and the property tests pin it against, and GatherBalls dispatches
-// between the two via the SetSteppedGather ablation hook. FloodStepped and
-// CollectComponents cover the other ball-collection shapes (TTL
-// reachability floods and small-component discovery) in the same
-// allocation-free style.
+// implements exactly that flooding pattern as a reusable building block
+// (flat per-round frontiers packed into int32 records, returned as flat
+// Balls). FloodStepped and CollectComponents cover the other
+// ball-collection shapes (TTL reachability floods and small-component
+// discovery) in the same allocation-free style.
 //
 // # Scheduler architecture
 //
@@ -35,34 +32,16 @@
 // the engine is a plain loop with zero synchronization and zero
 // allocations per round.
 //
-// Node programs come in two forms that share this engine:
-//
-//   - The stepped form (Stepped, RunStepped): the node program is given as
-//     explicit Init/Step segment functions with its cross-round state in a
-//     flat per-run array. No stacks, no coroutines, no switches — the
-//     executor calls segments directly, so a round touches only the
-//     compact state and message arrays. This is the engine's native form,
-//     and since the gather port it is the only form on the hot path: the
-//     protocols (Linial, color reduction, MIS, list coloring) and every
-//     ball-collection phase (GatherStepped, FloodStepped,
-//     CollectComponents) use it.
-//   - The blocking form (NodeFunc, Run): the node's segment boundary is
-//     Ctx.Next. Each node runs as a coroutine (iter.Pull) that the workers
-//     resume cooperatively; a resume is a direct coroutine switch and
-//     never goes through the Go scheduler. This is the fully general form
-//     (arbitrary control flow, state on the node's stack) and is kept as a
-//     tested compatibility shim: no pipeline phase requires it anymore,
-//     and the equivalence suites pin it byte-identical to the stepped
-//     ports.
+// The executor calls a program's segments directly, with every node's
+// cross-round state in one flat per-run array: no stacks, no coroutines,
+// no switches, so a round touches only the compact state and message
+// arrays. Every protocol in this repository (Linial, color reduction,
+// MIS, list coloring) and every ball-collection phase runs this way.
 //
 // Message delivery never touches per-node scheduling state: ports, reverse
 // ports, payloads, presence maps and receiver flags all live in flat
 // arrays indexed by directed-edge slot, so delivering a round of small
 // messages streams a few compact arrays instead of walking node objects.
-// On graphs whose neighbors are scattered beyond the cache (expanders),
-// SetTiledDelivery switches the int lane to a tiled kernel that buckets
-// each batch's staged messages by receiver range before flushing, turning
-// random-stride stores into two near-sequential passes.
 //
 // # Cache-locality relabeling
 //
@@ -75,8 +54,8 @@
 // near-sequential memory even when the caller's node IDs are scattered
 // arbitrarily. The relabeling is invisible: a translation layer (two flat
 // arrays, applied exactly once at the API boundary) keeps every
-// observable surface — Ctx.ID, Ctx.Rand seeding, Run/RunStepped output
-// order, RunWithInput input order, port numbering, DeadSend records,
+// observable surface — Ctx.ID, Ctx.Rand seeding, RunStepped output
+// order, RunSteppedWithInput input order, port numbering, DeadSend records,
 // MessageStats — in the caller's external IDs, so outputs are
 // byte-identical with relabeling on or off. SetRelabel is the ablation
 // hook (and E14 measures the effect).
@@ -92,7 +71,7 @@
 // back to boxed ints, so mixed protocols and the SetIntFastPath(false)
 // ablation behave identically to the all-boxed runtime.
 //
-// Determinism is unaffected by batching, worker count and program form:
+// Determinism is unaffected by batching and worker count:
 // message (receiver, port) slots are fixed by the port numbering, per-node
 // randomness is derived from (seed, ID) alone, and round completion is a
 // pure function of which nodes halted. For a fixed seed, outputs, round
@@ -102,10 +81,10 @@ package local
 
 import (
 	"fmt"
-	"iter"
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -114,11 +93,6 @@ import (
 
 // Message is any value sent along an edge in one round.
 type Message any
-
-// NodeFunc is the per-node program in blocking form. It runs as a
-// coroutine resumed by the scheduler's worker pool; it must communicate
-// only through ctx and must return to halt.
-type NodeFunc func(ctx *Ctx)
 
 // Ctx is a node's interface to the network during a run.
 type Ctx struct {
@@ -146,12 +120,6 @@ type Ctx struct {
 	nBoxed  int32 // non-nil slots currently staged in out (owner-only)
 	nInts   int32 // slots currently staged in outHas (owner-only)
 	sentAny bool  // staged at least one Send/Broadcast this round (owner-only)
-
-	// resume runs a blocking node program until its next Ctx.Next (or
-	// return); yield is the suspension half, installed when the
-	// coroutine starts. Both are nil in stepped runs.
-	resume func() (struct{}, bool)
-	yield  func(struct{}) bool
 }
 
 // ID returns this node's unique identifier in [0, n).
@@ -178,7 +146,8 @@ func (c *Ctx) Rand() *rand.Rand {
 	return c.rng
 }
 
-// Input returns the per-node input installed by RunWithInput (nil if none).
+// Input returns the per-node input installed by RunSteppedWithInput (nil
+// if none).
 func (c *Ctx) Input() any { return c.input }
 
 // Send stages msg to be delivered to the neighbor on port p at the end of
@@ -316,15 +285,6 @@ func (c *Ctx) RecvInt(p int) (v int, ok bool) {
 	return 0, false
 }
 
-// Next completes the current round: the node suspends, the scheduler
-// delivers every staged message, and the node resumes in the next round
-// with its incoming messages available via Recv/RecvInt. Only blocking
-// programs call Next; in the stepped form the segment boundary is the
-// Step function itself.
-func (c *Ctx) Next() {
-	c.yield(struct{}{})
-}
-
 // SetOutput records the node's output (its color, mark, level, ...).
 func (c *Ctx) SetOutput(v any) { c.output = v }
 
@@ -356,14 +316,6 @@ type batch struct {
 	ftDrops, ftDups, ftDelays, ftCrashIn, ftOffline, ftPanics int32
 	pend                                                      []pendingFault
 
-	// Tiled-delivery staging (tile.go), sized by setupTiles and empty when
-	// tiling is off: surviving messages are binned by receiver-slot tile
-	// (counting sort over tileCnt) into the entry arrays, then flushed tile
-	// by tile for receiver-side write locality.
-	entSlot, entU, entVal []int32
-	entMsg                []Message
-	tileCnt               []int32
-
 	_ [64]byte
 }
 
@@ -386,7 +338,7 @@ func (d DeadSend) String() string {
 	return fmt.Sprintf("round %d: node %d sent to halted node %d on port %d", d.Round, d.From, d.To, d.Port)
 }
 
-// RunStats summarizes the throughput of the last Run.
+// RunStats summarizes the throughput of the last run.
 type RunStats struct {
 	Nodes        int
 	Rounds       int
@@ -443,7 +395,7 @@ type Network struct {
 
 	stats     *MessageStats // non-nil when EnableMessageStats was called
 	trackDead bool          // record sends to halted neighbors
-	strict    bool          // panic after a Run that recorded dead sends
+	strict    bool          // panic after a run that recorded dead sends
 	intPath   bool          // int fast path enabled (see SetIntFastPath)
 
 	tracer    *Tracer // round-level tracing (see trace.go); nil = off
@@ -458,13 +410,6 @@ type Network struct {
 	faultStats FaultStats            // per-run fault counters (coordinator-owned)
 	pendFault  []pendingFault        // delayed/duplicated messages awaiting injection
 	runSeq     int64                 // run sequence number; domain-separates fault hashing across runs
-
-	// Tiled delivery (tile.go): tiledOn is the caller's switch, tiled the
-	// per-run effective state (setup sizes the per-batch tile staging when
-	// it is set), tileCount the number of receiver-slot tiles.
-	tiledOn   bool
-	tiled     bool
-	tileCount int
 
 	// Churn (churn.go): set by the mutation API; setup consolidates the
 	// flat edge tables before the next run.
@@ -729,67 +674,32 @@ func (net *Network) LateDeadSends() []DeadSend {
 	return late
 }
 
-// Run executes the blocking program f on every node until all halt and
-// returns each node's output. The number of rounds used is available via
-// Rounds.
-func (net *Network) Run(f NodeFunc) []any {
-	return net.RunWithInput(f, nil)
-}
-
-// RunWithInput is Run with a per-node input value (inputs[v] is readable by
-// node v via ctx.Input). inputs may be nil; a non-nil inputs must have
-// exactly one entry per node.
-func (net *Network) RunWithInput(f NodeFunc, inputs []any) []any {
-	net.setup(inputs)
-	for i := range net.ctxs {
-		net.ctxs[i].startCoro(f)
-	}
-	step := func(c *Ctx) bool {
-		_, ok := c.resume()
-		return ok
-	}
-	return net.runRounds(step, step)
-}
-
-// startCoro installs a blocking node's coroutine: the program runs inside
-// an iter.Pull sequence whose yield is Ctx.Next's suspension point, so
-// resuming it is a direct coroutine switch that never touches the Go
-// scheduler.
-func (c *Ctx) startCoro(f NodeFunc) {
-	next, _ := iter.Pull(func(yield func(struct{}) bool) {
-		c.yield = yield
-		f(c)
-	})
-	c.resume = next
-}
-
-// Stepped is a node program in the executor's native segmented form, the
-// exact unrolling of a blocking NodeFunc at its Next boundaries:
+// Stepped is a node program, split into the segments between round
+// barriers:
 //
-//   - Init is the code before the first Next. It runs once per node, may
-//     stage messages, and returns false to halt without entering round 1.
-//   - Step is the code between two Nexts: it reads the messages of the
-//     round that just completed, stages the next round's, and returns
-//     false to halt.
+//   - Init runs once per node before the first round. It may stage
+//     messages, and returns false to halt without entering round 1.
+//   - Step runs once per round: it reads the messages of the round that
+//     just completed, stages the next round's, and returns false to halt.
 //
 // Cross-round node state lives in S; the executor keeps all n states in
-// one flat array, so stepped programs run without per-node stacks or
-// coroutines — segments are plain calls on the worker's own stack. Use
-// this form for hot protocols; semantics (rounds, delivery, halting,
-// outputs, determinism) are identical to the blocking form.
+// one flat array, so programs run without per-node stacks or coroutines —
+// segments are plain calls on the worker's own stack.
 type Stepped[S any] struct {
 	Init func(ctx *Ctx, s *S) bool
 	Step func(ctx *Ctx, s *S) bool
 }
 
 // RunStepped executes a stepped program on every node until all halt and
-// returns each node's output, exactly like Run does for blocking programs.
+// returns each node's output, indexed by node ID. The number of rounds
+// used is available via Rounds.
 func RunStepped[S any](net *Network, p Stepped[S]) []any {
 	return RunSteppedWithInput(net, p, nil)
 }
 
-// RunSteppedWithInput is RunStepped with a per-node input value; inputs
-// follows the RunWithInput contract.
+// RunSteppedWithInput is RunStepped with a per-node input value (inputs[v]
+// is readable by node v via ctx.Input). inputs may be nil; a non-nil
+// inputs must have exactly one entry per node.
 func RunSteppedWithInput[S any](net *Network, p Stepped[S], inputs []any) []any {
 	net.setup(inputs)
 	// States are indexed by internal node, so a batch's step sweep walks
@@ -812,7 +722,7 @@ func (net *Network) setup(inputs []any) {
 	}
 	n := net.g.N()
 	if inputs != nil && len(inputs) != n {
-		panic(fmt.Sprintf("local: RunWithInput: len(inputs) = %d, want %d (one input per node)", len(inputs), n))
+		panic(fmt.Sprintf("local: RunSteppedWithInput: len(inputs) = %d, want %d (one input per node)", len(inputs), n))
 	}
 	maxDeg := net.g.MaxDegree()
 	net.rounds = 0
@@ -875,10 +785,6 @@ func (net *Network) setup(inputs []any) {
 			b.live[v-lo] = int32(v)
 		}
 	}
-	net.tiled = net.tiledOn
-	if net.tiled {
-		net.setupTiles(bs)
-	}
 }
 
 // defaultBatchSize balances per-batch bookkeeping against load-balancing
@@ -911,6 +817,11 @@ const (
 // historical semantics, the final all-halt sweep is not counted as a round
 // and its staged messages are dropped.
 //
+// A node panic on a healthy network ends the run: runRounds re-panics
+// with the first panic value once every worker has left the phase, and
+// leaves no worker goroutine behind. (Under a FaultPlan, node panics are
+// contained per node instead; see stepNodeRecover.)
+//
 //deltacolor:coordinator
 func (net *Network) runRounds(init, step func(*Ctx) bool) []any {
 	n := net.g.N()
@@ -920,20 +831,29 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) []any {
 	// park on the command channel between phases, so a phase costs at
 	// most O(workers) park/wake transitions — and none at all when it
 	// runs inline below the parallelWork threshold or with one worker.
+	// Each helper reports its phase's recovered panic (nil if none) on
+	// done; the deferred close releases them on every exit path, panics
+	// included, and waits until they are gone.
 	w := min(net.nworkers, len(net.batches))
 	var cmd chan int
-	var done chan struct{}
+	var done chan any
 	if w > 1 {
 		cmd = make(chan int)
-		done = make(chan struct{})
+		done = make(chan any)
+		var helpers sync.WaitGroup
+		helpers.Add(w - 1)
 		for i := 1; i < w; i++ {
 			go func() {
+				defer helpers.Done()
 				for ph := range cmd {
-					net.workPhase(ph)
-					done <- struct{}{}
+					done <- net.recoverPhase(ph)
 				}
 			}()
 		}
+		defer func() {
+			close(cmd)
+			helpers.Wait()
+		}()
 	}
 	// phase runs one engine phase; the channel sends publish net.segment
 	// and the cursor reset to the helpers (happens-before), and the done
@@ -949,9 +869,14 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) []any {
 		for i := 1; i < w; i++ {
 			cmd <- ph
 		}
-		net.workPhase(ph)
+		first := net.recoverPhase(ph)
 		for i := 1; i < w; i++ {
-			<-done
+			if p := <-done; first == nil {
+				first = p
+			}
+		}
+		if first != nil {
+			panic(first)
 		}
 	}
 
@@ -1070,9 +995,6 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) []any {
 	if net.fault != nil {
 		net.finishFaultRun(tr)
 	}
-	if w > 1 {
-		close(cmd)
-	}
 
 	outs := make([]any, n)
 	for v := 0; v < n; v++ {
@@ -1094,6 +1016,16 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) []any {
 		}
 	}
 	return outs
+}
+
+// recoverPhase is workPhase for a parallel phase: a node panic stops this
+// worker's share of the phase and is returned instead of unwinding the
+// worker, so the coordinator can collect every worker before it
+// re-panics. It returns nil when the phase completed.
+func (net *Network) recoverPhase(ph int) (p any) {
+	defer func() { p = recover() }()
+	net.workPhase(ph)
+	return nil
 }
 
 // workPhase pulls batches off the shared cursor until the phase is drained.
@@ -1126,10 +1058,6 @@ func (net *Network) doBatch(ph int, b *batch) {
 	} else {
 		if net.fault != nil {
 			net.deliverBatchFaulty(b)
-			return
-		}
-		if net.tiled {
-			net.deliverBatchTiled(b)
 			return
 		}
 		net.deliverBatch(b)

@@ -22,12 +22,45 @@ func cycleGraph(n int) *graph.G {
 	return g
 }
 
+// roundState is the per-node state of a roundProgram: the round counter
+// and the test's own state.
+type roundState[S any] struct {
+	round int
+	s     S
+}
+
+// roundProgram writes a test protocol as one round-indexed body: body
+// runs with round = 0 as Init and with round = r ≥ 1 after the r-th
+// delivery (reading what was staged in round r-1), keeps its cross-round
+// state in s, and returns false to halt.
+func roundProgram[S any](body func(ctx *Ctx, s *S, round int) bool) Stepped[roundState[S]] {
+	return Stepped[roundState[S]]{
+		Init: func(ctx *Ctx, st *roundState[S]) bool { return body(ctx, &st.s, 0) },
+		Step: func(ctx *Ctx, st *roundState[S]) bool {
+			st.round++
+			return body(ctx, &st.s, st.round)
+		},
+	}
+}
+
+// oneRound is the single-round test program: stage runs in Init, and
+// every node halts after the first delivery.
+func oneRound(stage func(ctx *Ctx)) Stepped[roundState[struct{}]] {
+	return roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		if round == 0 {
+			stage(ctx)
+		}
+		return round == 0
+	})
+}
+
 func TestRunNoRounds(t *testing.T) {
 	g := pathGraph(4)
 	net := NewNetwork(g, 1)
-	outs := net.Run(func(ctx *Ctx) {
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, _ int) bool {
 		ctx.SetOutput(ctx.ID() * 2)
-	})
+		return false
+	}))
 	if net.Rounds() != 0 {
 		t.Fatalf("rounds=%d", net.Rounds())
 	}
@@ -41,9 +74,11 @@ func TestRunNoRounds(t *testing.T) {
 func TestMessageDelivery(t *testing.T) {
 	g := pathGraph(3)
 	net := NewNetwork(g, 1)
-	outs := net.Run(func(ctx *Ctx) {
-		ctx.Broadcast(ctx.ID())
-		ctx.Next()
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		if round == 0 {
+			ctx.Broadcast(ctx.ID())
+			return true
+		}
 		sum := 0
 		for p := 0; p < ctx.Degree(); p++ {
 			if m := ctx.Recv(p); m != nil {
@@ -51,7 +86,8 @@ func TestMessageDelivery(t *testing.T) {
 			}
 		}
 		ctx.SetOutput(sum)
-	})
+		return false
+	}))
 	if net.Rounds() != 1 {
 		t.Fatalf("rounds=%d", net.Rounds())
 	}
@@ -70,11 +106,14 @@ func TestPortDirectionality(t *testing.T) {
 	g := graph.New(2)
 	g.MustEdge(0, 1)
 	net := NewNetwork(g, 1)
-	outs := net.Run(func(ctx *Ctx) {
-		ctx.Send(0, ctx.ID()+100)
-		ctx.Next()
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		if round == 0 {
+			ctx.Send(0, ctx.ID()+100)
+			return true
+		}
 		ctx.SetOutput(ctx.Recv(0))
-	})
+		return false
+	}))
 	if outs[0].(int) != 101 || outs[1].(int) != 100 {
 		t.Fatalf("outs=%v", outs)
 	}
@@ -83,14 +122,17 @@ func TestPortDirectionality(t *testing.T) {
 func TestHaltedNodeMessagesStillDelivered(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g, 1)
-	outs := net.Run(func(ctx *Ctx) {
-		if ctx.ID() == 0 {
-			ctx.Broadcast("bye")
-			return // halt immediately after staging
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		if round == 0 {
+			if ctx.ID() == 0 {
+				ctx.Broadcast("bye")
+				return false // halt immediately after staging
+			}
+			return true
 		}
-		ctx.Next()
 		ctx.SetOutput(ctx.Recv(0))
-	})
+		return false
+	}))
 	if outs[1] != "bye" {
 		t.Fatalf("node 1 got %v", outs[1])
 	}
@@ -101,25 +143,28 @@ func TestMultiRoundFlood(t *testing.T) {
 	n, r := 12, 3
 	g := cycleGraph(n)
 	net := NewNetwork(g, 1)
-	outs := net.Run(func(ctx *Ctx) {
-		known := map[int]bool{ctx.ID(): true}
-		for i := 0; i < r; i++ {
-			snapshot := make([]int, 0, len(known))
-			for id := range known {
-				snapshot = append(snapshot, id)
-			}
-			ctx.Broadcast(snapshot)
-			ctx.Next()
-			for p := 0; p < ctx.Degree(); p++ {
-				if m, ok := ctx.Recv(p).([]int); ok {
-					for _, id := range m {
-						known[id] = true
-					}
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, known *map[int]bool, round int) bool {
+		if round == 0 {
+			*known = map[int]bool{ctx.ID(): true}
+		}
+		for p := 0; p < ctx.Degree(); p++ {
+			if m, ok := ctx.Recv(p).([]int); ok {
+				for _, id := range m {
+					(*known)[id] = true
 				}
 			}
 		}
-		ctx.SetOutput(len(known))
-	})
+		if round == r {
+			ctx.SetOutput(len(*known))
+			return false
+		}
+		snapshot := make([]int, 0, len(*known))
+		for id := range *known {
+			snapshot = append(snapshot, id)
+		}
+		ctx.Broadcast(snapshot)
+		return true
+	}))
 	if net.Rounds() != r {
 		t.Fatalf("rounds=%d", net.Rounds())
 	}
@@ -130,13 +175,14 @@ func TestMultiRoundFlood(t *testing.T) {
 	}
 }
 
-func TestRunWithInput(t *testing.T) {
+func TestRunSteppedWithInput(t *testing.T) {
 	g := pathGraph(3)
 	net := NewNetwork(g, 1)
 	inputs := []any{10, 20, 30}
-	outs := net.RunWithInput(func(ctx *Ctx) {
+	outs := RunSteppedWithInput(net, roundProgram(func(ctx *Ctx, _ *struct{}, _ int) bool {
 		ctx.SetOutput(ctx.Input().(int) + 1)
-	}, inputs)
+		return false
+	}), inputs)
 	for v := range outs {
 		if outs[v].(int) != inputs[v].(int)+1 {
 			t.Fatal("inputs not wired")
@@ -148,7 +194,10 @@ func TestRandDeterministicPerSeed(t *testing.T) {
 	g := pathGraph(4)
 	draw := func(seed int64) []int64 {
 		net := NewNetwork(g, seed)
-		outs := net.Run(func(ctx *Ctx) { ctx.SetOutput(ctx.Rand().Int63()) })
+		outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, _ int) bool {
+			ctx.SetOutput(ctx.Rand().Int63())
+			return false
+		}))
 		vals := make([]int64, len(outs))
 		for i, o := range outs {
 			vals[i] = o.(int64)
@@ -176,12 +225,13 @@ func TestStaggeredHalts(t *testing.T) {
 	// Node v halts after v rounds; later nodes must keep making progress.
 	g := cycleGraph(6)
 	net := NewNetwork(g, 1)
-	outs := net.Run(func(ctx *Ctx) {
-		for i := 0; i < ctx.ID(); i++ {
-			ctx.Next()
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		if round < ctx.ID() {
+			return true
 		}
 		ctx.SetOutput(ctx.ID())
-	})
+		return false
+	}))
 	if net.Rounds() < 5 {
 		t.Fatalf("rounds=%d", net.Rounds())
 	}
@@ -192,25 +242,26 @@ func TestStaggeredHalts(t *testing.T) {
 	}
 }
 
-func TestGatherBall(t *testing.T) {
+func TestGatherStepped(t *testing.T) {
 	g := cycleGraph(10)
 	net := NewNetwork(g, 1)
-	outs := net.Run(func(ctx *Ctx) {
-		b := GatherBall(ctx, 3)
-		ctx.SetOutput(b)
-	})
+	balls := GatherStepped(net, 3)
 	if net.Rounds() != 3 {
 		t.Fatalf("rounds=%d", net.Rounds())
 	}
-	b0 := outs[0].(*BallInfo)
+	b0 := balls[0]
 	// Existence known for distance <= 3: nodes 7,8,9,0,1,2,3 on C10.
-	if len(b0.Adj) != 7 {
-		t.Fatalf("node 0 knows %d nodes, want 7", len(b0.Adj))
+	if len(b0.IDs) != 7 {
+		t.Fatalf("node 0 knows %d nodes, want 7", len(b0.IDs))
+	}
+	adj := map[int][]int32{}
+	for i, id := range b0.IDs {
+		adj[int(id)] = b0.Adj[i]
 	}
 	// Adjacency complete for distance <= 2.
 	for _, u := range []int{8, 9, 0, 1, 2} {
-		if len(b0.Adj[u]) != 2 {
-			t.Fatalf("adjacency of %d incomplete: %v", u, b0.Adj[u])
+		if len(adj[u]) != 2 {
+			t.Fatalf("adjacency of %d incomplete: %v", u, adj[u])
 		}
 	}
 }

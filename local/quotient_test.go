@@ -61,21 +61,21 @@ func TestQuotientNetworkRunsProtocols(t *testing.T) {
 
 	// Aggregate protocol: sum of neighbor IDs over two rounds (invariant
 	// under port reordering).
-	proto := func(ctx *Ctx) {
-		sum := 0
-		for r := 0; r < 2; r++ {
-			ctx.BroadcastInt(ctx.ID() + sum)
-			ctx.Next()
-			for p := 0; p < ctx.Degree(); p++ {
-				if m, ok := ctx.RecvInt(p); ok {
-					sum += m
-				}
+	proto := roundProgram(func(ctx *Ctx, sum *int, round int) bool {
+		for p := 0; p < ctx.Degree(); p++ {
+			if m, ok := ctx.RecvInt(p); ok {
+				*sum += m
 			}
 		}
-		ctx.SetOutput(sum)
-	}
-	want := NewNetwork(graph.Quotient(g, groups), 3).Run(proto)
-	got := QuotientNetwork(g, groups, 3).Run(proto)
+		if round == 2 {
+			ctx.SetOutput(*sum)
+			return false
+		}
+		ctx.BroadcastInt(ctx.ID() + *sum)
+		return true
+	})
+	want := RunStepped(NewNetwork(graph.Quotient(g, groups), 3), proto)
+	got := RunStepped(QuotientNetwork(g, groups, 3), proto)
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("quotient node %d: %v vs %v", v, got[v], want[v])

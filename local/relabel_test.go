@@ -67,8 +67,18 @@ func TestRelabelIDAndPortSurface(t *testing.T) {
 		inputs[v] = v*10 + 1
 	}
 	seen := make([]bool, n)
-	outs := net.RunWithInput(func(ctx *Ctx) {
+	outs := RunSteppedWithInput(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		id := ctx.ID()
+		if round > 0 {
+			for p := 0; p < ctx.Degree(); p++ {
+				got, ok := ctx.RecvInt(p)
+				if !ok || got != g.Neighbors(id)[p] {
+					t.Errorf("node %d port %d: received %v (ok=%v), want neighbor %d", id, p, got, ok, g.Neighbors(id)[p])
+				}
+			}
+			ctx.SetOutput(id)
+			return false
+		}
 		if id < 0 || id >= ctx.N() {
 			t.Errorf("ctx.ID() = %d outside [0,%d)", id, ctx.N())
 		}
@@ -83,15 +93,8 @@ func TestRelabelIDAndPortSurface(t *testing.T) {
 			t.Errorf("node %d: Input() = %d, want %d", id, got, id*10+1)
 		}
 		ctx.BroadcastInt(id)
-		ctx.Next()
-		for p := 0; p < ctx.Degree(); p++ {
-			got, ok := ctx.RecvInt(p)
-			if !ok || got != g.Neighbors(id)[p] {
-				t.Errorf("node %d port %d: received %v (ok=%v), want neighbor %d", id, p, got, ok, g.Neighbors(id)[p])
-			}
-		}
-		ctx.SetOutput(id)
-	}, inputs)
+		return true
+	}), inputs)
 	for v := 0; v < n; v++ {
 		if outs[v] != v {
 			t.Fatalf("output order broken: outs[%d] = %v", v, outs[v])
@@ -109,11 +112,11 @@ type runOutcome struct {
 	stats  MessageStats
 }
 
-func captureRun(g *graph.G, seed int64, f NodeFunc) runOutcome {
+func captureRun[S any](g *graph.G, seed int64, prog Stepped[S]) runOutcome {
 	net := NewNetwork(g, seed)
 	net.TrackDeadSends(true)
 	net.EnableMessageStats()
-	outs := net.Run(f)
+	outs := RunStepped(net, prog)
 	return runOutcome{
 		outs:   outs,
 		rounds: net.Rounds(),
@@ -128,27 +131,29 @@ func captureRun(g *graph.G, seed int64, f NodeFunc) runOutcome {
 // message stats for a protocol that uses randomness, mixed message
 // paths, and irregular halting.
 func TestRelabelInvariance(t *testing.T) {
-	proto := func(ctx *Ctx) {
-		sum := ctx.Rand().Intn(1000)
-		rounds := 2 + ctx.ID()%4
-		for i := 0; i < rounds; i++ {
-			if i%2 == 0 {
-				ctx.BroadcastInt(sum)
-			} else {
-				ctx.Broadcast([2]int{ctx.ID(), sum})
-			}
-			ctx.Next()
-			for p := 0; p < ctx.Degree(); p++ {
-				switch m := ctx.Recv(p).(type) {
-				case int:
-					sum += m
-				case [2]int:
-					sum += m[1]
-				}
+	proto := roundProgram(func(ctx *Ctx, sum *int, round int) bool {
+		if round == 0 {
+			*sum = ctx.Rand().Intn(1000)
+		}
+		for p := 0; p < ctx.Degree(); p++ {
+			switch m := ctx.Recv(p).(type) {
+			case int:
+				*sum += m
+			case [2]int:
+				*sum += m[1]
 			}
 		}
-		ctx.SetOutput(sum)
-	}
+		if round == 2+ctx.ID()%4 {
+			ctx.SetOutput(*sum)
+			return false
+		}
+		if round%2 == 0 {
+			ctx.BroadcastInt(*sum)
+		} else {
+			ctx.Broadcast([2]int{ctx.ID(), *sum})
+		}
+		return true
+	})
 	for seed := int64(1); seed <= 3; seed++ {
 		g := scrambledGraph(150, seed)
 		var on, off runOutcome
@@ -163,21 +168,16 @@ func TestRelabelInvariance(t *testing.T) {
 	}
 }
 
-// TestRelabelGatherBall: the flooded ball must report external IDs and
+// TestRelabelGatherStepped: the flooded ball must report external IDs and
 // external adjacency regardless of relabeling.
-func TestRelabelGatherBall(t *testing.T) {
+func TestRelabelGatherStepped(t *testing.T) {
 	g := scrambledGraph(80, 5)
-	collect := func() []any {
-		net := NewNetwork(g, 1)
-		return net.Run(func(ctx *Ctx) {
-			ctx.SetOutput(GatherBall(ctx, 2))
-		})
-	}
-	var on, off []any
+	collect := func() []*Ball { return GatherStepped(NewNetwork(g, 1), 2) }
+	var on, off []*Ball
 	withRelabel(true, func() { on = collect() })
 	withRelabel(false, func() { off = collect() })
 	for v := range on {
-		bOn, bOff := on[v].(*BallInfo), off[v].(*BallInfo)
+		bOn, bOff := on[v], off[v]
 		if bOn.Center != v {
 			t.Fatalf("ball center %d at external index %d", bOn.Center, v)
 		}
@@ -185,16 +185,17 @@ func TestRelabelGatherBall(t *testing.T) {
 			t.Fatalf("node %d: relabeled ball differs from ablated ball", v)
 		}
 		// Every adjacency the ball reports must match the external graph.
-		for id, adj := range bOn.Adj {
+		for i, adj := range bOn.Adj {
+			id := int(bOn.IDs[i])
 			if adj == nil {
 				continue
 			}
 			if len(adj) != g.Deg(id) {
 				t.Fatalf("ball of %d: node %d adjacency has %d entries, want %d", v, id, len(adj), g.Deg(id))
 			}
-			for i, u := range adj {
-				if g.Neighbors(id)[i] != u {
-					t.Fatalf("ball of %d: node %d adjacency[%d] = %d, want %d", v, id, i, u, g.Neighbors(id)[i])
+			for j, u := range adj {
+				if g.Neighbors(id)[j] != int(u) {
+					t.Fatalf("ball of %d: node %d adjacency[%d] = %d, want %d", v, id, j, u, g.Neighbors(id)[j])
 				}
 			}
 		}
@@ -210,20 +211,23 @@ func TestRelabelQuotientNetwork(t *testing.T) {
 	for v := 0; v+2 < parent.N(); v += 9 {
 		groups = append(groups, []int{v, v + 1, v + 2})
 	}
-	proto := func(ctx *Ctx) {
-		sum := ctx.ID()
-		for i := 0; i < 2; i++ {
-			ctx.BroadcastInt(sum)
-			ctx.Next()
-			for p := 0; p < ctx.Degree(); p++ {
-				if m, ok := ctx.RecvInt(p); ok {
-					sum += m
-				}
+	proto := roundProgram(func(ctx *Ctx, sum *int, round int) bool {
+		if round == 0 {
+			*sum = ctx.ID()
+		}
+		for p := 0; p < ctx.Degree(); p++ {
+			if m, ok := ctx.RecvInt(p); ok {
+				*sum += m
 			}
 		}
-		ctx.SetOutput(sum)
-	}
-	run := func() []any { return QuotientNetwork(parent, groups, 3).Run(proto) }
+		if round == 2 {
+			ctx.SetOutput(*sum)
+			return false
+		}
+		ctx.BroadcastInt(*sum)
+		return true
+	})
+	run := func() []any { return RunStepped(QuotientNetwork(parent, groups, 3), proto) }
 	var on, off []any
 	withRelabel(true, func() { on = run() })
 	withRelabel(false, func() { off = run() })
@@ -235,9 +239,9 @@ func TestRelabelQuotientNetwork(t *testing.T) {
 	}
 }
 
-// TestRelabelStepped: the stepped executor keeps its per-node state by
-// internal index; outputs and rounds must nevertheless be identical to
-// the ablated run and to the blocking form.
+// TestRelabelStepped: the executor keeps its per-node state by internal
+// index; outputs and rounds must nevertheless be identical to the
+// ablated run.
 func TestRelabelStepped(t *testing.T) {
 	g := scrambledGraph(130, 11)
 	run := func() ([]any, int) {

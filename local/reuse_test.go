@@ -15,15 +15,17 @@ func TestNetworkReuseResetsRunState(t *testing.T) {
 
 	// Run 1: node 0 halts immediately, node 1 keeps talking to it — two
 	// dead sends, two messages, two rounds.
-	net.Run(func(ctx *Ctx) {
-		if ctx.ID() == 0 {
-			return
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		switch {
+		case ctx.ID() == 0:
+			return false
+		case round == 0:
+			ctx.Send(0, "hello?")
+		case round == 1:
+			ctx.Send(0, "anyone?")
 		}
-		ctx.Send(0, "hello?")
-		ctx.Next()
-		ctx.Send(0, "anyone?")
-		ctx.Next()
-	})
+		return round < 2
+	}))
 	if len(net.DeadSends()) != 2 {
 		t.Fatalf("run 1: dead sends = %v, want 2", net.DeadSends())
 	}
@@ -35,10 +37,7 @@ func TestNetworkReuseResetsRunState(t *testing.T) {
 
 	// Run 2: one clean round, no dead sends. Every report must describe
 	// this run only.
-	net.Run(func(ctx *Ctx) {
-		ctx.Broadcast("fine")
-		ctx.Next()
-	})
+	RunStepped(net, oneRound(func(ctx *Ctx) { ctx.Broadcast("fine") }))
 	if ds := net.DeadSends(); ds != nil {
 		t.Errorf("run 2 inherited dead sends: %v", ds)
 	}
@@ -64,7 +63,7 @@ func TestNetworkReuseResetsRunState(t *testing.T) {
 func TestSetupClearsLastRunStats(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g, 1)
-	net.Run(func(ctx *Ctx) { ctx.Next() })
+	RunStepped(net, oneRound(func(*Ctx) {}))
 	if net.LastRunStats().Rounds == 0 {
 		t.Fatal("first run recorded no stats")
 	}

@@ -12,20 +12,23 @@ import (
 // floodProtocol is a deliberately irregular workload: node v runs v%5+1
 // extra rounds past a shared flooding phase, uses its private randomness,
 // and halts at different times, exercising halts, active sets and parking.
-func floodProtocol(rounds int) NodeFunc {
-	return func(ctx *Ctx) {
-		sum := ctx.Rand().Intn(1000)
-		for i := 0; i < rounds+ctx.ID()%5; i++ {
-			ctx.Broadcast(sum)
-			ctx.Next()
-			for p := 0; p < ctx.Degree(); p++ {
-				if m, ok := ctx.Recv(p).(int); ok {
-					sum += m
-				}
+func floodProtocol(rounds int) Stepped[roundState[int]] {
+	return roundProgram(func(ctx *Ctx, sum *int, round int) bool {
+		if round == 0 {
+			*sum = ctx.Rand().Intn(1000)
+		}
+		for p := 0; p < ctx.Degree(); p++ {
+			if m, ok := ctx.Recv(p).(int); ok {
+				*sum += m
 			}
 		}
-		ctx.SetOutput(sum)
-	}
+		if round == rounds+ctx.ID()%5 {
+			ctx.SetOutput(*sum)
+			return false
+		}
+		ctx.Broadcast(*sum)
+		return true
+	})
 }
 
 func randomGraph(n int, p float64, seed int64) *graph.G {
@@ -49,7 +52,7 @@ func TestShardCountInvariance(t *testing.T) {
 	run := func(shards int) ([]any, int) {
 		net := NewNetwork(g, 7)
 		net.setShards(shards)
-		outs := net.Run(floodProtocol(4))
+		outs := RunStepped(net, floodProtocol(4))
 		return outs, net.Rounds()
 	}
 	base, baseRounds := run(1)
@@ -77,17 +80,19 @@ func TestParallelDeliveryLargeRound(t *testing.T) {
 	}
 	net := NewNetwork(g, 1)
 	net.setShards(4)
-	outs := net.Run(func(ctx *Ctx) {
-		got := 0
-		for r := 0; r < 3; r++ {
-			ctx.Broadcast(ctx.ID())
-			ctx.Next()
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, got *int, round int) bool {
+		if round > 0 {
 			for p := 0; p < ctx.Degree(); p++ {
-				got += ctx.Recv(p).(int)
+				*got += ctx.Recv(p).(int)
 			}
 		}
-		ctx.SetOutput(got)
-	})
+		if round == 3 {
+			ctx.SetOutput(*got)
+			return false
+		}
+		ctx.Broadcast(ctx.ID())
+		return true
+	}))
 	for v := 0; v < n; v++ {
 		left, right := (v-1+n)%n, (v+1)%n
 		if outs[v].(int) != 3*(left+right) {
@@ -109,17 +114,18 @@ func TestActiveSetSparseRounds(t *testing.T) {
 	}
 	net := NewNetwork(g, 1)
 	net.setShards(4)
-	outs := net.Run(func(ctx *Ctx) {
-		for r := 0; r < 5; r++ {
-			if ctx.ID() == 0 && r == 3 {
-				ctx.Send(0, "ping")
-			}
-			ctx.Next()
-			if m := ctx.Recv(0); m != nil && ctx.ID() == 1 {
-				ctx.SetOutput(m)
-			}
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		if m := ctx.Recv(0); m != nil && ctx.ID() == 1 {
+			ctx.SetOutput(m)
 		}
-	})
+		if round == 5 {
+			return false
+		}
+		if ctx.ID() == 0 && round == 3 {
+			ctx.Send(0, "ping")
+		}
+		return true
+	}))
 	if outs[1] != "ping" {
 		t.Fatalf("node 1 got %v", outs[1])
 	}
@@ -138,7 +144,7 @@ func TestRunWithInputLengthMismatch(t *testing.T) {
 			t.Fatalf("unhelpful panic message: %q", msg)
 		}
 	}()
-	net.RunWithInput(func(ctx *Ctx) {}, []any{1, 2})
+	RunSteppedWithInput(net, oneRound(func(*Ctx) {}), []any{1, 2})
 }
 
 func TestDeadSendTracking(t *testing.T) {
@@ -146,15 +152,17 @@ func TestDeadSendTracking(t *testing.T) {
 	net := NewNetwork(g, 1)
 	net.TrackDeadSends(true)
 	net.EnableMessageStats()
-	net.Run(func(ctx *Ctx) {
-		if ctx.ID() == 0 {
-			return // halt immediately
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		switch {
+		case ctx.ID() == 0:
+			return false // halt immediately
+		case round == 0:
+			ctx.Send(0, "are you there?")
+		case round == 1:
+			ctx.Send(0, "hello?")
 		}
-		ctx.Send(0, "are you there?")
-		ctx.Next()
-		ctx.Send(0, "hello?")
-		ctx.Next()
-	})
+		return round < 2
+	}))
 	dead := net.DeadSends()
 	if len(dead) != 2 {
 		t.Fatalf("dead sends = %v, want 2 records", dead)
@@ -172,10 +180,7 @@ func TestDeadSendTracking(t *testing.T) {
 	}
 	// A clean follow-up run on the same network must not inherit the
 	// previous run's records.
-	net.Run(func(ctx *Ctx) {
-		ctx.Broadcast("fine")
-		ctx.Next()
-	})
+	RunStepped(net, oneRound(func(ctx *Ctx) { ctx.Broadcast("fine") }))
 	if ds := net.DeadSends(); ds != nil {
 		t.Fatalf("stale dead sends after clean run: %v", ds)
 	}
@@ -184,13 +189,15 @@ func TestDeadSendTracking(t *testing.T) {
 func TestDeadSendTrackingOffByDefault(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g, 1)
-	net.Run(func(ctx *Ctx) {
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if ctx.ID() == 0 {
-			return
+			return false
 		}
-		ctx.Send(0, "dropped silently")
-		ctx.Next()
-	})
+		if round == 0 {
+			ctx.Send(0, "dropped silently")
+		}
+		return round == 0
+	}))
 	if ds := net.DeadSends(); ds != nil {
 		t.Fatalf("tracking off, got %v", ds)
 	}
@@ -199,7 +206,7 @@ func TestDeadSendTrackingOffByDefault(t *testing.T) {
 func TestRunStats(t *testing.T) {
 	g := cycleGraph(8)
 	net := NewNetwork(g, 1)
-	net.Run(floodProtocol(2))
+	RunStepped(net, floodProtocol(2))
 	st := net.LastRunStats()
 	if st.Nodes != 8 || st.Rounds != net.Rounds() || st.Rounds == 0 {
 		t.Fatalf("stats = %+v", st)
@@ -243,8 +250,8 @@ func TestNetworkReuse(t *testing.T) {
 	g := cycleGraph(30)
 	net := NewNetwork(g, 5)
 	net.setShards(3)
-	first := net.Run(floodProtocol(3))
-	second := net.Run(floodProtocol(3))
+	first := RunStepped(net, floodProtocol(3))
+	second := RunStepped(net, floodProtocol(3))
 	for v := range first {
 		if first[v] != second[v] {
 			t.Fatalf("run not reproducible on reused network at node %d: %v vs %v", v, first[v], second[v])
