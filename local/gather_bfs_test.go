@@ -15,10 +15,6 @@ import (
 // nodes at distance exactly t. A radius-0 ball is the center alone, with
 // an empty adjacency. Gathering takes exactly t rounds.
 func TestGatherBallMatchesBFS(t *testing.T) {
-	isolated := graph.New(12)
-	isolated.MustEdge(0, 1)
-	isolated.MustEdge(1, 2)
-	isolated.MustEdge(4, 5)
 	cases := []struct {
 		name string
 		g    *graph.G
@@ -31,7 +27,7 @@ func TestGatherBallMatchesBFS(t *testing.T) {
 		{"rand-50-sparse", randomGraph(50, 0.1, 7)},
 		{"rand-30", randomGraph(30, 0.5, 4)},
 		{"rand-dense-30", randomGraph(30, 0.4, 8)},
-		{"isolated", isolated},
+		{"isolated", isolatedGraph()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,6 +44,68 @@ func TestGatherBallMatchesBFS(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGatherSteppedNilOnlyAtFrontier pins the nil-versus-empty contract
+// of Ball.Adj, which the slices.Equal comparison in the BFS check cannot
+// see: nil means "known only from a self-report" and belongs exactly to
+// the nodes at distance Radius, while every node inside the ball carries
+// a non-nil list of its full degree — empty, not nil, for an isolated
+// node (and for the lone center of a radius-0 ball). The inputs hold isolated nodes, path ends and components that
+// the balls outgrow before the last round; the gather must still take
+// exactly t rounds on them.
+func TestGatherSteppedNilOnlyAtFrontier(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.G
+	}{
+		{"path-17", pathGraph(17)},
+		{"cycle-24", cycleGraph(24)},
+		{"rand-50", randomGraph(50, 0.1, 7)},
+		{"rand-dense-30", randomGraph(30, 0.4, 8)},
+		{"isolated", isolatedGraph()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for radius := 0; radius <= 4; radius++ {
+				net := NewNetwork(tc.g, 1)
+				balls := GatherStepped(net, radius)
+				if net.Rounds() != radius {
+					t.Fatalf("t=%d: rounds=%d", radius, net.Rounds())
+				}
+				for v, ball := range balls {
+					dist := tc.g.BFSLimited(v, radius).Dist
+					for i, id := range ball.IDs {
+						u, adj := int(id), ball.Adj[i]
+						want := len(tc.g.Neighbors(u))
+						switch {
+						case radius == 0:
+							want = 0 // the center alone, adjacency empty
+						case dist[u] == radius:
+							if adj != nil {
+								t.Fatalf("t=%d center=%d: frontier node %d has adjacency %v, want nil", radius, v, u, adj)
+							}
+							continue
+						}
+						if adj == nil || len(adj) != want {
+							t.Fatalf("t=%d center=%d: inner node %d has adjacency %#v, want a non-nil list of length %d",
+								radius, v, u, adj, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// isolatedGraph is a 12-node graph of isolated nodes, a 3-node path and
+// a single edge: balls of every radius saturate their component at once.
+func isolatedGraph() *graph.G {
+	g := graph.New(12)
+	g.MustEdge(0, 1)
+	g.MustEdge(1, 2)
+	g.MustEdge(4, 5)
+	return g
 }
 
 func assertBallMatchesBFS(t *testing.T, g *graph.G, v, radius int, ball *Ball) {

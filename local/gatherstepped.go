@@ -5,7 +5,8 @@ package local
 // per-node state. A node keeps its knowledge as two growing arrays
 // (discovery-ordered IDs and their adjacency slices) and ships each
 // round's frontier as one packed []int32, so a round touches only compact
-// memory. TestGatherBallMatchesBFS pins the result against central BFS.
+// memory. TestGatherBallMatchesBFS pins the result against central BFS
+// and TestGatherSteppedNilOnlyAtFrontier the nil-versus-empty adjacency.
 
 // Ball is a gathered radius-t ball: node IDs in discovery order (IDs[0]
 // is the center) with Adj[i] holding the known adjacency of IDs[i] in
