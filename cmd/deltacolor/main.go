@@ -112,8 +112,8 @@ func main() {
 	}
 	if tr != nil && !*quiet {
 		c := tr.Counters()
-		fmt.Printf("trace: runs=%d engine_rounds=%d msgs=%d (int=%d boxed=%d) drops=%d\n",
-			c.Runs, c.Rounds, c.Messages(), c.IntMessages, c.BoxedMessages, c.Drops)
+		fmt.Printf("trace: runs=%d engine_rounds=%d msgs=%d (int=%d record=%d) drops=%d\n",
+			c.Runs, c.Rounds, c.Messages(), c.IntMessages, c.RecordMessages, c.Drops)
 	}
 	if err := verify.DeltaColoring(g, res.Colors, res.Delta); err != nil {
 		fatal(fmt.Errorf("result failed verification: %w", err))

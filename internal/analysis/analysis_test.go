@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -195,6 +196,49 @@ func TestLintCleanOnRepo(t *testing.T) {
 		}
 		for _, d := range RunAnalyzers(pkg, All()) {
 			t.Errorf("%s: [%s] %s", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
+		}
+	}
+}
+
+// TestAnalyzerTablesNameRuntimeFields keeps the analyzers' field tables
+// honest: every name idboundary and spanpair guard must be a field of a
+// struct declared in deltacolor/local, or the entry silently guards
+// nothing (a renamed lane or counter would otherwise drop out of the
+// checks without a sound).
+func TestAnalyzerTablesNameRuntimeFields(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	modPath, err := ReadModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := NewLoader(ModuleResolver(modPath, root)).Load(modPath + "/local")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string]bool{}
+	scope := pkg.Types.Scope()
+	for _, name := range scope.Names() {
+		st, ok := scope.Lookup(name).Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			fields[st.Field(i).Name()] = true
+		}
+	}
+	for table, keys := range map[string]map[string]bool{
+		"internalTables":     internalTables,
+		"intValueTables":     intValueTables,
+		"batchCounterFields": batchCounterFields,
+		"tracerStateFields":  tracerStateFields,
+	} {
+		for key := range keys {
+			if !fields[key] {
+				t.Errorf("%s names %q, which is no field of a struct in %s/local", table, key, modPath)
+			}
 		}
 	}
 }

@@ -33,9 +33,9 @@ var IDBoundary = &Analyzer{
 var internalTables = map[string]bool{
 	"ports": true, "rev": true, "off": true,
 	"portsFlat": true, "revFlat": true, "slotFlat": true,
-	"inBoxed": true, "outBoxed": true, "inInt": true, "outInt": true,
-	"inHas": true, "outHas": true, "recvAny": true, "recvInt": true,
-	"haltSeg": true, "ctxs": true, "extID": true, "state": true,
+	"inRec": true, "outRec": true, "inInt": true, "outInt": true,
+	"inHas": true, "outHas": true, "recvRec": true, "recvInt": true,
+	"haltSeg": true, "ctxs": true, "extID": true,
 }
 
 // intValueTables are fields whose *element values* are internal indices.

@@ -4,16 +4,13 @@ package local
 
 import "math/rand"
 
-// Message mirrors the runtime's message alias.
-type Message = any
-
 // Ctx mirrors the runtime's per-node context.
 type Ctx struct{ id int }
 
-func (c *Ctx) ID() int               { return c.id }
-func (c *Ctx) Degree() int           { return 0 }
-func (c *Ctx) Rand() *rand.Rand      { return rand.New(rand.NewSource(int64(c.id))) }
-func (c *Ctx) Send(p int, m Message) {}
-func (c *Ctx) Broadcast(m Message)   {}
-func (c *Ctx) Recv(p int) Message    { return nil }
-func (c *Ctx) SetOutput(v any)       {}
+func (c *Ctx) ID() int                 { return c.id }
+func (c *Ctx) Degree() int             { return 0 }
+func (c *Ctx) Rand() *rand.Rand        { return rand.New(rand.NewSource(int64(c.id))) }
+func (c *Ctx) Send(p int, rec []int32) {}
+func (c *Ctx) Broadcast(rec []int32)   {}
+func (c *Ctx) Recv(p int) []int32      { return nil }
+func (c *Ctx) SetOutput(v any)         {}

@@ -42,7 +42,7 @@ func stealsHead(t *Tracer, n int) {
 	t.head = n // want `write to tracer counter head`
 }
 
-type batch struct{ trInts, trBoxed, ftDrops, ftPanics int32 }
+type batch struct{ trInts, trRecs, ftDrops, ftPanics int32 }
 
 func stealsBatchCounter(b *batch) {
 	b.trInts++ // want `write to batch trace counter trInts`
@@ -67,7 +67,7 @@ func (t *Tracer) reset() {
 
 //deltacolor:coordinator
 func coordinatorDrains(b *batch) {
-	b.trInts, b.trBoxed = 0, 0
+	b.trInts, b.trRecs = 0, 0
 	b.ftDrops, b.ftPanics = 0, 0
 }
 

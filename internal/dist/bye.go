@@ -23,7 +23,7 @@ func (b *byeTracker) note(p int) {
 	}
 }
 
-// castInt stages an int-path message on every listening port (a plain
+// castInt stages an int-lane message on every listening port (a plain
 // Broadcast when all are).
 func (b *byeTracker) castInt(ctx *local.Ctx, v int) {
 	if b.ndead == 0 {
@@ -37,15 +37,16 @@ func (b *byeTracker) castInt(ctx *local.Ctx, v int) {
 	}
 }
 
-// castMsg stages a boxed message like castInt.
-func (b *byeTracker) castMsg(ctx *local.Ctx, m local.Message) {
+// castRec stages a record like castInt; every listening port gets the
+// same slice.
+func (b *byeTracker) castRec(ctx *local.Ctx, rec []int32) {
 	if b.ndead == 0 {
-		ctx.Broadcast(m)
+		ctx.Broadcast(rec)
 		return
 	}
 	for p, dead := range b.dead {
 		if !dead {
-			ctx.Send(p, m)
+			ctx.Send(p, rec)
 		}
 	}
 }

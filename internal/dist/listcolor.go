@@ -69,18 +69,11 @@ func (li *ListInstance) CheckDegPlusOne(g *graph.G) error {
 	return nil
 }
 
-// listMsg is the boxed list-coloring payload, used only for live proposals
-// (which need the sender ID for tie-breaking): the proposed color plus the
-// sender ID. Everything else the protocols exchange — done/final-color
-// announcements — packs into a single small integer (see encDC) and
-// travels allocation-free over the int fast path.
-type listMsg struct {
-	Color int32
-	ID    int32
-}
-
 // encDC packs a (done, bye, color) announcement (color -1 = none) into a
-// non-negative int for the int fast path; decDC unpacks it. The done bit
+// non-negative int for the allocation-free int lane; decDC unpacks it.
+// Everything the protocols exchange travels this way except live
+// proposals, which need the sender ID for tie-breaking and travel as the
+// two-word record [color, ID]. The done bit
 // is carried explicitly: a live-but-uncolored node and a stuck (done,
 // no color) node both report color -1 but mean different things to the
 // receiver. The bye bit marks the sender's last words — it halts this
@@ -144,8 +137,8 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 	}
 
 	// sendA stages the round-A exchange: done nodes announce their final
-	// color over the int path; live nodes propose with the boxed message
-	// (the receiver needs their ID).
+	// color over the int lane; live nodes propose with a [color, ID]
+	// record (the receiver needs their ID).
 	sendA := func(ctx *local.Ctx, s *listRandState) {
 		s.propose = -1
 		if s.color < 0 && !s.stuck {
@@ -154,7 +147,7 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 		if s.color >= 0 || s.stuck {
 			s.bye.castInt(ctx, encDC(true, false, s.color))
 		} else {
-			s.bye.castMsg(ctx, listMsg{Color: int32(s.propose), ID: int32(ctx.ID())})
+			s.bye.castRec(ctx, []int32{int32(s.propose), int32(ctx.ID())})
 		}
 		s.afterB = false
 	}
@@ -196,10 +189,9 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 						continue
 					}
 					if m := ctx.Recv(p); m != nil {
-						mm := m.(listMsg)
 						s.known[p] = misUndecided
-						if mm.Color >= 0 {
-							props = append(props, prop{color: int(mm.Color), id: int(mm.ID)})
+						if m[0] >= 0 {
+							props = append(props, prop{color: int(m[0]), id: int(m[1])})
 						}
 					}
 				}

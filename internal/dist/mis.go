@@ -13,24 +13,11 @@ const (
 	misInactive
 )
 
-// misBye flags an int-path state announcement as the sender's last words:
+// misBye flags an int-lane state announcement as the sender's last words:
 // the sender halts this round, so the receiver stops staging messages on
 // the port. This keeps the early-halt optimization free of avoidable dead
 // sends (strict mode checks exactly that).
 const misBye = 8
-
-// misMsg is the round-A payload of active nodes: sender state, lottery
-// value (only meaningful while undecided) and sender ID for tie-breaking.
-// Round-B announcements and inactive notices carry only a state and travel
-// as small integers over the int fast path, so half of the protocol's
-// traffic is allocation-free; round A keeps the boxed struct (the 64-bit
-// lottery does not fit an int32 payload), which the runtime's mixed-path
-// delivery handles transparently.
-type misMsg struct {
-	State byte
-	R     uint64
-	ID    int32
-}
 
 // misDecided reports whether a known neighbor state is final.
 func misDecided(s byte) bool { return s == misIn || s == misOut || s == misInactive }
@@ -78,13 +65,18 @@ func LubyMIS(net *local.Network, active []bool) (inMIS []bool, rounds int) {
 	maxPhases := 4*n + 16 // termination backstop; never reached in practice
 
 	// sendA stages the round-A lottery broadcast, drawing a fresh lottery
-	// value when still undecided.
+	// value when still undecided. The payload is the four-word record
+	// [state, ID, R>>32, uint32(R)]: the sender's state, its ID for
+	// tie-breaking, and the 64-bit lottery value (meaningful only while
+	// undecided) split into two words. Round-B announcements and inactive
+	// notices are bare states on the int lane, so half of the protocol's
+	// traffic is allocation-free.
 	sendA := func(ctx *local.Ctx, s *misState) {
 		s.r = 0
 		if s.state == misUndecided {
 			s.r = ctx.Rand().Uint64()
 		}
-		s.bye.castMsg(ctx, misMsg{State: s.state, R: s.r, ID: int32(ctx.ID())})
+		s.bye.castRec(ctx, []int32{int32(s.state), int32(ctx.ID()), int32(s.r >> 32), int32(uint32(s.r))})
 		s.afterB = false
 	}
 
@@ -120,8 +112,8 @@ func LubyMIS(net *local.Network, active []bool) (inMIS []bool, rounds int) {
 						continue
 					}
 					if m := ctx.Recv(p); m != nil {
-						mm := m.(misMsg)
-						s.known[p], s.knownR[p], s.knownID[p] = mm.State, mm.R, mm.ID
+						s.known[p], s.knownID[p] = byte(m[0]), m[1]
+						s.knownR[p] = uint64(uint32(m[2]))<<32 | uint64(uint32(m[3]))
 					}
 				}
 				if misDecided(s.state) {
@@ -157,7 +149,7 @@ func LubyMIS(net *local.Network, active []bool) (inMIS []bool, rounds int) {
 						s.state = misIn
 					}
 				}
-				// Round B: announce joins (a bare state, int fast path).
+				// Round B: announce joins (a bare state, int lane).
 				s.bye.castInt(ctx, int(s.state))
 				s.afterB = true
 				return true

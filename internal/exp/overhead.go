@@ -93,9 +93,9 @@ func TracerOverhead(cfg Config) *OverheadReport {
 	for _, n := range sizes {
 		cases = append(cases, c{"path", n}, c{"rr4", n}, c{"grid", n})
 	}
-	// The gate also covers the new gather kernel: the tracer sits in the
-	// same engine loop whether the payloads are int heartbeats or boxed
-	// ball frontiers, and the boxed lane must meet the same 10% budget.
+	// The gate also covers the gather kernel: the tracer sits in the same
+	// engine loop whether the payloads are int heartbeats or record ball
+	// frontiers, and the record lane must meet the same 10% budget.
 	// Smaller sizes than the heartbeat families: one (case, level) cell is
 	// overheadReps whole gathers, and the comparison is percent-scale
 	// either way.

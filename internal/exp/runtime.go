@@ -63,9 +63,10 @@ type RuntimeRow struct {
 	// the int-path heartbeat on the same graph at the same n.
 	NsPerNodeRound float64 `json:"ns_per_node_round"`
 
-	// MaxMsgBytes is the largest single message of the workload, measured
-	// on a separate untimed run with message stats enabled (the reflection
-	// walk would pollute the timed run). 4 for the int-path heartbeat.
+	// MaxMsgBytes is the largest single message of the workload, 4 bytes
+	// per word, measured on a separate untimed run with message stats
+	// enabled (the size accounting would pollute the timed run). 4 for
+	// the int-path heartbeat.
 	MaxMsgBytes int `json:"max_msg_bytes"`
 
 	// GOMAXPROCS sweep: the same run with a worker per CPU — or, on a
@@ -308,7 +309,8 @@ func RuntimeThroughput(cfg Config) *RuntimeReport {
 		}
 
 		// Untimed instrumented re-run for the max message size, after both
-		// timed runs; the reflection walk would pollute the measurements.
+		// timed runs; the per-port size accounting would pollute the
+		// measurements.
 		net.EnableMessageStats()
 		runRuntimeWorkload(tc.family, net, rounds)
 		row.MaxMsgBytes = net.MessageStats().MaxBytes

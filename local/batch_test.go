@@ -1,9 +1,11 @@
 package local
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 
 	"deltacolor/graph"
@@ -49,7 +51,7 @@ func TestBatchSizeInvariance(t *testing.T) {
 	run := func(batchSize, workers int) ([]any, int) {
 		net := NewNetwork(g, 7)
 		net.setBatch(batchSize)
-		net.setShards(workers)
+		net.SetWorkers(workers)
 		outs := RunStepped(net, floodProtocol(4))
 		return outs, net.Rounds()
 	}
@@ -113,30 +115,32 @@ func TestSteppedMatchesCentralSimulation(t *testing.T) {
 }
 
 // TestIntPathDirectionalityAndOverwrite exercises SendInt slot placement
-// and the cross-path overwrite contract (one message per edge per round,
-// last staging wins regardless of path).
+// and the cross-lane overwrite contract (one message per edge per round,
+// last staging wins regardless of lane).
 func TestIntPathDirectionalityAndOverwrite(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g, 1)
 	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		switch {
 		case round == 0 && ctx.ID() == 0:
-			// Stage boxed, overwrite with int: receiver must see the int.
-			ctx.Send(0, "boxed")
+			// Stage a record, overwrite with int: receiver must see the int.
+			ctx.Send(0, []int32{-1})
 			ctx.SendInt(0, 41)
 		case round == 0:
-			// Stage int, overwrite with boxed: receiver must see the boxed.
+			// Stage int, overwrite with a record: receiver must see the record.
 			ctx.SendInt(0, 99)
-			ctx.Send(0, 42)
+			ctx.Send(0, []int32{42})
 		case ctx.ID() == 0:
-			v, ok := ctx.RecvInt(0)
-			if !ok {
-				t.Error("node 0: no int received")
+			if _, ok := ctx.RecvInt(0); ok {
+				t.Error("node 0: overwritten int still delivered")
 			}
-			ctx.SetOutput(v)
+			ctx.SetOutput(int(ctx.Recv(0)[0]))
 		default:
-			// Mixed read: Recv surfaces the int-path message too.
-			ctx.SetOutput(ctx.Recv(0))
+			if m := ctx.Recv(0); m != nil {
+				t.Errorf("node 1: overwritten record %v still delivered", m)
+			}
+			v, _ := ctx.RecvInt(0)
+			ctx.SetOutput(v)
 		}
 		return round == 0
 	}))
@@ -145,28 +149,24 @@ func TestIntPathDirectionalityAndOverwrite(t *testing.T) {
 	}
 }
 
-// TestIntPathOverflowFallsBack sends a value outside int32: it must arrive
-// through the boxed fallback, visible to both Recv and RecvInt.
-func TestIntPathOverflowFallsBack(t *testing.T) {
-	g := pathGraph(2)
+// TestIntPathOverflowPanics sends a value outside int32 on the int lane,
+// by SendInt and by BroadcastInt: the run must panic with the value
+// instead of truncating it.
+func TestIntPathOverflowPanics(t *testing.T) {
 	big := int(1) << 40
-	net := NewNetwork(g, 1)
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
-		if round == 0 {
-			ctx.BroadcastInt(big)
-			return true
-		}
-		v, ok := ctx.RecvInt(0)
-		if !ok {
-			t.Errorf("node %d: no int received", ctx.ID())
-		}
-		ctx.SetOutput(v)
-		return false
-	}))
-	for v, o := range outs {
-		if o != big {
-			t.Fatalf("node %d got %v, want %d", v, o, big)
-		}
+	for name, send := range map[string]func(*Ctx){
+		"SendInt":      func(ctx *Ctx) { ctx.SendInt(0, big) },
+		"BroadcastInt": func(ctx *Ctx) { ctx.BroadcastInt(big) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, fmt.Sprint(big)) || !strings.Contains(msg, "int32") {
+					t.Fatalf("panic = %q, want the overflowing value and int32", msg)
+				}
+			}()
+			RunStepped(NewNetwork(pathGraph(2), 1), oneRound(send))
+		})
 	}
 }
 
@@ -179,7 +179,7 @@ func TestBroadcastDegreeZero(t *testing.T) {
 	net := NewNetwork(g, 1)
 	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if round == 0 {
-			ctx.Broadcast("x")
+			ctx.Broadcast([]int32{1})
 			ctx.BroadcastInt(7)
 			if ctx.Degree() == 0 && ctx.sentAny {
 				t.Error("degree-0 broadcast must not register the node as a sender")
@@ -188,7 +188,7 @@ func TestBroadcastDegreeZero(t *testing.T) {
 		}
 		got := false
 		if ctx.Degree() > 0 {
-			got = ctx.Recv(0) != nil
+			_, got = ctx.RecvInt(0)
 		}
 		ctx.SetOutput(got)
 		return false
@@ -229,7 +229,7 @@ func TestIntPathDeadSendsAndStats(t *testing.T) {
 		t.Fatalf("late dead sends = %v, want the round-2 record only", late)
 	}
 	st := net.MessageStats()
-	if st.Messages != 2 || st.TotalBytes != 8 || st.MaxBytes != intMsgBytes {
+	if st.Messages != 2 || st.TotalBytes != 8 || st.MaxBytes != wordBytes {
 		t.Fatalf("stats = %+v, want 2 messages x 4 bytes", st)
 	}
 	if st.Dropped != 2 {

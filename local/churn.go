@@ -8,10 +8,10 @@
 // per-run tier — the flat directed-edge arrays (off/portsFlat/revFlat/
 // slotFlat) and the message lanes carved out of them — is consolidated
 // lazily: a mutation marks the network dirty and the next run's setup
-// rebuilds the flat tables in one O(n + Σ deg) pass, the same cost setup
-// already pays for lanes every run. A burst of k mutations therefore
-// costs O(changed) per mutation plus one consolidation, not k full
-// rebuilds.
+// rebuilds the flat tables in one O(n + Σ deg) pass, the same order of
+// work setup already spends clearing the lanes every run. A burst of k
+// mutations therefore costs O(changed) per mutation plus one
+// consolidation, not k full rebuilds.
 //
 // Port semantics under churn match construction: a node's port numbering
 // is its external adjacency-list order. AddEdge appends the new neighbor

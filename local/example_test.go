@@ -24,12 +24,12 @@ func ExampleRunStepped() {
 	outs := local.RunStepped(net, local.Stepped[state]{
 		Init: func(ctx *local.Ctx, s *state) bool {
 			s.min = ctx.ID()
-			ctx.Broadcast(s.min)
+			ctx.BroadcastInt(s.min)
 			return true
 		},
 		Step: func(ctx *local.Ctx, s *state) bool {
 			for p := 0; p < ctx.Degree(); p++ {
-				if m, ok := ctx.Recv(p).(int); ok && m < s.min {
+				if m, ok := ctx.RecvInt(p); ok && m < s.min {
 					s.min = m
 				}
 			}
@@ -38,7 +38,7 @@ func ExampleRunStepped() {
 				ctx.SetOutput(s.min)
 				return false
 			}
-			ctx.Broadcast(s.min)
+			ctx.BroadcastInt(s.min)
 			return true
 		},
 	})

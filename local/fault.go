@@ -19,9 +19,11 @@
 //   - Delay: a staged message is postponed 1..MaxDelay rounds, then
 //     injected into the receiver's inbox lane before that round's regular
 //     delivery; a fresh message on the same (receiver, port) overwrites
-//     the stale injection, preserving the one-message-per-edge-per-round
-//     rule. A delayed message whose receiver halts first, or whose due
-//     round lies beyond the end of the run, is lost (DelayedDrops).
+//     the stale injection on either lane, preserving the
+//     one-message-per-edge-per-round rule. Of two injections due on one
+//     slot in one round, an int beats a record. A delayed message whose
+//     receiver halts first, or whose due round lies beyond the end of the
+//     run, is lost (DelayedDrops).
 //   - Duplicate: the message is delivered normally and additionally
 //     re-injected in the following round (Dups).
 //   - Crash window: the node freezes for rounds [From, To): its program
@@ -208,9 +210,9 @@ type pendingFault struct {
 	due   int     // 1-based round whose delivery injects the message
 	node  int32   // internal receiver index
 	slot  int     // receiver's inbox lane slot
-	isInt bool    // int lane vs boxed lane
+	isInt bool    // int lane vs record lane
 	val   int32   // int payload
-	boxed Message // boxed payload
+	rec   recSlot // record payload
 }
 
 // Hash salts separating the independent fault decisions on one message.
@@ -266,30 +268,21 @@ func (net *Network) stepBatchFaulty(fn func(*Ctx) bool, b *batch) {
 	kept := b.live[:0]
 	for _, id := range b.live {
 		c := &net.ctxs[id]
-		if hasCrash && net.offlineAt(c.id, net.rounds) {
+		switch {
+		case hasCrash && net.offlineAt(c.id, net.rounds):
 			// Frozen: the program does not execute this round, and
 			// anything already in the inbox is lost with the outage.
 			b.ftOffline++
-			if net.recvAny[id].Load() {
-				clear(c.in)
-				net.recvAny[id].Store(false)
-			}
-			if net.recvInt[id].Load() {
-				clearBytes(c.inHas)
-				net.recvInt[id].Store(false)
-			}
 			kept = append(kept, id)
-			continue
-		}
-		if net.stepNodeRecover(fn, c, b) {
+		case net.stepNodeRecover(fn, c, b):
 			kept = append(kept, id)
-		} else {
+		default:
 			net.haltSeg[id] = int32(net.rounds) + 1
 			b.halts++
 		}
-		if net.recvAny[id].Load() {
+		if net.recvRec[id].Load() {
 			clear(c.in)
-			net.recvAny[id].Store(false)
+			net.recvRec[id].Store(false)
 		}
 		if net.recvInt[id].Load() {
 			clearBytes(c.inHas)
@@ -320,11 +313,11 @@ func (net *Network) stepNodeRecover(fn func(*Ctx) bool, c *Ctx, b *batch) (cont 
 }
 
 // deliverBatchFaulty is deliverBatch with the fault model applied per
-// staged message: receiver-offline drop, then drop, then delay, then
-// delivery plus optional duplication. At most one fault fires per
-// message. Protocol-level dead sends (halted receivers) are recorded
-// exactly as in the healthy kernel, so the strict dead-send gate keeps
-// its meaning under fault injection.
+// staged message, on both lanes in one port sweep: receiver-offline drop,
+// then drop, then delay, then delivery plus optional duplication. At most
+// one fault fires per message. Protocol-level dead sends (halted
+// receivers) are recorded exactly as in the healthy kernel, so the strict
+// dead-send gate keeps its meaning under fault injection.
 //
 //deltacolor:coordinator
 func (net *Network) deliverBatchFaulty(b *batch) {
@@ -340,128 +333,80 @@ func (net *Network) deliverBatchFaulty(b *batch) {
 	hasCrash := net.crashW != nil
 	checkHalt := !net.noHalts
 	count := net.countMsgs
-	sf := net.slotFlat
 	for _, id := range b.senders {
 		c := &net.ctxs[id]
 		base := net.off[id]
-		if c.nBoxed > 0 {
-			if count {
-				b.trBoxed += c.nBoxed
-			}
-			out := c.out
-			for pt, msg := range out {
-				if msg == nil {
-					continue
-				}
-				out[pt] = nil
-				u := net.portsFlat[base+pt]
-				if checkHalt && net.haltSeg[u] != 0 {
-					if count {
-						b.trDrops++
-					}
-					if net.trackDead {
-						b.dead = append(b.dead, DeadSend{From: c.id, Port: pt, To: net.toExt(int(u)), Round: net.rounds + 1, HaltRound: int(net.haltSeg[u])})
-					}
-					continue
-				}
-				if hasCrash && net.offlineAt(net.toExt(int(u)), round) {
-					b.ftCrashIn++
-					continue
-				}
-				if dropP > 0 && u01(faultBits(seed, rs, round, base+pt, saltDrop)) < dropP {
-					b.ftDrops++
-					continue
-				}
-				var slot int
-				if sf != nil {
-					slot = int(sf[base+pt])
-				} else {
-					slot = net.off[u] + int(net.revFlat[base+pt])
-				}
-				if delayP > 0 && u01(faultBits(seed, rs, round, base+pt, saltDelay)) < delayP {
-					d := 1 + int(faultBits(seed, rs, round, base+pt, saltDelayLen)%maxDelay)
-					b.pend = append(b.pend, pendingFault{due: round + d, node: u, slot: slot, boxed: msg})
-					b.ftDelays++
-					continue
-				}
-				net.inBoxed[slot] = msg
-				if net.inHas[slot] != 0 {
-					// A stale injected int on this slot must not shadow the
-					// fresh boxed message.
-					net.inHas[slot] = 0
-				}
-				if !net.recvAny[u].Load() {
-					net.recvAny[u].Store(true)
-				}
-				if dupP > 0 && u01(faultBits(seed, rs, round, base+pt, saltDup)) < dupP {
-					b.pend = append(b.pend, pendingFault{due: round + 1, node: u, slot: slot, boxed: msg})
-					b.ftDups++
-				}
-			}
-			c.nBoxed = 0
+		if count {
+			b.trRecs += c.nRecs
+			b.trInts += c.nInts
 		}
-		if c.nInts > 0 {
-			if count {
-				b.trInts += c.nInts
+		for pt, rec := range c.out {
+			isInt := c.outHas[pt] != 0
+			if rec.p == nil && !isInt {
+				continue
 			}
-			oh := c.outHas
-			for pt, h := range oh {
-				if h == 0 {
-					continue
+			c.out[pt], c.outHas[pt] = recSlot{}, 0
+			u := net.portsFlat[base+pt]
+			if checkHalt && net.haltSeg[u] != 0 {
+				if count {
+					b.trDrops++
 				}
-				oh[pt] = 0
-				u := net.portsFlat[base+pt]
-				if checkHalt && net.haltSeg[u] != 0 {
-					if count {
-						b.trDrops++
-					}
-					if net.trackDead {
-						b.dead = append(b.dead, DeadSend{From: c.id, Port: pt, To: net.toExt(int(u)), Round: net.rounds + 1, HaltRound: int(net.haltSeg[u])})
-					}
-					continue
+				if net.trackDead {
+					b.dead = append(b.dead, DeadSend{From: c.id, Port: pt, To: net.toExt(int(u)), Round: net.rounds + 1, HaltRound: int(net.haltSeg[u])})
 				}
-				if hasCrash && net.offlineAt(net.toExt(int(u)), round) {
-					b.ftCrashIn++
-					continue
-				}
-				if dropP > 0 && u01(faultBits(seed, rs, round, base+pt, saltDrop)) < dropP {
-					b.ftDrops++
-					continue
-				}
-				var slot int
-				if sf != nil {
-					slot = int(sf[base+pt])
-				} else {
-					slot = net.off[u] + int(net.revFlat[base+pt])
-				}
-				v := c.outInt[pt]
-				if delayP > 0 && u01(faultBits(seed, rs, round, base+pt, saltDelay)) < delayP {
-					d := 1 + int(faultBits(seed, rs, round, base+pt, saltDelayLen)%maxDelay)
-					b.pend = append(b.pend, pendingFault{due: round + d, node: u, slot: slot, isInt: true, val: v})
-					b.ftDelays++
-					continue
-				}
-				net.inInt[slot] = v
-				net.inHas[slot] = 1
-				if !net.recvInt[u].Load() {
-					net.recvInt[u].Store(true)
-				}
-				if dupP > 0 && u01(faultBits(seed, rs, round, base+pt, saltDup)) < dupP {
-					b.pend = append(b.pend, pendingFault{due: round + 1, node: u, slot: slot, isInt: true, val: v})
-					b.ftDups++
-				}
+				continue
 			}
-			c.nInts = 0
+			if hasCrash && net.offlineAt(net.toExt(int(u)), round) {
+				b.ftCrashIn++
+				continue
+			}
+			e := base + pt
+			if dropP > 0 && u01(faultBits(seed, rs, round, e, saltDrop)) < dropP {
+				b.ftDrops++
+				continue
+			}
+			pm := pendingFault{node: u, slot: net.off[u] + int(net.revFlat[e]), isInt: isInt, val: c.outInt[pt], rec: rec}
+			if delayP > 0 && u01(faultBits(seed, rs, round, e, saltDelay)) < delayP {
+				pm.due = round + 1 + int(faultBits(seed, rs, round, e, saltDelayLen)%maxDelay)
+				b.pend = append(b.pend, pm)
+				b.ftDelays++
+				continue
+			}
+			net.put(pm)
+			if dupP > 0 && u01(faultBits(seed, rs, round, e, saltDup)) < dupP {
+				pm.due = round + 1
+				b.pend = append(b.pend, pm)
+				b.ftDups++
+			}
 		}
+		c.nRecs, c.nInts = 0, 0
 		c.sentAny = false
 	}
 	b.senders = b.senders[:0]
 }
 
+// put writes a message into its receiver's inbox slot and clears the
+// other lane's entry there, so a fresh message replaces a stale injected
+// one whichever lane either used: a slot holds one message.
+func (net *Network) put(pm pendingFault) {
+	if pm.isInt {
+		net.inInt[pm.slot] = pm.val
+		net.inHas[pm.slot] = 1
+		net.inRec[pm.slot] = recSlot{}
+		net.recvInt[pm.node].Store(true)
+	} else {
+		net.inRec[pm.slot] = pm.rec
+		net.inHas[pm.slot] = 0
+		net.recvRec[pm.node].Store(true)
+	}
+}
+
 // injectPending writes every due delayed/duplicated message into its
 // receiver's inbox lane. Runs on the coordinator before the round's
 // regular delivery phase, so fresh messages overwrite stale injections
-// slot by slot. Receivers that halted or are offline lose the message.
+// slot by slot. Of two injections due on one slot, the int wins: a record
+// is not injected over an int. Receivers that halted or are offline lose
+// the message.
 //
 //deltacolor:coordinator
 func (net *Network) injectPending() {
@@ -480,13 +425,8 @@ func (net *Network) injectPending() {
 			net.faultStats.CrashDrops++
 			continue
 		}
-		if pm.isInt {
-			net.inInt[pm.slot] = pm.val
-			net.inHas[pm.slot] = 1
-			net.recvInt[pm.node].Store(true)
-		} else {
-			net.inBoxed[pm.slot] = pm.boxed
-			net.recvAny[pm.node].Store(true)
+		if pm.isInt || net.inHas[pm.slot] == 0 {
+			net.put(pm)
 		}
 	}
 	net.pendFault = kept

@@ -291,6 +291,59 @@ func TestDelayedMessageArrivesLater(t *testing.T) {
 	}
 }
 
+// TestDelayedRecordYieldsToFreshInt pins one message per slot under
+// faults: a record delayed into the round in which the same sender's
+// fresh int arrives is cleared by the int, so the receiver sees the int
+// alone and Recv reports nothing.
+func TestDelayedRecordYieldsToFreshInt(t *testing.T) {
+	g := graph.New(2)
+	g.MustEdge(0, 1)
+	net := NewNetwork(g, 1)
+	// Message faults fire in round 1 only, where every message is delayed
+	// by exactly one round.
+	if err := net.SetFaultPlan(&FaultPlan{Seed: 3, DelayProb: 1, MaxDelay: 1, ToRound: 1, RoundLimit: 20}); err != nil {
+		t.Fatal(err)
+	}
+	type seen struct {
+		rec []int32
+		v   int
+		ok  bool
+	}
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, got *[]seen, round int) bool {
+		if ctx.ID() == 0 {
+			switch round {
+			case 0:
+				ctx.Send(0, []int32{5, 6}) // delayed into round 2
+			case 1:
+				ctx.SendInt(0, 9) // delivered in round 2
+			}
+			return round < 1
+		}
+		if round > 0 {
+			v, ok := ctx.RecvInt(0)
+			*got = append(*got, seen{ctx.Recv(0), v, ok})
+		}
+		if round == 3 {
+			ctx.SetOutput(*got)
+			return false
+		}
+		return true
+	}))
+	got := outs[1].([]seen)
+	if got[0].rec != nil || got[0].ok {
+		t.Fatalf("round 1: receiver saw %+v, want nothing (the record is delayed)", got[0])
+	}
+	if got[1].rec != nil || !got[1].ok || got[1].v != 9 {
+		t.Fatalf("round 2: receiver saw %+v, want the int 9 alone", got[1])
+	}
+	if got[2].rec != nil || got[2].ok {
+		t.Fatalf("round 3: receiver saw %+v, want nothing", got[2])
+	}
+	if fs := net.FaultStats(); fs.Delays != 1 || fs.Total() != 1 {
+		t.Fatalf("stats %+v, want exactly one delay", fs)
+	}
+}
+
 func TestDuplicatedMessageArrivesTwice(t *testing.T) {
 	g := graph.New(2)
 	g.MustEdge(0, 1)

@@ -3,10 +3,10 @@ package local
 // Stepped flood kernels: the distance-bounded reachability probe and the
 // connected-component collection that back the ported ball-collection
 // phases (internal/core's netdec ruling set and randomized shattering's
-// small-component phase). FloodStepped runs entirely on the int32 fast
-// path — its rounds are allocation-free, the regression test pins that —
-// while CollectComponents ships variable-length id frontiers on the boxed
-// lane like the gather engine.
+// small-component phase). FloodStepped runs entirely on the int
+// lane — its rounds are allocation-free, the regression test pins that —
+// while CollectComponents ships variable-length id frontiers as records
+// like the gather engine.
 
 // FloodStepped floods from the source set for exactly radius rounds and
 // reports, per external node ID, whether the node lies within graph
@@ -53,7 +53,7 @@ type floodState struct {
 }
 
 // floodProgram builds the TTL-flood stepped program. Messages are single
-// int32 budgets on the fast path; a budget b means "you are within
+// int32 budgets on the int lane; a budget b means "you are within
 // distance radius, forward b-1 if positive".
 func floodProgram(sources []bool, radius int) Stepped[floodState] {
 	return Stepped[floodState]{
@@ -196,8 +196,8 @@ func componentProgram() Stepped[componentState] {
 			}
 			s.fresh = s.fresh[:0]
 			for p := 0; p < ctx.Degree(); p++ {
-				m, mok := ctx.Recv(p).([]int32)
-				if !mok {
+				m := ctx.Recv(p)
+				if m == nil {
 					continue
 				}
 				if m[0] == -1 {

@@ -33,7 +33,7 @@ func TestGatherBallMatchesBFS(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for radius := 0; radius <= 4; radius++ {
 				net := NewNetwork(tc.g, 1)
-				net.setShards(4)
+				net.SetWorkers(4)
 				balls := GatherStepped(net, radius)
 				if net.Rounds() != radius {
 					t.Fatalf("t=%d: rounds=%d", radius, net.Rounds())

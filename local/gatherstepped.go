@@ -115,7 +115,7 @@ func gatherProgram(t int) Stepped[gatherState] {
 			s.adj = append(s.adj, nil)
 			s.freshAt = append(s.freshAt, 0)
 			// "I exist": adjacency is unknown until the port intros arrive.
-			//lint:ignore hotpathalloc gather payloads are variable-length and receivers retain aliases into them, so each round ships a freshly allocated boxed []int32 by design
+			//lint:ignore hotpathalloc gather payloads are variable-length and receivers retain aliases into them, so each round ships a freshly allocated []int32 record by design
 			ctx.Broadcast([]int32{int32(ctx.ID()), -1})
 			return true
 		},
@@ -129,8 +129,8 @@ func gatherProgram(t int) Stepped[gatherState] {
 				// completed adjacency joins this round's frontier.
 				my := make([]int32, 0, deg)
 				for p := 0; p < deg; p++ {
-					m, ok := ctx.Recv(p).([]int32)
-					if !ok {
+					m := ctx.Recv(p)
+					if m == nil {
 						continue
 					}
 					id := m[0]
@@ -144,10 +144,7 @@ func gatherProgram(t int) Stepped[gatherState] {
 				}
 			} else {
 				for p := 0; p < deg; p++ {
-					m, ok := ctx.Recv(p).([]int32)
-					if !ok {
-						continue
-					}
+					m := ctx.Recv(p)
 					for i := 0; i < len(m); {
 						id, cnt := m[i], m[i+1]
 						if cnt < 0 {

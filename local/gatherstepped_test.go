@@ -74,11 +74,11 @@ func TestFloodSteppedZeroAllocsPerRound(t *testing.T) {
 }
 
 // TestGatherSteppedAllocsBounded bounds the stepped gather's allocation
-// rate. Gather payloads are variable-length boxed slices that receivers
-// alias into, so rounds cannot be allocation-free by design — but the
+// rate. Gather payloads are variable-length records that receivers alias
+// into, so rounds cannot be allocation-free by design — but the
 // per-node-round allocation count must stay a small constant (the packed
-// frontier buffer plus lane boxing), nothing proportional to ball size
-// beyond the retained data itself.
+// frontier buffer), nothing proportional to ball size beyond the retained
+// data itself.
 func TestGatherSteppedAllocsBounded(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g := cycleGraph(256)
@@ -90,9 +90,9 @@ func TestGatherSteppedAllocsBounded(t *testing.T) {
 	}
 	short, long := measure(4), measure(24)
 	perNodeRound := (long - short) / (20 * 256)
-	// On a cycle every round ships one two-record frontier per node: the
-	// packed buffer, its boxing, and amortized state growth. Anything past
-	// ~6 allocs/node-round means a regression.
+	// On a cycle every round ships one two-entry frontier per node: the
+	// packed buffer and amortized state growth. Anything past ~6
+	// allocs/node-round means a regression.
 	if perNodeRound > 6 {
 		t.Fatalf("stepped gather allocates %.1f allocs/node-round (short=%.0f long=%.0f)", perNodeRound, short, long)
 	}

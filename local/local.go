@@ -60,16 +60,17 @@
 // byte-identical with relabeling on or off. SetRelabel is the ablation
 // hook (and E14 measures the effect).
 //
-// # Typed small-integer fast path
+// # Message lanes
 //
-// Most protocols in this repository ship nothing but small integers.
-// SendInt, BroadcastInt and RecvInt stage those through flat per-network
-// int32 buffers with a byte presence map instead of boxing every payload
-// into an interface, making such rounds allocation-free. The two paths
-// compose: a protocol may send structs on some edges and ints on others,
-// Recv surfaces int-path messages to generic readers, and RecvInt falls
-// back to boxed ints, so mixed protocols and the SetIntFastPath(false)
-// ablation behave identically to the all-boxed runtime.
+// Every message is made of int32 words and travels on one of two typed
+// lanes. SendInt, BroadcastInt and RecvInt carry a single word through
+// flat per-network int32 buffers with a byte presence map, so such rounds
+// allocate nothing. Send, Broadcast and Recv carry a record: a []int32 of
+// any length, handed to the receiver as the sender's own slice. An edge
+// carries at most one message per round, on either lane, and a message's
+// size is exact — 4 bytes per word — which is what MessageStats charges.
+//
+// # Determinism
 //
 // Determinism is unaffected by batching and worker count:
 // message (receiver, port) slots are fixed by the port numbering, per-node
@@ -87,12 +88,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"deltacolor/graph"
 )
-
-// Message is any value sent along an edge in one round.
-type Message any
 
 // Ctx is a node's interface to the network during a run.
 type Ctx struct {
@@ -105,10 +104,10 @@ type Ctx struct {
 
 	net *Network
 
-	// Per-port message lanes: views into the network's flat per-run
-	// arrays (in/out boxed payloads, int32 payloads, byte presence maps).
-	in     []Message
-	out    []Message
+	// Per-port message lanes: views into the network's flat run tables
+	// (in/out records, int32 payloads, byte presence maps).
+	in     []recSlot
+	out    []recSlot
 	inInt  []int32
 	outInt []int32
 	inHas  []byte
@@ -117,9 +116,30 @@ type Ctx struct {
 	output any
 	input  any
 
-	nBoxed  int32 // non-nil slots currently staged in out (owner-only)
+	nRecs   int32 // non-nil slots currently staged in out (owner-only)
 	nInts   int32 // slots currently staged in outHas (owner-only)
-	sentAny bool  // staged at least one Send/Broadcast this round (owner-only)
+	sentAny bool  // made a staging call this round (owner-only)
+}
+
+// recSlot is one record-lane slot: a []int32 record held as its data
+// pointer and length. The record lanes span every directed edge twice,
+// and a fresh network (the quotient networks MIS runs on are built per
+// call) allocates them and has the GC scan them anew, so the slot is kept
+// at 16 bytes; a slice header takes 24. p is nil exactly for the nil
+// record: an empty non-nil record keeps a non-nil data pointer.
+type recSlot struct {
+	p *int32
+	n int
+}
+
+func toSlot(rec []int32) recSlot { return recSlot{unsafe.SliceData(rec), len(rec)} }
+
+// rec rebuilds the record, with its capacity cut to its length.
+func (s recSlot) rec() []int32 {
+	if s.p == nil {
+		return nil
+	}
+	return unsafe.Slice(s.p, s.n)
 }
 
 // ID returns this node's unique identifier in [0, n).
@@ -150,23 +170,26 @@ func (c *Ctx) Rand() *rand.Rand {
 // if none).
 func (c *Ctx) Input() any { return c.input }
 
-// Send stages msg to be delivered to the neighbor on port p at the end of
-// the current round. Each edge carries at most one message per round: a
-// later Send, SendInt, Broadcast or BroadcastInt on the same port
-// overwrites the earlier staging, whichever path it used (messages are
+// Send stages the record rec to be delivered to the neighbor on port p at
+// the end of the current round. Each edge carries at most one message per
+// round: a later Send, SendInt, Broadcast or BroadcastInt on the same port
+// overwrites the earlier staging, whichever lane it used (messages are
 // unbounded in the LOCAL model, so algorithms bundle what they need).
-// Sending nil un-stages the port.
+// Sending nil un-stages the port; an empty non-nil record is a message.
+//
+// The receiver sees rec itself, not a copy (its capacity cut to its
+// length), and may keep it: a sent record must not be modified afterwards.
 //
 //deltacolor:hotpath
-func (c *Ctx) Send(p int, msg Message) {
-	old := c.out[p]
-	c.out[p] = msg
+func (c *Ctx) Send(p int, rec []int32) {
+	old := c.out[p].p
+	c.out[p] = toSlot(rec)
 	if old == nil {
-		if msg != nil {
-			c.nBoxed++
+		if rec != nil {
+			c.nRecs++
 		}
-	} else if msg == nil {
-		c.nBoxed--
+	} else if rec == nil {
+		c.nRecs--
 	}
 	if c.outHas[p] != 0 {
 		c.outHas[p] = 0
@@ -175,23 +198,25 @@ func (c *Ctx) Send(p int, msg Message) {
 	c.sentAny = true
 }
 
-// Broadcast stages msg on every port, overwriting anything staged earlier
-// this round (including int-path stagings). On a degree-0 node it is a
+// Broadcast stages rec on every port, overwriting anything staged earlier
+// this round (including int-lane stagings); the same slice reaches every
+// neighbor, under Send's no-modification rule. On a degree-0 node it is a
 // no-op: there are no edges to carry the message, and the node is not
 // registered as a sender.
 //
 //deltacolor:hotpath
-func (c *Ctx) Broadcast(msg Message) {
+func (c *Ctx) Broadcast(rec []int32) {
 	if len(c.out) == 0 {
 		return
 	}
+	s := toSlot(rec)
 	for p := range c.out {
-		c.out[p] = msg
+		c.out[p] = s
 	}
-	if msg == nil {
-		c.nBoxed = 0
+	if rec == nil {
+		c.nRecs = 0
 	} else {
-		c.nBoxed = int32(len(c.out))
+		c.nRecs = int32(len(c.out))
 	}
 	if c.nInts != 0 {
 		clear(c.outHas)
@@ -201,40 +226,34 @@ func (c *Ctx) Broadcast(msg Message) {
 }
 
 // SendInt stages the integer v on port p through the allocation-free int
-// path. Values outside the int32 range fall back transparently to the
-// boxed path. Like Send, a later staging on the same port overwrites an
-// earlier one regardless of path.
+// lane. v must fit in an int32; a wider value panics. Like Send, a later
+// staging on the same port overwrites an earlier one regardless of lane.
 //
 //deltacolor:hotpath
 func (c *Ctx) SendInt(p int, v int) {
-	if int64(int32(v)) != int64(v) || !c.net.intPath {
-		//lint:ignore hotpathalloc deliberate escape to the boxed lane: v overflowed int32 or the fast path is disabled, so boxing is the documented fallback
-		c.Send(p, v)
-		return
+	if int64(int32(v)) != int64(v) {
+		intOverflow(v)
 	}
 	c.outInt[p] = int32(v)
 	if c.outHas[p] == 0 {
 		c.outHas[p] = 1
 		c.nInts++
 	}
-	if c.out[p] != nil {
-		c.out[p] = nil
-		c.nBoxed--
+	if c.out[p].p != nil {
+		c.out[p] = recSlot{}
+		c.nRecs--
 	}
 	c.sentAny = true
 }
 
-// BroadcastInt stages the integer v on every port through the int path
-// (falling back to the boxed path for values outside int32). Like
-// Broadcast, it overwrites earlier stagings and is a no-op on degree-0
-// nodes.
+// BroadcastInt stages the integer v on every port through the int lane.
+// Like Broadcast, it overwrites earlier stagings and is a no-op on
+// degree-0 nodes; like SendInt, it panics when v does not fit in an int32.
 //
 //deltacolor:hotpath
 func (c *Ctx) BroadcastInt(v int) {
-	if int64(int32(v)) != int64(v) || !c.net.intPath {
-		//lint:ignore hotpathalloc deliberate escape to the boxed lane: v overflowed int32 or the fast path is disabled, so boxing is the documented fallback
-		c.Broadcast(v)
-		return
+	if int64(int32(v)) != int64(v) {
+		intOverflow(v)
 	}
 	if len(c.outHas) == 0 {
 		return
@@ -247,40 +266,33 @@ func (c *Ctx) BroadcastInt(v int) {
 		c.outHas[p] = 1
 	}
 	c.nInts = int32(len(c.outHas))
-	if c.nBoxed != 0 {
+	if c.nRecs != 0 {
 		clear(c.out)
-		c.nBoxed = 0
+		c.nRecs = 0
 	}
 	c.sentAny = true
 }
 
-// Recv returns the message received on port p in the last completed round,
-// or nil. Messages sent through the int path are surfaced here as boxed
-// ints (allocation-free for values in [0, 255], the runtime's static
-// boxes), so generic readers interoperate with int-path senders.
-//
-//deltacolor:hotpath
-func (c *Ctx) Recv(p int) Message {
-	if c.inHas[p] != 0 {
-		//lint:ignore hotpathalloc surfacing an int-path message through the generic reader requires boxing by contract; small values hit the runtime's static boxes
-		return int(c.inInt[p])
-	}
-	return c.in[p]
+// intOverflow reports an int-lane value that does not fit the lane's
+// int32 word.
+func intOverflow(v int) {
+	panic(fmt.Sprintf("local: int-lane message %d does not fit in an int32", v))
 }
 
+// Recv returns the record received on port p in the last completed round,
+// or nil when none arrived (an int-lane message is read with RecvInt).
+//
+//deltacolor:hotpath
+func (c *Ctx) Recv(p int) []int32 { return c.in[p].rec() }
+
 // RecvInt reports the integer received on port p in the last completed
-// round. It reads the int fast path first and falls back to a boxed int
-// (from a Send, an out-of-range SendInt, or a network with the fast path
-// disabled), so int readers interoperate with boxed senders. ok is false
-// when no integer message arrived on p.
+// round over the int lane. ok is false when no integer message arrived on
+// p.
 //
 //deltacolor:hotpath
 func (c *Ctx) RecvInt(p int) (v int, ok bool) {
 	if c.inHas[p] != 0 {
 		return int(c.inInt[p]), true
-	}
-	if m, mok := c.in[p].(int); mok {
-		return m, true
 	}
 	return 0, false
 }
@@ -306,7 +318,7 @@ type batch struct {
 	// network's tracer counts messages (exactly one worker owns a batch
 	// per phase, so no locks) and drained by the coordinator after the
 	// delivery phase.
-	trInts, trBoxed, trDrops int32
+	trInts, trRecs, trDrops int32
 
 	// Per-round fault-injection counters and the delayed/duplicated
 	// messages staged by this batch's faulty kernels (fault.go). Same
@@ -370,20 +382,22 @@ type Network struct {
 	revFlat   []int32 // revFlat[off[v]+p] = reverse port
 	slotFlat  []int32 // slotFlat[off[v]+p] = off[neighbor] + reverse port, the receiver's lane slot; nil if slots exceed int32
 
-	// Per-run message lanes and receiver flags, indexed by slot (lanes)
-	// or node (flags). recvAny/recvInt are set by delivery workers and
-	// cleared by the stepping worker that owns the node; they are atomic
-	// because two workers delivering from different senders may flag the
-	// same receiver.
-	inBoxed, outBoxed []Message
-	inInt, outInt     []int32
-	inHas, outHas     []byte
-	recvAny, recvInt  []atomic.Bool
-	haltSeg           []int32 // 0 while running; else the round of the sweep v halted in
+	// Run tables: the contexts, the message lanes and the receiver flags,
+	// indexed by node (ctxs, flags, haltSeg) or slot (lanes). setup
+	// allocates them when the node or slot count changes and clears them
+	// before every other run. recvRec/recvInt are set by delivery workers
+	// and cleared by the stepping worker that owns the node; they are
+	// atomic because two workers delivering from different senders may
+	// flag the same receiver.
+	ctxs             []Ctx
+	inRec, outRec    []recSlot
+	inInt, outInt    []int32
+	inHas, outHas    []byte
+	recvRec, recvInt []atomic.Bool
+	haltSeg          []int32 // 0 while running; else the round of the sweep v halted in
 
 	rounds  int
 	lastRun RunStats
-	ctxs    []Ctx
 
 	batches   []batch
 	batchSize int             // forced batch size; 0 = auto
@@ -396,7 +410,6 @@ type Network struct {
 	stats     *MessageStats // non-nil when EnableMessageStats was called
 	trackDead bool          // record sends to halted neighbors
 	strict    bool          // panic after a run that recorded dead sends
-	intPath   bool          // int fast path enabled (see SetIntFastPath)
 
 	tracer    *Tracer // round-level tracing (see trace.go); nil = off
 	countMsgs bool    // per-run: tracer wants lane counts from delivery
@@ -467,7 +480,7 @@ func (net *Network) toExt(i int) int {
 // even a clique builds in time linear in its edge count.
 func NewNetwork(g *graph.G, seed int64) *Network {
 	n := g.N()
-	net := &Network{g: g, seed: seed, intPath: true, tracer: defaultTracer.Load()}
+	net := &Network{g: g, seed: seed, tracer: defaultTracer.Load()}
 	if strictDead.Load() {
 		net.trackDead = true
 		net.strict = true
@@ -578,14 +591,15 @@ func NewNetwork(g *graph.G, seed int64) *Network {
 		}
 	}
 
-	net.setShards(runtime.GOMAXPROCS(0))
+	net.SetWorkers(runtime.GOMAXPROCS(0))
 	return net
 }
 
-// setShards reconfigures the scheduler to use k workers for stepping and
-// delivery. Kept under its historical name for the scheduler tests; the
-// exported form is SetWorkers.
-func (net *Network) setShards(k int) {
+// SetWorkers pins the scheduler's worker-pool size for subsequent runs
+// (NewNetwork defaults to GOMAXPROCS), clamped to [1, n]. Worker count is
+// a scheduling detail: outputs, rounds and stats are identical for every
+// value. Must not be called during a run.
+func (net *Network) SetWorkers(k int) {
 	if n := net.g.N(); k > n {
 		k = n
 	}
@@ -594,12 +608,6 @@ func (net *Network) setShards(k int) {
 	}
 	net.nworkers = k
 }
-
-// SetWorkers pins the scheduler's worker-pool size for subsequent runs
-// (NewNetwork defaults to GOMAXPROCS). Worker count is a scheduling
-// detail: outputs, rounds and stats are identical for every value. Must
-// not be called during a run.
-func (net *Network) SetWorkers(k int) { net.setShards(k) }
 
 // setBatch forces the node-batch size for subsequent runs (0 restores the
 // automatic size). Batching is a scheduling detail with no semantic
@@ -610,12 +618,6 @@ func (net *Network) setBatch(k int) {
 	}
 	net.batchSize = k
 }
-
-// SetIntFastPath toggles the typed small-integer delivery path (on by
-// default). When off, SendInt/BroadcastInt route through the boxed path;
-// RecvInt still reads boxed ints, so protocols behave identically — this
-// is the ablation hook the int-vs-boxed golden tests pin against.
-func (net *Network) SetIntFastPath(on bool) { net.intPath = on }
 
 // Reseed changes the seed that derives per-node randomness (and nothing
 // else) for subsequent runs. It makes one network reusable across the
@@ -710,12 +712,15 @@ func RunSteppedWithInput[S any](net *Network, p Stepped[S], inputs []any) []any 
 	return net.runRounds(init, step)
 }
 
-// setup prepares the per-run state: contexts, flat message lanes,
-// receiver flags and batches — and resets every piece of bookkeeping a
-// previous run on the same network may have left behind (round counter,
-// run stats, message-stat counters; the per-batch dead-send logs and
-// halt segments are rebuilt below), so consecutive runs never leak state
-// into each other's reports.
+// setup prepares the per-run state — contexts, message lanes, receiver
+// flags and batches — and resets every piece of bookkeeping a previous
+// run on the same network may have left behind (round counter, run stats,
+// message-stat counters; the per-batch dead-send logs are rebuilt below),
+// so consecutive runs never leak state into each other's reports. The
+// node- and slot-indexed run tables are allocated only when their size
+// changed (the first run, or churn that changed the node or slot count);
+// otherwise they are cleared in place, including whatever a run cut off
+// by a RoundLimit or a panic left staged.
 func (net *Network) setup(inputs []any) {
 	if net.dirty {
 		net.rebuildFlat()
@@ -737,31 +742,43 @@ func (net *Network) setup(inputs []any) {
 	}
 
 	total := net.off[n]
-	net.ctxs = make([]Ctx, n)
-	boxes := make([]Message, 2*total)
-	ints := make([]int32, 2*total)
-	has := make([]byte, 2*total)
-	net.inBoxed, net.outBoxed = boxes[:total:total], boxes[total:]
-	net.inInt, net.outInt = ints[:total:total], ints[total:]
-	net.inHas, net.outHas = has[:total:total], has[total:]
-	net.recvAny = make([]atomic.Bool, n)
-	net.recvInt = make([]atomic.Bool, n)
-	net.haltSeg = make([]int32, n)
+	if len(net.ctxs) != n || len(net.inInt) != total {
+		net.ctxs = make([]Ctx, n)
+		recs := make([]recSlot, 2*total)
+		ints := make([]int32, 2*total)
+		has := make([]byte, 2*total)
+		net.inRec, net.outRec = recs[:total:total], recs[total:]
+		net.inInt, net.outInt = ints[:total:total], ints[total:]
+		net.inHas, net.outHas = has[:total:total], has[total:]
+		net.recvRec = make([]atomic.Bool, n)
+		net.recvInt = make([]atomic.Bool, n)
+		net.haltSeg = make([]int32, n)
+	} else {
+		clear(net.inRec)
+		clear(net.outRec)
+		clear(net.inHas)
+		clear(net.outHas)
+		clear(net.recvRec)
+		clear(net.recvInt)
+		clear(net.haltSeg)
+	}
 	for v := 0; v < n; v++ {
-		c := &net.ctxs[v]
-		c.id = net.toExt(v)
-		c.iid = v
-		c.n = n
-		c.maxDeg = maxDeg
-		c.net = net
 		lo, hi := net.off[v], net.off[v+1]
-		c.deg = hi - lo
-		c.in = net.inBoxed[lo:hi:hi]
-		c.out = net.outBoxed[lo:hi:hi]
-		c.inInt = net.inInt[lo:hi:hi]
-		c.outInt = net.outInt[lo:hi:hi]
-		c.inHas = net.inHas[lo:hi:hi]
-		c.outHas = net.outHas[lo:hi:hi]
+		c := &net.ctxs[v]
+		*c = Ctx{
+			id:     net.toExt(v),
+			iid:    v,
+			deg:    hi - lo,
+			n:      n,
+			maxDeg: maxDeg,
+			net:    net,
+			in:     net.inRec[lo:hi:hi],
+			out:    net.outRec[lo:hi:hi],
+			inInt:  net.inInt[lo:hi:hi],
+			outInt: net.outInt[lo:hi:hi],
+			inHas:  net.inHas[lo:hi:hi],
+			outHas: net.outHas[lo:hi:hi],
+		}
 		if inputs != nil {
 			c.input = inputs[c.id]
 		}
@@ -950,9 +967,9 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) []any {
 			for i := range net.batches {
 				b := &net.batches[i]
 				rt.IntMsgs += int(b.trInts)
-				rt.BoxedMsgs += int(b.trBoxed)
+				rt.RecordMsgs += int(b.trRecs)
 				rt.Drops += int(b.trDrops)
-				b.trInts, b.trBoxed, b.trDrops = 0, 0, 0
+				b.trInts, b.trRecs, b.trDrops = 0, 0, 0
 			}
 		}
 		if net.fault != nil {
@@ -972,7 +989,7 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) []any {
 				rt.Senders = senders
 				tr.record(rt)
 			} else {
-				tr.countRound(rt.IntMsgs, rt.BoxedMsgs, rt.Drops)
+				tr.countRound(rt.IntMsgs, rt.RecordMsgs, rt.Drops)
 			}
 		}
 		if net.fault != nil && net.fault.RoundLimit > 0 && net.rounds >= net.fault.RoundLimit {
@@ -1079,9 +1096,9 @@ func (net *Network) stepBatch(fn func(*Ctx) bool, b *batch) {
 			net.haltSeg[id] = int32(net.rounds) + 1
 			b.halts++
 		}
-		if net.recvAny[id].Load() {
+		if net.recvRec[id].Load() {
 			clear(c.in)
-			net.recvAny[id].Store(false)
+			net.recvRec[id].Store(false)
 		}
 		if net.recvInt[id].Load() {
 			clearBytes(c.inHas)
@@ -1128,16 +1145,16 @@ func (net *Network) deliverBatch(b *batch) {
 	for _, id := range b.senders {
 		c := &net.ctxs[id]
 		base := net.off[id]
-		if c.nBoxed > 0 {
+		if c.nRecs > 0 {
 			if count {
-				b.trBoxed += c.nBoxed
+				b.trRecs += c.nRecs
 			}
 			out := c.out
-			for p, msg := range out {
-				if msg == nil {
+			for p, rec := range out {
+				if rec.p == nil {
 					continue
 				}
-				out[p] = nil
+				out[p] = recSlot{}
 				u := net.portsFlat[base+p]
 				if checkHalt && net.haltSeg[u] != 0 {
 					if count {
@@ -1154,12 +1171,12 @@ func (net *Network) deliverBatch(b *batch) {
 				} else {
 					slot = net.off[u] + int(net.revFlat[base+p])
 				}
-				net.inBoxed[slot] = msg
-				if !net.recvAny[u].Load() {
-					net.recvAny[u].Store(true)
+				net.inRec[slot] = rec
+				if !net.recvRec[u].Load() {
+					net.recvRec[u].Store(true)
 				}
 			}
-			c.nBoxed = 0
+			c.nRecs = 0
 		}
 		if c.nInts > 0 {
 			if count {

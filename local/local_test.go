@@ -1,6 +1,7 @@
 package local
 
 import (
+	"slices"
 	"testing"
 
 	"deltacolor/graph"
@@ -76,13 +77,13 @@ func TestMessageDelivery(t *testing.T) {
 	net := NewNetwork(g, 1)
 	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if round == 0 {
-			ctx.Broadcast(ctx.ID())
+			ctx.Broadcast([]int32{int32(ctx.ID())})
 			return true
 		}
 		sum := 0
 		for p := 0; p < ctx.Degree(); p++ {
 			if m := ctx.Recv(p); m != nil {
-				sum += m.(int)
+				sum += int(m[0])
 			}
 		}
 		ctx.SetOutput(sum)
@@ -108,10 +109,10 @@ func TestPortDirectionality(t *testing.T) {
 	net := NewNetwork(g, 1)
 	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if round == 0 {
-			ctx.Send(0, ctx.ID()+100)
+			ctx.Send(0, []int32{int32(ctx.ID() + 100)})
 			return true
 		}
-		ctx.SetOutput(ctx.Recv(0))
+		ctx.SetOutput(int(ctx.Recv(0)[0]))
 		return false
 	}))
 	if outs[0].(int) != 101 || outs[1].(int) != 100 {
@@ -125,7 +126,7 @@ func TestHaltedNodeMessagesStillDelivered(t *testing.T) {
 	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if round == 0 {
 			if ctx.ID() == 0 {
-				ctx.Broadcast("bye")
+				ctx.Broadcast([]int32{7, 8})
 				return false // halt immediately after staging
 			}
 			return true
@@ -133,8 +134,8 @@ func TestHaltedNodeMessagesStillDelivered(t *testing.T) {
 		ctx.SetOutput(ctx.Recv(0))
 		return false
 	}))
-	if outs[1] != "bye" {
-		t.Fatalf("node 1 got %v", outs[1])
+	if got := outs[1].([]int32); !slices.Equal(got, []int32{7, 8}) {
+		t.Fatalf("node 1 got %v", got)
 	}
 }
 
@@ -143,22 +144,20 @@ func TestMultiRoundFlood(t *testing.T) {
 	n, r := 12, 3
 	g := cycleGraph(n)
 	net := NewNetwork(g, 1)
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, known *map[int]bool, round int) bool {
+	outs := RunStepped(net, roundProgram(func(ctx *Ctx, known *map[int32]bool, round int) bool {
 		if round == 0 {
-			*known = map[int]bool{ctx.ID(): true}
+			*known = map[int32]bool{int32(ctx.ID()): true}
 		}
 		for p := 0; p < ctx.Degree(); p++ {
-			if m, ok := ctx.Recv(p).([]int); ok {
-				for _, id := range m {
-					(*known)[id] = true
-				}
+			for _, id := range ctx.Recv(p) {
+				(*known)[id] = true
 			}
 		}
 		if round == r {
 			ctx.SetOutput(len(*known))
 			return false
 		}
-		snapshot := make([]int, 0, len(*known))
+		snapshot := make([]int32, 0, len(*known))
 		for id := range *known {
 			snapshot = append(snapshot, id)
 		}

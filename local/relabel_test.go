@@ -136,11 +136,10 @@ func TestRelabelInvariance(t *testing.T) {
 			*sum = ctx.Rand().Intn(1000)
 		}
 		for p := 0; p < ctx.Degree(); p++ {
-			switch m := ctx.Recv(p).(type) {
-			case int:
-				*sum += m
-			case [2]int:
-				*sum += m[1]
+			if v, ok := ctx.RecvInt(p); ok {
+				*sum += v
+			} else if m := ctx.Recv(p); m != nil {
+				*sum += int(m[1])
 			}
 		}
 		if round == 2+ctx.ID()%4 {
@@ -150,7 +149,7 @@ func TestRelabelInvariance(t *testing.T) {
 		if round%2 == 0 {
 			ctx.BroadcastInt(*sum)
 		} else {
-			ctx.Broadcast([2]int{ctx.ID(), *sum})
+			ctx.Broadcast([]int32{int32(ctx.ID()), int32(*sum)})
 		}
 		return true
 	})

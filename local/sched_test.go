@@ -9,24 +9,25 @@ import (
 	"deltacolor/graph"
 )
 
-// floodProtocol is a deliberately irregular workload: node v runs v%5+1
-// extra rounds past a shared flooding phase, uses its private randomness,
-// and halts at different times, exercising halts, active sets and parking.
+// floodProtocol is a deliberately irregular workload on the record lane:
+// node v runs v%5+1 extra rounds past a shared flooding phase, uses its
+// private randomness, and halts at different times, exercising halts,
+// active sets and parking.
 func floodProtocol(rounds int) Stepped[roundState[int]] {
 	return roundProgram(func(ctx *Ctx, sum *int, round int) bool {
 		if round == 0 {
 			*sum = ctx.Rand().Intn(1000)
 		}
 		for p := 0; p < ctx.Degree(); p++ {
-			if m, ok := ctx.Recv(p).(int); ok {
-				*sum += m
+			if m := ctx.Recv(p); m != nil {
+				*sum = (*sum + int(m[0])) % 1_000_003
 			}
 		}
 		if round == rounds+ctx.ID()%5 {
 			ctx.SetOutput(*sum)
 			return false
 		}
-		ctx.Broadcast(*sum)
+		ctx.Broadcast([]int32{int32(*sum)})
 		return true
 	})
 }
@@ -51,7 +52,7 @@ func TestShardCountInvariance(t *testing.T) {
 	g := randomGraph(200, 0.03, 42)
 	run := func(shards int) ([]any, int) {
 		net := NewNetwork(g, 7)
-		net.setShards(shards)
+		net.SetWorkers(shards)
 		outs := RunStepped(net, floodProtocol(4))
 		return outs, net.Rounds()
 	}
@@ -79,18 +80,18 @@ func TestParallelDeliveryLargeRound(t *testing.T) {
 		g.MustEdge(i, (i+1)%n)
 	}
 	net := NewNetwork(g, 1)
-	net.setShards(4)
+	net.SetWorkers(4)
 	outs := RunStepped(net, roundProgram(func(ctx *Ctx, got *int, round int) bool {
 		if round > 0 {
 			for p := 0; p < ctx.Degree(); p++ {
-				*got += ctx.Recv(p).(int)
+				*got += int(ctx.Recv(p)[0])
 			}
 		}
 		if round == 3 {
 			ctx.SetOutput(*got)
 			return false
 		}
-		ctx.Broadcast(ctx.ID())
+		ctx.Broadcast([]int32{int32(ctx.ID())})
 		return true
 	}))
 	for v := 0; v < n; v++ {
@@ -113,20 +114,20 @@ func TestActiveSetSparseRounds(t *testing.T) {
 		g.MustEdge(i, i+1)
 	}
 	net := NewNetwork(g, 1)
-	net.setShards(4)
+	net.SetWorkers(4)
 	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if m := ctx.Recv(0); m != nil && ctx.ID() == 1 {
-			ctx.SetOutput(m)
+			ctx.SetOutput(int(m[0]))
 		}
 		if round == 5 {
 			return false
 		}
 		if ctx.ID() == 0 && round == 3 {
-			ctx.Send(0, "ping")
+			ctx.Send(0, []int32{42})
 		}
 		return true
 	}))
-	if outs[1] != "ping" {
+	if outs[1] != 42 {
 		t.Fatalf("node 1 got %v", outs[1])
 	}
 }
@@ -157,9 +158,9 @@ func TestDeadSendTracking(t *testing.T) {
 		case ctx.ID() == 0:
 			return false // halt immediately
 		case round == 0:
-			ctx.Send(0, "are you there?")
+			ctx.Send(0, []int32{1})
 		case round == 1:
-			ctx.Send(0, "hello?")
+			ctx.Send(0, []int32{2})
 		}
 		return round < 2
 	}))
@@ -180,7 +181,7 @@ func TestDeadSendTracking(t *testing.T) {
 	}
 	// A clean follow-up run on the same network must not inherit the
 	// previous run's records.
-	RunStepped(net, oneRound(func(ctx *Ctx) { ctx.Broadcast("fine") }))
+	RunStepped(net, oneRound(func(ctx *Ctx) { ctx.Broadcast([]int32{0}) }))
 	if ds := net.DeadSends(); ds != nil {
 		t.Fatalf("stale dead sends after clean run: %v", ds)
 	}
@@ -194,7 +195,7 @@ func TestDeadSendTrackingOffByDefault(t *testing.T) {
 			return false
 		}
 		if round == 0 {
-			ctx.Send(0, "dropped silently")
+			ctx.Send(0, []int32{1})
 		}
 		return round == 0
 	}))
@@ -249,7 +250,7 @@ func TestReversePortTables(t *testing.T) {
 func TestNetworkReuse(t *testing.T) {
 	g := cycleGraph(30)
 	net := NewNetwork(g, 5)
-	net.setShards(3)
+	net.SetWorkers(3)
 	first := RunStepped(net, floodProtocol(3))
 	second := RunStepped(net, floodProtocol(3))
 	for v := range first {

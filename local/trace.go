@@ -8,10 +8,10 @@ package local
 //
 //   - Tracer hooks into runRounds and records, per round, the wall time of
 //     the two engine phases (step, deliver), the live-node and sender
-//     counts, the staged messages split by lane (int fast path vs boxed),
-//     and halt/drop events — into a preallocated ring buffer, so tracing a
+//     counts, the staged messages split by lane (int vs record), and
+//     halt/drop events — into a preallocated ring buffer, so tracing a
 //     run allocates nothing per round. A disabled tracer costs one nil
-//     check per phase; the zero-allocs-per-round guarantee of the int path
+//     check per phase; the zero-allocs-per-round guarantee of the int lane
 //     holds with tracing off (and on — the ring is preallocated).
 //   - The span layer extends Accountant into a nested timeline
 //     (pipeline → phase → primitive): StartSpans opens a root span,
@@ -56,12 +56,12 @@ type RoundTrace struct {
 	Live    int `json:"live"`
 	Senders int `json:"senders"`
 	Halts   int `json:"halts"`
-	// IntMsgs / BoxedMsgs split the round's staged messages by delivery
-	// lane (the typed int32 fast path vs boxed payloads); Drops counts
-	// the subset staged for already-halted receivers (never delivered).
-	IntMsgs   int `json:"int_msgs"`
-	BoxedMsgs int `json:"boxed_msgs"`
-	Drops     int `json:"drops"`
+	// IntMsgs / RecordMsgs split the round's staged messages by delivery
+	// lane (single int32 words vs []int32 records); Drops counts the
+	// subset staged for already-halted receivers (never delivered).
+	IntMsgs    int `json:"int_msgs"`
+	RecordMsgs int `json:"record_msgs"`
+	Drops      int `json:"drops"`
 	// StartNanos is the offset of the round's delivery phase from the
 	// tracer epoch; DeliverNanos and StepNanos are the wall times of the
 	// two engine phases (delivery is 0 when no node sent).
@@ -73,9 +73,12 @@ type RoundTrace struct {
 // Counters is the tracer's cumulative view across every run it
 // observed — the counters snapshot a monitoring endpoint would poll.
 type Counters struct {
-	Runs          int64 `json:"runs"`
-	Rounds        int64 `json:"rounds"`
-	IntMessages   int64 `json:"int_messages"`
+	Runs           int64 `json:"runs"`
+	Rounds         int64 `json:"rounds"`
+	IntMessages    int64 `json:"int_messages"`
+	RecordMessages int64 `json:"record_messages"`
+	// BoxedMessages is always 0: the runtime has no boxed lane. The field
+	// is kept only because bench/traced.go reads it.
 	BoxedMessages int64 `json:"boxed_messages"`
 	Drops         int64 `json:"drops"` // staged for halted receivers
 	Halts         int64 `json:"halts"`
@@ -93,7 +96,7 @@ type Counters struct {
 }
 
 // Messages returns the total staged messages across both lanes.
-func (c Counters) Messages() int64 { return c.IntMessages + c.BoxedMessages }
+func (c Counters) Messages() int64 { return c.IntMessages + c.RecordMessages }
 
 // Tracer records engine activity. Attach one to a network with
 // Network.SetTracer, or process-wide with SetDefaultTracer (networks pick
@@ -195,7 +198,7 @@ func (t *Tracer) foldHalts(halts int) {
 func (t *Tracer) record(r RoundTrace) {
 	t.c.Rounds++
 	t.c.IntMessages += int64(r.IntMsgs)
-	t.c.BoxedMessages += int64(r.BoxedMsgs)
+	t.c.RecordMessages += int64(r.RecordMsgs)
 	t.c.Drops += int64(r.Drops)
 	t.c.StepNanos += r.StepNanos
 	t.c.DeliverNanos += r.DeliverNanos
@@ -215,10 +218,10 @@ func (t *Tracer) record(r RoundTrace) {
 // countRound folds a counters-only round (no ring record, no timing).
 //
 //deltacolor:hotpath
-func (t *Tracer) countRound(ints, boxed, drops int) {
+func (t *Tracer) countRound(ints, recs, drops int) {
 	t.c.Rounds++
 	t.c.IntMessages += int64(ints)
-	t.c.BoxedMessages += int64(boxed)
+	t.c.RecordMessages += int64(recs)
 	t.c.Drops += int64(drops)
 }
 

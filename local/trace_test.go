@@ -60,8 +60,8 @@ func TestTracerCountersAndRounds(t *testing.T) {
 	// Every node broadcasts (degree 2) in init and in all but the final
 	// step round: (rounds) sends per node overall, over the int lane.
 	wantMsgs := int64(64 * 2 * rounds)
-	if c.IntMessages != wantMsgs || c.BoxedMessages != 0 {
-		t.Fatalf("messages = int %d boxed %d, want int %d boxed 0", c.IntMessages, c.BoxedMessages, wantMsgs)
+	if c.IntMessages != wantMsgs || c.RecordMessages != 0 || c.BoxedMessages != 0 {
+		t.Fatalf("messages = int %d record %d boxed %d, want int %d only", c.IntMessages, c.RecordMessages, c.BoxedMessages, wantMsgs)
 	}
 	if c.Halts != 64 {
 		t.Fatalf("halts = %d, want 64", c.Halts)
@@ -96,7 +96,7 @@ func TestTracerCountersOnlyMatchesFull(t *testing.T) {
 	co := tracedFloodRun(t, TraceCounters, 0, 5).Counters()
 	full := tracedFloodRun(t, TraceFull, 0, 5).Counters()
 	if co.Rounds != full.Rounds || co.IntMessages != full.IntMessages ||
-		co.BoxedMessages != full.BoxedMessages || co.Drops != full.Drops || co.Halts != full.Halts {
+		co.RecordMessages != full.RecordMessages || co.Drops != full.Drops || co.Halts != full.Halts {
 		t.Fatalf("counters-only %+v disagrees with full %+v", co, full)
 	}
 	if co.StepNanos != 0 || co.DeliverNanos != 0 {
@@ -104,6 +104,82 @@ func TestTracerCountersOnlyMatchesFull(t *testing.T) {
 	}
 	if rs := tracedFloodRun(t, TraceCounters, 0, 5).Rounds(); len(rs) != 0 {
 		t.Fatalf("counters-only recorded %d rounds, want 0", len(rs))
+	}
+}
+
+// mixedLanes stages on both lanes with staggered halts: in round r node v
+// sends an int on ports with (v+p+r)%3 == 0 and a record of (v+p+r)%4
+// words (empty ones included) on ports with (v+p+r)%3 == 1, until it
+// halts after round rounds+v%3 without sending. Its output is the number
+// of words it staged.
+func mixedLanes(rounds int) Stepped[roundState[int]] {
+	return roundProgram(func(ctx *Ctx, words *int, round int) bool {
+		if round == rounds+ctx.ID()%3 {
+			ctx.SetOutput(*words)
+			return false
+		}
+		for p := 0; p < ctx.Degree(); p++ {
+			switch k := ctx.ID() + p + round; k % 3 {
+			case 0:
+				ctx.SendInt(p, k)
+				*words++
+			case 1:
+				ctx.Send(p, make([]int32, k%4))
+				*words += k % 4
+			}
+		}
+		return true
+	})
+}
+
+// TestTracerCountsRecordLane checks the tracer's lane split against
+// MessageStats on record traffic: the gather engine (records only) and a
+// mixed-lane program with staggered halts, at both tracing levels.
+// Per-round lane counts must sum to the cumulative counters, those must
+// add up to MessageStats.Messages, counters-only must equal full, and
+// the byte total must be exactly 4 per word staged.
+func TestTracerCountsRecordLane(t *testing.T) {
+	g := randomGraph(60, 0.08, 5)
+	run := func(level TraceLevel, prog func(*Network) int) (Counters, []RoundTrace, MessageStats, int) {
+		tr := NewTracer(level, 0)
+		net := NewNetwork(g, 3)
+		net.SetTracer(tr)
+		net.EnableMessageStats()
+		words := prog(net)
+		return tr.Counters(), tr.Rounds(), *net.MessageStats(), words
+	}
+	gather := func(net *Network) int { GatherStepped(net, 3); return -1 }
+	mixed := func(net *Network) int {
+		words := 0
+		for _, o := range RunStepped(net, mixedLanes(4)) {
+			words += o.(int)
+		}
+		return words
+	}
+	for name, prog := range map[string]func(*Network) int{"gather": gather, "mixed": mixed} {
+		full, recs, st, words := run(TraceFull, prog)
+		co, _, coSt, _ := run(TraceCounters, prog)
+		var ints, records int
+		for _, r := range recs {
+			ints += r.IntMsgs
+			records += r.RecordMsgs
+		}
+		if int64(ints) != full.IntMessages || int64(records) != full.RecordMessages {
+			t.Errorf("%s: per-round lanes sum to int %d record %d, counters say %d and %d", name, ints, records, full.IntMessages, full.RecordMessages)
+		}
+		if full.RecordMessages == 0 || full.Messages() != int64(st.Messages) {
+			t.Errorf("%s: tracer counted %d messages (%d records), MessageStats %d", name, full.Messages(), full.RecordMessages, st.Messages)
+		}
+		co.StepNanos, co.DeliverNanos = full.StepNanos, full.DeliverNanos
+		if co != full || coSt != st {
+			t.Errorf("%s: counters-only %+v / %+v disagrees with full %+v / %+v", name, co, coSt, full, st)
+		}
+		if full.BoxedMessages != 0 {
+			t.Errorf("%s: BoxedMessages = %d, want 0", name, full.BoxedMessages)
+		}
+		if words >= 0 && (full.IntMessages == 0 || st.TotalBytes != 4*words) {
+			t.Errorf("%s: TotalBytes = %d for %d words staged (%d ints), want 4 per word", name, st.TotalBytes, words, full.IntMessages)
+		}
 	}
 }
 

@@ -171,14 +171,14 @@ func WriteChromeTrace(w io.Writer, d *TraceDump) error {
 			Ts:  float64(r.StartNanos) / nanosPerMicro,
 			Dur: float64(r.DeliverNanos+r.StepNanos) / nanosPerMicro,
 			Args: map[string]any{
-				"deliver_us": float64(r.DeliverNanos) / nanosPerMicro,
-				"step_us":    float64(r.StepNanos) / nanosPerMicro,
-				"live":       r.Live,
-				"senders":    r.Senders,
-				"halts":      r.Halts,
-				"int_msgs":   r.IntMsgs,
-				"boxed_msgs": r.BoxedMsgs,
-				"drops":      r.Drops,
+				"deliver_us":  float64(r.DeliverNanos) / nanosPerMicro,
+				"step_us":     float64(r.StepNanos) / nanosPerMicro,
+				"live":        r.Live,
+				"senders":     r.Senders,
+				"halts":       r.Halts,
+				"int_msgs":    r.IntMsgs,
+				"record_msgs": r.RecordMsgs,
+				"drops":       r.Drops,
 			},
 		})
 		ts := float64(r.StartNanos) / nanosPerMicro
@@ -188,7 +188,7 @@ func WriteChromeTrace(w io.Writer, d *TraceDump) error {
 		})
 		evs = append(evs, chromeEvent{
 			Name: "messages", Ph: "C", Pid: chromePid, Tid: tidCounters, Ts: ts,
-			Args: map[string]any{"int": r.IntMsgs, "boxed": r.BoxedMsgs},
+			Args: map[string]any{"int": r.IntMsgs, "record": r.RecordMsgs},
 		})
 	}
 
