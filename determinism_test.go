@@ -52,7 +52,6 @@ func TestColorDeterminismGoldens(t *testing.T) {
 		n, d    int
 		alg     deltacolor.Algorithm
 		seed    int64
-		slow    bool
 		colors  uint64
 		rounds  int
 		repairs int
@@ -69,12 +68,12 @@ func TestColorDeterminismGoldens(t *testing.T) {
 			phases: "dcc-select:8;dcc-ruling-set:81;dcc-layers:18;marking:8;happy-layers:12;B[2]:7;B[1]:7;B0-bruteforce:5;",
 		},
 		{
-			name: "det-n256-d4-s3", n: 256, d: 4, alg: deltacolor.AlgDeterministic, seed: 3, slow: true,
+			name: "det-n256-d4-s3", n: 256, d: 4, alg: deltacolor.AlgDeterministic, seed: 3,
 			colors: 0x6d448d1d160e7346, rounds: 1400, repairs: 0,
 			phases: "ruling-set:544;layering:7;linial:1;layers[7]:121;layers[6]:121;layers[5]:121;layers[4]:121;layers[3]:121;layers[2]:121;layers[1]:121;brooks-B0-batch[0]:1;",
 		},
 		{
-			name: "netdec-n256-d4-s4", n: 256, d: 4, alg: deltacolor.AlgNetDec, seed: 4, slow: true,
+			name: "netdec-n256-d4-s4", n: 256, d: 4, alg: deltacolor.AlgNetDec, seed: 4,
 			colors: 0x16cb72284dd8baa5, rounds: 1220, repairs: 0,
 			phases: "decomposition:31;ruling-set:328;layering:7;linial:1;layers[7]:121;layers[6]:121;layers[5]:121;layers[4]:121;layers[3]:121;layers[2]:121;layers[1]:121;brooks-B0-batch[0]:6;",
 		},
@@ -86,9 +85,6 @@ func TestColorDeterminismGoldens(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.slow && testing.Short() {
-				t.Skip("slow golden skipped in -short")
-			}
 			g := gen.MustRandomRegular(rand.New(rand.NewSource(tc.seed)), tc.n, tc.d)
 			res, err := deltacolor.Color(g, deltacolor.Options{Algorithm: tc.alg, Seed: tc.seed})
 			if err != nil {

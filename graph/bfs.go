@@ -66,9 +66,9 @@ func (g *G) Sphere(v, r int) []int {
 }
 
 // MultiSourceDist returns, for every node, the distance to the nearest
-// source (-1 if unreachable) and the ID of that nearest source (ties broken
-// by BFS order, then by smaller source ID because sources are enqueued in
-// the given order after sorting is the caller's concern).
+// source (-1 if unreachable) and the ID of that nearest source. Among the
+// sources at minimum distance, nearest[v] is the one listed first in
+// sources; duplicate sources are ignored.
 func (g *G) MultiSourceDist(sources []int) (dist, nearest []int) {
 	dist = make([]int, g.N())
 	nearest = make([]int, g.N())

@@ -191,6 +191,12 @@ func TestMultiSourceDist(t *testing.T) {
 	if dist[4] != 4 || nearest[4] != 0 {
 		t.Fatalf("dist[4]=%d nearest=%d", dist[4], nearest[4])
 	}
+	// Node 1 is one hop from both sources: the one listed first wins,
+	// whatever the IDs, and a repeated source changes nothing.
+	dist, nearest = path(3).MultiSourceDist([]int{2, 0, 2})
+	if dist[1] != 1 || nearest[1] != 2 {
+		t.Fatalf("path 0-1-2 from [2 0 2]: dist[1]=%d nearest=%d, want 1 and 2", dist[1], nearest[1])
+	}
 }
 
 func TestConnectedComponents(t *testing.T) {

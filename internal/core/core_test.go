@@ -127,46 +127,66 @@ func TestDetRulingSetProperties(t *testing.T) {
 	for _, k := range []int{2, 3, 5} {
 		for trial := 0; trial < 3; trial++ {
 			g := gen.MustRandomRegular(rng, 128, 4)
-			rs := DetRulingSetCompute(g, nil, k)
-			// Independence at distance k: any two members are >= k apart.
-			var members []int
-			for v := 0; v < g.N(); v++ {
-				if rs.InSet[v] {
-					members = append(members, v)
+			checkRulingSet(t, g, nil, k, DetRulingSetCompute(g, nil, k))
+		}
+	}
+}
+
+// TestDetRulingSetActiveSubset checks the (k, Beta) contract on G[active]
+// with distances measured in g: members are active and pairwise >= k
+// apart, and every active node is within Beta of the set.
+func TestDetRulingSetActiveSubset(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, fam := range []struct {
+		name string
+		g    *graph.G
+	}{
+		{"grid 6x6", gen.Grid(6, 6)},
+		{"rr4 n=128", gen.MustRandomRegular(rng, 128, 4)},
+		{"torus 15x15", gen.Torus(15, 15)},
+		{"path+torus", disjointUnion(gen.Path(30), gen.Torus(8, 8))},
+	} {
+		for _, k := range []int{2, 3, 5} {
+			for trial := 0; trial < 3; trial++ {
+				active := make([]bool, fam.g.N())
+				for v := range active {
+					active[v] = rng.Intn(3) == 0
 				}
-			}
-			if len(members) == 0 {
-				t.Fatalf("k=%d: empty ruling set", k)
-			}
-			for _, v := range members {
-				d, _ := g.MultiSourceDist([]int{v})
-				for _, u := range members {
-					if u != v && d[u] >= 0 && d[u] < k {
-						t.Fatalf("k=%d: members %d,%d at distance %d < k", k, v, u, d[u])
+				rs := DetRulingSetCompute(fam.g, active, k)
+				for v, in := range rs.InSet {
+					if in && !active[v] {
+						t.Fatalf("%s k=%d: inactive node %d in ruling set", fam.name, k, v)
 					}
 				}
-			}
-			// Domination: every node within Beta of the set.
-			d, _ := g.MultiSourceDist(members)
-			for v := 0; v < g.N(); v++ {
-				if d[v] < 0 || d[v] > rs.Beta {
-					t.Fatalf("k=%d: node %d at distance %d > beta=%d", k, v, d[v], rs.Beta)
-				}
+				checkRulingSet(t, fam.g, active, k, rs)
 			}
 		}
 	}
 }
 
-func TestDetRulingSetActiveSubset(t *testing.T) {
-	g := gen.Grid(6, 6)
-	active := make([]bool, g.N())
-	for v := 0; v < g.N(); v += 2 {
-		active[v] = true
+// checkRulingSet fails t unless rs's members are pairwise >= k apart in g
+// and every active node (every node when active is nil) is within
+// rs.Beta of them.
+func checkRulingSet(t *testing.T, g *graph.G, active []bool, k int, rs *DetRulingSet) {
+	t.Helper()
+	var members []int
+	for v, in := range rs.InSet {
+		if in {
+			members = append(members, v)
+		}
 	}
-	rs := DetRulingSetCompute(g, active, 3)
-	for v := 0; v < g.N(); v++ {
-		if rs.InSet[v] && !active[v] {
-			t.Fatalf("inactive node %d in ruling set", v)
+	for _, v := range members {
+		d, _ := g.MultiSourceDist([]int{v})
+		for _, u := range members {
+			if u != v && d[u] >= 0 && d[u] < k {
+				t.Fatalf("k=%d: members %d,%d at distance %d < k", k, v, u, d[u])
+			}
+		}
+	}
+	d, _ := g.MultiSourceDist(members)
+	for v := range d {
+		if (active == nil || active[v]) && (d[v] < 0 || d[v] > rs.Beta) {
+			t.Fatalf("k=%d: node %d at distance %d > beta=%d", k, v, d[v], rs.Beta)
 		}
 	}
 }

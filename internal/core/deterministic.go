@@ -20,8 +20,8 @@ var (
 	// ErrDegreeTooSmall: Δ <= 2 (paths/cycles need Ω(n) rounds even when
 	// 2-colorable; the theorems require Δ >= 3).
 	ErrDegreeTooSmall = errors.New("maximum degree must be at least 3")
-	// ErrDisconnected: algorithms expect each component to be nice; run
-	// per component.
+	// ErrNotNice: some component of the graph is a path, cycle or clique.
+	// Disconnected inputs are accepted when every component is nice.
 	ErrNotNice = errors.New("graph is a path, cycle or clique (not a nice graph)")
 )
 

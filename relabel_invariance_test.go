@@ -24,18 +24,14 @@ func TestRelabelInvarianceAcrossPipelines(t *testing.T) {
 		n, d int
 		alg  deltacolor.Algorithm
 		seed int64
-		slow bool
 	}{
 		{name: "rand", n: 256, d: 4, alg: deltacolor.AlgRandomized, seed: 1},
-		{name: "det", n: 128, d: 4, alg: deltacolor.AlgDeterministic, seed: 3, slow: true},
-		{name: "netdec", n: 128, d: 4, alg: deltacolor.AlgNetDec, seed: 4, slow: true},
+		{name: "det", n: 128, d: 4, alg: deltacolor.AlgDeterministic, seed: 3},
+		{name: "netdec", n: 128, d: 4, alg: deltacolor.AlgNetDec, seed: 4},
 		{name: "baseline", n: 256, d: 4, alg: deltacolor.AlgBaseline, seed: 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.slow && testing.Short() {
-				t.Skip("slow invariance case skipped in -short")
-			}
 			g := gen.MustRandomRegular(rand.New(rand.NewSource(tc.seed)), tc.n, tc.d)
 			run := func(relabel bool) *deltacolor.Result {
 				prev := local.RelabelEnabled()

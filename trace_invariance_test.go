@@ -22,19 +22,15 @@ func TestTracingDoesNotPerturbColorings(t *testing.T) {
 		n, d int
 		alg  deltacolor.Algorithm
 		seed int64
-		slow bool
 	}{
 		{name: "rand-n512-d4", n: 512, d: 4, alg: deltacolor.AlgRandomized, seed: 1},
 		{name: "rand-n512-d8", n: 512, d: 8, alg: deltacolor.AlgRandomized, seed: 2},
-		{name: "det-n256-d4", n: 256, d: 4, alg: deltacolor.AlgDeterministic, seed: 3, slow: true},
-		{name: "netdec-n256-d4", n: 256, d: 4, alg: deltacolor.AlgNetDec, seed: 4, slow: true},
+		{name: "det-n256-d4", n: 256, d: 4, alg: deltacolor.AlgDeterministic, seed: 3},
+		{name: "netdec-n256-d4", n: 256, d: 4, alg: deltacolor.AlgNetDec, seed: 4},
 		{name: "baseline-n256-d4", n: 256, d: 4, alg: deltacolor.AlgBaseline, seed: 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.slow && testing.Short() {
-				t.Skip("slow case skipped in -short")
-			}
 			g := gen.MustRandomRegular(rand.New(rand.NewSource(tc.seed)), tc.n, tc.d)
 			opts := deltacolor.Options{Algorithm: tc.alg, Seed: tc.seed}
 
