@@ -1,6 +1,6 @@
 package deltacolor_test
 
-// One benchmark per experiment runner of internal/exp. Each iteration
+// One sub-benchmark per entry of exp.Experiments. Each iteration
 // regenerates the experiment's full table (in quick mode so -bench
 // terminates in minutes); `go run ./cmd/benchsuite` produces the
 // full-scale tables. The benchmarks double as end-to-end smoke tests:
@@ -18,30 +18,17 @@ import (
 	"deltacolor/local"
 )
 
-func runExperiment(b *testing.B, f func(exp.Config) *exp.Table) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		t := f(exp.Config{Quick: true, Seed: int64(i + 1)})
-		if len(t.Rows) == 0 {
-			b.Fatalf("experiment %s produced no rows", t.ID)
-		}
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range exp.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if rep := e.Run(exp.Config{Quick: true, Seed: int64(i + 1)}); len(rep.Table.Rows) == 0 {
+					b.Fatalf("experiment %s produced no rows", e.ID)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkE1SmallDelta(b *testing.B)    { runExperiment(b, exp.E1SmallDelta) }
-func BenchmarkE2LargeDelta(b *testing.B)    { runExperiment(b, exp.E2LargeDelta) }
-func BenchmarkE3Deterministic(b *testing.B) { runExperiment(b, exp.E3Deterministic) }
-func BenchmarkE4Baseline(b *testing.B)      { runExperiment(b, exp.E4Baseline) }
-func BenchmarkE5Expansion(b *testing.B)     { runExperiment(b, exp.E5Expansion) }
-func BenchmarkE6Shattering(b *testing.B)    { runExperiment(b, exp.E6Shattering) }
-func BenchmarkE7Brooks(b *testing.B)        { runExperiment(b, exp.E7Brooks) }
-func BenchmarkE7Adversarial(b *testing.B)   { runExperiment(b, exp.E7Adversarial) }
-func BenchmarkE8NetworkDecomposition(b *testing.B) {
-	runExperiment(b, exp.E8NetDec)
-}
-func BenchmarkE9Structure(b *testing.B)   { runExperiment(b, exp.E9Structure) }
-func BenchmarkE10Ablations(b *testing.B)  { runExperiment(b, exp.E10Ablations) }
-func BenchmarkE13RepairTail(b *testing.B) { runExperiment(b, exp.E13RepairTail) }
 
 // Micro-benchmarks of the public API on a fixed workload, for profiling the
 // algorithms themselves rather than the experiment sweeps.
@@ -81,14 +68,6 @@ func BenchmarkColorBaselineN1024D4(b *testing.B) {
 func BenchmarkColorNetDecN1024D4(b *testing.B) {
 	benchColor(b, 1024, 4, deltacolor.AlgNetDec)
 }
-
-func BenchmarkE11Congest(b *testing.B) { runExperiment(b, exp.E11Congest) }
-
-func BenchmarkE12Runtime(b *testing.B) { runExperiment(b, exp.E12Runtime) }
-
-func BenchmarkE14Locality(b *testing.B) { runExperiment(b, exp.E14Locality) }
-
-func BenchmarkE16Churn(b *testing.B) { runExperiment(b, exp.E16Churn) }
 
 // Scheduler micro-benchmarks: network construction on a dense graph (the
 // linear-time reverse-port build) and a full dist primitive at scale (the

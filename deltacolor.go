@@ -115,37 +115,6 @@ type Result struct {
 	Span *local.Span
 }
 
-// Snapshot is the counters view a monitoring endpoint (the future colord
-// server) exposes for a traced sequence of runs: the engine's cumulative
-// counters plus the repair activity of the completed colorings folded in
-// with AddRun.
-type Snapshot struct {
-	Engine        local.Counters `json:"engine"`
-	Colorings     int64          `json:"colorings"`
-	RepairNodes   int64          `json:"repair_nodes"`
-	RepairBatches int64          `json:"repair_batches"`
-}
-
-// AddRun folds one completed coloring into the snapshot.
-func (s *Snapshot) AddRun(r *Result) {
-	s.Colorings++
-	s.RepairNodes += int64(r.Repairs)
-	s.RepairBatches += int64(r.RepairBatches)
-}
-
-// TakeSnapshot captures the tracer's counters (tr may be nil — engine
-// counters stay zero) plus the given results' repair activity.
-func TakeSnapshot(tr *local.Tracer, results ...*Result) Snapshot {
-	var s Snapshot
-	if tr != nil {
-		s.Engine = tr.Counters()
-	}
-	for _, r := range results {
-		s.AddRun(r)
-	}
-	return s
-}
-
 // Errors re-exported for matching with errors.Is.
 var (
 	ErrComplete       = core.ErrComplete

@@ -23,12 +23,9 @@ package exp
 // pass runs it under -strict.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"deltacolor"
@@ -76,10 +73,7 @@ type ChurnFaultRow struct {
 
 // ChurnReport is the full E16 output, serialized to BENCH_churn.json.
 type ChurnReport struct {
-	Schema       string             `json:"schema"`
-	GoMaxProcs   int                `json:"gomaxprocs"`
-	Quick        bool               `json:"quick"`
-	Seed         int64              `json:"seed"`
+	Header
 	MutationRows []ChurnMutationRow `json:"mutation_rows"`
 	FaultRows    []ChurnFaultRow    `json:"fault_rows"`
 }
@@ -160,12 +154,7 @@ func churnPlans(seed int64) []struct {
 // mutation streams, then the fault-recovery rows.
 func ChurnRecovery(cfg Config) *ChurnReport {
 	cfg.install()
-	rep := &ChurnReport{
-		Schema:     ChurnSchema,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Quick:      cfg.Quick,
-		Seed:       cfg.Seed,
-	}
+	rep := &ChurnReport{Header: cfg.docHeader(ChurnSchema)}
 
 	sizes := []int{10_000, 100_000}
 	faultN := 4096
@@ -245,7 +234,7 @@ func ChurnRecovery(cfg Config) *ChurnReport {
 	return rep
 }
 
-// Table renders the report in the E1–E15 table format.
+// Table renders the report as the E16 table.
 func (rep *ChurnReport) Table() *Table {
 	t := &Table{
 		ID:     "E16",
@@ -273,25 +262,6 @@ func (rep *ChurnReport) Table() *Table {
 		"ColorUnderFaults under bounded fault bursts — every run must heal to a verified coloring or return a typed "+
 		"ErrUnrecoverable; the gate requires at least one plan to heal.", rep.GoMaxProcs, rep.Quick)
 	return t
-}
-
-// WriteJSON serializes the report (BENCH_churn.json).
-func (rep *ChurnReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// ReadChurnReport parses a report previously written by WriteJSON.
-func ReadChurnReport(r io.Reader) (*ChurnReport, error) {
-	var rep ChurnReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("churn report: %w", err)
-	}
-	if rep.Schema != ChurnSchema {
-		return nil, fmt.Errorf("churn report: unknown schema %q", rep.Schema)
-	}
-	return &rep, nil
 }
 
 // ChurnGate checks the report's central claims: at the largest measured n
@@ -326,9 +296,4 @@ func ChurnGate(rep *ChurnReport) error {
 		return fmt.Errorf("churn gate: no fault plan healed to a verified coloring (%d rows)", len(rep.FaultRows))
 	}
 	return nil
-}
-
-// E16Churn adapts ChurnRecovery to the experiment-runner signature.
-func E16Churn(cfg Config) *Table {
-	return ChurnRecovery(cfg).Table()
 }

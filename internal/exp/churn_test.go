@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -13,33 +12,11 @@ func churnRow(n, incrRounds, fullRounds int, incrMs, fullMs float64) ChurnMutati
 		RoundsRatio: ratio(incrRounds, fullRounds), WallRatio: incrMs / fullMs}
 }
 
-func TestChurnReportRoundTrip(t *testing.T) {
-	rep := &ChurnReport{Schema: ChurnSchema, GoMaxProcs: 1, Quick: true, Seed: 5,
-		MutationRows: []ChurnMutationRow{churnRow(10000, 40, 300, 12, 800)},
-		FaultRows:    []ChurnFaultRow{{Plan: "drop-2%", N: 512, Rounds: 200, Verified: true}}}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadChurnReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.MutationRows) != 1 || len(got.FaultRows) != 1 || got.Seed != 5 ||
-		got.MutationRows[0].IncrRounds != 40 || !got.FaultRows[0].Verified {
-		t.Fatalf("round trip lost data: %+v", got)
-	}
-	bad := bytes.NewBufferString(`{"schema":"bogus/v9"}`)
-	if _, err := ReadChurnReport(bad); err == nil {
-		t.Fatal("unknown schema must be rejected")
-	}
-}
-
 func TestChurnGate(t *testing.T) {
 	healed := ChurnFaultRow{Plan: "drop-2%", N: 512, Verified: true}
 	dead := ChurnFaultRow{Plan: "crash-burst", N: 512, Unrecoverable: true}
 
-	ok := &ChurnReport{Schema: ChurnSchema,
+	ok := &ChurnReport{Header: Header{Schema: ChurnSchema},
 		MutationRows: []ChurnMutationRow{
 			churnRow(10000, 400, 300, 900, 800), // small n loses: not gated
 			churnRow(100000, 40, 300, 12, 2000),
@@ -49,28 +26,42 @@ func TestChurnGate(t *testing.T) {
 		t.Fatalf("incremental wins at largest n, got %v", err)
 	}
 
-	badRounds := &ChurnReport{Schema: ChurnSchema,
+	badRounds := &ChurnReport{Header: Header{Schema: ChurnSchema},
 		MutationRows: []ChurnMutationRow{churnRow(100000, 400, 300, 12, 2000)},
 		FaultRows:    []ChurnFaultRow{healed}}
 	if err := ChurnGate(badRounds); err == nil {
 		t.Fatal("incremental losing on rounds must fail the gate")
 	}
 
-	badWall := &ChurnReport{Schema: ChurnSchema,
+	badWall := &ChurnReport{Header: Header{Schema: ChurnSchema},
 		MutationRows: []ChurnMutationRow{churnRow(100000, 40, 300, 2500, 2000)},
 		FaultRows:    []ChurnFaultRow{healed}}
 	if err := ChurnGate(badWall); err == nil {
 		t.Fatal("incremental losing on wall time must fail the gate")
 	}
 
-	noHeal := &ChurnReport{Schema: ChurnSchema,
+	// The wins must be strict: equal rounds, or equal wall time, fail.
+	tieRounds := &ChurnReport{Header: Header{Schema: ChurnSchema},
+		MutationRows: []ChurnMutationRow{churnRow(100000, 300, 300, 12, 2000)},
+		FaultRows:    []ChurnFaultRow{healed}}
+	if err := ChurnGate(tieRounds); err == nil {
+		t.Fatal("incremental tying the full pipeline on rounds must fail the gate")
+	}
+	tieWall := &ChurnReport{Header: Header{Schema: ChurnSchema},
+		MutationRows: []ChurnMutationRow{churnRow(100000, 40, 300, 2000, 2000)},
+		FaultRows:    []ChurnFaultRow{healed}}
+	if err := ChurnGate(tieWall); err == nil {
+		t.Fatal("incremental tying the full pipeline on wall time must fail the gate")
+	}
+
+	noHeal := &ChurnReport{Header: Header{Schema: ChurnSchema},
 		MutationRows: []ChurnMutationRow{churnRow(100000, 40, 300, 12, 2000)},
 		FaultRows:    []ChurnFaultRow{dead}}
 	if err := ChurnGate(noHeal); err == nil {
 		t.Fatal("no healed fault row must fail the gate")
 	}
 
-	empty := &ChurnReport{Schema: ChurnSchema}
+	empty := &ChurnReport{Header: Header{Schema: ChurnSchema}}
 	if err := ChurnGate(empty); err == nil {
 		t.Fatal("empty report must fail, not pass vacuously")
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // Acceptance tests for the experiment claims themselves, in quick mode:
-// the *shapes* EXPERIMENTS.md reports must hold on every run, not just
-// the published one. Quick mode is noisier than the full suite, so only
+// the *shapes* the benchsuite tables report must hold on every run, not
+// just the published one. Quick mode is noisier than the full suite, so only
 // the robust invariants are asserted.
 
 func atoi(t *testing.T, s string) int {

@@ -1,31 +1,38 @@
 // Package exp is the experiment harness: one runner per experiment
 // (E1–E16: the paper's claims plus the runtime, repair-tail, locality,
-// tracer-overhead and churn additions), each producing a Table whose rows
-// cmd/benchsuite prints. bench_test.go wraps the same runners in
-// testing.B benchmarks so `go test -bench=.` regenerates every table.
+// tracer-overhead and churn additions), listed once in Experiments. Each
+// runner yields a Report whose table cmd/benchsuite prints; the measured
+// experiments (E12, E14–E16) add a JSON document and its gate.
+// bench_test.go runs the same list as testing.B benchmarks.
 package exp
 
 import (
 	"deltacolor/local"
 
 	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 )
 
-// Config scales the experiments. The zero value selects the full
-// EXPERIMENTS.md parameters; Quick shrinks every sweep to smoke-test size
-// (used by -short tests and the benchmark harness's inner loop). Strict
-// turns every late dead send — a message staged for a neighbor the sender
-// could already have known was halted (local.LateDeadSends) — into a
-// panic via local.SetStrictDeadSends, so dead-send protocol regressions
-// fail the harness — and CI — instead of surfacing in user runs.
+// Config scales the experiments. The zero value selects the full-scale
+// parameters; Quick shrinks every sweep to smoke-test size (used by -short
+// tests and the benchmark harness's inner loop). Strict turns every late
+// dead send — a message staged for a neighbor the sender could already
+// have known was halted (local.LateDeadSends) — into a panic via
+// local.SetStrictDeadSends, so dead-send protocol regressions fail the
+// harness — and CI — instead of surfacing in user runs; it also arms the
+// gates of E14–E16. Baseline and MultiWorkerBaseline, when set, arm E12's
+// delta gate (CompareRuntime) and multi-worker gate (CompareMultiWorker).
 type Config struct {
 	Quick  bool
 	Seed   int64
 	Strict bool
+
+	Baseline, MultiWorkerBaseline *RuntimeReport
 }
 
 // install applies the config's process-wide settings. Every experiment
@@ -33,6 +40,106 @@ type Config struct {
 // -only) still honors -strict.
 func (c Config) install() {
 	local.SetStrictDeadSends(c.Strict)
+}
+
+// Experiment is one entry of the suite.
+type Experiment struct {
+	ID  string
+	Run func(Config) Report
+}
+
+// Experiments lists every experiment once, in cmd/benchsuite's print
+// order: the table-only experiments, then the measured ones.
+var Experiments = []Experiment{
+	{"E1", tableOnly(E1SmallDelta)},
+	{"E2", tableOnly(E2LargeDelta)},
+	{"E3", tableOnly(E3Deterministic)},
+	{"E4", tableOnly(E4Baseline)},
+	{"E5", tableOnly(E5Expansion)},
+	{"E6", tableOnly(E6Shattering)},
+	{"E7", tableOnly(E7Brooks)},
+	{"E7B", tableOnly(E7Adversarial)},
+	{"E8", tableOnly(E8NetDec)},
+	{"E9", tableOnly(E9Structure)},
+	{"E10", tableOnly(E10Ablations)},
+	{"E11", tableOnly(E11Congest)},
+	{"E13", tableOnly(E13RepairTail)},
+	{"E12", runtimeExperiment},
+	{"E14", strictGated("locality", LocalityAblation, LocalityGate)},
+	{"E15", strictGated("overhead", TracerOverhead, OverheadGate)},
+	{"E16", strictGated("churn", ChurnRecovery, ChurnGate)},
+}
+
+func tableOnly(run func(Config) *Table) func(Config) Report {
+	return func(cfg Config) Report { return Report{Table: run(cfg)} }
+}
+
+// strictGated wraps a measured experiment whose gate -strict arms; name
+// is its document's BENCH_<name>.json stem.
+func strictGated[D Doc](name string, run func(Config) D, gate func(D) error) func(Config) Report {
+	return func(cfg Config) Report {
+		doc := run(cfg)
+		r := Report{Table: doc.Table(), Name: name, Doc: doc}
+		if cfg.Strict {
+			r.Gate = func() error { return gate(doc) }
+		}
+		return r
+	}
+}
+
+// Report is what one experiment run yields. The measured experiments
+// (E12, E14–E16) also carry their JSON document, which cmd/benchsuite
+// writes as BENCH_<Name>.json, and the gate the Config armed; Gate is nil
+// when nothing is armed.
+type Report struct {
+	Table *Table
+	Name  string
+	Doc   Doc
+	Gate  func() error
+}
+
+// Header is the head every BENCH_*.json document embeds. RefScore is the
+// host's reference-loop score (see ReferenceScore); only E12 measures it.
+type Header struct {
+	Schema     string  `json:"schema"`
+	GoMaxProcs int     `json:"gomaxprocs"`
+	Quick      bool    `json:"quick"`
+	Seed       int64   `json:"seed"`
+	RefScore   float64 `json:"ref_score,omitempty"`
+}
+
+func (h *Header) header() *Header { return h }
+
+// docHeader starts a document of the given schema for a run under c.
+func (c Config) docHeader(schema string) Header {
+	return Header{Schema: schema, GoMaxProcs: runtime.GOMAXPROCS(0), Quick: c.Quick, Seed: c.Seed}
+}
+
+// Doc is a measured experiment's JSON document: a pointer to a report
+// type that embeds Header and renders its table.
+type Doc interface {
+	header() *Header
+	Table() *Table
+}
+
+// WriteDoc serializes doc in the layout of the checked-in BENCH_*.json
+// files.
+func WriteDoc(w io.Writer, doc Doc) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
+}
+
+// ReadDoc decodes a document written by WriteDoc into doc, rejecting one
+// whose schema is not the given one.
+func ReadDoc(r io.Reader, schema string, doc Doc) error {
+	if err := json.NewDecoder(r).Decode(doc); err != nil {
+		return fmt.Errorf("%s report: %w", schema, err)
+	}
+	if got := doc.header().Schema; got != schema {
+		return fmt.Errorf("report schema %q, want %q", got, schema)
+	}
+	return nil
 }
 
 // Table is one experiment's output: a titled grid of rows plus free-form

@@ -3,21 +3,26 @@ package exp
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // TestAllExperimentsQuick smoke-runs every experiment in quick mode: no
-// panics, non-empty tables, markdown renders.
+// panics, non-empty tables, markdown renders, a document exactly for the
+// measured experiments, and no gate unless the config arms one.
 func TestAllExperimentsQuick(t *testing.T) {
-	tables := All(Config{Quick: true, Seed: 1})
-	if len(tables) != 12 {
-		t.Fatalf("got %d tables, want 12", len(tables))
+	if len(Experiments) != 17 {
+		t.Fatalf("got %d experiments, want 17", len(Experiments))
 	}
+	measured := map[string]string{"E12": "runtime", "E14": "locality", "E15": "overhead", "E16": "churn"}
 	seen := map[string]bool{}
-	for _, tb := range tables {
-		if tb.ID == "" || tb.Title == "" {
-			t.Fatalf("table missing ID/title: %+v", tb)
+	for _, e := range Experiments {
+		rep := e.Run(Config{Quick: true, Seed: 1})
+		tb := rep.Table
+		if !strings.EqualFold(tb.ID, e.ID) || tb.Title == "" { // E7B prints as E7b
+			t.Fatalf("experiment %s: table ID %q, title %q", e.ID, tb.ID, tb.Title)
 		}
 		if seen[tb.ID] {
 			t.Fatalf("duplicate table ID %s", tb.ID)
@@ -37,6 +42,80 @@ func TestAllExperimentsQuick(t *testing.T) {
 		if !strings.Contains(out, tb.ID) || !strings.Contains(out, "|") {
 			t.Fatalf("table %s markdown malformed:\n%s", tb.ID, out)
 		}
+		if rep.Name != measured[e.ID] || (rep.Doc != nil) != (rep.Name != "") {
+			t.Fatalf("experiment %s: name %q, doc %T", e.ID, rep.Name, rep.Doc)
+		}
+		if rep.Doc != nil && !rep.Doc.header().Quick {
+			t.Fatalf("experiment %s: quick run's document says quick=false", e.ID)
+		}
+		if rep.Gate != nil {
+			t.Fatalf("experiment %s: gate armed without -strict or a baseline", e.ID)
+		}
+	}
+}
+
+// TestStrictArmsGates: a strict-gated experiment carries its gate only
+// under -strict, and the gate checks the run's own document.
+func TestStrictArmsGates(t *testing.T) {
+	doc := &LocalityReport{Header: Header{Schema: LocalitySchema}}
+	var checked *LocalityReport
+	run := strictGated("locality", func(Config) *LocalityReport { return doc },
+		func(rep *LocalityReport) error { checked = rep; return nil })
+	if rep := run(Config{}); rep.Gate != nil || rep.Doc != Doc(doc) || rep.Name != "locality" {
+		t.Fatalf("without -strict: gate armed %v, doc %v, name %q", rep.Gate != nil, rep.Doc, rep.Name)
+	}
+	rep := run(Config{Strict: true})
+	if rep.Gate == nil {
+		t.Fatal("-strict did not arm the gate")
+	}
+	if err := rep.Gate(); err != nil || checked != doc {
+		t.Fatalf("gate = %v, checked %p, want %p", err, checked, doc)
+	}
+}
+
+// TestCheckedInReports reads every checked-in BENCH_*.json through the
+// shared reader, re-encodes it byte for byte, and runs its gate (E12's
+// delta gate against itself). The reader rejects each file under another
+// document's schema.
+func TestCheckedInReports(t *testing.T) {
+	rt, loc, ovh, churn := &RuntimeReport{}, &LocalityReport{}, &OverheadReport{}, &ChurnReport{}
+	cases := []struct {
+		file, schema string
+		doc          Doc
+		gate         func() error
+	}{
+		{"BENCH_runtime.json", RuntimeSchema, rt, func() error { return CompareRuntime(rt, rt) }},
+		{"BENCH_locality.json", LocalitySchema, loc, func() error { return LocalityGate(loc) }},
+		{"BENCH_overhead.json", OverheadSchema, ovh, func() error { return OverheadGate(ovh) }},
+		{"BENCH_churn.json", ChurnSchema, churn, func() error { return ChurnGate(churn) }},
+	}
+	for i, tc := range cases {
+		t.Run(tc.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("..", "..", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ReadDoc(bytes.NewReader(data), tc.schema, tc.doc); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := WriteDoc(&buf, tc.doc); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), data) {
+				t.Fatalf("%s does not round-trip byte for byte", tc.file)
+			}
+			if err := tc.gate(); err != nil {
+				t.Fatalf("gate: %v", err)
+			}
+			other := cases[(i+1)%len(cases)]
+			if err := ReadDoc(bytes.NewReader(data), other.schema, &RuntimeReport{}); err == nil {
+				t.Fatalf("%s read as %s without error", tc.file, other.schema)
+			}
+		})
+	}
+	if err := ReadDoc(strings.NewReader(`{"schema":"bogus/v9"}`), RuntimeSchema, &RuntimeReport{}); err == nil {
+		t.Fatal("unknown schema must be rejected")
 	}
 }
 

@@ -13,15 +13,10 @@ package exp
 // the ablation on rr4 at the largest measured scale.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"runtime"
 	"time"
 
-	"deltacolor/graph"
-	"deltacolor/graph/gen"
 	"deltacolor/local"
 )
 
@@ -44,25 +39,8 @@ type LocalityRow struct {
 
 // LocalityReport is the full E14 output, serialized to BENCH_locality.json.
 type LocalityReport struct {
-	Schema     string        `json:"schema"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Quick      bool          `json:"quick"`
-	Seed       int64         `json:"seed"`
-	Rows       []LocalityRow `json:"rows"`
-}
-
-// localityCase builds one E14 graph instance. The rr4 labels are random
-// by construction; path and grid are generated with sequential/row-major
-// labels, so they measure the relabeling pass's overhead on inputs that
-// are already local. A grid case rounds n to the nearest square.
-func localityCase(family string, n int, seed int64) *graph.G {
-	switch family {
-	case "grid":
-		side := int(math.Round(math.Sqrt(float64(n))))
-		return gen.Grid(side, side)
-	default:
-		return runtimeCase(family, n, seed)
-	}
+	Header
+	Rows []LocalityRow `json:"rows"`
 }
 
 // LocalityAblation measures heartbeat throughput with relabeling off and
@@ -72,12 +50,7 @@ func LocalityAblation(cfg Config) *LocalityReport {
 	cfg.install()
 	prev := local.RelabelEnabled()
 	defer local.SetRelabel(prev)
-	rep := &LocalityReport{
-		Schema:     LocalitySchema,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Quick:      cfg.Quick,
-		Seed:       cfg.Seed,
-	}
+	rep := &LocalityReport{Header: cfg.docHeader(LocalitySchema)}
 	type c struct {
 		family string
 		n      int
@@ -92,11 +65,13 @@ func LocalityAblation(cfg Config) *LocalityReport {
 		rounds = 8
 		sizes = []int{10_000, 100_000}
 	}
+	// path and grid are labeled near-sequentially already, so they measure
+	// the relabeling pass's overhead on inputs that are already local.
 	for _, n := range sizes {
 		cases = append(cases, c{"path", n}, c{"rr4", n}, c{"grid", n})
 	}
 	for _, tc := range cases {
-		g := localityCase(tc.family, tc.n, cfg.Seed)
+		g := runtimeCase(tc.family, tc.n, cfg.Seed)
 		for _, rl := range []bool{false, true} {
 			local.SetRelabel(rl)
 			t0 := time.Now()
@@ -106,7 +81,7 @@ func LocalityAblation(cfg Config) *LocalityReport {
 
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			local.RunStepped(net, heartbeat(rounds))
+			runRuntimeWorkload(tc.family, net, rounds)
 			runtime.ReadMemStats(&after)
 
 			st := net.LastRunStats()
@@ -130,8 +105,8 @@ func LocalityAblation(cfg Config) *LocalityReport {
 	return rep
 }
 
-// Table renders the report in the E1–E13 table format, pairing each
-// relabel-on row with its ablation to show the speedup.
+// Table renders the report as the E14 table, pairing each relabel-on row
+// with its ablation to show the speedup.
 func (rep *LocalityReport) Table() *Table {
 	t := &Table{
 		ID:     "E14",
@@ -159,25 +134,6 @@ func (rep *LocalityReport) Table() *Table {
 		"labels are random (every delivery a cold line without relabeling), path/grid are already near-sequential "+
 		"and bound the pass's overhead.", rep.GoMaxProcs, rep.Quick)
 	return t
-}
-
-// WriteJSON serializes the report (BENCH_locality.json).
-func (rep *LocalityReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// ReadLocalityReport parses a report previously written by WriteJSON.
-func ReadLocalityReport(r io.Reader) (*LocalityReport, error) {
-	var rep LocalityReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("locality report: %w", err)
-	}
-	if rep.Schema != LocalitySchema {
-		return nil, fmt.Errorf("locality report: unknown schema %q", rep.Schema)
-	}
-	return &rep, nil
 }
 
 // localityGateTolerance absorbs run-to-run noise in the gate: at quick
@@ -216,9 +172,4 @@ func LocalityGate(rep *LocalityReport) error {
 			on.N, on.RoundsPerSec, off.RoundsPerSec, floor, localityGateTolerance*100)
 	}
 	return nil
-}
-
-// E14Locality adapts LocalityAblation to the experiment-runner signature.
-func E14Locality(cfg Config) *Table {
-	return LocalityAblation(cfg).Table()
 }

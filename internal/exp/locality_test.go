@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"testing"
 
 	"deltacolor/local"
@@ -12,7 +11,7 @@ func localityRow(family string, n int, relabel bool, rps float64) LocalityRow {
 }
 
 func TestLocalityGate(t *testing.T) {
-	ok := &LocalityReport{Schema: LocalitySchema, Rows: []LocalityRow{
+	ok := &LocalityReport{Header: Header{Schema: LocalitySchema}, Rows: []LocalityRow{
 		localityRow("rr4", 1000, false, 50), // smaller n is not gated
 		localityRow("rr4", 1000, true, 10),
 		localityRow("rr4", 10000, false, 40),
@@ -24,7 +23,7 @@ func TestLocalityGate(t *testing.T) {
 		t.Fatalf("within tolerance, got %v", err)
 	}
 
-	bad := &LocalityReport{Schema: LocalitySchema, Rows: []LocalityRow{
+	bad := &LocalityReport{Header: Header{Schema: LocalitySchema}, Rows: []LocalityRow{
 		localityRow("rr4", 10000, false, 40),
 		localityRow("rr4", 10000, true, 20), // -50%: relabeling lost badly
 	}}
@@ -32,7 +31,21 @@ func TestLocalityGate(t *testing.T) {
 		t.Fatal("relabel-on regression must fail the gate")
 	}
 
-	vacuous := &LocalityReport{Schema: LocalitySchema, Rows: []LocalityRow{
+	// The tolerance is 10%: the floor under relabel-off's 100 is 90.
+	for _, tc := range []struct {
+		on   float64
+		pass bool
+	}{{90.01, true}, {89.99, false}} {
+		rep := &LocalityReport{Header: Header{Schema: LocalitySchema}, Rows: []LocalityRow{
+			localityRow("rr4", 10000, false, 100),
+			localityRow("rr4", 10000, true, tc.on),
+		}}
+		if err := LocalityGate(rep); (err == nil) != tc.pass {
+			t.Fatalf("relabel-on %v vs off 100: gate error %v, want pass=%v", tc.on, err, tc.pass)
+		}
+	}
+
+	vacuous := &LocalityReport{Header: Header{Schema: LocalitySchema}, Rows: []LocalityRow{
 		localityRow("path", 10000, false, 40),
 		localityRow("path", 10000, true, 40),
 	}}
@@ -40,33 +53,12 @@ func TestLocalityGate(t *testing.T) {
 		t.Fatal("a report without an rr4 pair must fail, not pass vacuously")
 	}
 
-	unpaired := &LocalityReport{Schema: LocalitySchema, Rows: []LocalityRow{
+	unpaired := &LocalityReport{Header: Header{Schema: LocalitySchema}, Rows: []LocalityRow{
 		localityRow("rr4", 10000, true, 40),
 		localityRow("rr4", 1000, false, 400),
 	}}
 	if err := LocalityGate(unpaired); err == nil {
 		t.Fatal("rr4 rows at different n are not a pair; the gate must fail")
-	}
-}
-
-func TestLocalityReportRoundTrip(t *testing.T) {
-	rep := &LocalityReport{Schema: LocalitySchema, GoMaxProcs: 1, Rows: []LocalityRow{
-		localityRow("rr4", 1000, true, 123),
-	}}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadLocalityReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != 1 || got.Rows[0].RoundsPerSec != 123 || !got.Rows[0].Relabel {
-		t.Fatalf("round trip lost data: %+v", got)
-	}
-	bad := bytes.NewBufferString(`{"schema":"bogus/v9"}`)
-	if _, err := ReadLocalityReport(bad); err == nil {
-		t.Fatal("unknown schema must be rejected")
 	}
 }
 

@@ -11,12 +11,11 @@ package exp
 // every family at the largest measured n.
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"runtime"
+	"maps"
+	"slices"
 
-	"deltacolor/graph"
 	"deltacolor/local"
 )
 
@@ -39,11 +38,8 @@ type OverheadRow struct {
 
 // OverheadReport is the full E15 output, serialized to BENCH_overhead.json.
 type OverheadReport struct {
-	Schema     string        `json:"schema"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Quick      bool          `json:"quick"`
-	Seed       int64         `json:"seed"`
-	Rows       []OverheadRow `json:"rows"`
+	Header
+	Rows []OverheadRow `json:"rows"`
 }
 
 // overheadReps is the measurement repetition count per (case, level).
@@ -69,12 +65,7 @@ var overheadLevels = []struct {
 // is untouched.
 func TracerOverhead(cfg Config) *OverheadReport {
 	cfg.install()
-	rep := &OverheadReport{
-		Schema:     OverheadSchema,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Quick:      cfg.Quick,
-		Seed:       cfg.Seed,
-	}
+	rep := &OverheadReport{Header: cfg.docHeader(OverheadSchema)}
 	type c struct {
 		family string
 		n      int
@@ -103,25 +94,13 @@ func TracerOverhead(cfg Config) *OverheadReport {
 		cases = append(cases, c{"rr4-gather", n})
 	}
 	for _, tc := range cases {
-		var g *graph.G
-		if tc.family == "rr4-gather" {
-			g = runtimeCase(tc.family, tc.n, cfg.Seed)
-		} else {
-			g = localityCase(tc.family, tc.n, cfg.Seed)
-		}
-		workload := func(net *local.Network) {
-			if tc.family == "rr4-gather" {
-				local.GatherStepped(net, runtimeGatherRadius)
-			} else {
-				local.RunStepped(net, heartbeat(rounds))
-			}
-		}
+		g := runtimeCase(tc.family, tc.n, cfg.Seed)
 		net := local.NewNetwork(g, cfg.Seed)
 		net.SetWorkers(1)
 		// Warm-up run: the first run on a fresh network pays cold page
 		// faults and branch-predictor training that would all be billed to
 		// whichever level happens to run first.
-		workload(net)
+		runRuntimeWorkload(tc.family, net, rounds)
 		tracers := make([]*local.Tracer, len(overheadLevels))
 		best := make([]float64, len(overheadLevels))
 		var st local.RunStats
@@ -133,7 +112,7 @@ func TracerOverhead(cfg Config) *OverheadReport {
 		for r := 0; r < overheadReps; r++ {
 			for li := range overheadLevels {
 				net.SetTracer(tracers[li])
-				workload(net)
+				runRuntimeWorkload(tc.family, net, rounds)
 				if s := net.LastRunStats(); s.RoundsPerSec > best[li] {
 					best[li] = s.RoundsPerSec
 					st = s
@@ -159,7 +138,7 @@ func TracerOverhead(cfg Config) *OverheadReport {
 	return rep
 }
 
-// Table renders the report in the E1–E14 table format.
+// Table renders the report as the E15 table.
 func (rep *OverheadReport) Table() *Table {
 	t := &Table{
 		ID:     "E15",
@@ -180,34 +159,15 @@ func (rep *OverheadReport) Table() *Table {
 	return t
 }
 
-// WriteJSON serializes the report (BENCH_overhead.json).
-func (rep *OverheadReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// ReadOverheadReport parses a report previously written by WriteJSON.
-func ReadOverheadReport(r io.Reader) (*OverheadReport, error) {
-	var rep OverheadReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("overhead report: %w", err)
-	}
-	if rep.Schema != OverheadSchema {
-		return nil, fmt.Errorf("overhead report: unknown schema %q", rep.Schema)
-	}
-	return &rep, nil
-}
-
 // overheadGateTolerance is the tentpole's tracing budget: full tracing
 // may cost at most this fraction of untraced throughput.
 const overheadGateTolerance = 0.10
 
 // OverheadGate checks the tracing budget: for every family, at the
 // largest measured n, the full-trace row's throughput must be within
-// overheadGateTolerance of the off row's. It returns an error describing
-// the first budget violation, or when the report carries no off/full pair
-// at all — a vacuous gate would defeat the CI step.
+// overheadGateTolerance of the off row's. It returns an error naming
+// every family over budget in sorted order, or one when the report carries
+// no off/full pair at all — a vacuous gate would defeat the CI step.
 func OverheadGate(rep *OverheadReport) error {
 	type pair struct{ off, full *OverheadRow }
 	largest := map[string]*pair{}
@@ -230,24 +190,21 @@ func OverheadGate(rep *OverheadReport) error {
 		}
 	}
 	checked := 0
-	for family, p := range largest {
+	var errs []error
+	for _, family := range slices.Sorted(maps.Keys(largest)) {
+		p := largest[family]
 		if p.off == nil || p.full == nil || p.off.N != p.full.N {
 			continue
 		}
 		checked++
 		floor := p.off.RoundsPerSec * (1 - overheadGateTolerance)
 		if p.full.RoundsPerSec < floor {
-			return fmt.Errorf("tracer overhead gate: %s n=%d full tracing %.2f rounds/s vs off %.2f (floor %.2f at -%.0f%%)",
-				family, p.full.N, p.full.RoundsPerSec, p.off.RoundsPerSec, floor, overheadGateTolerance*100)
+			errs = append(errs, fmt.Errorf("tracer overhead gate: %s n=%d full tracing %.2f rounds/s vs off %.2f (floor %.2f at -%.0f%%)",
+				family, p.full.N, p.full.RoundsPerSec, p.off.RoundsPerSec, floor, overheadGateTolerance*100))
 		}
 	}
 	if checked == 0 {
 		return fmt.Errorf("tracer overhead gate: report has no off/full pair at a common n")
 	}
-	return nil
-}
-
-// E15Overhead adapts TracerOverhead to the experiment-runner signature.
-func E15Overhead(cfg Config) *Table {
-	return TracerOverhead(cfg).Table()
+	return errors.Join(errs...)
 }

@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -10,31 +10,8 @@ func overheadRow(family string, n int, level string, rps, over float64) Overhead
 		RoundsPerSec: rps, Overhead: over}
 }
 
-func TestOverheadReportRoundTrip(t *testing.T) {
-	rep := &OverheadReport{Schema: OverheadSchema, GoMaxProcs: 1, Quick: true, Seed: 7,
-		Rows: []OverheadRow{
-			overheadRow("path", 10000, "off", 100, 0),
-			overheadRow("path", 10000, "full", 95, 0.05),
-		}}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadOverheadReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != 2 || got.Rows[1].Overhead != 0.05 || got.Seed != 7 {
-		t.Fatalf("round trip lost data: %+v", got)
-	}
-	bad := bytes.NewBufferString(`{"schema":"bogus/v9"}`)
-	if _, err := ReadOverheadReport(bad); err == nil {
-		t.Fatal("unknown schema must be rejected")
-	}
-}
-
 func TestOverheadGate(t *testing.T) {
-	ok := &OverheadReport{Schema: OverheadSchema, Rows: []OverheadRow{
+	ok := &OverheadReport{Header: Header{Schema: OverheadSchema}, Rows: []OverheadRow{
 		overheadRow("path", 10000, "off", 100, 0),
 		overheadRow("path", 10000, "full", 50, 0.50), // small n: not gated
 		overheadRow("path", 100000, "off", 80, 0),
@@ -47,7 +24,7 @@ func TestOverheadGate(t *testing.T) {
 		t.Fatalf("within the 10%% budget at largest n, got %v", err)
 	}
 
-	bad := &OverheadReport{Schema: OverheadSchema, Rows: []OverheadRow{
+	bad := &OverheadReport{Header: Header{Schema: OverheadSchema}, Rows: []OverheadRow{
 		overheadRow("path", 100000, "off", 80, 0),
 		overheadRow("path", 100000, "full", 70, 0.125), // -12.5%
 	}}
@@ -55,7 +32,43 @@ func TestOverheadGate(t *testing.T) {
 		t.Fatal("12.5% overhead at largest n must fail the gate")
 	}
 
-	vacuous := &OverheadReport{Schema: OverheadSchema, Rows: []OverheadRow{
+	// The budget is 10%: the floor under off's 100 is 90.
+	for _, tc := range []struct {
+		full float64
+		pass bool
+	}{{90.01, true}, {89.99, false}} {
+		rep := &OverheadReport{Header: Header{Schema: OverheadSchema}, Rows: []OverheadRow{
+			overheadRow("rr4", 100000, "off", 100, 0),
+			overheadRow("rr4", 100000, "full", tc.full, 1-tc.full/100),
+		}}
+		if err := OverheadGate(rep); (err == nil) != tc.pass {
+			t.Fatalf("full %v vs off 100: gate error %v, want pass=%v", tc.full, err, tc.pass)
+		}
+	}
+
+	// Two families over budget: the error names both, in sorted order,
+	// and the text does not depend on map iteration order.
+	both := &OverheadReport{Header: Header{Schema: OverheadSchema}, Rows: []OverheadRow{
+		overheadRow("rr4", 100000, "off", 100, 0),
+		overheadRow("rr4", 100000, "full", 50, 0.5),
+		overheadRow("path", 100000, "off", 100, 0),
+		overheadRow("path", 100000, "full", 50, 0.5),
+	}}
+	first := OverheadGate(both)
+	if first == nil {
+		t.Fatal("two families over budget must fail")
+	}
+	msg := first.Error()
+	if p, r := strings.Index(msg, "path"), strings.Index(msg, "rr4"); p < 0 || r < 0 || p > r {
+		t.Fatalf("error must name path then rr4:\n%s", msg)
+	}
+	for i := 0; i < 200; i++ {
+		if got := OverheadGate(both).Error(); got != msg {
+			t.Fatalf("call %d returned different text:\n%s\nvs\n%s", i, got, msg)
+		}
+	}
+
+	vacuous := &OverheadReport{Header: Header{Schema: OverheadSchema}, Rows: []OverheadRow{
 		overheadRow("path", 100000, "off", 80, 0),
 		overheadRow("path", 10000, "full", 70, 0), // no common largest n
 	}}

@@ -11,11 +11,13 @@ package exp
 // CompareRuntime turns a pair of reports into a CI regression gate.
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
+	"maps"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"time"
 
 	"deltacolor/graph"
@@ -23,26 +25,18 @@ import (
 	"deltacolor/local"
 )
 
-// RuntimeSchema identifies the BENCH_runtime.json layout. v2 added the
-// explicit workers column (rounds/s is always measured single-worker for
-// machine comparability) and the GOMAXPROCS-sweep columns; v3 added the
-// reference-loop score that makes the CI delta gate machine-independent
-// (see ReferenceScore); v4 adds the gather workload family, the per-row
-// max message size (from an untimed instrumented re-run), the
-// ns/node-round normalization, and always populates the sweep columns (on
-// a single-CPU host the sweep runs two workers on the one CPU, measuring
-// coordination overhead instead of speedup). v4 reports written before the
-// tiled delivery kernel and the blocking gather were deleted also carry
-// rr4-tiled and rr4-gather-blocking rows; no current run produces them,
-// so CompareRuntime never gates on them.
+// RuntimeSchema identifies the BENCH_runtime.json layout: single-worker
+// rounds/s (machine-comparable), the reference-loop score that makes the
+// CI delta gate machine-independent (see ReferenceScore), the gather
+// workload family, the per-row max message size (from an untimed
+// instrumented re-run), the ns/node-round normalization, and an
+// always-populated GOMAXPROCS sweep (on a single-CPU host the sweep runs
+// two workers on the one CPU, measuring coordination overhead instead of
+// speedup). Reports written before the tiled delivery kernel and the
+// blocking gather were deleted also carry rr4-tiled and
+// rr4-gather-blocking rows; no current run produces them, so
+// CompareRuntime never gates on them.
 const RuntimeSchema = "deltacolor/bench-runtime/v4"
-
-// Older layouts accepted as comparison baselines (PR 2–8 reports).
-const (
-	runtimeSchemaV1 = "deltacolor/bench-runtime/v1"
-	runtimeSchemaV2 = "deltacolor/bench-runtime/v2"
-	runtimeSchemaV3 = "deltacolor/bench-runtime/v3"
-)
 
 // RuntimeRow is one (family, n) measurement.
 type RuntimeRow struct {
@@ -77,18 +71,11 @@ type RuntimeRow struct {
 }
 
 // RuntimeReport is the full E12 output, serialized to BENCH_runtime.json.
+// Its header's RefScore is measured alongside the rows, so CompareRuntime
+// gates on rounds/s ÷ RefScore, a machine-independent ratio.
 type RuntimeReport struct {
-	Schema     string `json:"schema"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Quick      bool   `json:"quick"`
-	Seed       int64  `json:"seed"`
-	// RefScore is the host's reference-loop score (iterations/s of the
-	// fixed loop in ReferenceScore), measured alongside the rows. When both
-	// sides of a comparison carry one, CompareRuntime gates on
-	// rounds/s ÷ RefScore — a machine-independent ratio — instead of raw
-	// rounds/s. Zero in pre-v3 reports.
-	RefScore float64      `json:"ref_score,omitempty"`
-	Rows     []RuntimeRow `json:"rows"`
+	Header
+	Rows []RuntimeRow `json:"rows"`
 }
 
 // refLoopWords sizes the reference loop's walk array: 16 MiB of int32,
@@ -167,15 +154,20 @@ type heartbeatState struct {
 	round int
 }
 
-// runtimeCase builds one graph family instance. The gather family reuses
-// the rr4 expander — the graph with no exploitable label order, where
-// delivery locality and payload shape dominate.
+// runtimeCase builds one graph family instance for E12, E14 and E15. The
+// gather family reuses the rr4 expander — the graph with no exploitable
+// label order, where delivery locality and payload shape dominate. The
+// rr4 labels are random by construction; path and grid are generated with
+// sequential/row-major labels. A grid case rounds n to the nearest square.
 func runtimeCase(family string, n int, seed int64) *graph.G {
 	switch family {
 	case "path":
 		return gen.Path(n)
 	case "rr4", "rr4-gather":
 		return gen.MustRandomRegular(rand.New(rand.NewSource(seed)), n, 4)
+	case "grid":
+		side := int(math.Round(math.Sqrt(float64(n))))
+		return gen.Grid(side, side)
 	case "clique":
 		return gen.Complete(n)
 	default:
@@ -216,13 +208,8 @@ func runRuntimeWorkload(family string, net *local.Network, rounds int) {
 // edges), so it scales n where the others scale edges.
 func RuntimeThroughput(cfg Config) *RuntimeReport {
 	cfg.install()
-	rep := &RuntimeReport{
-		Schema:     RuntimeSchema,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Quick:      cfg.Quick,
-		Seed:       cfg.Seed,
-		RefScore:   ReferenceScore(),
-	}
+	rep := &RuntimeReport{Header: cfg.docHeader(RuntimeSchema)}
+	rep.RefScore = ReferenceScore()
 	type c struct {
 		family string
 		n      int
@@ -319,7 +306,26 @@ func RuntimeThroughput(cfg Config) *RuntimeReport {
 	return rep
 }
 
-// Table renders the report in the E1–E11 table format.
+// runtimeExperiment runs E12; a baseline in cfg arms its gate.
+func runtimeExperiment(cfg Config) Report {
+	rep := RuntimeThroughput(cfg)
+	r := Report{Table: rep.Table(), Name: "runtime", Doc: rep}
+	if cfg.Baseline != nil || cfg.MultiWorkerBaseline != nil {
+		r.Gate = func() error {
+			var errs []error
+			if cfg.Baseline != nil {
+				errs = append(errs, CompareRuntime(rep, cfg.Baseline))
+			}
+			if cfg.MultiWorkerBaseline != nil {
+				errs = append(errs, CompareMultiWorker(rep, cfg.MultiWorkerBaseline))
+			}
+			return errors.Join(errs...)
+		}
+	}
+	return r
+}
+
+// Table renders the report as the E12 table.
 func (rep *RuntimeReport) Table() *Table {
 	t := &Table{
 		ID:     "E12",
@@ -351,40 +357,23 @@ func (rep *RuntimeReport) sweepWorkers() int {
 	return runtime.NumCPU()
 }
 
-// WriteJSON serializes the report (BENCH_runtime.json).
-func (rep *RuntimeReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// ReadRuntimeReport parses a report previously written by WriteJSON. Both
-// the current schema and the PR 2 v1 layout are accepted (v1 rows carry no
-// workers column; their rounds/s was measured at GOMAXPROCS=1, so they
-// compare directly against the v2 single-worker measurement).
-func ReadRuntimeReport(r io.Reader) (*RuntimeReport, error) {
-	var rep RuntimeReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("runtime report: %w", err)
-	}
-	if rep.Schema != RuntimeSchema && rep.Schema != runtimeSchemaV1 && rep.Schema != runtimeSchemaV2 && rep.Schema != runtimeSchemaV3 {
-		return nil, fmt.Errorf("runtime report: unknown schema %q", rep.Schema)
-	}
-	return &rep, nil
-}
+// runtimeDeltaTolerance is the CI delta gate's bound: single-worker
+// rounds-per-ref may fall at most this fraction below the baseline.
+const runtimeDeltaTolerance = 0.30
 
 // CompareRuntime checks cur against a baseline report: for every family
-// present in both, at the largest common n, single-worker rounds/s must
-// not fall more than maxRegress (a fraction, e.g. 0.30) below the
-// baseline. When both reports carry a reference-loop score the comparison
-// is on the machine-independent ratio rounds/s ÷ RefScore, so a baseline
-// recorded on a fast workstation gates correctly on a slow CI runner (and
-// vice versa); pre-v3 baselines without a score fall back to absolute
-// rounds/s. It returns an error describing the first regression, or when
-// the reports share no rows at all — a silently vacuous gate would defeat
-// the point of the CI step.
-func CompareRuntime(cur, base *RuntimeReport, maxRegress float64) error {
-	normalized := cur.RefScore > 0 && base.RefScore > 0
+// present in both, at the largest common n, single-worker rounds/s ÷
+// RefScore must not fall more than runtimeDeltaTolerance below the
+// baseline's. The ratio is machine-independent, so a baseline recorded on
+// a fast workstation gates correctly on a slow CI runner (and vice
+// versa); a report without a reference score is rejected. It returns an
+// error naming every regressed family in sorted order, or one when the
+// reports share no rows at all — a silently vacuous gate would defeat the
+// point of the CI step.
+func CompareRuntime(cur, base *RuntimeReport) error {
+	if cur.RefScore <= 0 || base.RefScore <= 0 {
+		return fmt.Errorf("benchmark delta: both reports need a ref_score (current %g, baseline %g)", cur.RefScore, base.RefScore)
+	}
 	type key struct {
 		family string
 		n      int
@@ -405,35 +394,36 @@ func CompareRuntime(cur, base *RuntimeReport, maxRegress float64) error {
 	if len(largest) == 0 {
 		return fmt.Errorf("benchmark delta: no (family, n) rows in common between current and baseline reports")
 	}
-	for family, r := range largest {
-		b := baseRows[key{family, r.N}]
-		curScore, baseScore, unit := r.RoundsPerSec, b.RoundsPerSec, "rounds/s"
-		if normalized {
-			curScore /= cur.RefScore
-			baseScore /= base.RefScore
-			unit = "rounds-per-ref (rounds/s ÷ reference-loop score)"
-		}
-		floor := baseScore * (1 - maxRegress)
+	var errs []error
+	for _, family := range slices.Sorted(maps.Keys(largest)) {
+		r := largest[family]
+		curScore := r.RoundsPerSec / cur.RefScore
+		baseScore := baseRows[key{family, r.N}].RoundsPerSec / base.RefScore
+		floor := baseScore * (1 - runtimeDeltaTolerance)
 		if curScore < floor {
-			return fmt.Errorf("benchmark delta: %s n=%d regressed: %.4g %s vs baseline %.4g (floor %.4g at -%.0f%%)",
-				family, r.N, curScore, unit, baseScore, floor, maxRegress*100)
+			errs = append(errs, fmt.Errorf("benchmark delta: %s n=%d regressed: %.4g rounds-per-ref (rounds/s ÷ reference-loop score) vs baseline %.4g (floor %.4g at -%.0f%%)",
+				family, r.N, curScore, baseScore, floor, runtimeDeltaTolerance*100))
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
+
+// multiWorkerMargin is the multi-worker gate's noise margin: quick-scale
+// CI runs are noisy and a 10k-node round is a ~2ms window, so it is
+// generous.
+const multiWorkerMargin = 0.25
 
 // CompareMultiWorker is the scheduler's parallel-speedup gate: on the
 // rr4 family — the expander whose scattered delivery is exactly where a
 // worker pool should help — the multi-worker sweep of cur must not be
 // slower than base's single-worker measurement at the largest common n,
-// up to margin (a fraction; quick-scale CI runs are noisy and a 10k-node
-// round is a ~2ms window, so the margin is generous). cur and base are
-// expected to come from the same machine in the same CI job (GOMAXPROCS=4
-// and =1 runs respectively), so the comparison is on raw rounds/s, not
-// the reference-normalized ratio. It returns an error describing the
-// regression, or when no common rr4 row with a populated sweep exists —
-// a vacuous gate would defeat the CI step.
-func CompareMultiWorker(cur, base *RuntimeReport, margin float64) error {
+// up to multiWorkerMargin. cur and base are expected to come from the
+// same machine in the same CI job (GOMAXPROCS=4 and =1 runs
+// respectively), so the comparison is on raw rounds/s, not the
+// reference-normalized ratio. It returns an error describing the
+// regression, or when no common rr4 row with a populated sweep exists — a
+// vacuous gate would defeat the CI step.
+func CompareMultiWorker(cur, base *RuntimeReport) error {
 	baseRows := map[int]RuntimeRow{}
 	for _, r := range base.Rows {
 		if r.Family == "rr4" {
@@ -457,15 +447,10 @@ func CompareMultiWorker(cur, base *RuntimeReport, margin float64) error {
 		return fmt.Errorf("multi-worker gate: no common rr4 row with a populated sweep between current and baseline reports")
 	}
 	b := baseRows[pick.N]
-	floor := b.RoundsPerSec * (1 - margin)
+	floor := b.RoundsPerSec * (1 - multiWorkerMargin)
 	if pick.RoundsPerSecMP < floor {
 		return fmt.Errorf("multi-worker gate: rr4 n=%d with %d workers %.2f rounds/s vs single-worker baseline %.2f (floor %.2f at -%.0f%%)",
-			pick.N, pick.WorkersMP, pick.RoundsPerSecMP, b.RoundsPerSec, floor, margin*100)
+			pick.N, pick.WorkersMP, pick.RoundsPerSecMP, b.RoundsPerSec, floor, multiWorkerMargin*100)
 	}
 	return nil
-}
-
-// E12Runtime adapts RuntimeThroughput to the experiment-runner signature.
-func E12Runtime(cfg Config) *Table {
-	return RuntimeThroughput(cfg).Table()
 }

@@ -131,21 +131,3 @@ func withR(o core.RandOptions, r int) core.RandOptions {
 	o.R = r
 	return o
 }
-
-// All runs every experiment and returns the tables in order.
-func All(cfg Config) []*Table {
-	return []*Table{
-		E1SmallDelta(cfg),
-		E2LargeDelta(cfg),
-		E3Deterministic(cfg),
-		E4Baseline(cfg),
-		E5Expansion(cfg),
-		E6Shattering(cfg),
-		E7Brooks(cfg),
-		E7Adversarial(cfg),
-		E8NetDec(cfg),
-		E9Structure(cfg),
-		E10Ablations(cfg),
-		E11Congest(cfg),
-	}
-}

@@ -79,10 +79,6 @@ func TestTracingDoesNotPerturbColorings(t *testing.T) {
 			if c.Runs == 0 || c.Rounds == 0 || c.Messages() == 0 {
 				t.Fatalf("tracer observed nothing: %+v", c)
 			}
-			snap := deltacolor.TakeSnapshot(tr, traced)
-			if snap.Colorings != 1 || snap.Engine.Rounds != c.Rounds || snap.RepairBatches != int64(traced.RepairBatches) {
-				t.Fatalf("snapshot = %+v", snap)
-			}
 		})
 	}
 }
