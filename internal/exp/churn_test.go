@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -10,6 +12,27 @@ func churnRow(n, incrRounds, fullRounds int, incrMs, fullMs float64) ChurnMutati
 		IncrRounds: incrRounds, IncrMillis: incrMs,
 		FullRounds: fullRounds, FullMillis: fullMs,
 		RoundsRatio: ratio(incrRounds, fullRounds), WallRatio: incrMs / fullMs}
+}
+
+func TestChurnReportRoundTrip(t *testing.T) {
+	rep := &ChurnReport{Header: Header{Schema: ChurnSchema, GoMaxProcs: 1, Quick: true, Seed: 5},
+		MutationRows: []ChurnMutationRow{churnRow(10000, 40, 300, 12, 800)},
+		FaultRows:    []ChurnFaultRow{{Plan: "drop-2%", N: 512, Rounds: 200, Verified: true}}}
+	var buf bytes.Buffer
+	if err := WriteDoc(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	got := &ChurnReport{}
+	if err := ReadDoc(&buf, ChurnSchema, got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.MutationRows) != 1 || len(got.FaultRows) != 1 || got.Seed != 5 ||
+		got.MutationRows[0].IncrRounds != 40 || !got.FaultRows[0].Verified {
+		t.Fatalf("round trip lost data: %+v", got)
+	}
+	if err := ReadDoc(strings.NewReader(`{"schema":"bogus/v9"}`), ChurnSchema, &ChurnReport{}); err == nil {
+		t.Fatal("unknown schema must be rejected")
+	}
 }
 
 func TestChurnGate(t *testing.T) {

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"deltacolor/local"
@@ -59,6 +61,26 @@ func TestLocalityGate(t *testing.T) {
 	}}
 	if err := LocalityGate(unpaired); err == nil {
 		t.Fatal("rr4 rows at different n are not a pair; the gate must fail")
+	}
+}
+
+func TestLocalityReportRoundTrip(t *testing.T) {
+	rep := &LocalityReport{Header: Header{Schema: LocalitySchema, GoMaxProcs: 1}, Rows: []LocalityRow{
+		localityRow("rr4", 1000, true, 123),
+	}}
+	var buf bytes.Buffer
+	if err := WriteDoc(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	got := &LocalityReport{}
+	if err := ReadDoc(&buf, LocalitySchema, got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 1 || got.Rows[0].RoundsPerSec != 123 || !got.Rows[0].Relabel {
+		t.Fatalf("round trip lost data: %+v", got)
+	}
+	if err := ReadDoc(strings.NewReader(`{"schema":"bogus/v9"}`), LocalitySchema, &LocalityReport{}); err == nil {
+		t.Fatal("unknown schema must be rejected")
 	}
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -8,6 +9,28 @@ import (
 func overheadRow(family string, n int, level string, rps, over float64) OverheadRow {
 	return OverheadRow{Family: family, N: n, Edges: 2 * n, Level: level, Rounds: 8,
 		RoundsPerSec: rps, Overhead: over}
+}
+
+func TestOverheadReportRoundTrip(t *testing.T) {
+	rep := &OverheadReport{Header: Header{Schema: OverheadSchema, GoMaxProcs: 1, Quick: true, Seed: 7},
+		Rows: []OverheadRow{
+			overheadRow("path", 10000, "off", 100, 0),
+			overheadRow("path", 10000, "full", 95, 0.05),
+		}}
+	var buf bytes.Buffer
+	if err := WriteDoc(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	got := &OverheadReport{}
+	if err := ReadDoc(&buf, OverheadSchema, got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 2 || got.Rows[1].Overhead != 0.05 || got.Seed != 7 {
+		t.Fatalf("round trip lost data: %+v", got)
+	}
+	if err := ReadDoc(strings.NewReader(`{"schema":"bogus/v9"}`), OverheadSchema, &OverheadReport{}); err == nil {
+		t.Fatal("unknown schema must be rejected")
+	}
 }
 
 func TestOverheadGate(t *testing.T) {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -123,6 +124,34 @@ func TestCompareMultiWorker(t *testing.T) {
 // from a 2× faster machine does not flag a same-speed-relative current
 // run — and a real relative regression is still caught even when absolute
 // rounds/s went up. A report without a reference score is rejected.
+func TestRuntimeReportRoundTripAndV1Baseline(t *testing.T) {
+	rep := runtimeReport(2.5, runtimeRow("path", 1000, 100))
+	rep.GoMaxProcs = 1
+	var buf bytes.Buffer
+	if err := WriteDoc(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	got := &RuntimeReport{}
+	if err := ReadDoc(&buf, RuntimeSchema, got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 1 || got.Rows[0].RoundsPerSec != 100 || got.RefScore != 2.5 {
+		t.Fatalf("round trip lost data: %+v", got)
+	}
+
+	// A v1-era baseline (no workers column, no ref_score) is rejected by
+	// the reader rather than compared on raw rounds/s.
+	v1 := strings.NewReader(`{"schema":"deltacolor/bench-runtime/v1","gomaxprocs":1,
+		"rows":[{"family":"path","n":1000,"rounds":16,"rounds_per_sec":90}]}`)
+	if err := ReadDoc(v1, RuntimeSchema, &RuntimeReport{}); err == nil {
+		t.Fatal("a v1 baseline must be rejected")
+	}
+
+	if err := ReadDoc(strings.NewReader(`{"schema":"bogus/v9"}`), RuntimeSchema, &RuntimeReport{}); err == nil {
+		t.Fatal("unknown schema must be rejected")
+	}
+}
+
 func TestCompareRuntimeRefNormalized(t *testing.T) {
 	fast := runtimeReport(200, runtimeRow("path", 10000, 100)) // ratio 0.5
 	// ratio 0.48: -4% relative, -52% absolute
