@@ -121,3 +121,57 @@ func TestChurnRecolorDeterminismGolden(t *testing.T) {
 		t.Errorf("recolor stats = %+v, want %+v", *stats, wantStats)
 	}
 }
+
+// TestFaultDeterministicPipelinesGolden pins the two deterministic
+// pipelines under 2% message drops. Their layers are colored by
+// ListColorDeterministic, whose colored nodes re-announce their final
+// color every round, so a dropped announcement is usually heard a round
+// later. Announcing each final only once leaves conflicts in the det
+// layers that need repair batches, and the det values move.
+func TestFaultDeterministicPipelinesGolden(t *testing.T) {
+	g := gen.MustRandomRegular(rand.New(rand.NewSource(1)), 512, 4)
+	plan := &local.FaultPlan{Seed: 7, DropProb: 0.02, RoundLimit: 50_000}
+	cases := []struct {
+		name   string
+		alg    deltacolor.Algorithm
+		colors uint64
+		rounds int
+		phases string
+		stats  deltacolor.RecolorStats
+	}{
+		// Captured with the list coloring that stepped and messaged every
+		// node in every round (oracleListColorDet in internal/dist).
+		{
+			name: "det", alg: deltacolor.AlgDeterministic,
+			colors: 0xdbdf9174798e0565, rounds: 1522,
+			phases: "ruling-set:666;layering:7;linial:1;layers[7]:121;layers[6]:121;layers[5]:121;layers[4]:121;layers[3]:121;layers[2]:121;layers[1]:121;brooks-B0-batch[0]:1;",
+		},
+		{
+			// The drops leave conflicts in the layers; three repair
+			// batches inside the pipeline heal them.
+			name: "netdec", alg: deltacolor.AlgNetDec,
+			colors: 0xb52c4024e132d525, rounds: 1017,
+			phases: "decomposition:52;ruling-set:90;layering:7;linial:1;layers[7]:121;layers[6]:121;layers[5]:121;layers[4]:121;layers[3]:121;layers[2]:121;layers[1]:121;brooks-B0-batch[0]:1;repair-sched[0]:8;repair-batch[0]:1;repair-sched[1]:4;repair-batch[1]:1;repair-sched[2]:4;repair-batch[2]:1;",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, stats, err := deltacolor.ColorUnderFaults(g, deltacolor.Options{Algorithm: tc.alg, Seed: 1}, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hashColors(res.Colors); got != tc.colors {
+				t.Errorf("colors hash = %#x, want %#x", got, tc.colors)
+			}
+			if res.Rounds != tc.rounds {
+				t.Errorf("rounds = %d, want %d", res.Rounds, tc.rounds)
+			}
+			if got := phaseString(res.Phases); got != tc.phases {
+				t.Errorf("phases = %q, want %q", got, tc.phases)
+			}
+			if *stats != tc.stats {
+				t.Errorf("repair stats = %+v, want %+v", *stats, tc.stats)
+			}
+		})
+	}
+}

@@ -227,13 +227,23 @@ func TestLubyMISClique(t *testing.T) {
 // erased nodes form the active layer and keep (deg+1)-sized lists — the
 // exact situation the layering technique creates.
 func partialScenario(g *graph.G, seed int64) (active []bool, partial []int, delta int) {
-	delta = g.MaxDegree() + 1
 	rng := rand.New(rand.NewSource(seed))
-	partial = make([]int, g.N())
+	active = make([]bool, g.N())
+	for v := range active {
+		active[v] = rng.Intn(2) == 0
+	}
+	return active, greedyPartial(g, active), g.MaxDegree() + 1
+}
+
+// greedyPartial is the greedy (Δ+1)-coloring in node order with the
+// active nodes erased (active == nil erases every node).
+func greedyPartial(g *graph.G, active []bool) []int {
+	delta := g.MaxDegree() + 1
+	partial := make([]int, g.N())
 	for v := range partial {
 		partial[v] = -1
 	}
-	for v := 0; v < g.N(); v++ { // greedy proper coloring in [0, Δ+1)
+	for v := 0; v < g.N(); v++ {
 		used := make([]bool, delta)
 		for _, u := range g.Neighbors(v) {
 			if c := partial[u]; c >= 0 {
@@ -247,14 +257,12 @@ func partialScenario(g *graph.G, seed int64) (active []bool, partial []int, delt
 			}
 		}
 	}
-	active = make([]bool, g.N())
-	for v := range active {
-		if rng.Intn(2) == 0 {
-			active[v] = true
+	for v := range partial {
+		if active == nil || active[v] {
 			partial[v] = -1
 		}
 	}
-	return active, partial, delta
+	return partial
 }
 
 func TestListColorRandomizedFamilies(t *testing.T) {

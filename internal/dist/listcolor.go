@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"deltacolor/graph"
 	"deltacolor/local"
@@ -268,9 +269,20 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 // proper base coloring (typically Linial's): in the round dedicated to
 // class c, every uncolored active node of that class — an independent set —
 // takes the smallest list color not finalized in its neighborhood. On a
-// (deg+1)-instance every node succeeds, in exactly baseK rounds. The whole
-// protocol ships packed (done, color) integers, so it runs allocation-free
-// on the int fast path.
+// (deg+1)-instance every node succeeds.
+//
+// Only the layer talks. An inactive node sends one bye (done, no color)
+// in round 1 and halts at its first Step with output -1. An uncolored
+// active node sends nothing. A colored active node re-announces its final
+// color every round on every port not muted by a bye; the repetition is
+// what lets a dropped announcement heal. A node folds the first final it
+// hears on each port into its own copy of its list, so the head of that
+// copy is always its pick.
+//
+// With at least one active node the run takes exactly baseK rounds: every
+// active node steps through all baseK classes and halts after the last.
+// An instance with no active node returns all -1 and 0 rounds without
+// running the network.
 func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []int, baseK int) ([]int, int, error) {
 	g := net.Graph()
 	n := g.N()
@@ -282,53 +294,74 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 			return nil, 0, fmt.Errorf("deterministic list coloring: node %d has base class %d outside [0, %d)", v, baseColors[v], baseK)
 		}
 	}
-	for _, e := range g.Edges() {
-		if li.Active[e[0]] && li.Active[e[1]] && baseColors[e[0]] == baseColors[e[1]] {
-			return nil, 0, fmt.Errorf("deterministic list coloring: base classes not proper on edge (%d,%d)", e[0], e[1])
+	if u, v, ok := activeClash(g, li.Active, baseColors); ok {
+		return nil, 0, fmt.Errorf("deterministic list coloring: base classes not proper on edge (%d,%d)", u, v)
+	}
+	colors := make([]int, n)
+	if !slices.Contains(li.Active, true) {
+		for v := range colors {
+			colors[v] = -1
 		}
+		return colors, 0, nil
 	}
 
 	type listDetState struct {
-		active bool
-		color  int
-		class  int // class whose round the next Step completes
-		finals map[int]bool
+		inactive bool
+		color    int
+		class    int    // class whose round the next Step completes
+		list     []int  // own list minus every final folded in so far
+		folded   []bool // folded[p]: port p's final is out of list
+		bye      byeTracker
 	}
-	outs := local.RunSteppedWithInput(net, local.Stepped[listDetState]{
+	outs := local.RunStepped(net, local.Stepped[listDetState]{
 		Init: func(ctx *local.Ctx, s *listDetState) bool {
-			s.active = ctx.Input().(bool)
+			v := ctx.ID()
+			if !li.Active[v] {
+				// One bye, so no neighbor ever talks to this node again.
+				ctx.BroadcastInt(encDC(true, true, -1))
+				s.inactive = true
+				return true
+			}
 			s.color = -1
-			s.finals = make(map[int]bool)
-			ctx.BroadcastInt(encDC(false, false, s.color))
+			s.list = append([]int(nil), li.Lists[v]...)
+			s.folded = make([]bool, ctx.Degree())
+			s.bye.init(ctx.Degree())
 			return true
 		},
 		Step: func(ctx *local.Ctx, s *listDetState) bool {
+			if s.inactive {
+				ctx.SetOutput(-1)
+				return false
+			}
 			for p := 0; p < ctx.Degree(); p++ {
-				if e, ok := ctx.RecvInt(p); ok {
-					if done, _, c := decDC(e); done && c >= 0 {
-						s.finals[c] = true
-					}
+				e, ok := ctx.RecvInt(p)
+				if !ok {
+					continue
+				}
+				done, bye, c := decDC(e)
+				if bye {
+					s.bye.note(p)
+				}
+				if done && c >= 0 && !s.folded[p] {
+					s.folded[p] = true
+					s.list = slices.DeleteFunc(s.list, func(x int) bool { return x == c })
 				}
 			}
-			if s.active && s.color < 0 && baseColors[ctx.ID()] == s.class {
-				for _, c := range li.Lists[ctx.ID()] {
-					if !s.finals[c] {
-						s.color = c
-						break
-					}
-				}
+			if s.color < 0 && len(s.list) > 0 && baseColors[ctx.ID()] == s.class {
+				s.color = s.list[0]
 			}
 			s.class++
 			if s.class >= baseK {
 				ctx.SetOutput(s.color)
 				return false
 			}
-			ctx.BroadcastInt(encDC(s.color >= 0, false, s.color))
+			if s.color >= 0 {
+				s.bye.castInt(ctx, encDC(true, false, s.color))
+			}
 			return true
 		},
-	}, activeInputs(li.Active))
+	})
 
-	colors := make([]int, n)
 	for v, o := range outs {
 		colors[v] = o.(int)
 	}
@@ -365,10 +398,29 @@ func checkInstanceSolved(g *graph.G, li *ListInstance, colors []int) error {
 			return fmt.Errorf("list coloring: node %d took color %d outside its list", v, colors[v])
 		}
 	}
-	for _, e := range g.Edges() {
-		if li.Active[e[0]] && li.Active[e[1]] && colors[e[0]] == colors[e[1]] {
-			return fmt.Errorf("list coloring: edge (%d,%d) monochromatic in %d", e[0], e[1], colors[e[0]])
-		}
+	if u, v, ok := activeClash(g, li.Active, colors); ok {
+		return fmt.Errorf("list coloring: edge (%d,%d) monochromatic in %d", u, v, colors[u])
 	}
 	return nil
+}
+
+// activeClash returns the first edge (u, v), u < v, in g.Edges() order
+// whose endpoints are both active and share a key, reading only the
+// adjacency of active nodes.
+func activeClash(g *graph.G, active []bool, key []int) (int, int, bool) {
+	for u := 0; u < g.N(); u++ {
+		if !active[u] {
+			continue
+		}
+		w := -1
+		for _, v := range g.Neighbors(u) {
+			if v > u && (w < 0 || v < w) && active[v] && key[v] == key[u] {
+				w = v
+			}
+		}
+		if w >= 0 {
+			return u, w, true
+		}
+	}
+	return 0, 0, false
 }

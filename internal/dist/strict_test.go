@@ -52,5 +52,20 @@ func TestStrictCleanPrimitives(t *testing.T) {
 		if _, _, err := ListColorDeterministic(local.NewNetwork(g, 25), li, base, k); err != nil {
 			t.Fatal(err)
 		}
+
+		// A layer: every third node inactive and colored, the rest
+		// active. Inactive nodes leave after round 1, so their byes
+		// must mute every port that would talk to them later.
+		layer := make([]bool, n)
+		for v := range layer {
+			layer[v] = v%3 != 0
+		}
+		li = NewListInstance(g, layer, greedyPartial(g, layer), g.MaxDegree()+1)
+		if _, _, err := ListColorRandomized(local.NewNetwork(g, 26), li); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ListColorDeterministic(local.NewNetwork(g, 27), li, base, k); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -41,8 +41,18 @@ func E11Congest(cfg Config) *Table {
 		t.AddRow(name, itoa(n), "4", itoa(net.Rounds()), itoa(st.Messages), itoa(st.MaxBytes), f2(avg))
 	}
 
+	// The color reduction and the deterministic list coloring are
+	// scheduled by a Linial base coloring computed off the profile.
+	base, k, _ := dist.Linial(local.NewNetwork(g, cfg.Seed))
 	run("Linial O(Δ²) coloring", func(net *local.Network) {
 		dist.Linial(net)
+	})
+	var reduced []int
+	run("color reduction to Δ+1", func(net *local.Network) {
+		var err error
+		if reduced, _, err = dist.ReduceColors(net, base, k, 5); err != nil {
+			panic(err)
+		}
 	})
 	run("Luby MIS", func(net *local.Network) {
 		dist.LubyMIS(net, nil)
@@ -61,10 +71,24 @@ func E11Congest(cfg Config) *Table {
 			panic(err)
 		}
 	})
+	run("deterministic list coloring, every third node", func(net *local.Network) {
+		// The layer of a Theorem 4 run: every third node erased from the
+		// reduced coloring and recolored on the Linial schedule.
+		active := make([]bool, g.N())
+		partial := append([]int(nil), reduced...)
+		for v := 0; v < g.N(); v += 3 {
+			active[v] = true
+			partial[v] = -1
+		}
+		li := dist.NewListInstance(g, active, partial, 5)
+		if _, _, err := dist.ListColorDeterministic(net, li, base, k); err != nil {
+			panic(err)
+		}
+	})
 	run("gather radius-4 balls", func(net *local.Network) {
 		local.GatherStepped(net, 4)
 	})
 
-	t.AddNote("the symmetry-breaking protocols (Linial, MIS, list coloring) move a few bytes per edge per round — CONGEST-portable as-is — while ball gathering ships whole neighborhoods (max message orders of magnitude larger): exactly the phases that make the paper's algorithms LOCAL-model results. The gather packs each round's frontier into one flat integer record per edge.")
+	t.AddNote("the symmetry-breaking protocols (Linial, color reduction, MIS, list coloring) move a few bytes per edge per round — CONGEST-portable as-is — while ball gathering ships whole neighborhoods (max message orders of magnitude larger): exactly the phases that make the paper's algorithms LOCAL-model results. The deterministic list coloring talks only inside its layer, so over as many rounds as the color reduction it sends a fraction of its messages. The gather packs each round's frontier into one flat integer record per edge.")
 	return t
 }
