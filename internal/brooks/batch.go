@@ -17,8 +17,8 @@
 // <= SearchRadius and a DCC recoloring extends it); at any feasible scale
 // that ball covers the whole graph and the conflict quotient degenerates
 // to a clique. The walk, however, is deterministic given the colors it
-// reads, so the engine runs it optimistically first (FixOne against the
-// current snapshot) and schedules by the ball of the *realized* radius
+// reads, so the engine runs it optimistically first (against the current
+// snapshot) and schedules by the ball of the *realized* radius
 // R_v = Result.Radius: a repair reads colors only inside B(v, R_v+1) and
 // writes only inside B(v, R_v) (pinned by TestFixOneTouchWithinRadius), so
 // two repairs commute exactly when their realized balls are disjoint and
@@ -61,9 +61,11 @@ type BatchResult struct {
 	// matching the sequential engine's accounting).
 	Fixed int
 	// Changed lists every node whose color the engine changed, in
-	// application order, without duplicates per batch. Callers that mirror
-	// colors elsewhere (slocal) update O(|Changed|) entries instead of
-	// rescanning all n nodes.
+	// application order. A fault-free batch lists each node at most once;
+	// under an installed FaultPlan the scheduling MIS can choose
+	// overlapping balls, and a node the batch changes twice is listed
+	// twice. Callers that mirror colors elsewhere (slocal) update
+	// O(|Changed|) entries instead of rescanning all n nodes.
 	Changed []int
 	// Batches describes each scheduling round.
 	Batches []BatchInfo
@@ -143,48 +145,62 @@ func RepairInSpan(acct *local.Accountant, span, prefix string, g *graph.G, color
 // quotient network, applies that batch (charged max rounds + scheduling),
 // and repeats; the seed drives only the MIS lotteries, so runs are
 // deterministic.
+//
+// A repair costs O(its ball), not O(n): one fixer (flat BFS scratch, one
+// gallai.Finder) serves every hole of the call, runs each token procedure
+// in place and undoes it after reading the result off the repair's ball.
 func RepairHoles(g *graph.G, colors []int, holes []int, delta int, seed int64) (*BatchResult, error) {
 	res := &BatchResult{}
 	remaining := dedupeHoles(g, colors, holes)
-	// The quotient builder is shared across iterations so the O(n) owner
-	// table is allocated once, not once per MIS round — with many small
-	// holes the per-iteration cost would otherwise be O(n) against a
-	// shrinking batch (quadratic overall; BenchmarkRepairHolesManySmall
-	// pins the win).
+	// The fixer and the quotient builder are shared across iterations and
+	// built on first use, so their O(n) tables are allocated at most once
+	// per call — and not at all when every hole has a free color.
+	var fx *fixer
 	var qb *local.QuotientBuilder
+	// Per-iteration repairs: hole i's ball is nodes[ends[i]:ends[i+1]],
+	// with the colors its repair leaves there in cols, both in BFS order.
+	var nodes, cols, ends, rounds []int
+	var balls [][]int
 	for iter := 0; len(remaining) > 0; iter++ {
 		if iter > len(holes) {
 			return res, fmt.Errorf("brooks: batch repair made no progress after %d iterations (%d holes left)", iter, len(remaining))
 		}
 
 		// Optimistic pass: run every remaining repair against the current
-		// snapshot and collect its realized ball. The dominant case — the
-		// hole has a free color (always true when another hole is adjacent,
-		// and typical for deferred nodes) — resolves inline at radius 0:
-		// calling FixOne there would pay an O(n) snapshot copy per hole and
-		// g.Ball an O(n) BFS, turning a 10⁶-node batch into gigabytes of
-		// allocation churn. freeColor picks the same smallest free color
-		// FixOne's fast path does, so the shortcut stays byte-identical.
-		fixes := make([]*Result, len(remaining))
-		freeCols := make([]int, len(remaining))
-		balls := make([][]int, len(remaining))
+		// snapshot and collect its realized ball with the colors it leaves
+		// there. The dominant case — the hole has a free color (always true
+		// when another hole is adjacent, and typical for deferred nodes) —
+		// resolves inline at radius 0 without the fixer; freeColor picks
+		// the same smallest free color FixOne's fast path does.
+		nodes, cols, ends, rounds = nodes[:0], cols[:0], append(ends[:0], 0), rounds[:0]
 		maxRadius := 0
-		for i, v := range remaining {
+		for _, v := range remaining {
 			if c := freeColor(g, colors, v, delta); c >= 0 {
-				fixes[i] = nil // resolved inline: ModeFree, radius 0, 1 round
-				freeCols[i] = c
-				balls[i] = []int{v}
+				// resolved inline: ModeFree, radius 0, 1 round
+				nodes, cols = append(nodes, v), append(cols, c)
+				ends, rounds = append(ends, len(nodes)), append(rounds, 1)
 				continue
 			}
-			fix, err := FixOne(g, colors, v, delta)
+			if fx == nil {
+				fx = newFixer(g, delta)
+			}
+			fix, err := fx.fix(colors, v)
 			if err != nil {
+				fx.undo(colors, 0)
 				return res, fmt.Errorf("brooks: batch repair of node %d: %w", v, err)
 			}
-			fixes[i] = fix
-			balls[i] = g.Ball(v, fix.Radius)
+			for _, u := range fx.ball(fix.Radius) {
+				nodes, cols = append(nodes, u), append(cols, colors[u])
+			}
+			fx.undo(colors, 0)
+			ends, rounds = append(ends, len(nodes)), append(rounds, fix.Rounds)
 			if fix.Radius > maxRadius {
 				maxRadius = fix.Radius
 			}
+		}
+		balls = balls[:0]
+		for i := range remaining {
+			balls = append(balls, nodes[ends[i]:ends[i+1]])
 		}
 
 		// Schedule: a repair may run alongside another exactly when their
@@ -206,33 +222,31 @@ func RepairHoles(g *graph.G, colors []int, holes []int, delta int, seed int64) (
 			schedRounds = (2*maxRadius + 1) * (misRounds + 1)
 		}
 
-		// Execute the batch: apply each chosen repair's diff inside its
-		// ball. Chosen balls are pairwise disjoint, so the application
-		// order cannot matter; ascending hole ID keeps it deterministic
-		// and byte-identical to the sequential engine when every repair is
-		// independent.
+		// Execute the batch: each chosen repair writes the colors it left
+		// on its whole ball, in ascending hole ID order. A fault-free MIS
+		// chooses pairwise disjoint, non-adjacent balls, so the order
+		// cannot matter and the result is byte-identical to the
+		// sequential engine when every repair is independent. Under an
+		// installed FaultPlan the MIS run can choose adjacent quotient
+		// nodes, and so overlapping balls: the later repair then
+		// overwrites its whole ball — also nodes it left unchanged but an
+		// earlier repair of the batch changed — and Changed can list a
+		// node more than once.
 		info := BatchInfo{SchedRounds: schedRounds, MaxRadius: maxRadius}
 		for i, v := range remaining {
 			if !chosen[i] || colors[v] >= 0 {
 				continue
 			}
-			rounds := 1
-			if fixes[i] == nil {
-				colors[v] = freeCols[i]
-				res.Changed = append(res.Changed, v)
-			} else {
-				for _, u := range balls[i] {
-					if fixes[i].Colors[u] != colors[u] {
-						colors[u] = fixes[i].Colors[u]
-						res.Changed = append(res.Changed, u)
-					}
+			for j, u := range balls[i] {
+				if c := cols[ends[i]+j]; c != colors[u] {
+					colors[u] = c
+					res.Changed = append(res.Changed, u)
 				}
-				rounds = fixes[i].Rounds
 			}
 			info.Size++
-			res.SummedRounds += rounds
-			if rounds > info.Rounds {
-				info.Rounds = rounds
+			res.SummedRounds += rounds[i]
+			if rounds[i] > info.Rounds {
+				info.Rounds = rounds[i]
 			}
 		}
 		if info.Size == 0 {

@@ -18,6 +18,7 @@ package brooks
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"deltacolor/graph"
 	"deltacolor/internal/gallai"
@@ -101,87 +102,217 @@ func SearchRadius(n, delta int) int {
 // Everything FixOne reads lies within distance Radius+1 of v and
 // everything it writes within distance Radius (TestFixOneTouchWithinRadius)
 // — the locality contract the batched repair engine in batch.go schedules
-// against.
+// against. Unless v has a free color, FixOne runs the engine's fixer once
+// on a copy of partial.
 func FixOne(g *graph.G, partial []int, v, delta int) (*Result, error) {
 	if partial[v] >= 0 {
 		return nil, fmt.Errorf("brooks: node %d is already colored", v)
 	}
 	colors := append([]int(nil), partial...)
-	rMax := SearchRadius(g.N(), delta)
-
 	// Fast path: free color at v.
 	if c := freeColor(g, colors, v, delta); c >= 0 {
 		colors[v] = c
 		return &Result{Colors: colors, Radius: 0, Rounds: 1, Mode: ModeFree}, nil
 	}
+	res, err := newFixer(g, delta).fix(colors, v)
+	if err != nil {
+		return nil, err
+	}
+	res.Colors = colors
+	return &res, nil
+}
 
-	// Look for the nearest low-degree node.
-	bfs := g.BFSLimited(v, rMax)
-	target, mode := -1, Mode(0)
-	for _, u := range bfs.Order {
-		if g.Deg(u) < delta {
-			target, mode = u, ModeLowDegree
-			break
-		}
+// fixer runs the token procedure for many holes of one graph, so that a
+// repair costs the ball it explores rather than O(n). It works on the
+// caller's coloring in place and logs every write, so the batched engine
+// can read a repair's result off its ball and then undo it; its BFS
+// scratch is flat and epoch-stamped, and one gallai.Finder serves every
+// DCC search. A fixer belongs to one goroutine and one unchanging graph.
+type fixer struct {
+	g      *graph.G
+	delta  int
+	rMax   int            // SearchRadius: how far the target search looks
+	lowDeg bool           // some node has degree < delta
+	finder *gallai.Finder // built by the first DCC search
+
+	// BFS from the current hole v: seen[u] is live when its stamp equals
+	// epoch. order is the discovery order, order[:ends[d]] is B(v, d), and
+	// done records that the last level found no new node.
+	seen  []bfsMark
+	epoch uint32
+	order []int
+	ends  []int
+	done  bool
+
+	log []colorWrite // the current repair's writes, oldest first
+}
+
+// bfsMark is one node's BFS entry, packed so a visit touches one record.
+type bfsMark struct {
+	stamp        uint32
+	dist, parent int32
+}
+
+// colorWrite records that node's color was old before a write.
+type colorWrite struct{ node, old int }
+
+func newFixer(g *graph.G, delta int) *fixer {
+	n := g.N()
+	return &fixer{
+		g:      g,
+		delta:  delta,
+		rMax:   SearchRadius(n, delta),
+		lowDeg: g.MinDegree() < delta,
+		seen:   make([]bfsMark, n),
 	}
-	var dcc []int
-	if target < 0 {
-		// Look for a DCC: nearest ball node contained in one.
-		f := gallai.NewFinder(g)
-		for _, u := range bfs.Order {
-			if d := f.Find(u, rMax); d != nil {
-				target, mode, dcc = u, ModeDCC, d
-				break
-			}
-		}
-	}
-	if target >= 0 {
-		res, err := walkAndResolve(g, colors, v, target, delta, mode, dcc, bfs)
+}
+
+// fix completes hole v of colors in place, exactly as the token procedure
+// specifies, and returns the repair without Colors. v must have no free
+// color: both callers take that fast path themselves, without a fixer.
+// Every write stays in f.log until the next fix; undo reverts them.
+func (f *fixer) fix(colors []int, v int) (Result, error) {
+	f.start(v)
+	if target, mode, dcc := f.target(); target >= 0 {
+		res, err := f.walkAndResolve(colors, v, target, mode, dcc)
 		if err == nil {
 			return res, nil
 		}
 		// fall through to the fallback on unexpected failure
 	}
-	return fallbackRecolor(g, colors, v, delta)
+	return f.fallbackRecolor(colors, v)
+}
+
+// start resets the BFS to the single node v and clears the write log.
+func (f *fixer) start(v int) {
+	f.epoch++
+	if f.epoch == 0 { // wrapped: stale stamps could collide, re-zero once
+		clear(f.seen)
+		f.epoch = 1
+	}
+	f.seen[v] = bfsMark{stamp: f.epoch, dist: 0, parent: -1}
+	f.order = append(f.order[:0], v)
+	f.ends = append(f.ends[:0], 1)
+	f.done = false
+	f.log = f.log[:0]
+}
+
+// grow discovers the next BFS level, in the order a FIFO BFS visits it,
+// and reports whether it holds any node.
+func (f *fixer) grow() bool {
+	if f.done {
+		return false
+	}
+	d := len(f.ends) - 1
+	lo := 0
+	if d > 0 {
+		lo = f.ends[d-1]
+	}
+	seen, epoch, order := f.seen, f.epoch, f.order
+	for _, u := range order[lo:f.ends[d]] {
+		for _, w := range f.g.Neighbors(u) {
+			if m := &seen[w]; m.stamp != epoch {
+				*m = bfsMark{stamp: epoch, dist: int32(d + 1), parent: int32(u)}
+				order = append(order, w)
+			}
+		}
+	}
+	f.order = order
+	if len(order) == f.ends[d] {
+		f.done = true
+		return false
+	}
+	f.ends = append(f.ends, len(f.order))
+	return true
+}
+
+// ball returns B(v, r) around the current hole, in BFS order.
+func (f *fixer) ball(r int) []int {
+	for len(f.ends) <= r && f.grow() {
+	}
+	return f.order[:f.ends[min(r, len(f.ends)-1)]]
+}
+
+// within reports whether the BFS has an i-th node within distance rMax of
+// the hole, growing it one level at a time only as far as that needs.
+func (f *fixer) within(i int) bool {
+	for i >= len(f.order) && len(f.ends) <= f.rMax && f.grow() {
+	}
+	return i < len(f.order) && int(f.seen[f.order[i]].dist) <= f.rMax
+}
+
+// target picks the token's destination: the first node, in BFS order
+// within rMax, of degree < delta, or failing that the first one contained
+// in a DCC (returned as well). The low-degree scan is skipped when no
+// node of the graph qualifies.
+func (f *fixer) target() (int, Mode, []int) {
+	if f.lowDeg {
+		for i := 0; f.within(i); i++ {
+			if u := f.order[i]; f.g.Deg(u) < f.delta {
+				return u, ModeLowDegree, nil
+			}
+		}
+	}
+	if f.finder == nil {
+		f.finder = gallai.NewFinder(f.g)
+	}
+	for i := 0; f.within(i); i++ {
+		if d := f.finder.Find(f.order[i], f.rMax); d != nil {
+			return f.order[i], ModeDCC, d
+		}
+	}
+	return -1, 0, nil
+}
+
+// set writes colors[u] = c and logs the old value.
+func (f *fixer) set(colors []int, u, c int) {
+	f.log = append(f.log, colorWrite{u, colors[u]})
+	colors[u] = c
+}
+
+// undo reverts the writes logged since position mark, newest first.
+func (f *fixer) undo(colors []int, mark int) {
+	for i := len(f.log) - 1; i >= mark; i-- {
+		colors[f.log[i].node] = f.log[i].old
+	}
+	f.log = f.log[:mark]
 }
 
 // walkAndResolve moves the token from v to target along a BFS shortest
 // path, then resolves at the target (free color for low-degree, exact
 // recoloring for a DCC).
-func walkAndResolve(g *graph.G, colors []int, v, target, delta int, mode Mode, dcc []int, bfs *graph.BFSResult) (*Result, error) {
+func (f *fixer) walkAndResolve(colors []int, v, target int, mode Mode, dcc []int) (Result, error) {
+	g, delta := f.g, f.delta
 	// Reconstruct the path v -> target.
 	var path []int
-	for x := target; x != -1; x = bfs.Parent[x] {
+	for x := target; x != -1; x = int(f.seen[x].parent) {
 		path = append(path, x)
 	}
-	// path is target..v; reverse.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	slices.Reverse(path) // path was target..v
 	radius := 0
 	cur := v // token holder, uncolored
 	for i := 1; i < len(path); i++ {
 		// Early exit: token node gained a free color.
 		if c := freeColor(g, colors, cur, delta); c >= 0 {
-			colors[cur] = c
-			return &Result{Colors: colors, Radius: radius, Rounds: 2*radius + 2, Mode: ModeFree}, nil
+			f.set(colors, cur, c)
+			return Result{Radius: radius, Rounds: 2*radius + 2, Mode: ModeFree}, nil
 		}
 		next := path[i]
-		colors[cur] = colors[next]
-		colors[next] = -1
+		f.set(colors, cur, colors[next])
+		f.set(colors, next, -1)
 		cur = next
-		if bfs.Dist[cur] > radius {
-			radius = bfs.Dist[cur]
+		if d := int(f.seen[cur].dist); d > radius {
+			radius = d
 		}
 	}
 	switch mode {
 	case ModeLowDegree:
 		c := freeColor(g, colors, cur, delta)
 		if c < 0 {
-			return nil, fmt.Errorf("brooks: low-degree target %d has no free color", cur)
+			return Result{}, fmt.Errorf("brooks: low-degree target %d has no free color", cur)
 		}
-		colors[cur] = c
-		return &Result{Colors: colors, Radius: radius, Rounds: 2*radius + 2, Mode: ModeLowDegree}, nil
+		f.set(colors, cur, c)
+		return Result{Radius: radius, Rounds: 2*radius + 2, Mode: ModeLowDegree}, nil
 	case ModeDCC:
 		// Uncolor the whole component (token node may or may not be in it;
 		// the proof moves the token to the closest node of the DCC, so cur
@@ -189,59 +320,58 @@ func walkAndResolve(g *graph.G, colors []int, v, target, delta int, mode Mode, d
 		if !containsNode(dcc, cur) {
 			dcc = append(dcc, cur)
 			if !gallai.IsDCCSet(g, dcc) {
-				return nil, fmt.Errorf("brooks: token node %d not in its DCC", cur)
+				return Result{}, fmt.Errorf("brooks: token node %d not in its DCC", cur)
 			}
 		}
 		for _, u := range dcc {
-			colors[u] = -1
+			f.set(colors, u, -1)
 		}
 		lists := gallai.DegreeLists(g, dcc, colors, delta)
 		sol, err := gallai.BruteListColor(g, dcc, lists)
 		if err != nil {
-			return nil, fmt.Errorf("brooks: DCC recoloring: %w", err)
+			return Result{}, fmt.Errorf("brooks: DCC recoloring: %w", err)
 		}
 		for u, c := range sol {
-			colors[u] = c
+			f.set(colors, u, c)
 		}
 		dccRadius := gallai.SetRadius(g, dcc)
 		if dccRadius < 0 {
 			dccRadius = len(dcc)
 		}
 		total := radius + 2*dccRadius
-		return &Result{Colors: colors, Radius: total, Rounds: 2*total + 2, Mode: ModeDCC}, nil
+		return Result{Radius: total, Rounds: 2*total + 2, Mode: ModeDCC}, nil
 	default:
-		return nil, fmt.Errorf("brooks: unknown mode %v", mode)
+		return Result{}, fmt.Errorf("brooks: unknown mode %v", mode)
 	}
 }
 
 // fallbackRecolor uncolors balls of growing radius around v and exactly
 // re-colors them against the boundary with Δ-lists. Brooks' theorem
 // guarantees success once the ball covers v's component (a nice graph is
-// Δ-colorable); in practice tiny radii suffice.
-func fallbackRecolor(g *graph.G, colors []int, v, delta int) (*Result, error) {
-	for r := 1; r <= g.N(); r++ {
-		ball := g.Ball(v, r)
-		saved := map[int]int{}
+// Δ-colorable); in practice tiny radii suffice. Once the ball stops
+// growing every larger radius would retry the same ball, so the search
+// ends there.
+func (f *fixer) fallbackRecolor(colors []int, v int) (Result, error) {
+	for r := 1; r <= f.g.N(); r++ {
+		ball := f.ball(r)
+		mark := len(f.log)
 		for _, u := range ball {
-			saved[u] = colors[u]
-			colors[u] = -1
+			f.set(colors, u, -1)
 		}
-		lists := deltaLists(g, ball, colors, delta)
-		sol, err := gallai.BruteListColor(g, ball, lists)
+		lists := deltaLists(f.g, ball, colors, f.delta)
+		sol, err := gallai.BruteListColor(f.g, ball, lists)
 		if err == nil {
 			for u, c := range sol {
-				colors[u] = c
+				f.set(colors, u, c)
 			}
-			return &Result{Colors: colors, Radius: r, Rounds: 2*r + 2, Mode: ModeFallback}, nil
+			return Result{Radius: r, Rounds: 2*r + 2, Mode: ModeFallback}, nil
 		}
-		for u, c := range saved {
-			colors[u] = c
-		}
-		if len(ball) == g.N() {
+		f.undo(colors, mark)
+		if len(ball) == f.g.N() || (f.done && r >= len(f.ends)-1) {
 			break
 		}
 	}
-	return nil, fmt.Errorf("brooks: fallback recoloring failed around node %d", v)
+	return Result{}, fmt.Errorf("brooks: fallback recoloring failed around node %d", v)
 }
 
 // deltaLists builds {0..delta-1} minus externally-colored neighbor colors

@@ -284,14 +284,16 @@ func TestFallbackRecolorDirect(t *testing.T) {
 	base := validColoring(t, g, delta)
 	colors := append([]int(nil), base...)
 	colors[7] = -1
-	res, err := fallbackRecolor(g, colors, 7, delta)
+	f := newFixer(g, delta)
+	f.start(7)
+	res, err := f.fallbackRecolor(colors, 7)
 	if err != nil {
 		t.Fatalf("fallback: %v", err)
 	}
 	if res.Mode != ModeFallback {
 		t.Fatalf("mode = %v, want fallback", res.Mode)
 	}
-	if err := verify.DeltaColoring(g, res.Colors, delta); err != nil {
+	if err := verify.DeltaColoring(g, colors, delta); err != nil {
 		t.Fatalf("fallback produced invalid coloring: %v", err)
 	}
 }

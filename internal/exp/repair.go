@@ -130,6 +130,6 @@ func E13RepairTail(cfg Config) *Table {
 				f2(seqMillis), f2(batchMillis))
 		}
 	}
-	t.AddNote("charged repair rounds scale with the number of batches (max per batch + MIS scheduling on the ball quotient), not with the hole count k: worst batched/summed ratio %.4f. The sequential column also pays an O(n) color-copy per repair — the central cost the engine's ball-diff application removes.", worstRatio)
+	t.AddNote("charged repair rounds scale with the number of batches (max per batch + MIS scheduling on the ball quotient), not with the hole count k: worst batched/summed ratio %.4f. The sequential column also pays an O(n) color copy per repair; the engine resolves a hole with a free color inline and reads any other repair's colors off its ball.", worstRatio)
 	return t
 }

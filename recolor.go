@@ -6,9 +6,9 @@
 // fault.go is the damage half) and the incremental path of the ROADMAP's
 // coloring-as-a-service item: after edge/node churn (local.Network
 // AddEdge/RemoveEdge/AddNode) or a run under a FaultPlan, Recolor
-// restores a verified Δ-coloring touching O(conflict set) of the graph,
-// while ColorUnderFaults packages the whole "run under faults, detect,
-// repair, verify" loop for any pipeline.
+// restores a verified Δ-coloring by recoloring only inside the
+// conflicts' repair balls, while ColorUnderFaults packages the whole "run
+// under faults, detect, repair, verify" loop for any pipeline.
 package deltacolor
 
 import (
@@ -97,8 +97,13 @@ func residualConflicts(g *graph.G, colors []int, delta int) []int {
 // colors in place. It scans the conflict set, uncolors it into holes,
 // feeds them to the batched Brooks repair engine (internal/brooks), and
 // verifies the result — the incremental alternative to calling Color on
-// the mutated graph from scratch, costing O(conflict set) repair work
-// instead of a full pipeline (experiment E16 measures the gap).
+// the mutated graph from scratch (experiment E16 measures the gap).
+// Detection and verification each scan the whole graph, O(n + m). Repair
+// costs each repair's ball: O(deg) for a conflict that still has a free
+// color, but a stuck conflict's walk can reach radius 8–10 on a random
+// 4-regular graph, most of it at n = 2048. Stuck conflicts with
+// overlapping balls repair one per batch, and every batch reruns the
+// repairs still waiting.
 //
 // colors must have exactly one entry per node of g; after AddNode churn,
 // append -1 entries for the new nodes first. delta is the color budget
