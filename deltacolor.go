@@ -81,8 +81,6 @@ type Options struct {
 	R       int
 	Backoff int
 	P       float64
-	// Deterministic list coloring inside the randomized pipeline.
-	DeterministicLists bool
 }
 
 // PhaseStat re-exports the per-phase round accounting.
@@ -94,7 +92,7 @@ type Result struct {
 	Delta     int
 	Rounds    int
 	Phases    []PhaseStat
-	Repairs   int // nodes completed by the Brooks safety net
+	Repairs   int // nodes left to Brooks repairs: the safety net's, or the baseline's stuck nodes
 	Algorithm Algorithm
 
 	// RepairBatches is the number of batches the Brooks repair engine ran
@@ -173,59 +171,23 @@ func Color(g *graph.G, opts Options) (*Result, error) {
 	if alg == AlgAuto {
 		alg = AlgRandomized
 	}
+	var res *core.Result
+	var err error
 	switch alg {
 	case AlgRandomized:
-		mode := core.ListColorRandomized
-		if opts.DeterministicLists {
-			mode = core.ListColorDeterministic
-		}
-		res, err := core.Randomized(g, core.RandOptions{
-			Seed:     opts.Seed,
-			R:        opts.R,
-			Backoff:  opts.Backoff,
-			P:        opts.P,
-			ListMode: mode,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return fromCore(res, AlgRandomized), nil
+		res, err = core.Randomized(g, core.RandOptions{Seed: opts.Seed, R: opts.R, Backoff: opts.Backoff, P: opts.P})
 	case AlgDeterministic:
-		res, err := core.Deterministic(g, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return fromCore(res, AlgDeterministic), nil
+		res, err = core.Deterministic(g, opts.Seed)
 	case AlgNetDec:
-		res, err := core.DeterministicNetDec(g, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return fromCore(res, AlgNetDec), nil
+		res, err = core.DeterministicNetDec(g, opts.Seed)
 	case AlgBaseline:
-		res, err := baseline.Color(g, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Colors:    res.Colors,
-			Delta:     res.Delta,
-			Rounds:    res.Rounds,
-			Phases:    res.Phases,
-			Algorithm: AlgBaseline,
-			// The baseline's stuck nodes are exactly the ones its Brooks
-			// token walks complete, so they are its repair count.
-			Repairs:           res.Stuck,
-			RepairBatches:     res.RepairBatches,
-			RepairBatchRounds: res.RepairBatchRounds,
-			Span:              res.Span,
-		}, nil
+		res, err = baseline.Color(g, opts.Seed)
 	default:
 		return nil, &OptionError{Field: "Algorithm", Value: alg, Reason: "unknown algorithm"}
 	}
-}
-
-func fromCore(res *core.Result, alg Algorithm) *Result {
+	if err != nil {
+		return nil, err
+	}
 	return &Result{
 		Colors:            res.Colors,
 		Delta:             res.Delta,
@@ -236,5 +198,5 @@ func fromCore(res *core.Result, alg Algorithm) *Result {
 		RepairBatches:     res.RepairBatches,
 		RepairBatchRounds: res.RepairBatchRounds,
 		Span:              res.Span,
-	}
+	}, nil
 }

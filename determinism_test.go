@@ -14,7 +14,7 @@ package deltacolor_test
 // names changed. rand-n512-d4-s1 has two adjacent holes among its four, so
 // MIS scheduling runs them in two batches and legitimately reorders the
 // interacting pair; its colors hash and rounds were re-captured (the
-// coloring is VerifyColoring-clean and the repair count is unchanged).
+// coloring passes verify.DeltaColoring and the repair count is unchanged).
 
 import (
 	"fmt"

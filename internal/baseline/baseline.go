@@ -9,8 +9,10 @@
 // This is a faithful-in-spirit reimplementation (README "Departures from
 // the paper"): the original's network-decomposition machinery is replaced
 // by (a) greedy recoloring sweeps that eliminate the easy conflicts and
-// (b) a distance-scheduled sequence of Brooks token walks for the hard
-// ones.
+// (b) Brooks token walks for the hard ones, batched by an MIS over their
+// repair balls. It runs on the same frame as the paper's algorithms
+// (core.Start, Repair, Finish): the same preconditions and typed errors,
+// the same result type and the same final Δ-coloring check.
 package baseline
 
 import (
@@ -18,27 +20,10 @@ import (
 
 	"deltacolor/graph"
 	"deltacolor/internal/brooks"
+	"deltacolor/internal/core"
 	"deltacolor/internal/dist"
 	"deltacolor/local"
 )
-
-// Result mirrors core.Result for the baseline.
-type Result struct {
-	Colors []int
-	Delta  int
-	Rounds int
-	Phases []local.PhaseStat
-	// Stuck is the number of nodes that needed a token walk (could not be
-	// fixed by greedy sweeps).
-	Stuck int
-	// RepairBatches / RepairBatchRounds mirror core.Result: the batch
-	// count and per-batch charged rounds of the token-walk repair engine.
-	RepairBatches     int
-	RepairBatchRounds []int
-	// Span is the run's nested timeline, collected only when a default
-	// tracer is installed (local.SetDefaultTracer); nil otherwise.
-	Span *local.Span
-}
 
 // Color computes a Δ-coloring of a nice graph with the baseline algorithm:
 //
@@ -46,28 +31,27 @@ type Result struct {
 //	(2) greedy sweeps: nodes holding color Δ take a free color in [0, Δ)
 //	    when one exists (scheduled by the O(Δ²) base coloring);
 //	(3) the remaining "rainbow" nodes are uncolored and repaired with
-//	    Brooks token walks, scheduled by a distance coloring of their
-//	    interaction graph so non-interacting walks run in parallel.
-func Color(g *graph.G, seed int64) (*Result, error) {
-	delta := g.MaxDegree()
-	if delta < 3 {
-		return nil, fmt.Errorf("baseline: Δ=%d < 3", delta)
+//	    Brooks token walks, batched by an MIS over their repair balls so
+//	    non-interacting walks run in parallel.
+//
+// Result.Repairs is the number of such stuck nodes.
+func Color(g *graph.G, seed int64) (*core.Result, error) {
+	f, err := core.Start(g, "baseline")
+	if err != nil {
+		return nil, err
 	}
-	acct := &local.Accountant{}
-	if tr := local.DefaultTracer(); tr != nil {
-		acct.StartSpans("baseline", tr)
-	}
-	n := g.N()
+	delta, colors, n := f.Delta, f.Colors, g.N()
 
 	net := local.NewNetwork(g, seed)
 	base, k, r1 := dist.Linial(net)
-	acct.Charge("linial", r1)
+	f.Acct.Charge("linial", r1)
 	net2 := local.NewNetwork(g, seed+1)
-	colors, r2, err := dist.ReduceColors(net2, base, k, delta+1)
+	reduced, r2, err := dist.ReduceColors(net2, base, k, delta+1)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	acct.Charge("reduce", r2)
+	copy(colors, reduced)
+	f.Acct.Charge("reduce", r2)
 
 	// Greedy sweeps: iterate the base color classes; a class node holding
 	// color Δ recolors to a free color in [0, Δ) when available. One sweep
@@ -81,7 +65,7 @@ func Color(g *graph.G, seed int64) (*Result, error) {
 				if base[v] != class || colors[v] != delta {
 					continue
 				}
-				if c := freeColor(g, colors, v, delta); c >= 0 {
+				if c := brooks.FreeColor(g, colors, v, delta); c >= 0 {
 					colors[v] = c
 					changed = true
 				}
@@ -92,14 +76,12 @@ func Color(g *graph.G, seed int64) (*Result, error) {
 			break
 		}
 	}
-	acct.Charge("greedy-sweeps", sweepRounds)
+	f.Acct.Charge("greedy-sweeps", sweepRounds)
 
 	// Hard cases: uncolor and run Brooks token walks through the batched
 	// repair engine. The stuck nodes form an independent set (they all
 	// hold color Δ); the engine schedules an MIS over their realized
-	// repair balls per batch and charges the max walk length per batch,
-	// replacing the old greedy distance-coloring scheduler with the same
-	// accounting discipline.
+	// repair balls per batch and charges the max walk length per batch.
 	var stuck []int
 	for v := 0; v < n; v++ {
 		if colors[v] == delta {
@@ -107,49 +89,10 @@ func Color(g *graph.G, seed int64) (*Result, error) {
 			stuck = append(stuck, v)
 		}
 	}
-	var rres *brooks.BatchResult
 	if len(stuck) > 0 {
-		var err error
-		rres, err = brooks.RepairInSpan(acct, "token-walks", "token", g, colors, stuck, delta, seed+2)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: token walks: %w", err)
+		if _, err := f.Repair("token-walks", "token", stuck, seed+2); err != nil {
+			return nil, err
 		}
 	}
-
-	if err := dist.VerifyColoring(g, colors); err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	for v := 0; v < n; v++ {
-		if colors[v] >= delta {
-			return nil, fmt.Errorf("baseline: node %d uses color %d >= Δ", v, colors[v])
-		}
-	}
-	out := &Result{
-		Colors: colors,
-		Delta:  delta,
-		Rounds: acct.Total(),
-		Phases: acct.Phases(),
-		Stuck:  len(stuck),
-	}
-	if rres != nil {
-		out.RepairBatches = len(rres.Batches)
-		out.RepairBatchRounds = rres.BatchRounds()
-	}
-	out.Span = acct.FinishSpans()
-	return out, nil
-}
-
-func freeColor(g *graph.G, colors []int, v, delta int) int {
-	used := make([]bool, delta)
-	for _, u := range g.Neighbors(v) {
-		if c := colors[u]; c >= 0 && c < delta {
-			used[c] = true
-		}
-	}
-	for c := 0; c < delta; c++ {
-		if !used[c] {
-			return c
-		}
-	}
-	return -1
+	return f.Finish(len(stuck))
 }

@@ -7,10 +7,11 @@ import (
 
 	"deltacolor/graph"
 	"deltacolor/graph/gen"
+	"deltacolor/internal/core"
 	"deltacolor/verify"
 )
 
-func checkResult(t *testing.T, g *graph.G, res *Result) {
+func checkResult(t *testing.T, g *graph.G, res *core.Result) {
 	t.Helper()
 	if err := verify.DeltaColoring(g, res.Colors, res.Delta); err != nil {
 		t.Fatalf("invalid Δ-coloring: %v", err)
@@ -116,27 +117,28 @@ func TestBaselineRepairBatchStats(t *testing.T) {
 		if tokenBatches != res.RepairBatches {
 			t.Fatalf("seed %d: %d token-batch phases for %d batches", seed, tokenBatches, res.RepairBatches)
 		}
-		if res.Stuck == 0 && res.RepairBatches != 0 {
+		if res.Repairs == 0 && res.RepairBatches != 0 {
 			t.Fatalf("seed %d: %d batches with no stuck nodes", seed, res.RepairBatches)
 		}
-		if res.Stuck > 0 && res.RepairBatches == 0 {
-			t.Fatalf("seed %d: stuck=%d but no repair batches", seed, res.Stuck)
+		if res.Repairs > 0 && res.RepairBatches == 0 {
+			t.Fatalf("seed %d: stuck=%d but no repair batches", seed, res.Repairs)
 		}
 	}
 }
 
 func TestBaselineStuckCountConsistent(t *testing.T) {
 	// On a bipartite graph Δ-coloring is easy; the baseline should rarely
-	// need token walks, but when it reports Stuck the result must still be
-	// valid. This is a smoke invariant across several structured inputs.
+	// need token walks, but when it reports stuck nodes (Repairs) the
+	// result must still be valid. This is a smoke invariant across
+	// several structured inputs.
 	inputs := []*graph.G{gen.Torus(6, 6), gen.Hypercube(5), gen.CompleteBipartite(6, 6)}
 	for _, g := range inputs {
 		res, err := Color(g, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stuck < 0 || res.Stuck > g.N() {
-			t.Fatalf("stuck = %d out of range [0,%d]", res.Stuck, g.N())
+		if res.Repairs < 0 || res.Repairs > g.N() {
+			t.Fatalf("stuck = %d out of range [0,%d]", res.Repairs, g.N())
 		}
 		checkResult(t, g, res)
 	}

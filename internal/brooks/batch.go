@@ -170,12 +170,12 @@ func RepairHoles(g *graph.G, colors []int, holes []int, delta int, seed int64) (
 		// snapshot and collect its realized ball with the colors it leaves
 		// there. The dominant case — the hole has a free color (always true
 		// when another hole is adjacent, and typical for deferred nodes) —
-		// resolves inline at radius 0 without the fixer; freeColor picks
+		// resolves inline at radius 0 without the fixer; FreeColor picks
 		// the same smallest free color FixOne's fast path does.
 		nodes, cols, ends, rounds = nodes[:0], cols[:0], append(ends[:0], 0), rounds[:0]
 		maxRadius := 0
 		for _, v := range remaining {
-			if c := freeColor(g, colors, v, delta); c >= 0 {
+			if c := FreeColor(g, colors, v, delta); c >= 0 {
 				// resolved inline: ModeFree, radius 0, 1 round
 				nodes, cols = append(nodes, v), append(cols, c)
 				ends, rounds = append(ends, len(nodes)), append(rounds, 1)

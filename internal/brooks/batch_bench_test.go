@@ -73,7 +73,7 @@ func BenchmarkRepairHolesChurn(b *testing.B) {
 		base[v] = -1
 	}
 	for _, v := range holes {
-		if freeColor(g, base, v, 4) < 0 {
+		if FreeColor(g, base, v, 4) < 0 {
 			stuck++
 		}
 	}

@@ -85,8 +85,8 @@ func SearchRadius(n, delta int) int {
 // Other uncolored nodes — the composite algorithms' deferral paths and the
 // SLOCAL executor both call FixOne mid-run with many holes open, some of
 // them adjacent — are treated as slack everywhere a color constraint is
-// read: freeColor ignores uncolored neighbors, and the DCC and fallback
-// recolorings build their lists (gallai.DegreeLists, deltaLists) from
+// read: FreeColor ignores uncolored neighbors, and the DCC and fallback
+// recolorings build their lists (gallai.DegreeLists) from
 // colored boundary nodes only, so an uncolored boundary neighbor widens a
 // list instead of blocking a color. Two consequences, pinned by the
 // adjacent-hole regression tests:
@@ -110,7 +110,7 @@ func FixOne(g *graph.G, partial []int, v, delta int) (*Result, error) {
 	}
 	colors := append([]int(nil), partial...)
 	// Fast path: free color at v.
-	if c := freeColor(g, colors, v, delta); c >= 0 {
+	if c := FreeColor(g, colors, v, delta); c >= 0 {
 		colors[v] = c
 		return &Result{Colors: colors, Radius: 0, Rounds: 1, Mode: ModeFree}, nil
 	}
@@ -293,7 +293,7 @@ func (f *fixer) walkAndResolve(colors []int, v, target int, mode Mode, dcc []int
 	cur := v // token holder, uncolored
 	for i := 1; i < len(path); i++ {
 		// Early exit: token node gained a free color.
-		if c := freeColor(g, colors, cur, delta); c >= 0 {
+		if c := FreeColor(g, colors, cur, delta); c >= 0 {
 			f.set(colors, cur, c)
 			return Result{Radius: radius, Rounds: 2*radius + 2, Mode: ModeFree}, nil
 		}
@@ -307,7 +307,7 @@ func (f *fixer) walkAndResolve(colors []int, v, target int, mode Mode, dcc []int
 	}
 	switch mode {
 	case ModeLowDegree:
-		c := freeColor(g, colors, cur, delta)
+		c := FreeColor(g, colors, cur, delta)
 		if c < 0 {
 			return Result{}, fmt.Errorf("brooks: low-degree target %d has no free color", cur)
 		}
@@ -358,7 +358,7 @@ func (f *fixer) fallbackRecolor(colors []int, v int) (Result, error) {
 		for _, u := range ball {
 			f.set(colors, u, -1)
 		}
-		lists := deltaLists(f.g, ball, colors, f.delta)
+		lists := gallai.DegreeLists(f.g, ball, colors, f.delta)
 		sol, err := gallai.BruteListColor(f.g, ball, lists)
 		if err == nil {
 			for u, c := range sol {
@@ -374,34 +374,9 @@ func (f *fixer) fallbackRecolor(colors []int, v int) (Result, error) {
 	return Result{}, fmt.Errorf("brooks: fallback recoloring failed around node %d", v)
 }
 
-// deltaLists builds {0..delta-1} minus externally-colored neighbor colors
-// for each ball node.
-func deltaLists(g *graph.G, nodes []int, colors []int, delta int) map[int][]int {
-	inSet := make(map[int]bool, len(nodes))
-	for _, u := range nodes {
-		inSet[u] = true
-	}
-	lists := make(map[int][]int, len(nodes))
-	for _, u := range nodes {
-		used := map[int]bool{}
-		for _, w := range g.Neighbors(u) {
-			if !inSet[w] && colors[w] >= 0 {
-				used[colors[w]] = true
-			}
-		}
-		var l []int
-		for c := 0; c < delta; c++ {
-			if !used[c] {
-				l = append(l, c)
-			}
-		}
-		lists[u] = l
-	}
-	return lists
-}
-
-// freeColor returns a color in [0, delta) unused by v's neighbors, or -1.
-func freeColor(g *graph.G, colors []int, v, delta int) int {
+// FreeColor returns the smallest color in [0, delta) unused by v's
+// colored neighbors, or -1 when v sees all of them.
+func FreeColor(g *graph.G, colors []int, v, delta int) int {
 	used := make([]bool, delta)
 	for _, u := range g.Neighbors(v) {
 		if c := colors[u]; c >= 0 && c < delta {

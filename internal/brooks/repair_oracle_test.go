@@ -28,7 +28,7 @@ func oracleFixOne(g *graph.G, partial []int, v, delta int) (*Result, error) {
 	}
 	colors := append([]int(nil), partial...)
 	rMax := SearchRadius(g.N(), delta)
-	if c := freeColor(g, colors, v, delta); c >= 0 {
+	if c := FreeColor(g, colors, v, delta); c >= 0 {
 		colors[v] = c
 		return &Result{Colors: colors, Radius: 0, Rounds: 1, Mode: ModeFree}, nil
 	}
@@ -70,7 +70,7 @@ func oracleWalkAndResolve(g *graph.G, colors []int, v, target, delta int, mode M
 	radius := 0
 	cur := v
 	for i := 1; i < len(path); i++ {
-		if c := freeColor(g, colors, cur, delta); c >= 0 {
+		if c := FreeColor(g, colors, cur, delta); c >= 0 {
 			colors[cur] = c
 			return &Result{Colors: colors, Radius: radius, Rounds: 2*radius + 2, Mode: ModeFree}, nil
 		}
@@ -84,7 +84,7 @@ func oracleWalkAndResolve(g *graph.G, colors []int, v, target, delta int, mode M
 	}
 	switch mode {
 	case ModeLowDegree:
-		c := freeColor(g, colors, cur, delta)
+		c := FreeColor(g, colors, cur, delta)
 		if c < 0 {
 			return nil, fmt.Errorf("brooks: low-degree target %d has no free color", cur)
 		}
@@ -127,7 +127,7 @@ func oracleFallbackRecolor(g *graph.G, colors []int, v, delta int) (*Result, err
 			saved[u] = colors[u]
 			colors[u] = -1
 		}
-		lists := deltaLists(g, ball, colors, delta)
+		lists := gallai.DegreeLists(g, ball, colors, delta)
 		sol, err := gallai.BruteListColor(g, ball, lists)
 		if err == nil {
 			for u, c := range sol {
@@ -161,7 +161,7 @@ func oracleRepairHoles(g *graph.G, colors []int, holes []int, delta int, seed in
 		balls := make([][]int, len(remaining))
 		maxRadius := 0
 		for i, v := range remaining {
-			if c := freeColor(g, colors, v, delta); c >= 0 {
+			if c := FreeColor(g, colors, v, delta); c >= 0 {
 				fixes[i] = nil
 				freeCols[i] = c
 				balls[i] = []int{v}
@@ -475,7 +475,7 @@ func TestFixerMatchesOracleAcrossEpochWrap(t *testing.T) {
 				t.Fatal("no stuck hole found")
 			}
 			v = rng.Intn(rr4.N())
-			if colors, _ = punch(rr4, base, []int{v}, 4); freeColor(rr4, colors, v, 4) < 0 {
+			if colors, _ = punch(rr4, base, []int{v}, 4); FreeColor(rr4, colors, v, 4) < 0 {
 				break
 			}
 		}

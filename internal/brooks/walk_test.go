@@ -84,7 +84,7 @@ func validColoring(t *testing.T, g *graph.G, delta int) []int {
 		colors[v] = -1
 	}
 	for v := 0; v < g.N(); v++ {
-		if c := freeColor(g, colors, v, delta); c >= 0 {
+		if c := FreeColor(g, colors, v, delta); c >= 0 {
 			colors[v] = c
 			continue
 		}
@@ -307,7 +307,7 @@ func TestDeltaListsExcludesBoundary(t *testing.T) {
 	g.MustEdge(0, 1)
 	g.MustEdge(1, 2)
 	colors := []int{2, -1, 0}
-	lists := deltaLists(g, []int{1}, colors, 3)
+	lists := gallai.DegreeLists(g, []int{1}, colors, 3)
 	if got := lists[1]; len(got) != 1 || got[0] != 1 {
 		t.Fatalf("list = %v, want [1]", got)
 	}

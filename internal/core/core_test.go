@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"deltacolor/graph"
 	"deltacolor/graph/gen"
+	"deltacolor/internal/brooks"
 	"deltacolor/local"
 	"deltacolor/verify"
 )
@@ -369,16 +371,20 @@ func TestRepairUncolored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	colors := append([]int(nil), res.Colors...)
+	f, err := Start(g, "repair")
+	if err != nil {
+		t.Fatal(err)
+	}
+	colors, acct := f.Colors, f.Acct
+	copy(colors, res.Colors)
 	erased := 0
 	for v := 0; v < g.N(); v += 7 {
 		colors[v] = -1
 		erased++
 	}
-	acct := &local.Accountant{}
-	rres, err := RepairUncolored(g, colors, delta, 17, acct)
+	rres, err := f.Repair("repair", "repair", brooks.Holes(colors), 17)
 	if err != nil {
-		t.Fatalf("RepairUncolored: %v", err)
+		t.Fatalf("Repair: %v", err)
 	}
 	if rres.Fixed != erased {
 		t.Fatalf("fixed %d nodes, want %d", rres.Fixed, erased)
@@ -396,6 +402,15 @@ func TestRepairUncolored(t *testing.T) {
 	// erasure: at least one batch has to carry multiple repairs.
 	if len(rres.Batches) >= rres.Fixed {
 		t.Fatalf("%d batches for %d repairs: no batching happened", len(rres.Batches), rres.Fixed)
+	}
+	// Finish folds the repair's batches into the result.
+	out, err := f.Finish(rres.Fixed)
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	if out.Rounds != acct.Total() || out.Repairs != erased || out.RepairBatches != len(rres.Batches) || !slices.Equal(out.RepairBatchRounds, rres.BatchRounds()) {
+		t.Fatalf("result rounds %d repairs %d batches %d %v, want %d %d %d %v",
+			out.Rounds, out.Repairs, out.RepairBatches, out.RepairBatchRounds, acct.Total(), erased, len(rres.Batches), rres.BatchRounds())
 	}
 }
 

@@ -1,0 +1,146 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+
+	"deltacolor/graph"
+	"deltacolor/internal/brooks"
+	"deltacolor/local"
+	"deltacolor/verify"
+)
+
+// Precondition errors shared by all Δ-coloring entry points.
+var (
+	// ErrComplete: the graph is a clique; by Brooks' theorem it has no
+	// Δ-coloring.
+	ErrComplete = errors.New("graph is a complete graph (not Δ-colorable)")
+	// ErrOddCycle: the graph is an odd cycle (Δ = 2, chromatic number 3).
+	ErrOddCycle = errors.New("graph is an odd cycle (not Δ-colorable)")
+	// ErrDegreeTooSmall: Δ <= 2 (paths/cycles need Ω(n) rounds even when
+	// 2-colorable; the theorems require Δ >= 3).
+	ErrDegreeTooSmall = errors.New("maximum degree must be at least 3")
+	// ErrNotNice: some component of the graph is a path, cycle or clique.
+	// Disconnected inputs are accepted when every component is nice.
+	ErrNotNice = errors.New("graph is a path, cycle or clique (not a nice graph)")
+)
+
+// CheckNice validates the theorems' preconditions: Δ >= minDelta and the
+// graph is nice (not a path, cycle or clique). Disconnected inputs are
+// accepted when every component is nice; the coloring is computed on all
+// components simultaneously (the LOCAL model does this for free).
+func CheckNice(g *graph.G, minDelta int) (int, error) {
+	delta := g.MaxDegree()
+	if delta < minDelta || delta < 3 {
+		return delta, fmt.Errorf("Δ=%d: %w", delta, ErrDegreeTooSmall)
+	}
+	comp, count := g.ConnectedComponents()
+	byComp := make([][]int, count)
+	for v, c := range comp {
+		byComp[c] = append(byComp[c], v)
+	}
+	for _, nodes := range byComp {
+		sub, _, err := g.InducedSubgraph(nodes)
+		if err != nil {
+			return delta, err
+		}
+		if sub.IsClique() && sub.N() == delta+1 {
+			return delta, ErrComplete
+		}
+		if !sub.IsNice() {
+			return delta, ErrNotNice
+		}
+	}
+	return delta, nil
+}
+
+// Result is the outcome of a Δ-coloring run.
+type Result struct {
+	Colors []int
+	Delta  int
+	Rounds int
+	Phases []local.PhaseStat
+	// Repairs counts the nodes the pipeline left to Brooks repairs: its
+	// deferred nodes completed by the safety net, or the baseline's stuck
+	// nodes completed by its token walks.
+	Repairs int
+	// RepairBatches counts the batch iterations the Brooks repair engine
+	// ran (across every engine invocation of the algorithm); 0 when no
+	// repairs were needed. RepairBatchRounds is the per-batch charged
+	// rounds histogram (scheduling + execution), concatenated in
+	// invocation order.
+	RepairBatches     int
+	RepairBatchRounds []int
+	// Span is the run's nested timeline (pipeline → phase → primitive),
+	// collected only when a default tracer is installed
+	// (local.SetDefaultTracer); nil otherwise.
+	Span *local.Span
+}
+
+// Frame is the part every pipeline shares: Start checks the input and
+// opens the accounting, Repair runs the batched Brooks repairs, and
+// Finish checks the coloring and assembles the Result. Between them the
+// pipeline colors Colors (-1 = uncolored) and charges its rounds to Acct.
+// A Frame belongs to one run of one pipeline.
+type Frame struct {
+	Delta  int
+	Colors []int
+	Acct   *local.Accountant
+
+	g           *graph.G
+	name        string
+	batchRounds []int // per-batch charged rounds of every Repair, in order
+}
+
+// Start opens a run of the pipeline called name on g: it checks the
+// theorems' preconditions (CheckNice; the typed errors pass through
+// unwrapped), opens the accountant, with spans under name when a
+// process-wide tracer is installed, and starts every node uncolored.
+func Start(g *graph.G, name string) (*Frame, error) {
+	delta, err := CheckNice(g, 3)
+	if err != nil {
+		return nil, err
+	}
+	f := &Frame{Delta: delta, Colors: make([]int, g.N()), Acct: &local.Accountant{}, g: g, name: name}
+	for v := range f.Colors {
+		f.Colors[v] = -1
+	}
+	if tr := local.DefaultTracer(); tr != nil {
+		f.Acct.StartSpans(name, tr)
+	}
+	return f, nil
+}
+
+// Repair completes holes with the batched distributed Brooks engine
+// (Theorem 5 walks scheduled by an MIS over their repair balls) inside
+// span, charging each batch as "<prefix>-sched[i]" and "<prefix>-batch[i]"
+// (see brooks.RepairInSpan), and folds its batches into the result.
+// Called with the remaining uncolored nodes, it is the safety net that
+// makes every pipeline total on nice inputs.
+func (f *Frame) Repair(span, prefix string, holes []int, seed int64) (*brooks.BatchResult, error) {
+	res, err := brooks.RepairInSpan(f.Acct, span, prefix, f.g, f.Colors, holes, f.Delta, seed)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %s: %w", f.name, span, err)
+	}
+	f.batchRounds = append(f.batchRounds, res.BatchRounds()...)
+	return res, nil
+}
+
+// Finish checks that Colors is a Δ-coloring (total, proper, every color
+// below Δ) and returns the Result, with repairs as its Repairs count and
+// the spans closed.
+func (f *Frame) Finish(repairs int) (*Result, error) {
+	if err := verify.DeltaColoring(f.g, f.Colors, f.Delta); err != nil {
+		return nil, fmt.Errorf("%s: %w", f.name, err)
+	}
+	return &Result{
+		Colors:            f.Colors,
+		Delta:             f.Delta,
+		Rounds:            f.Acct.Total(),
+		Phases:            f.Acct.Phases(),
+		Repairs:           repairs,
+		RepairBatches:     len(f.batchRounds),
+		RepairBatchRounds: f.batchRounds,
+		Span:              f.Acct.FinishSpans(),
+	}, nil
+}

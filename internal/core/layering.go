@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"deltacolor/graph"
-	"deltacolor/internal/brooks"
 	"deltacolor/internal/dist"
 	"deltacolor/local"
 )
@@ -152,18 +151,4 @@ func repairDefer(colors []int, active []bool) int {
 		}
 	}
 	return n
-}
-
-// RepairUncolored completes any remaining uncolored nodes with the batched
-// distributed Brooks engine (Theorem 5 walks scheduled by an MIS over
-// their repair balls, see brooks.RepairHoles). Each batch of
-// pairwise-independent repairs is charged its max rounds plus the
-// scheduling cost — not the sum the pre-batching safety net billed. Used
-// as the safety net that makes every algorithm total on all nice inputs.
-func RepairUncolored(g *graph.G, colors []int, delta int, seed int64, acct *local.Accountant) (*brooks.BatchResult, error) {
-	res, err := brooks.RepairInSpan(acct, "repair", "repair", g, colors, brooks.Holes(colors), delta, seed)
-	if err != nil {
-		return res, fmt.Errorf("repair: %w", err)
-	}
-	return res, nil
 }

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"deltacolor/graph"
-	"deltacolor/internal/brooks"
 	"deltacolor/internal/dist"
 	"deltacolor/local"
 )
@@ -20,91 +18,33 @@ import (
 //	    over the decomposition's color classes, R chosen so B0 members'
 //	    Brooks recoloring balls are disjoint;
 //	(3) peel layers B_1..B_s by distance to B0 and re-color them in reverse
-//	    order, each a (deg+1)-list instance, solving the instances color
-//	    class by color class over the decomposition;
+//	    order, each a (deg+1)-list instance;
 //	(4) color B0 via the distributed Brooks theorem (Theorem 5).
 //
-// Compared to Deterministic (Theorem 4), the ruling set and the list
-// colorings ride on the decomposition instead of the AGLP recursion and
-// Linial color classes; experiment E8 compares the two round counts.
+// Steps (3) and (4) are Deterministic's (Theorem 4) layered body; only B0
+// differs, riding on the decomposition instead of the AGLP recursion.
+// Experiment E8 compares the two round counts.
 func DeterministicNetDec(g *graph.G, seed int64) (*Result, error) {
-	delta, err := CheckNice(g, 3)
-	if err != nil {
-		return nil, err
-	}
-	acct := &local.Accountant{}
-	startSpans(acct, "netdec")
-	n := g.N()
-
-	acct.Begin("decompose")
-	// (1) Network decomposition with beta = Θ(1/log n).
-	beta := 1.0 / math.Max(1, math.Log(float64(n+2)))
-	dec := dist.Decompose(g, nil, beta, seed)
-	if err := dist.VerifyDecomposition(g, nil, dec); err != nil {
-		acct.End() // close "decompose" on the error path (spanpair)
-		return nil, fmt.Errorf("netdec variant: %w", err)
-	}
-	acct.Charge("decomposition", dec.Rounds)
-
-	// (2) B0: greedy (R, ·) ruling set over decomposition color classes.
-	// Iterating one class costs one cluster-graph round = 2·MaxRadius+1
-	// G-rounds, plus a distance-R probe per chosen candidate batch.
-	rB := brooks.SearchRadius(n, delta)
-	bigR := 6*rB + 3
-	base := rulingSetViaDecomposition(g, dec, bigR)
-	acct.Charge("ruling-set", dec.NumColors*(2*dec.MaxRadius+1+bigR))
-	if len(base) == 0 {
-		base = []int{0}
-	}
-
-	// (3) Layers by distance to B0, colored in reverse.
-	layer := Layering(g, base, nil)
-	s := 0
-	for _, l := range layer {
-		if l > s {
-			s = l
+	return layered(g, "netdec", seed, func(acct *local.Accountant, bigR int) ([]int, error) {
+		// (1) Network decomposition with beta = Θ(1/log n).
+		beta := 1.0 / math.Max(1, math.Log(float64(g.N()+2)))
+		dec := dist.Decompose(g, nil, beta, seed)
+		if err := dist.VerifyDecomposition(g, nil, dec); err != nil {
+			return nil, err
 		}
-	}
-	acct.Charge("layering", s)
-	acct.End()
+		acct.Charge("decomposition", dec.Rounds)
 
-	colors := make([]int, n)
-	for v := range colors {
-		colors[v] = -1
-	}
-	lc := NewLayerColorer(g, delta, ListColorDeterministic, seed, acct)
-	repairs, err := lc.ColorLayersReverse(colors, layer, s, "layers")
-	if err != nil {
-		return nil, err
-	}
-
-	// (4) B0 via Theorem 5 through the batch engine (independent
-	// recolorings; spacing >= bigR puts them all in one batch).
-	b0res, err := brooks.RepairInSpan(acct, "brooks-B0", "brooks-B0", g, colors, base, delta, seed+0xb0)
-	if err != nil {
-		return nil, fmt.Errorf("netdec variant: color B0: %w", err)
-	}
-
-	rres, err := RepairUncolored(g, colors, delta, seed+0x4e9, acct)
-	if err != nil {
-		return nil, fmt.Errorf("netdec variant: %w", err)
-	}
-	repairs += rres.Fixed
-
-	if err := dist.VerifyColoring(g, colors); err != nil {
-		return nil, fmt.Errorf("netdec variant: %w", err)
-	}
-	out := &Result{
-		Colors:  colors,
-		Delta:   delta,
-		Rounds:  acct.Total(),
-		Phases:  acct.Phases(),
-		Repairs: repairs,
-	}
-	out.addRepairStats(b0res)
-	out.addRepairStats(rres)
-	out.Span = acct.FinishSpans()
-	return out, nil
+		// (2) B0: greedy (R, ·) ruling set over decomposition color
+		// classes. Iterating one class costs one cluster-graph round =
+		// 2·MaxRadius+1 G-rounds, plus a distance-R probe per chosen
+		// candidate batch.
+		base := rulingSetViaDecomposition(g, dec, bigR)
+		acct.Charge("ruling-set", dec.NumColors*(2*dec.MaxRadius+1+bigR))
+		if len(base) == 0 {
+			base = []int{0}
+		}
+		return base, nil
+	})
 }
 
 // rulingSetViaDecomposition selects cluster centers class by class,

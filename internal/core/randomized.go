@@ -1,11 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
 	"deltacolor/graph"
+	"deltacolor/internal/brooks"
 	"deltacolor/internal/dist"
 	"deltacolor/internal/gallai"
 	"deltacolor/local"
@@ -97,20 +97,13 @@ func (o RandOptions) AutoParams(n, delta int) RandOptions {
 // distributed Brooks safety net and counted in Result.Repairs, so the
 // returned coloring is always a valid Δ-coloring on nice graphs.
 func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
-	delta, err := CheckNice(g, 3)
+	f, err := Start(g, "randomized")
 	if err != nil {
 		return nil, err
 	}
-	o := opts.AutoParams(g.N(), delta)
-	acct := &local.Accountant{}
-	startSpans(acct, "randomized")
-	n := g.N()
+	delta, colors, acct, n := f.Delta, f.Colors, f.Acct, g.N()
+	o := opts.AutoParams(n, delta)
 	rng := rand.New(rand.NewSource(o.Seed ^ 0x5eed))
-
-	colors := make([]int, n)
-	for v := range colors {
-		colors[v] = -1
-	}
 	lc := NewLayerColorer(g, delta, o.ListMode, o.Seed, acct)
 
 	// ---- Phase I: remove DCCs of radius <= r (phases 1-3). ----
@@ -230,25 +223,11 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 		acct.Charge("B0-bruteforce", 2*maxRad+1)
 	}
 
-	rres, err := RepairUncolored(g, colors, delta, o.Seed+0x4e9, acct)
+	rres, err := f.Repair("repair", "repair", brooks.Holes(colors), o.Seed+0x4e9)
 	if err != nil {
-		return nil, fmt.Errorf("randomized: %w", err)
+		return nil, err
 	}
-	repairs += rres.Fixed
-
-	if err := dist.VerifyColoring(g, colors); err != nil {
-		return nil, fmt.Errorf("randomized: %w", err)
-	}
-	out := &Result{
-		Colors:  colors,
-		Delta:   delta,
-		Rounds:  acct.Total(),
-		Phases:  acct.Phases(),
-		Repairs: repairs,
-	}
-	out.addRepairStats(rres)
-	out.Span = acct.FinishSpans()
-	return out, nil
+	return f.Finish(repairs + rres.Fixed)
 }
 
 // shatterState is the outcome of the marking process (phase 4).

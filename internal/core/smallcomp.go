@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"deltacolor/graph"
+	"deltacolor/internal/brooks"
 	"deltacolor/internal/dist"
 	"deltacolor/internal/gallai"
 	"deltacolor/local"
@@ -110,7 +111,7 @@ func colorSmallComponents(g *graph.G, inL []bool, colors []int, delta int, o Ran
 		if grp.free {
 			v := grp.nodes[0]
 			if colors[v] < 0 {
-				if c := freeColorOf(g, colors, v, delta); c >= 0 {
+				if c := brooks.FreeColor(g, colors, v, delta); c >= 0 {
 					colors[v] = c
 				} else {
 					deferred++
@@ -238,21 +239,6 @@ func isFreeNode(g *graph.G, inL []bool, colors []int, v, delta int) bool {
 		}
 	}
 	return false
-}
-
-func freeColorOf(g *graph.G, colors []int, v, delta int) int {
-	used := make([]bool, delta)
-	for _, u := range g.Neighbors(v) {
-		if c := colors[u]; c >= 0 && c < delta {
-			used[c] = true
-		}
-	}
-	for c := 0; c < delta; c++ {
-		if !used[c] {
-			return c
-		}
-	}
-	return -1
 }
 
 func minOf(xs []int) int {

@@ -22,8 +22,6 @@
 //     decomposition with exponential random shifts, standing in for the
 //     deterministic network decomposition of [PS92] in the Theorem 21
 //     variant.
-//   - VerifyColoring: the centralized full-coloring checker every
-//     algorithm runs before returning.
 //
 // How the primitives compose into the paper's algorithms:
 //
@@ -37,6 +35,11 @@
 //   - Algorithm 4 (Theorem 21 variant): Decompose replaces the AGLP
 //     recursion; the ruling set is drawn from cluster centers class by
 //     class, then the same layered list colorings run.
+//   - The Panconesi–Srinivasan baseline: Linial then ReduceColors give a
+//     (Δ+1)-coloring, whose extra color class Brooks token walks repair.
+//
+// No primitive here checks a final coloring: every pipeline ends in the
+// frame of internal/core, whose Finish runs verify.DeltaColoring.
 //
 // The network-run primitives (Linial, ReduceColors, LubyMIS, the list
 // colorings) return the actual synchronous round count of the underlying

@@ -8,6 +8,7 @@ import (
 	"deltacolor/graph"
 	"deltacolor/graph/gen"
 	"deltacolor/local"
+	"deltacolor/verify"
 )
 
 // logStar is the base-2 iterated logarithm, the quantity Linial's theorem
@@ -425,19 +426,25 @@ func TestVerifyDecompositionCatchesTampering(t *testing.T) {
 	}
 }
 
+// TestVerifyColoring pins the checker every pipeline runs before
+// returning (core's Finish): total, proper and within the palette [0, Δ).
 func TestVerifyColoring(t *testing.T) {
 	g := gen.Cycle(6)
-	if err := VerifyColoring(g, []int{0, 1, 0, 1, 0, 1}); err != nil {
+	delta := g.MaxDegree()
+	if err := verify.DeltaColoring(g, []int{0, 1, 0, 1, 0, 1}, delta); err != nil {
 		t.Fatalf("valid coloring rejected: %v", err)
 	}
-	if err := VerifyColoring(g, []int{0, 1, 0, 1, 0, -1}); err == nil {
+	if err := verify.DeltaColoring(g, []int{0, 1, 0, 1, 0, -1}, delta); err == nil {
 		t.Fatal("uncolored node accepted")
 	}
-	if err := VerifyColoring(g, []int{0, 0, 1, 0, 1, 2}); err == nil {
+	if err := verify.DeltaColoring(g, []int{0, 0, 1, 0, 1, 2}, delta); err == nil {
 		t.Fatal("monochromatic edge accepted")
 	}
-	if err := VerifyColoring(g, []int{0, 1}); err == nil {
+	if err := verify.DeltaColoring(g, []int{0, 1}, delta); err == nil {
 		t.Fatal("wrong-length slice accepted")
+	}
+	if err := verify.DeltaColoring(g, []int{0, 1, 0, 1, 0, 2}, delta); err == nil {
+		t.Fatal("proper coloring using color Δ accepted")
 	}
 }
 

@@ -79,9 +79,9 @@ func E13RepairTail(cfg Config) *Table {
 			stride := repairStride(side, target)
 			g, colors, holes := repairWorkload(side, stride, pattern)
 
-			// Before: the sequential engine (exactly what core.RepairUncolored
-			// did before PR 4 — FixOne in ascending ID order, full-slice copy
-			// per repair, summed rounds).
+			// Before: the sequential engine (what the pipelines' safety net
+			// did before batching — FixOne in ascending ID order, full-slice
+			// copy per repair, summed rounds).
 			seq := append([]int(nil), colors...)
 			t0 := time.Now()
 			summed := 0

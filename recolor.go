@@ -87,12 +87,6 @@ func ConflictSet(g *graph.G, colors []int, delta int) []int {
 	return bad
 }
 
-// residualConflicts is the post-mortem for a failed recovery: holes plus
-// conflict-set members of whatever state repair left behind.
-func residualConflicts(g *graph.G, colors []int, delta int) []int {
-	return ConflictSet(g, colors, delta)
-}
-
 // Recolor restores a verified Δ-coloring after faults or churn, mutating
 // colors in place. It scans the conflict set, uncolors it into holes,
 // feeds them to the batched Brooks repair engine (internal/brooks), and
@@ -131,7 +125,7 @@ func Recolor(g *graph.G, colors []int, delta int, seed int64) (*RecolorStats, er
 	if len(conflicts) > 0 {
 		res, err := brooks.RepairHoles(g, colors, conflicts, delta, seed)
 		if err != nil {
-			return stats, &UnrecoverableError{Residual: residualConflicts(g, colors, delta), Reason: err}
+			return stats, &UnrecoverableError{Residual: ConflictSet(g, colors, delta), Reason: err}
 		}
 		stats.Repaired = res.Fixed
 		stats.Changed = len(res.Changed)
@@ -139,7 +133,7 @@ func Recolor(g *graph.G, colors []int, delta int, seed int64) (*RecolorStats, er
 		stats.RepairRounds = res.TotalRounds()
 	}
 	if err := verify.DeltaColoring(g, colors, delta); err != nil {
-		return stats, &UnrecoverableError{Residual: residualConflicts(g, colors, delta), Reason: err}
+		return stats, &UnrecoverableError{Residual: ConflictSet(g, colors, delta), Reason: err}
 	}
 	return stats, nil
 }

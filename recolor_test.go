@@ -222,6 +222,37 @@ func TestColorUnderFaultsStructuralErrPassesThrough(t *testing.T) {
 	}
 }
 
+// TestEveryAlgorithmTypedPreconditionErrors: every algorithm rejects a
+// clique or a Δ = 2 graph with the typed precondition error, through
+// Color and through ColorUnderFaults, which passes it through instead of
+// reporting an unrecoverable fault.
+func TestEveryAlgorithmTypedPreconditionErrors(t *testing.T) {
+	inputs := []struct {
+		name string
+		g    *graph.G
+		want error
+	}{
+		{"K4", gen.Complete(4), deltacolor.ErrComplete},
+		{"K5", gen.Complete(5), deltacolor.ErrComplete},
+		{"C7", gen.Cycle(7), deltacolor.ErrDegreeTooSmall},
+		{"P8", gen.Path(8), deltacolor.ErrDegreeTooSmall},
+	}
+	algs := []deltacolor.Algorithm{deltacolor.AlgAuto, deltacolor.AlgRandomized, deltacolor.AlgDeterministic, deltacolor.AlgBaseline, deltacolor.AlgNetDec}
+	plan := &local.FaultPlan{Seed: 1, DropProb: 0.1, RoundLimit: 100}
+	for _, in := range inputs {
+		for _, alg := range algs {
+			opts := deltacolor.Options{Algorithm: alg, Seed: 1}
+			if _, err := deltacolor.Color(in.g, opts); !errors.Is(err, in.want) {
+				t.Errorf("%s %v: Color: got %v, want %v", in.name, alg, err, in.want)
+			}
+			_, _, err := deltacolor.ColorUnderFaults(in.g, opts, plan)
+			if !errors.Is(err, in.want) || errors.Is(err, deltacolor.ErrUnrecoverable) {
+				t.Errorf("%s %v: ColorUnderFaults: got %v, want %v unwrapped", in.name, alg, err, in.want)
+			}
+		}
+	}
+}
+
 func TestColorUnderFaultsRepairsAndVerifies(t *testing.T) {
 	// A bounded early burst of drops and delays: the pipeline limps but
 	// terminates, then Recolor heals whatever the faults mangled. The
