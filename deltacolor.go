@@ -116,7 +116,6 @@ type Result struct {
 // Errors re-exported for matching with errors.Is.
 var (
 	ErrComplete       = core.ErrComplete
-	ErrOddCycle       = core.ErrOddCycle
 	ErrDegreeTooSmall = core.ErrDegreeTooSmall
 	ErrNotNice        = core.ErrNotNice
 )

@@ -73,7 +73,7 @@ func main() {
 			}
 			distributed += len(nodes)
 		case errors.Is(err, deltacolor.ErrNotNice), errors.Is(err, deltacolor.ErrDegreeTooSmall),
-			errors.Is(err, deltacolor.ErrComplete), errors.Is(err, deltacolor.ErrOddCycle):
+			errors.Is(err, deltacolor.ErrComplete):
 			// Paths, small cycles, cliques, isolated towers: assign greedily
 			// (uses at most deg+1 <= Δ+1 channels, usually far fewer).
 			for _, v := range orig {

@@ -10,6 +10,7 @@ package deltacolor_test
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,5 +101,36 @@ func TestFaultChurnSoak(t *testing.T) {
 	t.Logf("soak: %d iterations, %d healed, %d unrecoverable", iters, healed, unrecoverable)
 	if healed == 0 {
 		t.Fatal("soak never healed a run — fault magnitudes drowned the signal")
+	}
+}
+
+// TestColorUnderFaultsRoundLimitCut runs every algorithm under a
+// FaultPlan whose RoundLimit cuts its engine runs short. Nodes halted by
+// the limit never write their outputs, so the pipelines read each slot's
+// "no output" value there. Every run must end in a verified coloring or
+// in an ErrUnrecoverable whose reason is not a recovered panic, and the
+// deterministic pipelines must heal at RoundLimit 20.
+func TestColorUnderFaultsRoundLimitCut(t *testing.T) {
+	g := gen.MustRandomRegular(rand.New(rand.NewSource(8)), 512, 4)
+	algs := []deltacolor.Algorithm{deltacolor.AlgRandomized, deltacolor.AlgDeterministic, deltacolor.AlgBaseline, deltacolor.AlgNetDec}
+	for _, alg := range algs {
+		for _, limit := range []int{2, 20} {
+			plan := &local.FaultPlan{Seed: 1, RoundLimit: limit}
+			res, _, err := deltacolor.ColorUnderFaults(g, deltacolor.Options{Algorithm: alg, Seed: 1}, plan)
+			mustHeal := limit == 20 && (alg == deltacolor.AlgDeterministic || alg == deltacolor.AlgNetDec)
+			var ue *deltacolor.UnrecoverableError
+			switch {
+			case err == nil:
+				if verr := verify.DeltaColoring(g, res.Colors, res.Delta); verr != nil {
+					t.Errorf("%s RoundLimit=%d: nil error but invalid coloring: %v", alg, limit, verr)
+				}
+			case mustHeal:
+				t.Errorf("%s RoundLimit=%d: %v, want a healed coloring", alg, limit, err)
+			case !errors.As(err, &ue):
+				t.Errorf("%s RoundLimit=%d: untyped error: %v", alg, limit, err)
+			case strings.Contains(ue.Reason.Error(), "panicked"):
+				t.Errorf("%s RoundLimit=%d: the pipeline panicked: %v", alg, limit, err)
+			}
+		}
 	}
 }

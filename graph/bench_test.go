@@ -60,14 +60,6 @@ func BenchmarkHasEdge(b *testing.B) {
 	}
 }
 
-func BenchmarkPower2(b *testing.B) {
-	g := benchGraph(b, 512, 0.008)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Power(2)
-	}
-}
-
 func BenchmarkEdgeListRoundTrip(b *testing.B) {
 	g := benchGraph(b, 1024, 0.008)
 	b.ResetTimer()

@@ -53,18 +53,6 @@ func (g *G) Ball(v, r int) []int {
 	return res.Order
 }
 
-// Sphere returns the nodes at distance exactly r from v.
-func (g *G) Sphere(v, r int) []int {
-	res := g.BFSLimited(v, r)
-	var out []int
-	for _, u := range res.Order {
-		if res.Dist[u] == r {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
 // MultiSourceDist returns, for every node, the distance to the nearest
 // source (-1 if unreachable) and the ID of that nearest source. Among the
 // sources at minimum distance, nearest[v] is the one listed first in

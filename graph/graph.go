@@ -202,14 +202,6 @@ func (g *G) Edges() [][2]int {
 	return es
 }
 
-// SortAdjacency sorts every adjacency list ascending; useful for
-// deterministic iteration in tests and algorithms.
-func (g *G) SortAdjacency() {
-	for v := range g.adj {
-		sort.Ints(g.adj[v])
-	}
-}
-
 // InducedSubgraph returns the node-induced subgraph on nodes (in the given
 // order) plus the mapping from new IDs to original IDs. Duplicate nodes in
 // the input are an error.
@@ -233,26 +225,4 @@ func (g *G) InducedSubgraph(nodes []int) (*G, []int, error) {
 	}
 	orig := append([]int(nil), nodes...)
 	return sub, orig, nil
-}
-
-// RemoveNodes returns a copy of g with the given nodes deleted (their
-// incident edges removed), keeping the original node IDs; deleted nodes
-// become isolated and are flagged in the returned removed set.
-func (g *G) RemoveNodes(nodes []int) (*G, map[int]bool) {
-	removed := make(map[int]bool, len(nodes))
-	for _, v := range nodes {
-		removed[v] = true
-	}
-	c := New(g.N())
-	for u, nbrs := range g.adj {
-		if removed[u] {
-			continue
-		}
-		for _, v := range nbrs {
-			if u < v && !removed[v] {
-				c.MustEdge(u, v)
-			}
-		}
-	}
-	return c, removed
 }

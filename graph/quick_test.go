@@ -100,59 +100,6 @@ func TestQuickInducedSubgraph(t *testing.T) {
 	}
 }
 
-// Property: in G^k, u ~ v iff 1 <= dist_G(u, v) <= k.
-func TestQuickPowerGraph(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := quickGraph(rng, 14)
-		k := 1 + rng.Intn(3)
-		p := g.Power(k)
-		for v := 0; v < g.N(); v++ {
-			dist, _ := g.MultiSourceDist([]int{v})
-			for u := 0; u < g.N(); u++ {
-				want := u != v && dist[u] >= 1 && dist[u] <= k
-				if p.HasEdge(v, u) != want {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: RemoveNodes leaves removed nodes isolated and never creates
-// edges.
-func TestQuickRemoveNodes(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := quickGraph(rng, 20)
-		var drop []int
-		for v := 0; v < g.N(); v++ {
-			if rng.Float64() < 0.3 {
-				drop = append(drop, v)
-			}
-		}
-		h, removed := g.RemoveNodes(drop)
-		for v := 0; v < h.N(); v++ {
-			if removed[v] && h.Deg(v) != 0 {
-				return false
-			}
-			for _, u := range h.Neighbors(v) {
-				if !g.HasEdge(v, u) || removed[u] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: BFS distances satisfy the triangle-ish property along edges —
 // adjacent nodes' distances from any root differ by at most 1 — and every
 // reachable node except the root has a parent at distance-1.

@@ -1,41 +1,5 @@
 package graph
 
-// Power returns G^k: same node set, an edge between u and v iff their
-// distance in g is between 1 and k. Power(1) is a copy of g.
-func (g *G) Power(k int) *G {
-	p := New(g.N())
-	if k <= 0 {
-		return p
-	}
-	for v := 0; v < g.N(); v++ {
-		res := g.BFSLimited(v, k)
-		for _, u := range res.Order {
-			if u > v && res.Dist[u] >= 1 {
-				p.MustEdge(v, u)
-			}
-		}
-	}
-	return p
-}
-
-// DistanceRangeGraph returns the graph H[lo, hi] of the shattering lemma:
-// same node set, an edge between u and v iff lo <= dist_g(u, v) <= hi.
-func (g *G) DistanceRangeGraph(lo, hi int) *G {
-	p := New(g.N())
-	if hi < lo || hi <= 0 {
-		return p
-	}
-	for v := 0; v < g.N(); v++ {
-		res := g.BFSLimited(v, hi)
-		for _, u := range res.Order {
-			if u > v && res.Dist[u] >= lo {
-				p.MustEdge(v, u)
-			}
-		}
-	}
-	return p
-}
-
 // Quotient builds a "virtual" graph over groups of nodes: one virtual node
 // per group; two groups are adjacent iff they share a node of g or are
 // joined by an edge of g. This is exactly the construction of the virtual

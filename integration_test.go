@@ -121,7 +121,6 @@ func TestColorQuickProperty(t *testing.T) {
 		if err != nil {
 			// Only the documented precondition errors are acceptable.
 			return errors.Is(err, deltacolor.ErrComplete) ||
-				errors.Is(err, deltacolor.ErrOddCycle) ||
 				errors.Is(err, deltacolor.ErrNotNice) ||
 				errors.Is(err, deltacolor.ErrDegreeTooSmall)
 		}

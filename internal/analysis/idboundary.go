@@ -31,8 +31,7 @@ var IDBoundary = &Analyzer{
 // (locality) order. Indexing one with an external ID reads the wrong
 // node's state whenever relabeling is active.
 var internalTables = map[string]bool{
-	"ports": true, "rev": true, "off": true,
-	"portsFlat": true, "revFlat": true, "slotFlat": true,
+	"off": true, "portsFlat": true, "revFlat": true, "slotFlat": true,
 	"inRec": true, "outRec": true, "inInt": true, "outInt": true,
 	"inHas": true, "outHas": true, "recvRec": true, "recvInt": true,
 	"haltSeg": true, "ctxs": true, "extID": true,

@@ -13,9 +13,9 @@ import (
 // ---------------------------------------------------------------------------
 // Flagged: ambient process state inside protocol scope.
 
-func wallClock(ctx *local.Ctx) {
+func wallClock(ctx *local.Ctx, out []time.Time) {
 	t := time.Now() // want `time\.Now in protocol code`
-	ctx.SetOutput(t)
+	out[ctx.ID()] = t
 }
 
 func globalRand(ctx *local.Ctx) int {

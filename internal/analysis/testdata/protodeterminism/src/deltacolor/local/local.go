@@ -13,4 +13,3 @@ func (c *Ctx) Rand() *rand.Rand        { return rand.New(rand.NewSource(int64(c.
 func (c *Ctx) Send(p int, rec []int32) {}
 func (c *Ctx) Broadcast(rec []int32)   {}
 func (c *Ctx) Recv(p int) []int32      { return nil }
-func (c *Ctx) SetOutput(v any)         {}

@@ -75,6 +75,24 @@ func TestCheckNiceDisconnected(t *testing.T) {
 	if _, err := CheckNice(h, 3); !errors.Is(err, ErrComplete) {
 		t.Fatalf("torus+K5: got %v, want ErrComplete", err)
 	}
+
+	// A nice component plus a small clique, a cycle, a path or an isolated
+	// node: each extra component is not nice, so the graph is rejected
+	// with ErrNotNice (only a Δ+1-clique is ErrComplete).
+	for name, extra := range map[string]*graph.G{
+		"K3": gen.Complete(3), "C7": gen.Cycle(7), "P3": gen.Path(3), "isolated node": graph.New(1),
+	} {
+		u := graph.New(16 + extra.N())
+		for _, e := range t1.Edges() {
+			u.MustEdge(e[0], e[1])
+		}
+		for _, e := range extra.Edges() {
+			u.MustEdge(e[0]+16, e[1]+16)
+		}
+		if _, err := CheckNice(u, 3); !errors.Is(err, ErrNotNice) {
+			t.Errorf("torus+%s: got %v, want ErrNotNice", name, err)
+		}
+	}
 }
 
 func TestLayeringDistances(t *testing.T) {
@@ -237,10 +255,12 @@ func TestRandomizedOnFamilies(t *testing.T) {
 	}
 }
 
+// TestRandomizedSmallDeltaMode runs Δ = 3, where AutoParams picks the
+// small-Δ parameterization r = Θ(log log n).
 func TestRandomizedSmallDeltaMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := gen.MustRandomRegular(rng, 512, 3)
-	res, err := Randomized(g, RandOptions{Seed: 3, SmallDelta: true})
+	res, err := Randomized(g, RandOptions{Seed: 3})
 	if err != nil {
 		t.Fatalf("Randomized small-Δ: %v", err)
 	}
@@ -248,16 +268,6 @@ func TestRandomizedSmallDeltaMode(t *testing.T) {
 	if res.Delta != 3 {
 		t.Fatalf("delta = %d, want 3", res.Delta)
 	}
-}
-
-func TestRandomizedDeterministicLists(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := gen.MustRandomRegular(rng, 256, 5)
-	res, err := Randomized(g, RandOptions{Seed: 5, ListMode: ListColorDeterministic})
-	if err != nil {
-		t.Fatalf("Randomized det lists: %v", err)
-	}
-	colorCheck(t, g, res)
 }
 
 func TestRandomizedManySeeds(t *testing.T) {

@@ -15,8 +15,6 @@ var (
 	// ErrComplete: the graph is a clique; by Brooks' theorem it has no
 	// Δ-coloring.
 	ErrComplete = errors.New("graph is a complete graph (not Δ-colorable)")
-	// ErrOddCycle: the graph is an odd cycle (Δ = 2, chromatic number 3).
-	ErrOddCycle = errors.New("graph is an odd cycle (not Δ-colorable)")
 	// ErrDegreeTooSmall: Δ <= 2 (paths/cycles need Ω(n) rounds even when
 	// 2-colorable; the theorems require Δ >= 3).
 	ErrDegreeTooSmall = errors.New("maximum degree must be at least 3")
@@ -29,25 +27,36 @@ var (
 // graph is nice (not a path, cycle or clique). Disconnected inputs are
 // accepted when every component is nice; the coloring is computed on all
 // components simultaneously (the LOCAL model does this for free).
+//
+// Components are judged in component order from their node count and
+// degree range alone, with no copy: a connected graph of k nodes is a
+// clique when its minimum degree is k-1, and a path or a cycle when its
+// maximum degree is at most 2. The first bad component decides the error:
+// ErrComplete for a (Δ+1)-clique, ErrNotNice otherwise.
 func CheckNice(g *graph.G, minDelta int) (int, error) {
 	delta := g.MaxDegree()
 	if delta < minDelta || delta < 3 {
 		return delta, fmt.Errorf("Δ=%d: %w", delta, ErrDegreeTooSmall)
 	}
 	comp, count := g.ConnectedComponents()
-	byComp := make([][]int, count)
+	type compStat struct{ nodes, minDeg, maxDeg int }
+	stats := make([]compStat, count)
 	for v, c := range comp {
-		byComp[c] = append(byComp[c], v)
+		d, s := g.Deg(v), &stats[c]
+		if s.nodes == 0 || d < s.minDeg {
+			s.minDeg = d
+		}
+		s.maxDeg = max(s.maxDeg, d)
+		s.nodes++
 	}
-	for _, nodes := range byComp {
-		sub, _, err := g.InducedSubgraph(nodes)
-		if err != nil {
-			return delta, err
+	for _, s := range stats {
+		if s.minDeg == s.nodes-1 {
+			if s.nodes == delta+1 {
+				return delta, ErrComplete
+			}
+			return delta, ErrNotNice
 		}
-		if sub.IsClique() && sub.N() == delta+1 {
-			return delta, ErrComplete
-		}
-		if !sub.IsNice() {
+		if s.maxDeg <= 2 {
 			return delta, ErrNotNice
 		}
 	}

@@ -136,7 +136,7 @@ func TestSmallDeltaShatteringCoversAll(t *testing.T) {
 	trials := 6
 	for i := 0; i < trials; i++ {
 		g := gen.MustRandomRegular(rng, 2048, 3)
-		st := ShatterOnce(g, RandOptions{Seed: int64(i), SmallDelta: true, Backoff: 3})
+		st := ShatterOnce(g, RandOptions{Seed: int64(i), Backoff: 3})
 		if st.TNodes > 0 && st.Survivors == 0 {
 			covered++
 		}

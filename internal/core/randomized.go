@@ -15,12 +15,10 @@ import (
 // Section 4. Zero values select the paper's defaults (computed from n and
 // Δ by AutoParams).
 type RandOptions struct {
-	Seed       int64
-	R          int           // DCC-removal radius r (0 = auto)
-	Backoff    int           // marking backoff distance b (0 = auto: 6 for Δ>=4, 12 for Δ=3)
-	P          float64       // selection probability (0 = auto: Δ^-b clamped to practical scale)
-	ListMode   ListColorMode // list-coloring subroutine (0 = randomized)
-	SmallDelta bool          // force the small-Δ parameterization r = Θ(log log n)
+	Seed    int64
+	R       int     // DCC-removal radius r (0 = auto)
+	Backoff int     // marking backoff distance b (0 = auto: 6 for Δ>=4, 12 for Δ=3)
+	P       float64 // selection probability (0 = auto: Δ^-b clamped to practical scale)
 }
 
 // AutoParams fills the zero fields of o per the paper's choices: the
@@ -39,7 +37,7 @@ func (o RandOptions) AutoParams(n, delta int) RandOptions {
 	}
 	if o.R == 0 {
 		loglog := math.Log(math.Max(2, math.Log(math.Max(2, float64(n)))))
-		if o.SmallDelta || delta <= 5 {
+		if delta <= 5 {
 			// r = Θ(log log n), rounded up to a multiple of 6 (Lemma 14).
 			r := int(math.Ceil(loglog))
 			o.R = ((r + 5) / 6) * 6
@@ -78,9 +76,6 @@ func (o RandOptions) AutoParams(n, delta int) RandOptions {
 		}
 		o.P = p
 	}
-	if o.ListMode == 0 {
-		o.ListMode = ListColorRandomized
-	}
 	return o
 }
 
@@ -104,7 +99,7 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 	delta, colors, acct, n := f.Delta, f.Colors, f.Acct, g.N()
 	o := opts.AutoParams(n, delta)
 	rng := rand.New(rand.NewSource(o.Seed ^ 0x5eed))
-	lc := NewLayerColorer(g, delta, o.ListMode, o.Seed, acct)
+	lc := NewLayerColorer(g, delta, ListColorRandomized, o.Seed, acct)
 
 	// ---- Phase I: remove DCCs of radius <= r (phases 1-3). ----
 	acct.Begin("dcc-removal")

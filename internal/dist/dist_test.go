@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -476,4 +477,65 @@ func TestPipelineLinialReduceList(t *testing.T) {
 		t.Fatal(err)
 	}
 	mergeAndCheck(t, g, active, partial, got, delta+1)
+}
+
+// TestRoundLimitCutReadsNoOutput pins the cut-run contract: a FaultPlan's
+// RoundLimit force-halts nodes before they write their outputs, and those
+// nodes must read the value meaning "no output" (false for MIS, -1 for a
+// color) instead of panicking the caller. Neither protocol can halt an
+// active node before round 3 (a node first halts after the round A that
+// opens its second phase), so at RoundLimit 2 every active node is still
+// running at the cut; inactive nodes halt at their first Step.
+func TestRoundLimitCutReadsNoOutput(t *testing.T) {
+	g := gen.MustRandomRegular(rand.New(rand.NewSource(8)), 128, 4)
+	n := g.N()
+	active := make([]bool, n)
+	none := make([]int, n)
+	for v := range active {
+		active[v] = v%3 != 0
+		none[v] = -1
+	}
+	li := NewListInstance(g, active, none, 5)
+	net := func(limit int) *local.Network {
+		net := local.NewNetwork(g, 1)
+		if limit > 0 {
+			if err := net.SetFaultPlan(&local.FaultPlan{RoundLimit: limit}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return net
+	}
+	checkCut := func(name string, net *local.Network) {
+		t.Helper()
+		if net.Rounds() != 2 || net.FaultStats().RoundLimited != 1 {
+			t.Fatalf("%s: %d rounds, RoundLimited = %d; want a run cut at round 2", name, net.Rounds(), net.FaultStats().RoundLimited)
+		}
+	}
+
+	// Uncut, both protocols write real outputs, so the checks below are
+	// not vacuous.
+	if inMIS, _ := LubyMIS(net(0), active); !slices.Contains(inMIS, true) {
+		t.Fatal("uncut LubyMIS chose no node")
+	}
+	if _, _, err := ListColorRandomized(net(0), li); err != nil {
+		t.Fatalf("uncut ListColorRandomized: %v", err)
+	}
+
+	cut := net(2)
+	inMIS, _ := LubyMIS(cut, active)
+	checkCut("LubyMIS", cut)
+	if v := slices.Index(inMIS, true); v >= 0 {
+		t.Fatalf("LubyMIS: node %d reads true after the cut", v)
+	}
+	cut = net(2)
+	colors, _, err := ListColorRandomized(cut, li)
+	checkCut("ListColorRandomized", cut)
+	if err == nil {
+		t.Fatal("ListColorRandomized: a cut run reported the instance solved")
+	}
+	for v, c := range colors {
+		if c != -1 {
+			t.Fatalf("ListColorRandomized: node %d reads color %d after the cut, want -1", v, c)
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"slices"
+
 	"deltacolor/local"
 )
 
@@ -75,11 +77,12 @@ func Linial(net *local.Network) (colors []int, k, rounds int) {
 	delta := g.MaxDegree()
 	steps := linialSchedule(n, delta)
 
-	outs := local.RunStepped(net, local.Stepped[linialState]{
+	colors = slices.Repeat([]int{-1}, n)
+	local.RunStepped(net, local.Stepped[linialState]{
 		Init: func(ctx *local.Ctx, s *linialState) bool {
 			s.color = ctx.ID()
 			if len(steps) == 0 {
-				ctx.SetOutput(s.color)
+				colors[ctx.ID()] = s.color
 				return false
 			}
 			ctx.BroadcastInt(s.color)
@@ -95,7 +98,7 @@ func Linial(net *local.Network) (colors []int, k, rounds int) {
 			s.color = linialRecolor(s.color, s.nbr, steps[s.cur])
 			s.cur++
 			if s.cur == len(steps) {
-				ctx.SetOutput(s.color)
+				colors[ctx.ID()] = s.color
 				return false
 			}
 			ctx.BroadcastInt(s.color)
@@ -103,10 +106,6 @@ func Linial(net *local.Network) (colors []int, k, rounds int) {
 		},
 	})
 
-	colors = make([]int, n)
-	for v, o := range outs {
-		colors[v] = o.(int)
-	}
 	k = n
 	if len(steps) > 0 {
 		last := steps[len(steps)-1]

@@ -153,9 +153,10 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 		s.afterB = false
 	}
 
-	outs := local.RunSteppedWithInput(net, local.Stepped[listRandState]{
+	colors := slices.Repeat([]int{-1}, n)
+	local.RunStepped(net, local.Stepped[listRandState]{
 		Init: func(ctx *local.Ctx, s *listRandState) bool {
-			if !ctx.Input().(bool) {
+			if !li.Active[ctx.ID()] {
 				// Inactive: one done announcement with the bye flag (this
 				// node leaves after the round) so neighbors mute the port.
 				ctx.BroadcastInt(encDC(true, true, -1))
@@ -172,7 +173,6 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 		},
 		Step: func(ctx *local.Ctx, s *listRandState) bool {
 			if s.inactive {
-				ctx.SetOutput(-1)
 				return false
 			}
 			if !s.afterB {
@@ -208,7 +208,7 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 						// Halt: stage one last bye announcement so listening
 						// neighbors mute this port, then leave.
 						s.bye.castInt(ctx, encDC(true, true, s.color))
-						ctx.SetOutput(s.color)
+						colors[ctx.ID()] = s.color
 						return false
 					}
 				}
@@ -250,18 +250,13 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 			}
 			s.phase++
 			if s.phase >= maxPhases {
-				ctx.SetOutput(s.color)
+				colors[ctx.ID()] = s.color
 				return false
 			}
 			sendA(ctx, s)
 			return true
 		},
-	}, activeInputs(li.Active))
-
-	colors := make([]int, n)
-	for v, o := range outs {
-		colors[v] = o.(int)
-	}
+	})
 	return colors, net.Rounds(), checkInstanceSolved(g, li, colors)
 }
 
@@ -272,7 +267,7 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 // (deg+1)-instance every node succeeds.
 //
 // Only the layer talks. An inactive node sends one bye (done, no color)
-// in round 1 and halts at its first Step with output -1. An uncolored
+// in round 1 and halts at its first Step, leaving its color -1. An uncolored
 // active node sends nothing. A colored active node re-announces its final
 // color every round on every port not muted by a bye; the repetition is
 // what lets a dropped announcement heal. A node folds the first final it
@@ -297,11 +292,8 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 	if u, v, ok := activeClash(g, li.Active, baseColors); ok {
 		return nil, 0, fmt.Errorf("deterministic list coloring: base classes not proper on edge (%d,%d)", u, v)
 	}
-	colors := make([]int, n)
+	colors := slices.Repeat([]int{-1}, n)
 	if !slices.Contains(li.Active, true) {
-		for v := range colors {
-			colors[v] = -1
-		}
 		return colors, 0, nil
 	}
 
@@ -313,7 +305,7 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 		folded   []bool // folded[p]: port p's final is out of list
 		bye      byeTracker
 	}
-	outs := local.RunStepped(net, local.Stepped[listDetState]{
+	local.RunStepped(net, local.Stepped[listDetState]{
 		Init: func(ctx *local.Ctx, s *listDetState) bool {
 			v := ctx.ID()
 			if !li.Active[v] {
@@ -330,7 +322,6 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 		},
 		Step: func(ctx *local.Ctx, s *listDetState) bool {
 			if s.inactive {
-				ctx.SetOutput(-1)
 				return false
 			}
 			for p := 0; p < ctx.Degree(); p++ {
@@ -352,7 +343,7 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 			}
 			s.class++
 			if s.class >= baseK {
-				ctx.SetOutput(s.color)
+				colors[ctx.ID()] = s.color
 				return false
 			}
 			if s.color >= 0 {
@@ -361,20 +352,7 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 			return true
 		},
 	})
-
-	for v, o := range outs {
-		colors[v] = o.(int)
-	}
 	return colors, net.Rounds(), checkInstanceSolved(g, li, colors)
-}
-
-// activeInputs exposes the active flags as per-node inputs.
-func activeInputs(active []bool) []any {
-	inputs := make([]any, len(active))
-	for v := range active {
-		inputs[v] = active[v]
-	}
-	return inputs
 }
 
 // checkInstanceSolved verifies that every active node took a color from its

@@ -42,9 +42,10 @@ func oracleListColorDet(net *local.Network, li *ListInstance, baseColors []int, 
 		class  int
 		finals map[int]bool
 	}
-	outs := local.RunSteppedWithInput(net, local.Stepped[listDetState]{
+	colors := slices.Repeat([]int{-1}, n)
+	local.RunStepped(net, local.Stepped[listDetState]{
 		Init: func(ctx *local.Ctx, s *listDetState) bool {
-			s.active = ctx.Input().(bool)
+			s.active = li.Active[ctx.ID()]
 			s.color = -1
 			s.finals = make(map[int]bool)
 			ctx.BroadcastInt(encDC(false, false, s.color))
@@ -68,18 +69,13 @@ func oracleListColorDet(net *local.Network, li *ListInstance, baseColors []int, 
 			}
 			s.class++
 			if s.class >= baseK {
-				ctx.SetOutput(s.color)
+				colors[ctx.ID()] = s.color
 				return false
 			}
 			ctx.BroadcastInt(encDC(s.color >= 0, false, s.color))
 			return true
 		},
-	}, activeInputs(li.Active))
-
-	colors := make([]int, n)
-	for v, o := range outs {
-		colors[v] = o.(int)
-	}
+	})
 	return colors, net.Rounds(), oracleCheckInstanceSolved(g, li, colors)
 }
 

@@ -52,16 +52,8 @@ func (s *misState) note(p, st int) {
 // drop out. A node halts once it and all its neighbors are decided, so the
 // returned round count is the measured cost, O(log n) w.h.p.
 func LubyMIS(net *local.Network, active []bool) (inMIS []bool, rounds int) {
-	g := net.Graph()
-	n := g.N()
-	var inputs []any
-	if active != nil {
-		inputs = make([]any, n)
-		for v := 0; v < n; v++ {
-			inputs[v] = active[v]
-		}
-	}
-
+	n := net.Graph().N()
+	inMIS = make([]bool, n)
 	maxPhases := 4*n + 16 // termination backstop; never reached in practice
 
 	// sendA stages the round-A lottery broadcast, drawing a fresh lottery
@@ -80,9 +72,9 @@ func LubyMIS(net *local.Network, active []bool) (inMIS []bool, rounds int) {
 		s.afterB = false
 	}
 
-	outs := local.RunSteppedWithInput(net, local.Stepped[misState]{
+	local.RunStepped(net, local.Stepped[misState]{
 		Init: func(ctx *local.Ctx, s *misState) bool {
-			if in, ok := ctx.Input().(bool); ok && !in {
+			if active != nil && !active[ctx.ID()] {
 				// Inactive: announce once (with the bye flag: this node is
 				// gone) so neighbors can discount and mute this port.
 				ctx.BroadcastInt(int(misInactive) | misBye)
@@ -99,7 +91,6 @@ func LubyMIS(net *local.Network, active []bool) (inMIS []bool, rounds int) {
 		},
 		Step: func(ctx *local.Ctx, s *misState) bool {
 			if s.inactive {
-				ctx.SetOutput(false)
 				return false
 			}
 			if !s.afterB {
@@ -130,7 +121,7 @@ func LubyMIS(net *local.Network, active []bool) (inMIS []bool, rounds int) {
 						// leave (staged sends of a halting node are still
 						// delivered).
 						s.bye.castInt(ctx, int(s.state)|misBye)
-						ctx.SetOutput(s.state == misIn)
+						inMIS[ctx.ID()] = s.state == misIn
 						return false
 					}
 				}
@@ -170,17 +161,12 @@ func LubyMIS(net *local.Network, active []bool) (inMIS []bool, rounds int) {
 			}
 			s.phase++
 			if s.phase >= maxPhases {
-				ctx.SetOutput(s.state == misIn)
+				inMIS[ctx.ID()] = s.state == misIn
 				return false
 			}
 			sendA(ctx, s)
 			return true
 		},
-	}, inputs)
-
-	inMIS = make([]bool, n)
-	for v, o := range outs {
-		inMIS[v] = o.(bool)
-	}
+	})
 	return inMIS, net.Rounds()
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"deltacolor/local"
 )
@@ -39,19 +40,16 @@ func ReduceColors(net *local.Network, base []int, k, target int) ([]int, int, er
 		return append([]int(nil), base...), 0, nil
 	}
 
-	inputs := make([]any, n)
-	for v := range inputs {
-		inputs[v] = base[v]
-	}
 	// Stepped protocol: one Step per color class, counting down from k-1.
 	// Colors travel over the int fast path.
 	type reduceState struct {
 		color int
 		class int // class whose round the next Step completes
 	}
-	outs := local.RunSteppedWithInput(net, local.Stepped[reduceState]{
+	colors := slices.Repeat([]int{-1}, n)
+	local.RunStepped(net, local.Stepped[reduceState]{
 		Init: func(ctx *local.Ctx, s *reduceState) bool {
-			s.color = ctx.Input().(int)
+			s.color = base[ctx.ID()]
 			s.class = k - 1
 			ctx.BroadcastInt(s.color)
 			return true
@@ -75,18 +73,14 @@ func ReduceColors(net *local.Network, base []int, k, target int) ([]int, int, er
 			}
 			s.class--
 			if s.class < target {
-				ctx.SetOutput(s.color)
+				colors[ctx.ID()] = s.color
 				return false
 			}
 			ctx.BroadcastInt(s.color)
 			return true
 		},
-	}, inputs)
+	})
 
-	colors := make([]int, n)
-	for v, o := range outs {
-		colors[v] = o.(int)
-	}
 	for v := 0; v < n; v++ {
 		if colors[v] >= target {
 			return colors, net.Rounds(), fmt.Errorf("reduce colors: node %d stuck at color %d >= target %d (degree %d)", v, colors[v], target, g.Deg(v))

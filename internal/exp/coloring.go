@@ -41,7 +41,7 @@ func E1SmallDelta(cfg Config) *Table {
 			n := 1 << e
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(e*100+delta)))
 			g := gen.MustRandomRegular(rng, n, delta)
-			res, err := core.Randomized(g, core.RandOptions{Seed: cfg.Seed + int64(e), SmallDelta: true})
+			res, err := core.Randomized(g, core.RandOptions{Seed: cfg.Seed + int64(e)})
 			if err != nil {
 				panic(fmt.Sprintf("E1 Δ=%d n=%d: %v", delta, n, err))
 			}

@@ -121,12 +121,12 @@ func ReferenceScore() float64 {
 // heartbeat is the uniform scheduler workload: r rounds of broadcast+fold
 // over the small-integer fast path, in the executor's native stepped form
 // (per-node state is one struct in a flat array — no stacks, no boxing).
+// Only its rounds are measured, so it has no output.
 func heartbeat(r int) local.Stepped[heartbeatState] {
 	return local.Stepped[heartbeatState]{
 		Init: func(ctx *local.Ctx, s *heartbeatState) bool {
 			s.sum = ctx.ID() & 0xff
 			if r == 0 {
-				ctx.SetOutput(s.sum & 0xff)
 				return false
 			}
 			ctx.BroadcastInt(s.sum & 0xff)
@@ -140,7 +140,6 @@ func heartbeat(r int) local.Stepped[heartbeatState] {
 			}
 			s.round++
 			if s.round == r {
-				ctx.SetOutput(s.sum & 0xff)
 				return false
 			}
 			ctx.BroadcastInt(s.sum & 0xff)

@@ -13,13 +13,13 @@ import (
 
 // intFloodStepped mirrors floodProtocol on the int fast path, with
 // explicit Init/Step segments: irregular halting, per-node randomness,
-// broadcast+fold.
-func intFloodStepped(rounds int) Stepped[[2]int] {
+// broadcast+fold. Each node writes its sum into out[ctx.ID()].
+func intFloodStepped(rounds int, out []int) Stepped[[2]int] {
 	return Stepped[[2]int]{
 		Init: func(ctx *Ctx, s *[2]int) bool {
 			s[0] = ctx.Rand().Intn(1000)
 			if rounds+ctx.ID()%5 == 0 {
-				ctx.SetOutput(s[0])
+				out[ctx.ID()] = s[0]
 				return false
 			}
 			ctx.BroadcastInt(s[0])
@@ -33,7 +33,7 @@ func intFloodStepped(rounds int) Stepped[[2]int] {
 			}
 			s[1]++
 			if s[1] == rounds+ctx.ID()%5 {
-				ctx.SetOutput(s[0])
+				out[ctx.ID()] = s[0]
 				return false
 			}
 			ctx.BroadcastInt(s[0])
@@ -48,11 +48,12 @@ func intFloodStepped(rounds int) Stepped[[2]int] {
 // is a scheduling detail, never a semantic one.
 func TestBatchSizeInvariance(t *testing.T) {
 	g := randomGraph(200, 0.03, 42)
-	run := func(batchSize, workers int) ([]any, int) {
+	run := func(batchSize, workers int) ([]int, int) {
 		net := NewNetwork(g, 7)
 		net.setBatch(batchSize)
 		net.SetWorkers(workers)
-		outs := RunStepped(net, floodProtocol(4))
+		outs := make([]int, g.N())
+		RunStepped(net, floodProtocol(4, outs))
 		return outs, net.Rounds()
 	}
 	base, baseRounds := run(0, 1)
@@ -103,7 +104,8 @@ func TestSteppedMatchesCentralSimulation(t *testing.T) {
 
 	net := NewNetwork(g, seed)
 	net.setBatch(16)
-	outs := RunStepped(net, intFloodStepped(rounds))
+	outs := make([]int, g.N())
+	RunStepped(net, intFloodStepped(rounds, outs))
 	if net.Rounds() != wantRounds {
 		t.Fatalf("rounds=%d, central simulation %d", net.Rounds(), wantRounds)
 	}
@@ -120,7 +122,8 @@ func TestSteppedMatchesCentralSimulation(t *testing.T) {
 func TestIntPathDirectionalityAndOverwrite(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g, 1)
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+	outs := make([]int, 2)
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		switch {
 		case round == 0 && ctx.ID() == 0:
 			// Stage a record, overwrite with int: receiver must see the int.
@@ -134,13 +137,12 @@ func TestIntPathDirectionalityAndOverwrite(t *testing.T) {
 			if _, ok := ctx.RecvInt(0); ok {
 				t.Error("node 0: overwritten int still delivered")
 			}
-			ctx.SetOutput(int(ctx.Recv(0)[0]))
+			outs[0] = int(ctx.Recv(0)[0])
 		default:
 			if m := ctx.Recv(0); m != nil {
 				t.Errorf("node 1: overwritten record %v still delivered", m)
 			}
-			v, _ := ctx.RecvInt(0)
-			ctx.SetOutput(v)
+			outs[1], _ = ctx.RecvInt(0)
 		}
 		return round == 0
 	}))
@@ -177,7 +179,8 @@ func TestBroadcastDegreeZero(t *testing.T) {
 	g := graph.New(3)
 	g.MustEdge(0, 1) // node 2 stays isolated
 	net := NewNetwork(g, 1)
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+	outs := make([]bool, g.N())
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if round == 0 {
 			ctx.Broadcast([]int32{1})
 			ctx.BroadcastInt(7)
@@ -186,14 +189,12 @@ func TestBroadcastDegreeZero(t *testing.T) {
 			}
 			return true
 		}
-		got := false
 		if ctx.Degree() > 0 {
-			_, got = ctx.RecvInt(0)
+			_, outs[ctx.ID()] = ctx.RecvInt(0)
 		}
-		ctx.SetOutput(got)
 		return false
 	}))
-	if outs[0] != true || outs[1] != true || outs[2] != false {
+	if !outs[0] || !outs[1] || outs[2] {
 		t.Fatalf("outs = %v, want [true true false]", outs)
 	}
 }
@@ -247,7 +248,7 @@ func TestIntPathZeroAllocsPerRound(t *testing.T) {
 	measure := func(rounds int) float64 {
 		return testing.AllocsPerRun(3, func() {
 			net := NewNetwork(g, 1)
-			RunStepped(net, intFloodStepped(rounds))
+			RunStepped(net, intFloodStepped(rounds, make([]int, g.N())))
 		})
 	}
 	short, long := measure(5), measure(105)
@@ -263,12 +264,11 @@ func TestIntPathZeroAllocsPerRound(t *testing.T) {
 func TestSteppedNetworkReuseAndReseed(t *testing.T) {
 	g := cycleGraph(40)
 	reused := NewNetwork(g, 1)
-	first := RunStepped(reused, intFloodStepped(3))
+	first, second, wantSecond := make([]int, g.N()), make([]int, g.N()), make([]int, g.N())
+	RunStepped(reused, intFloodStepped(3, first))
 	reused.Reseed(99)
-	second := RunStepped(reused, intFloodStepped(3))
-
-	fresh := NewNetwork(g, 99)
-	wantSecond := RunStepped(fresh, intFloodStepped(3))
+	RunStepped(reused, intFloodStepped(3, second))
+	RunStepped(NewNetwork(g, 99), intFloodStepped(3, wantSecond))
 	for v := range second {
 		if second[v] != wantSecond[v] {
 			t.Fatalf("reseeded run diverges from fresh network at node %d: %v vs %v", v, second[v], wantSecond[v])

@@ -9,43 +9,47 @@ import (
 	"deltacolor/graph"
 )
 
-// portProbe outputs, per node, the external IDs heard per port — which
-// must equal the node's external adjacency order, the port-numbering
-// contract churn has to preserve.
-var portProbe = roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
-	if round == 0 {
-		ctx.BroadcastInt(ctx.ID())
-		return true
-	}
-	ids := make([]int, ctx.Degree())
-	for p := range ids {
-		v, ok := ctx.RecvInt(p)
-		if !ok {
-			v = -1
+// portProbe writes into outs, per node, the external IDs heard per port —
+// which must equal the node's external adjacency order, the
+// port-numbering contract churn has to preserve.
+func portProbe(outs []string) Stepped[roundState[struct{}]] {
+	return roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		if round == 0 {
+			ctx.BroadcastInt(ctx.ID())
+			return true
 		}
-		ids[p] = v
-	}
-	ctx.SetOutput(fmt.Sprint(ids))
-	return false
-})
+		ids := make([]int, ctx.Degree())
+		for p := range ids {
+			v, ok := ctx.RecvInt(p)
+			if !ok {
+				v = -1
+			}
+			ids[p] = v
+		}
+		outs[ctx.ID()] = fmt.Sprint(ids)
+		return false
+	})
+}
 
 // checkPortsMatchGraph runs portProbe and asserts every node's port
 // order equals its adjacency order in net.Graph().
 func checkPortsMatchGraph(t *testing.T, net *Network) {
 	t.Helper()
 	g := net.Graph()
-	outs := RunStepped(net, portProbe)
+	outs := make([]string, g.N())
+	RunStepped(net, portProbe(outs))
 	for v := 0; v < g.N(); v++ {
 		want := fmt.Sprint(append([]int{}, g.Neighbors(v)...))
-		if outs[v].(string) != want {
+		if outs[v] != want {
 			t.Fatalf("node %d ports %v, want adjacency order %v", v, outs[v], want)
 		}
 	}
 }
 
 // floodHashProbe floods IDs for a few rounds and hashes what each node
-// saw; mutated and fresh networks must agree byte for byte.
-func floodHashProbe(rounds int) Stepped[roundState[int]] {
+// saw into out[ctx.ID()]; mutated and fresh networks must agree byte for
+// byte.
+func floodHashProbe(rounds int, out []int) Stepped[roundState[int]] {
 	return roundProgram(func(ctx *Ctx, acc *int, round int) bool {
 		if round == 0 {
 			*acc = ctx.ID()
@@ -56,7 +60,7 @@ func floodHashProbe(rounds int) Stepped[roundState[int]] {
 			}
 		}
 		if round == rounds {
-			ctx.SetOutput(*acc)
+			out[ctx.ID()] = *acc
 			return false
 		}
 		ctx.BroadcastInt(*acc & 0xffff)
@@ -145,8 +149,8 @@ func TestChurnEquivalenceRandomScript(t *testing.T) {
 		net := NewNetwork(g.Clone(), 7)
 		mirror := g.Clone()
 
-		// Interleave mutations and runs so the lazy consolidation path
-		// (setup's rebuildFlat) is exercised repeatedly mid-life.
+		// Interleave mutations and runs so the lazy rebuild path (setup's
+		// buildPorts) is exercised repeatedly mid-life.
 		for burst := 0; burst < 3; burst++ {
 			for op := 0; op < 12; op++ {
 				switch rng.Intn(4) {
@@ -203,8 +207,9 @@ func TestChurnEquivalenceRandomScript(t *testing.T) {
 			}
 			checkPortsMatchGraph(t, net)
 			fresh := NewNetwork(mirror.Clone(), 7)
-			a := RunStepped(net, floodHashProbe(4))
-			b := RunStepped(fresh, floodHashProbe(4))
+			a, b := make([]int, mirror.N()), make([]int, mirror.N())
+			RunStepped(net, floodHashProbe(4, a))
+			RunStepped(fresh, floodHashProbe(4, b))
 			if net.Rounds() != fresh.Rounds() {
 				t.Fatalf("trial %d burst %d: rounds %d != %d", trial, burst, net.Rounds(), fresh.Rounds())
 			}
@@ -255,9 +260,10 @@ func TestChurnPreservesDeliveryAcrossWorkers(t *testing.T) {
 	}
 	net.SetWorkers(4)
 	net.setBatch(32)
-	a := RunStepped(net, floodHashProbe(5))
+	a, b := make([]int, g.N()), make([]int, g.N())
+	RunStepped(net, floodHashProbe(5, a))
 	net.SetWorkers(1)
-	b := RunStepped(net, floodHashProbe(5))
+	RunStepped(net, floodHashProbe(5, b))
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatalf("node %d differs across worker counts after churn", v)

@@ -53,12 +53,13 @@ func (net *Network) recordMessages() {
 	for i := range net.batches {
 		for _, id := range net.batches[i].senders {
 			c := &net.ctxs[id]
+			to := net.portsFlat[net.off[id]:net.off[id+1]]
 			for p, rec := range c.out {
 				switch {
 				case rec.p != nil:
-					net.record(wordBytes*rec.n, net.ports[id][p])
+					net.record(wordBytes*rec.n, to[p])
 				case c.outHas[p] != 0:
-					net.record(wordBytes, net.ports[id][p])
+					net.record(wordBytes, to[p])
 				default:
 					continue
 				}
@@ -73,7 +74,7 @@ func (net *Network) recordMessages() {
 
 // record accounts one staged message of sz bytes headed for node to
 // (an internal index; it never leaves this accounting).
-func (net *Network) record(sz, to int) {
+func (net *Network) record(sz int, to int32) {
 	net.stats.Messages++
 	net.stats.TotalBytes += sz
 	if sz > net.stats.MaxBytes {

@@ -10,7 +10,8 @@ import (
 // Writing a LOCAL algorithm from scratch: each node learns the minimum ID
 // in its 2-neighborhood in exactly two rounds. The harness delivers one
 // message per edge per round; Init stages the first round's messages, and
-// each Step reads one round's arrivals and stages the next.
+// each Step reads one round's arrivals and stages the next. A node writes
+// its result into the caller's slice at its own ID.
 func ExampleRunStepped() {
 	// A path 0-1-2-3.
 	g := graph.New(4)
@@ -21,7 +22,8 @@ func ExampleRunStepped() {
 	// Per-node state: the smallest ID seen so far and the rounds done.
 	type state struct{ min, round int }
 	net := local.NewNetwork(g, 1)
-	outs := local.RunStepped(net, local.Stepped[state]{
+	outs := make([]int, g.N())
+	local.RunStepped(net, local.Stepped[state]{
 		Init: func(ctx *local.Ctx, s *state) bool {
 			s.min = ctx.ID()
 			ctx.BroadcastInt(s.min)
@@ -35,7 +37,7 @@ func ExampleRunStepped() {
 			}
 			s.round++
 			if s.round == 2 {
-				ctx.SetOutput(s.min)
+				outs[ctx.ID()] = s.min
 				return false
 			}
 			ctx.BroadcastInt(s.min)

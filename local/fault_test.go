@@ -1,10 +1,10 @@
 package local
 
 import (
-	"fmt"
 	"hash"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -74,8 +74,9 @@ func TestDefaultFaultPlanPickup(t *testing.T) {
 }
 
 // broadcastRounds is the shared fixed-round probe: every node broadcasts
-// its ID for rounds rounds and outputs how many int messages it received.
-func broadcastRounds(rounds int) Stepped[roundState[int]] {
+// its ID for rounds rounds and writes into out[ctx.ID()] how many int
+// messages it received.
+func broadcastRounds(rounds int, out []int) Stepped[roundState[int]] {
 	return roundProgram(func(ctx *Ctx, got *int, round int) bool {
 		for p := 0; p < ctx.Degree(); p++ {
 			if _, ok := ctx.RecvInt(p); ok {
@@ -83,7 +84,7 @@ func broadcastRounds(rounds int) Stepped[roundState[int]] {
 			}
 		}
 		if round == rounds {
-			ctx.SetOutput(*got)
+			out[ctx.ID()] = *got
 			return false
 		}
 		ctx.BroadcastInt(ctx.ID())
@@ -100,9 +101,10 @@ func TestDropAllMessages(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 9, DropProb: 1, RoundLimit: 50}); err != nil {
 		t.Fatal(err)
 	}
-	outs := RunStepped(net, broadcastRounds(3))
+	outs := make([]int, g.N())
+	RunStepped(net, broadcastRounds(3, outs))
 	for v, o := range outs {
-		if o.(int) != 0 {
+		if o != 0 {
 			t.Fatalf("node %d received %v messages despite DropProb=1", v, o)
 		}
 	}
@@ -125,7 +127,7 @@ func TestDropAllMessages(t *testing.T) {
 func TestNoFaultsLeaveStatsZero(t *testing.T) {
 	net := NewNetwork(pathGraph(4), 1)
 	net.EnableMessageStats()
-	RunStepped(net, broadcastRounds(2))
+	RunStepped(net, broadcastRounds(2, make([]int, 4)))
 	if fs := net.FaultStats(); fs != (FaultStats{}) {
 		t.Fatalf("fault stats nonzero without a plan: %+v", fs)
 	}
@@ -134,10 +136,10 @@ func TestNoFaultsLeaveStatsZero(t *testing.T) {
 	}
 }
 
-// faultHashProbe runs a fixed number of rounds and outputs a hash of
-// everything the node observed (per-port values per round), so any
-// schedule difference changes the output.
-func faultHashProbe(rounds int) Stepped[roundState[hash.Hash64]] {
+// faultHashProbe runs a fixed number of rounds and writes into
+// out[ctx.ID()] a hash of everything the node observed (per-port values
+// per round), so any schedule difference changes the output.
+func faultHashProbe(rounds int, out []uint64) Stepped[roundState[hash.Hash64]] {
 	return roundProgram(func(ctx *Ctx, h *hash.Hash64, round int) bool {
 		if round == 0 {
 			*h = fnv.New64a()
@@ -156,7 +158,7 @@ func faultHashProbe(rounds int) Stepped[roundState[hash.Hash64]] {
 			}
 		}
 		if round == rounds {
-			ctx.SetOutput((*h).Sum64())
+			out[ctx.ID()] = (*h).Sum64()
 			return false
 		}
 		ctx.BroadcastInt(ctx.ID()*1000 + round)
@@ -170,14 +172,15 @@ func TestFaultScheduleDeterministicAcrossWorkers(t *testing.T) {
 		Crashes:    []CrashWindow{{Node: 5, From: 2, To: 4}, {Node: 17, From: 3}},
 		RoundLimit: 60,
 	}
-	run := func(workers, batchSize int) ([]any, FaultStats, int) {
+	run := func(workers, batchSize int) ([]uint64, FaultStats, int) {
 		net := NewNetwork(cycleGraph(101), 3)
 		net.SetWorkers(workers)
 		net.setBatch(batchSize)
 		if err := net.SetFaultPlan(plan); err != nil {
 			t.Fatal(err)
 		}
-		outs := RunStepped(net, faultHashProbe(6))
+		outs := make([]uint64, 101)
+		RunStepped(net, faultHashProbe(6, outs))
 		return outs, net.FaultStats(), net.Rounds()
 	}
 	base, baseStats, baseRounds := run(1, 0)
@@ -208,8 +211,9 @@ func TestFaultScheduleVariesAcrossRuns(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 7, DropProb: 0.3, RoundLimit: 60}); err != nil {
 		t.Fatal(err)
 	}
-	a := RunStepped(net, faultHashProbe(6))
-	b := RunStepped(net, faultHashProbe(6))
+	a, b := make([]uint64, 101), make([]uint64, 101)
+	RunStepped(net, faultHashProbe(6, a))
+	RunStepped(net, faultHashProbe(6, b))
 	same := true
 	for v := range a {
 		if a[v] != b[v] {
@@ -230,16 +234,17 @@ func TestCrashWindowFreezeAndRestart(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	outs := RunStepped(net, broadcastRounds(5))
+	outs := make([]int, 3)
+	RunStepped(net, broadcastRounds(5, outs))
 	// Node 1 freezes during rounds 2 and 3: it misses those two steps (so
 	// its five loop iterations stretch to round 7) and the messages sent
 	// to it in rounds 2 and 3 are dropped. It hears both neighbors in
 	// rounds 1, 4 and 5; the neighbors hear node 1's broadcasts of rounds
 	// 1, 2 and 5 plus each hears nothing from the far end (degree 1).
-	if got := outs[1].(int); got != 6 {
+	if got := outs[1]; got != 6 {
 		t.Errorf("frozen node received %d, want 6", got)
 	}
-	if outs[0].(int) != 3 || outs[2].(int) != 3 {
+	if outs[0] != 3 || outs[2] != 3 {
 		t.Errorf("neighbors received %v / %v, want 3 / 3", outs[0], outs[2])
 	}
 	fs := net.FaultStats()
@@ -261,7 +266,8 @@ func TestDelayedMessageArrivesLater(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 3, DelayProb: 1, MaxDelay: 1, RoundLimit: 20}); err != nil {
 		t.Fatal(err)
 	}
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, got *int, round int) bool {
+	outs := make([]int, 2)
+	RunStepped(net, roundProgram(func(ctx *Ctx, got *int, round int) bool {
 		if round == 0 {
 			if ctx.ID() == 0 {
 				ctx.SendInt(0, 7)
@@ -270,20 +276,20 @@ func TestDelayedMessageArrivesLater(t *testing.T) {
 		}
 		if v, ok := ctx.RecvInt(0); ok && *got == 0 {
 			if v != 7 {
-				ctx.SetOutput(-v)
+				outs[ctx.ID()] = -v
 				return false
 			}
 			*got = round
 		}
 		if round == 4 {
-			ctx.SetOutput(*got)
+			outs[ctx.ID()] = *got
 			return false
 		}
 		return true
 	}))
 	// MaxDelay=1 makes every delay exactly one round: the round-1 message
 	// arrives in round 2.
-	if got := outs[1].(int); got != 2 {
+	if got := outs[1]; got != 2 {
 		t.Fatalf("message arrived in round %v, want 2", outs[1])
 	}
 	if fs := net.FaultStats(); fs.Delays != 1 || fs.Drops != 0 {
@@ -309,7 +315,8 @@ func TestDelayedRecordYieldsToFreshInt(t *testing.T) {
 		v   int
 		ok  bool
 	}
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, got *[]seen, round int) bool {
+	var got []seen
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if ctx.ID() == 0 {
 			switch round {
 			case 0:
@@ -321,15 +328,10 @@ func TestDelayedRecordYieldsToFreshInt(t *testing.T) {
 		}
 		if round > 0 {
 			v, ok := ctx.RecvInt(0)
-			*got = append(*got, seen{ctx.Recv(0), v, ok})
+			got = append(got, seen{ctx.Recv(0), v, ok})
 		}
-		if round == 3 {
-			ctx.SetOutput(*got)
-			return false
-		}
-		return true
+		return round < 3
 	}))
-	got := outs[1].([]seen)
 	if got[0].rec != nil || got[0].ok {
 		t.Fatalf("round 1: receiver saw %+v, want nothing (the record is delayed)", got[0])
 	}
@@ -351,26 +353,23 @@ func TestDuplicatedMessageArrivesTwice(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 3, DupProb: 1, RoundLimit: 20}); err != nil {
 		t.Fatal(err)
 	}
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, seen *int, round int) bool {
+	seen := 0
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if round == 0 {
 			if ctx.ID() == 0 {
 				ctx.SendInt(0, 7)
 			}
 			return true
 		}
-		if _, ok := ctx.RecvInt(0); ok {
-			*seen++
+		if _, ok := ctx.RecvInt(0); ok && ctx.ID() == 1 {
+			seen++
 		}
-		if round == 4 {
-			ctx.SetOutput(*seen)
-			return false
-		}
-		return true
+		return round < 4
 	}))
 	// One staged message, duplicated: delivered in round 1 and re-injected
 	// in round 2. The duplicate is not re-faulted, so exactly twice.
-	if got := outs[1].(int); got != 2 {
-		t.Fatalf("message seen %v times, want 2", outs[1])
+	if seen != 2 {
+		t.Fatalf("message seen %d times, want 2", seen)
 	}
 	if fs := net.FaultStats(); fs.Dups != 1 {
 		t.Fatalf("stats %+v, want exactly one dup", fs)
@@ -382,7 +381,12 @@ func TestRoundLimitForceHalts(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{RoundLimit: 5}); err != nil {
 		t.Fatal(err)
 	}
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, _ int) bool {
+	outs := slices.Repeat([]int{-1}, 8)
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		if round == 100 {
+			outs[ctx.ID()] = round
+			return false
+		}
 		ctx.BroadcastInt(1)
 		return true
 	}))
@@ -392,8 +396,10 @@ func TestRoundLimitForceHalts(t *testing.T) {
 	if fs := net.FaultStats(); fs.RoundLimited != 1 {
 		t.Fatalf("RoundLimited = %d, want 1", fs.RoundLimited)
 	}
-	if outs[0] != nil {
-		t.Fatalf("force-halted node has output %v", outs[0])
+	for v, o := range outs {
+		if o != -1 {
+			t.Fatalf("force-halted node %d has output %d, want the initial -1", v, o)
+		}
 	}
 }
 
@@ -402,7 +408,8 @@ func TestNodePanicContained(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{RoundLimit: 10}); err != nil {
 		t.Fatal(err)
 	}
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+	outs := make([]string, 3)
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		switch round {
 		case 0:
 			ctx.BroadcastInt(1)
@@ -412,16 +419,16 @@ func TestNodePanicContained(t *testing.T) {
 			}
 			ctx.BroadcastInt(2)
 		default:
-			ctx.SetOutput("done")
+			outs[ctx.ID()] = "done"
 			return false
 		}
 		return true
 	}))
 	if outs[0] != "done" || outs[2] != "done" {
-		t.Fatalf("healthy nodes did not finish: %v", outs)
+		t.Fatalf("healthy nodes did not finish: %q", outs)
 	}
-	if outs[1] != nil {
-		t.Fatalf("panicked node has output %v", outs[1])
+	if outs[1] != "" {
+		t.Fatalf("panicked node has output %q, want the initial empty string", outs[1])
 	}
 	if fs := net.FaultStats(); fs.NodePanics != 1 {
 		t.Fatalf("NodePanics = %d, want 1", fs.NodePanics)
@@ -484,12 +491,13 @@ func TestMessageFaultWindow(t *testing.T) {
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 1, DropProb: 1, FromRound: 2, ToRound: 2, RoundLimit: 50}); err != nil {
 		t.Fatal(err)
 	}
-	outs := RunStepped(net, broadcastRounds(3))
+	outs := make([]int, 4)
+	RunStepped(net, broadcastRounds(3, outs))
 	// Each node misses exactly its round-2 inbound messages (degree each).
 	want := map[int]int{0: 2, 1: 4, 2: 4, 3: 2}
 	for v, o := range outs {
-		if o.(int) != want[v] {
-			t.Fatalf("node %d received %v, want %d (outs=%v)", v, o, want[v], fmt.Sprint(outs...))
+		if o != want[v] {
+			t.Fatalf("node %d received %v, want %d (outs=%v)", v, o, want[v], outs)
 		}
 	}
 	if fs := net.FaultStats(); fs.Drops != 6 {

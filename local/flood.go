@@ -8,6 +8,8 @@ package local
 // while CollectComponents ships variable-length id frontiers as records
 // like the gather engine.
 
+import "slices"
+
 // FloodStepped floods from the source set for exactly radius rounds and
 // reports, per external node ID, whether the node lies within graph
 // distance radius of some source. sources is indexed by external ID; the
@@ -24,23 +26,10 @@ func FloodStepped(net *Network, sources []bool, radius int) []bool {
 	n := net.g.N()
 	reached := make([]bool, n)
 	copy(reached, sources)
-	if radius <= 0 {
+	if radius <= 0 || !slices.Contains(sources, true) {
 		return reached
 	}
-	any := false
-	for _, s := range sources {
-		if s {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return reached
-	}
-	outs := RunStepped(net, floodProgram(sources, radius))
-	for v, o := range outs {
-		reached[v] = o.(bool)
-	}
+	RunStepped(net, floodProgram(sources, radius, reached))
 	return reached
 }
 
@@ -54,8 +43,9 @@ type floodState struct {
 
 // floodProgram builds the TTL-flood stepped program. Messages are single
 // int32 budgets on the int lane; a budget b means "you are within
-// distance radius, forward b-1 if positive".
-func floodProgram(sources []bool, radius int) Stepped[floodState] {
+// distance radius, forward b-1 if positive". Each node writes its verdict
+// into reached[ctx.ID()] when it halts.
+func floodProgram(sources []bool, radius int, reached []bool) Stepped[floodState] {
 	return Stepped[floodState]{
 		Init: func(ctx *Ctx, s *floodState) bool {
 			if sources[ctx.ID()] {
@@ -80,7 +70,7 @@ func floodProgram(sources []bool, radius int) Stepped[floodState] {
 				}
 			}
 			if int(s.round) == radius {
-				ctx.SetOutput(s.best > 0)
+				reached[ctx.ID()] = s.best > 0
 				return false
 			}
 			return true
@@ -113,14 +103,10 @@ const componentCap = 4096
 // strict mode sees no late dead sends even though halting is staggered.
 func CollectComponents(net *Network) (comp []int, count int, ok bool) {
 	n := net.g.N()
-	outs := RunStepped(net, componentProgram())
-	labels := make([]int32, n)
-	for v, o := range outs {
-		l := o.(int32)
-		if l < 0 {
-			return nil, 0, false
-		}
-		labels[v] = l
+	labels := slices.Repeat([]int32{-1}, n)
+	RunStepped(net, componentProgram(labels))
+	if slices.Contains(labels, -1) {
+		return nil, 0, false
 	}
 	comp = make([]int, n)
 	index := make(map[int32]int, 64)
@@ -160,8 +146,9 @@ var componentDone = []int32{-1}
 // (if a node at distance r exists, one at every distance below r does, so
 // the frontier cannot skip a round); the node then announces and halts
 // one step later, giving neighbors a full round to stop sending to it.
-// Output is the minimum known id, or -1 if the node overran componentCap.
-func componentProgram() Stepped[componentState] {
+// Each node writes into labels[ctx.ID()] the minimum known id, or -1 if it
+// overran componentCap.
+func componentProgram(labels []int32) Stepped[componentState] {
 	send := func(ctx *Ctx, s *componentState, msg []int32) {
 		for p := 0; p < ctx.Degree(); p++ {
 			if !s.done[p] {
@@ -174,7 +161,7 @@ func componentProgram() Stepped[componentState] {
 			id := int32(ctx.ID())
 			s.min = id
 			if ctx.Degree() == 0 {
-				ctx.SetOutput(id)
+				labels[ctx.ID()] = id
 				return false
 			}
 			s.ids = append(s.ids, id)
@@ -187,10 +174,8 @@ func componentProgram() Stepped[componentState] {
 			if s.said {
 				// Everyone adjacent processed our announcement last round;
 				// nothing more can arrive that matters.
-				if s.capped {
-					ctx.SetOutput(int32(-1))
-				} else {
-					ctx.SetOutput(s.min)
+				if !s.capped {
+					labels[ctx.ID()] = s.min
 				}
 				return false
 			}

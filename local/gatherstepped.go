@@ -101,14 +101,15 @@ func (s *gatherState) learn(id int32, a []int32) {
 // arrivals, learns its own adjacency from the port intros when k == 1,
 // rebroadcasts the frontier as one packed []int32, and materializes the
 // flat Ball after exactly t rounds. Record encoding: id, count,
-// neighbors...; count == -1 marks an id-only record (nil adjacency).
-func gatherProgram(t int) Stepped[gatherState] {
+// neighbors...; count == -1 marks an id-only record (nil adjacency). Each
+// node writes its ball into balls[ctx.ID()].
+func gatherProgram(t int, balls []*Ball) Stepped[gatherState] {
 	return Stepped[gatherState]{
 		Init: func(ctx *Ctx, s *gatherState) bool {
 			if t <= 0 {
 				// Radius 0: the ball is the center alone, with its own
 				// adjacency as the empty (non-nil) list.
-				ctx.SetOutput(&Ball{Center: ctx.ID(), Radius: t, IDs: []int32{int32(ctx.ID())}, Adj: [][]int32{{}}})
+				balls[ctx.ID()] = &Ball{Center: ctx.ID(), Radius: t, IDs: []int32{int32(ctx.ID())}, Adj: [][]int32{{}}}
 				return false
 			}
 			s.ids = append(s.ids, int32(ctx.ID()))
@@ -161,7 +162,7 @@ func gatherProgram(t int) Stepped[gatherState] {
 				}
 			}
 			if int(s.round) == t {
-				ctx.SetOutput(&Ball{Center: ctx.ID(), Radius: t, IDs: s.ids, Adj: s.adj})
+				balls[ctx.ID()] = &Ball{Center: ctx.ID(), Radius: t, IDs: s.ids, Adj: s.adj}
 				return false
 			}
 			if len(s.fresh) > 0 {
@@ -191,10 +192,7 @@ func gatherProgram(t int) Stepped[gatherState] {
 // flat balls indexed by external node ID. It consumes exactly t rounds
 // (net.Rounds() == t).
 func GatherStepped(net *Network, t int) []*Ball {
-	outs := RunStepped(net, gatherProgram(t))
-	balls := make([]*Ball, len(outs))
-	for v, o := range outs {
-		balls[v] = o.(*Ball)
-	}
+	balls := make([]*Ball, net.g.N())
+	RunStepped(net, gatherProgram(t, balls))
 	return balls
 }

@@ -8,8 +8,10 @@
 // A program is given in stepped form (Stepped, RunStepped): Init runs
 // once before the first round, and each Step reads the messages of the
 // round that just completed and stages the next round's. A node halts by
-// returning false; its final state is whatever it recorded through
-// SetOutput.
+// returning false. Inputs and outputs are the program's own: its closures
+// read the caller's per-node inputs and write each node's result into a
+// caller slice at index ctx.ID(), a slice that starts at the value meaning
+// "no output", so a node cut off by a RoundLimit leaves exactly that.
 //
 // Messages are unbounded (LOCAL model), so any t-round algorithm is
 // equivalent to a function of the t-hop neighborhood. GatherStepped
@@ -54,8 +56,8 @@
 // near-sequential memory even when the caller's node IDs are scattered
 // arbitrarily. The relabeling is invisible: a translation layer (two flat
 // arrays, applied exactly once at the API boundary) keeps every
-// observable surface — Ctx.ID, Ctx.Rand seeding, RunStepped output
-// order, RunSteppedWithInput input order, port numbering, DeadSend records,
+// observable surface — Ctx.ID (by which programs index their inputs and
+// outputs), Ctx.Rand seeding, port numbering, DeadSend records,
 // MessageStats — in the caller's external IDs, so outputs are
 // byte-identical with relabeling on or off. SetRelabel is the ablation
 // hook (and E14 measures the effect).
@@ -113,9 +115,6 @@ type Ctx struct {
 	inHas  []byte
 	outHas []byte
 
-	output any
-	input  any
-
 	nRecs   int32 // non-nil slots currently staged in out (owner-only)
 	nInts   int32 // slots currently staged in outHas (owner-only)
 	sentAny bool  // made a staging call this round (owner-only)
@@ -165,10 +164,6 @@ func (c *Ctx) Rand() *rand.Rand {
 	}
 	return c.rng
 }
-
-// Input returns the per-node input installed by RunSteppedWithInput (nil
-// if none).
-func (c *Ctx) Input() any { return c.input }
 
 // Send stages the record rec to be delivered to the neighbor on port p at
 // the end of the current round. Each edge carries at most one message per
@@ -297,12 +292,6 @@ func (c *Ctx) RecvInt(p int) (v int, ok bool) {
 	return 0, false
 }
 
-// SetOutput records the node's output (its color, mark, level, ...).
-func (c *Ctx) SetOutput(v any) { c.output = v }
-
-// Output returns the value recorded by SetOutput.
-func (c *Ctx) Output() any { return c.output }
-
 // batch is the scheduler's unit of work: a contiguous ID range of nodes
 // stepped (and delivered) together. Exactly one worker touches a batch per
 // phase, so its lists need no locks; padding keeps batches off each
@@ -366,20 +355,19 @@ type RunStats struct {
 // API boundary and are nil when the locality order is the identity (or
 // relabeling is ablated), in which case internal == external.
 type Network struct {
-	g     *graph.G
-	ports [][]int   // ports[v][p] = internal neighbor on port p of internal node v
-	rev   [][]int32 // rev[v][p] = port index of v on ports[v][p]'s side
-	seed  int64
+	g    *graph.G
+	seed int64
 
 	extID []int32 // extID[i] = external ID of internal node i; nil if identity
 	intID []int32 // intID[v] = internal index of external node v; nil if identity
 
-	// Flat directed-edge tables: slot off[v]+p is port p of node v.
-	// Delivery works entirely on these (plus the per-run lanes below), so
-	// it streams compact arrays instead of walking node objects.
+	// Flat directed-edge tables, built by buildPorts: slot off[v]+p is
+	// port p of node v. Delivery works entirely on these (plus the per-run
+	// lanes below), so it streams compact arrays instead of walking node
+	// objects.
 	off       []int   // off[v] = first slot of v; len n+1
-	portsFlat []int32 // portsFlat[off[v]+p] = neighbor
-	revFlat   []int32 // revFlat[off[v]+p] = reverse port
+	portsFlat []int32 // portsFlat[off[v]+p] = neighbor on port p
+	revFlat   []int32 // revFlat[off[v]+p] = port of v on the neighbor's side
 	slotFlat  []int32 // slotFlat[off[v]+p] = off[neighbor] + reverse port, the receiver's lane slot; nil if slots exceed int32
 
 	// Run tables: the contexts, the message lanes and the receiver flags,
@@ -424,8 +412,8 @@ type Network struct {
 	pendFault  []pendingFault        // delayed/duplicated messages awaiting injection
 	runSeq     int64                 // run sequence number; domain-separates fault hashing across runs
 
-	// Churn (churn.go): set by the mutation API; setup consolidates the
-	// flat edge tables before the next run.
+	// Churn (churn.go): set by the mutation API; setup rebuilds the flat
+	// edge tables before the next run.
 	dirty bool
 }
 
@@ -473,11 +461,18 @@ func (net *Network) toExt(i int) int {
 	return int(net.extID[i])
 }
 
+// toInt translates an external node ID to its internal table index;
+// identity when the network is not relabeled.
+func (net *Network) toInt(v int) int {
+	if net.intID == nil {
+		return v
+	}
+	return int(net.intID[v])
+}
+
 // NewNetwork prepares a network over g with the given randomness seed.
-// Construction is O(n + Σ deg) plus the locality-order pass (BFS-shaped;
-// see graph.LocalityOrder): directed edges are bucketed by their head
-// node, then each bucket is resolved against a scratch port index, so
-// even a clique builds in time linear in its edge count.
+// Construction is the locality-order pass (BFS-shaped; see
+// graph.LocalityOrder) plus buildPorts' O(n + Σ deg).
 func NewNetwork(g *graph.G, seed int64) *Network {
 	n := g.N()
 	net := &Network{g: g, seed: seed, tracer: defaultTracer.Load()}
@@ -506,77 +501,60 @@ func NewNetwork(g *graph.G, seed int64) *Network {
 			}
 		}
 	}
-	net.ports = make([][]int, n)
-	sum := 0
-	if net.extID == nil {
-		for v := 0; v < n; v++ {
-			net.ports[v] = g.Neighbors(v)
-			sum += len(net.ports[v])
-		}
-	} else {
-		// Internal adjacency: node i's port p leads to the internal index
-		// of g.Neighbors(extID[i])[p] — the port numbering every node
-		// observes is exactly the external adjacency-list order, only the
-		// stored endpoints are internal. One flat backing array keeps the
-		// lists themselves contiguous in internal order.
-		for v := 0; v < n; v++ {
-			sum += g.Deg(v)
-		}
-		flat := make([]int, sum)
-		pos := 0
-		for i := 0; i < n; i++ {
-			nbrs := g.Neighbors(int(net.extID[i]))
-			lst := flat[pos : pos+len(nbrs) : pos+len(nbrs)]
-			for p, u := range nbrs {
-				lst[p] = int(net.intID[u])
-			}
-			net.ports[i] = lst
-			pos += len(nbrs)
-		}
-	}
+	net.buildPorts()
+	net.SetWorkers(runtime.GOMAXPROCS(0))
+	return net
+}
 
-	// off[v] = index of v's first directed edge in the flat arrays.
+// buildPorts lays out the flat directed-edge tables from the graph and
+// the relabel arrays in one O(n + Σ deg) pass. Internal node i's port p
+// leads to the internal index of g.Neighbors(extID[i])[p]: the port
+// numbering every node observes is exactly the external adjacency-list
+// order, only the stored endpoints are internal. NewNetwork calls it, and
+// setup calls it again when churn has mutated the graph since.
+func (net *Network) buildPorts() {
+	g := net.g
+	n := g.N()
 	off := make([]int, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + len(net.ports[v])
+	for i := 0; i < n; i++ {
+		off[i+1] = off[i] + g.Deg(net.toExt(i))
 	}
-	net.off = off
-	net.portsFlat = make([]int32, sum)
-	net.revFlat = make([]int32, sum)
-	net.rev = make([][]int32, n)
-	for v := 0; v < n; v++ {
-		net.rev[v] = net.revFlat[off[v]:off[v+1]:off[v+1]]
-		for p, u := range net.ports[v] {
-			net.portsFlat[off[v]+p] = int32(u)
+	sum := off[n]
+	ports := make([]int32, sum)
+	for i := 0; i < n; i++ {
+		for p, u := range g.Neighbors(net.toExt(i)) {
+			ports[off[i]+p] = int32(net.toInt(u))
 		}
 	}
 
-	// Bucket every directed edge (v, p) under its head u = ports[v][p].
+	// Bucket every directed edge (v, p) under its head u = ports[off[v]+p].
 	// Bucket u occupies positions off[u]:off[u+1], so no resizing happens.
 	bufV := make([]int32, sum)
 	bufP := make([]int32, sum)
 	cursor := make([]int, n)
 	copy(cursor, off[:n])
 	for v := 0; v < n; v++ {
-		for p, u := range net.ports[v] {
-			i := cursor[u]
+		for p, u := range ports[off[v]:off[v+1]] {
+			k := cursor[u]
 			cursor[u]++
-			bufV[i] = int32(v)
-			bufP[i] = int32(p)
+			bufV[k] = int32(v)
+			bufP[k] = int32(p)
 		}
 	}
 	// For each node u, scratch[w] = port of w in u's list; every entry
-	// (v, p) in u's bucket then resolves as rev[v][p] = scratch[v]. Stale
+	// (v, p) in u's bucket then resolves as rev = scratch[v]. Stale
 	// scratch entries are never read: bucket u holds exactly u's neighbors.
+	rev := make([]int32, sum)
 	scratch := make([]int32, n)
 	for u := 0; u < n; u++ {
-		for q, w := range net.ports[u] {
+		for q, w := range ports[off[u]:off[u+1]] {
 			scratch[w] = int32(q)
 		}
-		for i := off[u]; i < off[u+1]; i++ {
-			net.rev[bufV[i]][bufP[i]] = scratch[bufV[i]]
+		for k := off[u]; k < off[u+1]; k++ {
+			rev[off[bufV[k]]+int(bufP[k])] = scratch[bufV[k]]
 		}
 	}
+	net.off, net.portsFlat, net.revFlat = off, ports, rev
 
 	// Precomputed receiver slots: delivering port p of node v writes lane
 	// slot off[u] + rev, both already known here, so the hot loop reads
@@ -584,15 +562,14 @@ func NewNetwork(g *graph.G, seed int64) *Network {
 	// 8-byte table. Slots only fit int32 when the directed edge count
 	// does; beyond that (a >2^31-edge graph) delivery falls back to the
 	// two-table lookup.
+	net.slotFlat = nil
 	if sum <= 1<<31-1 {
 		net.slotFlat = make([]int32, sum)
-		for i, u := range net.portsFlat {
-			net.slotFlat[i] = int32(off[u]) + net.revFlat[i]
+		for k, u := range ports {
+			net.slotFlat[k] = int32(off[u]) + rev[k]
 		}
 	}
-
-	net.SetWorkers(runtime.GOMAXPROCS(0))
-	return net
+	net.dirty = false
 }
 
 // SetWorkers pins the scheduler's worker-pool size for subsequent runs
@@ -692,24 +669,17 @@ type Stepped[S any] struct {
 	Step func(ctx *Ctx, s *S) bool
 }
 
-// RunStepped executes a stepped program on every node until all halt and
-// returns each node's output, indexed by node ID. The number of rounds
-// used is available via Rounds.
-func RunStepped[S any](net *Network, p Stepped[S]) []any {
-	return RunSteppedWithInput(net, p, nil)
-}
-
-// RunSteppedWithInput is RunStepped with a per-node input value (inputs[v]
-// is readable by node v via ctx.Input). inputs may be nil; a non-nil
-// inputs must have exactly one entry per node.
-func RunSteppedWithInput[S any](net *Network, p Stepped[S], inputs []any) []any {
-	net.setup(inputs)
+// RunStepped executes a stepped program on every node until all halt. The
+// program delivers its results itself (see the package doc); the number of
+// rounds used is available via Rounds.
+func RunStepped[S any](net *Network, p Stepped[S]) {
+	net.setup()
 	// States are indexed by internal node, so a batch's step sweep walks
 	// this array sequentially.
 	states := make([]S, len(net.ctxs))
 	init := func(c *Ctx) bool { return p.Init(c, &states[c.iid]) }
 	step := func(c *Ctx) bool { return p.Step(c, &states[c.iid]) }
-	return net.runRounds(init, step)
+	net.runRounds(init, step)
 }
 
 // setup prepares the per-run state — contexts, message lanes, receiver
@@ -721,14 +691,11 @@ func RunSteppedWithInput[S any](net *Network, p Stepped[S], inputs []any) []any 
 // changed (the first run, or churn that changed the node or slot count);
 // otherwise they are cleared in place, including whatever a run cut off
 // by a RoundLimit or a panic left staged.
-func (net *Network) setup(inputs []any) {
+func (net *Network) setup() {
 	if net.dirty {
-		net.rebuildFlat()
+		net.buildPorts()
 	}
 	n := net.g.N()
-	if inputs != nil && len(inputs) != n {
-		panic(fmt.Sprintf("local: RunSteppedWithInput: len(inputs) = %d, want %d (one input per node)", len(inputs), n))
-	}
 	maxDeg := net.g.MaxDegree()
 	net.rounds = 0
 	net.lastRun = RunStats{}
@@ -778,9 +745,6 @@ func (net *Network) setup(inputs []any) {
 			outInt: net.outInt[lo:hi:hi],
 			inHas:  net.inHas[lo:hi:hi],
 			outHas: net.outHas[lo:hi:hi],
-		}
-		if inputs != nil {
-			c.input = inputs[c.id]
 		}
 	}
 
@@ -840,7 +804,7 @@ const (
 // contained per node instead; see stepNodeRecover.)
 //
 //deltacolor:coordinator
-func (net *Network) runRounds(init, step func(*Ctx) bool) []any {
+func (net *Network) runRounds(init, step func(*Ctx) bool) {
 	n := net.g.N()
 	start := time.Now()
 
@@ -995,10 +959,10 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) []any {
 		if net.fault != nil && net.fault.RoundLimit > 0 && net.rounds >= net.fault.RoundLimit {
 			// Dropped or delayed messages can stall a protocol forever; the
 			// plan's round budget force-halts the run so every faulty
-			// execution terminates. Outputs of still-running nodes are
-			// whatever they last recorded. A run that finished on its own
-			// in exactly the budget (the step sweep above halted everyone)
-			// is not flagged as limited.
+			// execution terminates. Still-running nodes never write their
+			// outputs, so their slots keep the caller's "no output" value.
+			// A run that finished on its own in exactly the budget (the
+			// step sweep above halted everyone) is not flagged as limited.
 			rem := running
 			for i := range net.batches {
 				rem -= net.batches[i].halts
@@ -1013,10 +977,6 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) []any {
 		net.finishFaultRun(tr)
 	}
 
-	outs := make([]any, n)
-	for v := 0; v < n; v++ {
-		outs[net.ctxs[v].id] = net.ctxs[v].output
-	}
 	wall := time.Since(start)
 	net.lastRun = RunStats{Nodes: n, Rounds: net.rounds, WallTime: wall}
 	if net.rounds > 0 && wall > 0 {
@@ -1032,7 +992,6 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) []any {
 			panic(fmt.Sprintf("local: strict mode: %d late dead send(s) recorded, first: %s", len(ds), ds[0]))
 		}
 	}
-	return outs
 }
 
 // recoverPhase is workPhase for a parallel phase: a node panic stops this

@@ -58,15 +58,16 @@ func oneRound(stage func(ctx *Ctx)) Stepped[roundState[struct{}]] {
 func TestRunNoRounds(t *testing.T) {
 	g := pathGraph(4)
 	net := NewNetwork(g, 1)
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, _ int) bool {
-		ctx.SetOutput(ctx.ID() * 2)
+	outs := make([]int, g.N())
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, _ int) bool {
+		outs[ctx.ID()] = ctx.ID() * 2
 		return false
 	}))
 	if net.Rounds() != 0 {
 		t.Fatalf("rounds=%d", net.Rounds())
 	}
 	for v, o := range outs {
-		if o.(int) != v*2 {
+		if o != v*2 {
 			t.Fatalf("output[%d]=%v", v, o)
 		}
 	}
@@ -75,7 +76,8 @@ func TestRunNoRounds(t *testing.T) {
 func TestMessageDelivery(t *testing.T) {
 	g := pathGraph(3)
 	net := NewNetwork(g, 1)
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+	outs := make([]int, g.N())
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if round == 0 {
 			ctx.Broadcast([]int32{int32(ctx.ID())})
 			return true
@@ -86,7 +88,7 @@ func TestMessageDelivery(t *testing.T) {
 				sum += int(m[0])
 			}
 		}
-		ctx.SetOutput(sum)
+		outs[ctx.ID()] = sum
 		return false
 	}))
 	if net.Rounds() != 1 {
@@ -95,7 +97,7 @@ func TestMessageDelivery(t *testing.T) {
 	// Node 0 hears 1; node 1 hears 0+2; node 2 hears 1.
 	want := []int{1, 2, 1}
 	for v := range want {
-		if outs[v].(int) != want[v] {
+		if outs[v] != want[v] {
 			t.Fatalf("node %d heard %v, want %d", v, outs[v], want[v])
 		}
 	}
@@ -107,15 +109,16 @@ func TestPortDirectionality(t *testing.T) {
 	g := graph.New(2)
 	g.MustEdge(0, 1)
 	net := NewNetwork(g, 1)
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+	outs := make([]int, 2)
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if round == 0 {
 			ctx.Send(0, []int32{int32(ctx.ID() + 100)})
 			return true
 		}
-		ctx.SetOutput(int(ctx.Recv(0)[0]))
+		outs[ctx.ID()] = int(ctx.Recv(0)[0])
 		return false
 	}))
-	if outs[0].(int) != 101 || outs[1].(int) != 100 {
+	if outs[0] != 101 || outs[1] != 100 {
 		t.Fatalf("outs=%v", outs)
 	}
 }
@@ -123,7 +126,8 @@ func TestPortDirectionality(t *testing.T) {
 func TestHaltedNodeMessagesStillDelivered(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g, 1)
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+	var got []int32
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if round == 0 {
 			if ctx.ID() == 0 {
 				ctx.Broadcast([]int32{7, 8})
@@ -131,10 +135,10 @@ func TestHaltedNodeMessagesStillDelivered(t *testing.T) {
 			}
 			return true
 		}
-		ctx.SetOutput(ctx.Recv(0))
+		got = ctx.Recv(0)
 		return false
 	}))
-	if got := outs[1].([]int32); !slices.Equal(got, []int32{7, 8}) {
+	if !slices.Equal(got, []int32{7, 8}) {
 		t.Fatalf("node 1 got %v", got)
 	}
 }
@@ -144,7 +148,8 @@ func TestMultiRoundFlood(t *testing.T) {
 	n, r := 12, 3
 	g := cycleGraph(n)
 	net := NewNetwork(g, 1)
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, known *map[int32]bool, round int) bool {
+	outs := make([]int, n)
+	RunStepped(net, roundProgram(func(ctx *Ctx, known *map[int32]bool, round int) bool {
 		if round == 0 {
 			*known = map[int32]bool{int32(ctx.ID()): true}
 		}
@@ -154,7 +159,7 @@ func TestMultiRoundFlood(t *testing.T) {
 			}
 		}
 		if round == r {
-			ctx.SetOutput(len(*known))
+			outs[ctx.ID()] = len(*known)
 			return false
 		}
 		snapshot := make([]int32, 0, len(*known))
@@ -168,23 +173,8 @@ func TestMultiRoundFlood(t *testing.T) {
 		t.Fatalf("rounds=%d", net.Rounds())
 	}
 	for v, o := range outs {
-		if o.(int) != 2*r+1 {
+		if o != 2*r+1 {
 			t.Fatalf("node %d knows %v ids, want %d", v, o, 2*r+1)
-		}
-	}
-}
-
-func TestRunSteppedWithInput(t *testing.T) {
-	g := pathGraph(3)
-	net := NewNetwork(g, 1)
-	inputs := []any{10, 20, 30}
-	outs := RunSteppedWithInput(net, roundProgram(func(ctx *Ctx, _ *struct{}, _ int) bool {
-		ctx.SetOutput(ctx.Input().(int) + 1)
-		return false
-	}), inputs)
-	for v := range outs {
-		if outs[v].(int) != inputs[v].(int)+1 {
-			t.Fatal("inputs not wired")
 		}
 	}
 }
@@ -193,14 +183,11 @@ func TestRandDeterministicPerSeed(t *testing.T) {
 	g := pathGraph(4)
 	draw := func(seed int64) []int64 {
 		net := NewNetwork(g, seed)
-		outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, _ int) bool {
-			ctx.SetOutput(ctx.Rand().Int63())
+		vals := make([]int64, g.N())
+		RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, _ int) bool {
+			vals[ctx.ID()] = ctx.Rand().Int63()
 			return false
 		}))
-		vals := make([]int64, len(outs))
-		for i, o := range outs {
-			vals[i] = o.(int64)
-		}
 		return vals
 	}
 	a, b, c := draw(1), draw(1), draw(2)
@@ -224,18 +211,19 @@ func TestStaggeredHalts(t *testing.T) {
 	// Node v halts after v rounds; later nodes must keep making progress.
 	g := cycleGraph(6)
 	net := NewNetwork(g, 1)
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+	outs := slices.Repeat([]int{-1}, g.N())
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if round < ctx.ID() {
 			return true
 		}
-		ctx.SetOutput(ctx.ID())
+		outs[ctx.ID()] = ctx.ID()
 		return false
 	}))
 	if net.Rounds() < 5 {
 		t.Fatalf("rounds=%d", net.Rounds())
 	}
 	for v, o := range outs {
-		if o.(int) != v {
+		if o != v {
 			t.Fatal("outputs wrong")
 		}
 	}

@@ -61,21 +61,24 @@ func TestQuotientNetworkRunsProtocols(t *testing.T) {
 
 	// Aggregate protocol: sum of neighbor IDs over two rounds (invariant
 	// under port reordering).
-	proto := roundProgram(func(ctx *Ctx, sum *int, round int) bool {
-		for p := 0; p < ctx.Degree(); p++ {
-			if m, ok := ctx.RecvInt(p); ok {
-				*sum += m
+	proto := func(out []int) Stepped[roundState[int]] {
+		return roundProgram(func(ctx *Ctx, sum *int, round int) bool {
+			for p := 0; p < ctx.Degree(); p++ {
+				if m, ok := ctx.RecvInt(p); ok {
+					*sum += m
+				}
 			}
-		}
-		if round == 2 {
-			ctx.SetOutput(*sum)
-			return false
-		}
-		ctx.BroadcastInt(ctx.ID() + *sum)
-		return true
-	})
-	want := RunStepped(NewNetwork(graph.Quotient(g, groups), 3), proto)
-	got := RunStepped(QuotientNetwork(g, groups, 3), proto)
+			if round == 2 {
+				out[ctx.ID()] = *sum
+				return false
+			}
+			ctx.BroadcastInt(ctx.ID() + *sum)
+			return true
+		})
+	}
+	want, got := make([]int, len(groups)), make([]int, len(groups))
+	RunStepped(NewNetwork(graph.Quotient(g, groups), 3), proto(want))
+	RunStepped(QuotientNetwork(g, groups, 3), proto(got))
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("quotient node %d: %v vs %v", v, got[v], want[v])

@@ -53,8 +53,8 @@ func TestRelabelActuallyRelabels(t *testing.T) {
 
 // TestRelabelIDAndPortSurface: with relabeling active, every node must
 // still observe its external ID, the external port numbering (port p
-// leads to g.Neighbors(id)[p]), its external input, and the output array
-// must be in external order.
+// leads to g.Neighbors(id)[p]) and its input read by that ID, and the
+// outputs it writes by ctx.ID() must land in external order.
 func TestRelabelIDAndPortSurface(t *testing.T) {
 	g := scrambledGraph(120, 7)
 	net := NewNetwork(g, 1)
@@ -62,12 +62,14 @@ func TestRelabelIDAndPortSurface(t *testing.T) {
 		t.Fatal("premise: network must be relabeled")
 	}
 	n := g.N()
-	inputs := make([]any, n)
+	inputs := make([]int, n)
+	outs := make([]int, n)
 	for v := 0; v < n; v++ {
 		inputs[v] = v*10 + 1
+		outs[v] = -1
 	}
 	seen := make([]bool, n)
-	outs := RunSteppedWithInput(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		id := ctx.ID()
 		if round > 0 {
 			for p := 0; p < ctx.Degree(); p++ {
@@ -76,7 +78,7 @@ func TestRelabelIDAndPortSurface(t *testing.T) {
 					t.Errorf("node %d port %d: received %v (ok=%v), want neighbor %d", id, p, got, ok, g.Neighbors(id)[p])
 				}
 			}
-			ctx.SetOutput(id)
+			outs[id] = id
 			return false
 		}
 		if id < 0 || id >= ctx.N() {
@@ -89,12 +91,12 @@ func TestRelabelIDAndPortSurface(t *testing.T) {
 		if ctx.Degree() != g.Deg(id) {
 			t.Errorf("node %d: Degree() = %d, want %d", id, ctx.Degree(), g.Deg(id))
 		}
-		if got := ctx.Input().(int); got != id*10+1 {
-			t.Errorf("node %d: Input() = %d, want %d", id, got, id*10+1)
+		if got := inputs[ctx.ID()]; got != id*10+1 {
+			t.Errorf("node %d: input = %d, want %d", id, got, id*10+1)
 		}
 		ctx.BroadcastInt(id)
 		return true
-	}), inputs)
+	}))
 	for v := 0; v < n; v++ {
 		if outs[v] != v {
 			t.Fatalf("output order broken: outs[%d] = %v", v, outs[v])
@@ -105,18 +107,19 @@ func TestRelabelIDAndPortSurface(t *testing.T) {
 // runOutcome captures every observable surface of one run for the
 // relabel-on/off equivalence checks.
 type runOutcome struct {
-	outs   []any
+	outs   []int
 	rounds int
 	dead   []DeadSend
 	late   []DeadSend
 	stats  MessageStats
 }
 
-func captureRun[S any](g *graph.G, seed int64, prog Stepped[S]) runOutcome {
+func captureRun[S any](g *graph.G, seed int64, prog func(out []int) Stepped[S]) runOutcome {
 	net := NewNetwork(g, seed)
 	net.TrackDeadSends(true)
 	net.EnableMessageStats()
-	outs := RunStepped(net, prog)
+	outs := make([]int, g.N())
+	RunStepped(net, prog(outs))
 	return runOutcome{
 		outs:   outs,
 		rounds: net.Rounds(),
@@ -131,28 +134,30 @@ func captureRun[S any](g *graph.G, seed int64, prog Stepped[S]) runOutcome {
 // message stats for a protocol that uses randomness, mixed message
 // paths, and irregular halting.
 func TestRelabelInvariance(t *testing.T) {
-	proto := roundProgram(func(ctx *Ctx, sum *int, round int) bool {
-		if round == 0 {
-			*sum = ctx.Rand().Intn(1000)
-		}
-		for p := 0; p < ctx.Degree(); p++ {
-			if v, ok := ctx.RecvInt(p); ok {
-				*sum += v
-			} else if m := ctx.Recv(p); m != nil {
-				*sum += int(m[1])
+	proto := func(out []int) Stepped[roundState[int]] {
+		return roundProgram(func(ctx *Ctx, sum *int, round int) bool {
+			if round == 0 {
+				*sum = ctx.Rand().Intn(1000)
 			}
-		}
-		if round == 2+ctx.ID()%4 {
-			ctx.SetOutput(*sum)
-			return false
-		}
-		if round%2 == 0 {
-			ctx.BroadcastInt(*sum)
-		} else {
-			ctx.Broadcast([]int32{int32(ctx.ID()), int32(*sum)})
-		}
-		return true
-	})
+			for p := 0; p < ctx.Degree(); p++ {
+				if v, ok := ctx.RecvInt(p); ok {
+					*sum += v
+				} else if m := ctx.Recv(p); m != nil {
+					*sum += int(m[1])
+				}
+			}
+			if round == 2+ctx.ID()%4 {
+				out[ctx.ID()] = *sum
+				return false
+			}
+			if round%2 == 0 {
+				ctx.BroadcastInt(*sum)
+			} else {
+				ctx.Broadcast([]int32{int32(ctx.ID()), int32(*sum)})
+			}
+			return true
+		})
+	}
 	for seed := int64(1); seed <= 3; seed++ {
 		g := scrambledGraph(150, seed)
 		var on, off runOutcome
@@ -210,24 +215,27 @@ func TestRelabelQuotientNetwork(t *testing.T) {
 	for v := 0; v+2 < parent.N(); v += 9 {
 		groups = append(groups, []int{v, v + 1, v + 2})
 	}
-	proto := roundProgram(func(ctx *Ctx, sum *int, round int) bool {
-		if round == 0 {
-			*sum = ctx.ID()
-		}
-		for p := 0; p < ctx.Degree(); p++ {
-			if m, ok := ctx.RecvInt(p); ok {
-				*sum += m
+	run := func() []int {
+		out := make([]int, len(groups))
+		RunStepped(QuotientNetwork(parent, groups, 3), roundProgram(func(ctx *Ctx, sum *int, round int) bool {
+			if round == 0 {
+				*sum = ctx.ID()
 			}
-		}
-		if round == 2 {
-			ctx.SetOutput(*sum)
-			return false
-		}
-		ctx.BroadcastInt(*sum)
-		return true
-	})
-	run := func() []any { return RunStepped(QuotientNetwork(parent, groups, 3), proto) }
-	var on, off []any
+			for p := 0; p < ctx.Degree(); p++ {
+				if m, ok := ctx.RecvInt(p); ok {
+					*sum += m
+				}
+			}
+			if round == 2 {
+				out[ctx.ID()] = *sum
+				return false
+			}
+			ctx.BroadcastInt(*sum)
+			return true
+		}))
+		return out
+	}
+	var on, off []int
 	withRelabel(true, func() { on = run() })
 	withRelabel(false, func() { off = run() })
 	if !reflect.DeepEqual(on, off) {
@@ -243,12 +251,13 @@ func TestRelabelQuotientNetwork(t *testing.T) {
 // ablated run.
 func TestRelabelStepped(t *testing.T) {
 	g := scrambledGraph(130, 11)
-	run := func() ([]any, int) {
+	run := func() ([]int, int) {
 		net := NewNetwork(g, 7)
-		outs := RunStepped(net, intFloodStepped(3))
+		outs := make([]int, g.N())
+		RunStepped(net, intFloodStepped(3, outs))
 		return outs, net.Rounds()
 	}
-	var onOuts, offOuts []any
+	var onOuts, offOuts []int
 	var onRounds, offRounds int
 	withRelabel(true, func() { onOuts, onRounds = run() })
 	withRelabel(false, func() { offOuts, offRounds = run() })

@@ -70,7 +70,7 @@ func TestSetupClearsLastRunStats(t *testing.T) {
 	if net.LastRunStats().Rounds == 0 {
 		t.Fatal("first run recorded no stats")
 	}
-	net.setup(nil)
+	net.setup()
 	if st := net.LastRunStats(); st != (RunStats{}) {
 		t.Fatalf("setup left stale run stats: %+v", st)
 	}
@@ -97,28 +97,30 @@ func TestReusedRunTablesStartClean(t *testing.T) {
 		return true
 	})
 	// Each node sends its ID on port 0, as an int and then as a record,
-	// and reports every (port, word) it heard.
-	quiet := roundProgram(func(ctx *Ctx, heard *[]int, round int) bool {
-		for p := 0; p < ctx.Degree(); p++ {
-			if v, ok := ctx.RecvInt(p); ok {
-				*heard = append(*heard, p, v)
+	// and reports into heard[ctx.ID()] every (port, word) it heard.
+	quiet := func(heard [][]int) Stepped[roundState[struct{}]] {
+		return roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+			v := ctx.ID()
+			for p := 0; p < ctx.Degree(); p++ {
+				if x, ok := ctx.RecvInt(p); ok {
+					heard[v] = append(heard[v], p, x)
+				}
+				for _, w := range ctx.Recv(p) {
+					heard[v] = append(heard[v], p, int(w))
+				}
 			}
-			for _, w := range ctx.Recv(p) {
-				*heard = append(*heard, p, int(w))
+			switch {
+			case round == 2:
+				return false
+			case ctx.Degree() == 0:
+			case round == 0:
+				ctx.SendInt(0, v)
+			default:
+				ctx.Send(0, []int32{int32(v)})
 			}
-		}
-		switch {
-		case round == 2:
-			ctx.SetOutput(*heard)
-			return false
-		case ctx.Degree() == 0:
-		case round == 0:
-			ctx.SendInt(0, ctx.ID())
-		default:
-			ctx.Send(0, []int32{int32(ctx.ID())})
-		}
-		return true
-	})
+			return true
+		})
+	}
 
 	reused, fresh := NewNetwork(g, 1), NewNetwork(g, 1)
 	reused.EnableMessageStats()
@@ -133,14 +135,16 @@ func TestReusedRunTablesStartClean(t *testing.T) {
 	if err := reused.SetFaultPlan(nil); err != nil {
 		t.Fatal(err)
 	}
-	got, want := RunStepped(reused, quiet), RunStepped(fresh, quiet)
+	got, want := make([][]int, g.N()), make([][]int, g.N())
+	RunStepped(reused, quiet(got))
+	RunStepped(fresh, quiet(want))
 	if reused.Rounds() != fresh.Rounds() || *reused.MessageStats() != *fresh.MessageStats() {
 		t.Fatalf("reused network: rounds %d, stats %+v; fresh: rounds %d, stats %+v",
 			reused.Rounds(), *reused.MessageStats(), fresh.Rounds(), *fresh.MessageStats())
 	}
 	for v := range want {
-		heard := got[v].([]int)
-		if !slices.Equal(heard, want[v].([]int)) {
+		heard := got[v]
+		if !slices.Equal(heard, want[v]) {
 			t.Fatalf("node %d heard %v on the reused network, %v on a fresh one", v, heard, want[v])
 		}
 		for i := 1; i < len(heard); i += 2 {

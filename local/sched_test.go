@@ -1,7 +1,6 @@
 package local
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,8 +11,8 @@ import (
 // floodProtocol is a deliberately irregular workload on the record lane:
 // node v runs v%5+1 extra rounds past a shared flooding phase, uses its
 // private randomness, and halts at different times, exercising halts,
-// active sets and parking.
-func floodProtocol(rounds int) Stepped[roundState[int]] {
+// active sets and parking. Each node writes its sum into out[ctx.ID()].
+func floodProtocol(rounds int, out []int) Stepped[roundState[int]] {
 	return roundProgram(func(ctx *Ctx, sum *int, round int) bool {
 		if round == 0 {
 			*sum = ctx.Rand().Intn(1000)
@@ -24,7 +23,7 @@ func floodProtocol(rounds int) Stepped[roundState[int]] {
 			}
 		}
 		if round == rounds+ctx.ID()%5 {
-			ctx.SetOutput(*sum)
+			out[ctx.ID()] = *sum
 			return false
 		}
 		ctx.Broadcast([]int32{int32(*sum)})
@@ -50,10 +49,11 @@ func randomGraph(n int, p float64, seed int64) *graph.G {
 // detail, never a semantic one.
 func TestShardCountInvariance(t *testing.T) {
 	g := randomGraph(200, 0.03, 42)
-	run := func(shards int) ([]any, int) {
+	run := func(shards int) ([]int, int) {
 		net := NewNetwork(g, 7)
 		net.SetWorkers(shards)
-		outs := RunStepped(net, floodProtocol(4))
+		outs := make([]int, g.N())
+		RunStepped(net, floodProtocol(4, outs))
 		return outs, net.Rounds()
 	}
 	base, baseRounds := run(1)
@@ -81,14 +81,15 @@ func TestParallelDeliveryLargeRound(t *testing.T) {
 	}
 	net := NewNetwork(g, 1)
 	net.SetWorkers(4)
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, got *int, round int) bool {
+	outs := make([]int, n)
+	RunStepped(net, roundProgram(func(ctx *Ctx, got *int, round int) bool {
 		if round > 0 {
 			for p := 0; p < ctx.Degree(); p++ {
 				*got += int(ctx.Recv(p)[0])
 			}
 		}
 		if round == 3 {
-			ctx.SetOutput(*got)
+			outs[ctx.ID()] = *got
 			return false
 		}
 		ctx.Broadcast([]int32{int32(ctx.ID())})
@@ -96,7 +97,7 @@ func TestParallelDeliveryLargeRound(t *testing.T) {
 	}))
 	for v := 0; v < n; v++ {
 		left, right := (v-1+n)%n, (v+1)%n
-		if outs[v].(int) != 3*(left+right) {
+		if outs[v] != 3*(left+right) {
 			t.Fatalf("node %d got %v, want %d", v, outs[v], 3*(left+right))
 		}
 	}
@@ -115,9 +116,10 @@ func TestActiveSetSparseRounds(t *testing.T) {
 	}
 	net := NewNetwork(g, 1)
 	net.SetWorkers(4)
-	outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+	outs := make([]int, n)
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if m := ctx.Recv(0); m != nil && ctx.ID() == 1 {
-			ctx.SetOutput(int(m[0]))
+			outs[1] = int(m[0])
 		}
 		if round == 5 {
 			return false
@@ -130,22 +132,6 @@ func TestActiveSetSparseRounds(t *testing.T) {
 	if outs[1] != 42 {
 		t.Fatalf("node 1 got %v", outs[1])
 	}
-}
-
-func TestRunWithInputLengthMismatch(t *testing.T) {
-	g := pathGraph(3)
-	net := NewNetwork(g, 1)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic for short inputs")
-		}
-		msg := fmt.Sprint(r)
-		if !strings.Contains(msg, "len(inputs) = 2") || !strings.Contains(msg, "want 3") {
-			t.Fatalf("unhelpful panic message: %q", msg)
-		}
-	}()
-	RunSteppedWithInput(net, oneRound(func(*Ctx) {}), []any{1, 2})
 }
 
 func TestDeadSendTracking(t *testing.T) {
@@ -207,7 +193,7 @@ func TestDeadSendTrackingOffByDefault(t *testing.T) {
 func TestRunStats(t *testing.T) {
 	g := cycleGraph(8)
 	net := NewNetwork(g, 1)
-	RunStepped(net, floodProtocol(2))
+	RunStepped(net, floodProtocol(2, make([]int, g.N())))
 	st := net.LastRunStats()
 	if st.Nodes != 8 || st.Rounds != net.Rounds() || st.Rounds == 0 {
 		t.Fatalf("stats = %+v", st)
@@ -217,8 +203,10 @@ func TestRunStats(t *testing.T) {
 	}
 }
 
-// TestReversePortTables cross-checks the linear-time construction against
-// the definition on assorted graph shapes.
+// TestReversePortTables cross-checks the linear-time construction of the
+// flat port tables against the definition on assorted graph shapes: port
+// p of v is its p-th external neighbor, the reverse port leads back, and
+// the receiver slot is the reverse port's slot.
 func TestReversePortTables(t *testing.T) {
 	graphs := map[string]*graph.G{
 		"path":   pathGraph(17),
@@ -234,11 +222,17 @@ func TestReversePortTables(t *testing.T) {
 	for name, g := range graphs {
 		net := NewNetwork(g, 1)
 		for v := 0; v < g.N(); v++ {
-			for p, u := range net.ports[v] {
-				q := int(net.rev[v][p])
-				if net.ports[u][q] != v {
-					t.Fatalf("%s: rev[%d][%d]=%d but ports[%d][%d]=%d",
-						name, v, p, q, u, q, net.ports[u][q])
+			for p := 0; p < net.off[v+1]-net.off[v]; p++ {
+				e := net.off[v] + p
+				u, q := int(net.portsFlat[e]), int(net.revFlat[e])
+				if want := g.Neighbors(net.toExt(v))[p]; net.toExt(u) != want {
+					t.Fatalf("%s: port %d of %d leads to %d, want %d", name, p, net.toExt(v), net.toExt(u), want)
+				}
+				if back := int(net.portsFlat[net.off[u]+q]); back != v {
+					t.Fatalf("%s: rev of slot %d is %d but port %d of %d leads to %d", name, e, q, q, u, back)
+				}
+				if int(net.slotFlat[e]) != net.off[u]+q {
+					t.Fatalf("%s: slotFlat[%d]=%d, want %d", name, e, net.slotFlat[e], net.off[u]+q)
 				}
 			}
 		}
@@ -251,8 +245,9 @@ func TestNetworkReuse(t *testing.T) {
 	g := cycleGraph(30)
 	net := NewNetwork(g, 5)
 	net.SetWorkers(3)
-	first := RunStepped(net, floodProtocol(3))
-	second := RunStepped(net, floodProtocol(3))
+	first, second := make([]int, g.N()), make([]int, g.N())
+	RunStepped(net, floodProtocol(3, first))
+	RunStepped(net, floodProtocol(3, second))
 	for v := range first {
 		if first[v] != second[v] {
 			t.Fatalf("run not reproducible on reused network at node %d: %v vs %v", v, first[v], second[v])

@@ -81,7 +81,8 @@ func FuzzCtxStaging(f *testing.F) {
 
 		net := NewNetwork(g, 1)
 		net.EnableMessageStats()
-		outs := RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		outs := make([][]portModel, g.N())
+		RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 			if round == 0 {
 				for _, o := range ops {
 					if o.v != ctx.ID() {
@@ -108,14 +109,14 @@ func FuzzCtxStaging(f *testing.F) {
 				got[p].rec = ctx.Recv(p)
 				got[p].v, got[p].hasInt = ctx.RecvInt(p)
 			}
-			ctx.SetOutput(got)
+			outs[ctx.ID()] = got
 			return false
 		}))
 
 		msgs, bytes := 0, 0
 		for u := 0; u < g.N(); u++ {
 			for q, v := range g.Neighbors(u) {
-				r, m := outs[u].([]portModel)[q], want[v][slices.Index(g.Neighbors(v), u)]
+				r, m := outs[u][q], want[v][slices.Index(g.Neighbors(v), u)]
 				if r.hasInt != m.hasInt || r.v != m.v || (r.rec == nil) != (m.rec == nil) || !slices.Equal(r.rec, m.rec) {
 					t.Fatalf("node %d port %d (from node %d) got %+v, want %+v", u, q, v, r, m)
 				}

@@ -25,7 +25,6 @@ func uniformFlood(rounds int) Stepped[int] {
 			}
 			*s++
 			if *s == rounds {
-				ctx.SetOutput(sum)
 				return false
 			}
 			ctx.BroadcastInt(sum)
@@ -110,12 +109,12 @@ func TestTracerCountersOnlyMatchesFull(t *testing.T) {
 // mixedLanes stages on both lanes with staggered halts: in round r node v
 // sends an int on ports with (v+p+r)%3 == 0 and a record of (v+p+r)%4
 // words (empty ones included) on ports with (v+p+r)%3 == 1, until it
-// halts after round rounds+v%3 without sending. Its output is the number
-// of words it staged.
-func mixedLanes(rounds int) Stepped[roundState[int]] {
+// halts after round rounds+v%3 without sending, writing the number of
+// words it staged into out[ctx.ID()].
+func mixedLanes(rounds int, out []int) Stepped[roundState[int]] {
 	return roundProgram(func(ctx *Ctx, words *int, round int) bool {
 		if round == rounds+ctx.ID()%3 {
-			ctx.SetOutput(*words)
+			out[ctx.ID()] = *words
 			return false
 		}
 		for p := 0; p < ctx.Degree(); p++ {
@@ -150,9 +149,11 @@ func TestTracerCountsRecordLane(t *testing.T) {
 	}
 	gather := func(net *Network) int { GatherStepped(net, 3); return -1 }
 	mixed := func(net *Network) int {
+		out := make([]int, g.N())
+		RunStepped(net, mixedLanes(4, out))
 		words := 0
-		for _, o := range RunStepped(net, mixedLanes(4)) {
-			words += o.(int)
+		for _, w := range out {
+			words += w
 		}
 		return words
 	}
@@ -229,7 +230,7 @@ func TestTracerZeroAllocsPerRound(t *testing.T) {
 			tr := NewTracer(TraceFull, 256)
 			net := NewNetwork(g, 1)
 			net.SetTracer(tr)
-			RunStepped(net, intFloodStepped(rounds))
+			RunStepped(net, intFloodStepped(rounds, make([]int, g.N())))
 		})
 	}
 	short, long := measure(5), measure(105)

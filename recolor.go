@@ -151,8 +151,8 @@ func Recolor(g *graph.G, colors []int, delta int, seed int64) (*RecolorStats, er
 // — a pipeline error, a pipeline panic on fault-mangled state, or a
 // repair that cannot converge — returns an error wrapping
 // ErrUnrecoverable. Precondition errors (ErrBadOptions, ErrNotNice,
-// ErrComplete, ErrOddCycle, ErrDegreeTooSmall) are not fault-induced and
-// pass through unwrapped.
+// ErrComplete, ErrDegreeTooSmall) are not fault-induced and pass through
+// unwrapped.
 //
 // Determinism: same graph, same Options, same plan ⇒ byte-identical
 // colors, rounds and repair stats, independent of worker count.
@@ -181,10 +181,12 @@ func ColorUnderFaults(g *graph.G, opts Options, plan *local.FaultPlan) (*Result,
 	return res, stats, nil
 }
 
-// colorRecovering is Color with panic containment: under fault injection
-// a pipeline's central code may trip over engine outputs truncated by a
-// RoundLimit (a nil where a value always was, a partial layering), and
-// that must surface as a recoverable error, not kill the process.
+// colorRecovering is Color with panic containment. Engine outputs cut
+// by a RoundLimit are typed "no output" values (-1 colors, false MIS
+// flags), never nils, but a pipeline's central code still runs on the
+// partial state they leave (a partial layering, a truncated schedule),
+// and any slip there must surface as a recoverable error, not kill the
+// process.
 func colorRecovering(g *graph.G, opts Options) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -197,7 +199,7 @@ func colorRecovering(g *graph.G, opts Options) (res *Result, err error) {
 // isStructuralErr reports whether err is a precondition failure the
 // caller must fix — unrelated to injected faults.
 func isStructuralErr(err error) bool {
-	for _, s := range []error{ErrBadOptions, ErrNotNice, ErrComplete, ErrOddCycle, ErrDegreeTooSmall} {
+	for _, s := range []error{ErrBadOptions, ErrNotNice, ErrComplete, ErrDegreeTooSmall} {
 		if errors.Is(err, s) {
 			return true
 		}
