@@ -9,6 +9,7 @@ package deltacolor_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -114,23 +115,27 @@ func TestColorUnderFaultsRoundLimitCut(t *testing.T) {
 	g := gen.MustRandomRegular(rand.New(rand.NewSource(8)), 512, 4)
 	algs := []deltacolor.Algorithm{deltacolor.AlgRandomized, deltacolor.AlgDeterministic, deltacolor.AlgBaseline, deltacolor.AlgNetDec}
 	for _, alg := range algs {
-		for _, limit := range []int{2, 20} {
-			plan := &local.FaultPlan{Seed: 1, RoundLimit: limit}
-			res, _, err := deltacolor.ColorUnderFaults(g, deltacolor.Options{Algorithm: alg, Seed: 1}, plan)
-			mustHeal := limit == 20 && (alg == deltacolor.AlgDeterministic || alg == deltacolor.AlgNetDec)
-			var ue *deltacolor.UnrecoverableError
-			switch {
-			case err == nil:
-				if verr := verify.DeltaColoring(g, res.Colors, res.Delta); verr != nil {
-					t.Errorf("%s RoundLimit=%d: nil error but invalid coloring: %v", alg, limit, verr)
-				}
-			case mustHeal:
-				t.Errorf("%s RoundLimit=%d: %v, want a healed coloring", alg, limit, err)
-			case !errors.As(err, &ue):
-				t.Errorf("%s RoundLimit=%d: untyped error: %v", alg, limit, err)
-			case strings.Contains(ue.Reason.Error(), "panicked"):
-				t.Errorf("%s RoundLimit=%d: the pipeline panicked: %v", alg, limit, err)
+		t.Run(alg.String(), func(t *testing.T) {
+			for _, limit := range []int{2, 20} {
+				t.Run(fmt.Sprintf("RoundLimit=%d", limit), func(t *testing.T) {
+					plan := &local.FaultPlan{Seed: 1, RoundLimit: limit}
+					res, _, err := deltacolor.ColorUnderFaults(g, deltacolor.Options{Algorithm: alg, Seed: 1}, plan)
+					mustHeal := limit == 20 && (alg == deltacolor.AlgDeterministic || alg == deltacolor.AlgNetDec)
+					var ue *deltacolor.UnrecoverableError
+					switch {
+					case err == nil:
+						if verr := verify.DeltaColoring(g, res.Colors, res.Delta); verr != nil {
+							t.Errorf("nil error but invalid coloring: %v", verr)
+						}
+					case mustHeal:
+						t.Errorf("%v, want a healed coloring", err)
+					case !errors.As(err, &ue):
+						t.Errorf("untyped error: %v", err)
+					case strings.Contains(ue.Reason.Error(), "panicked"):
+						t.Errorf("the pipeline panicked: %v", err)
+					}
+				})
 			}
-		}
+		})
 	}
 }

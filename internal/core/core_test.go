@@ -82,15 +82,71 @@ func TestCheckNiceDisconnected(t *testing.T) {
 	for name, extra := range map[string]*graph.G{
 		"K3": gen.Complete(3), "C7": gen.Cycle(7), "P3": gen.Path(3), "isolated node": graph.New(1),
 	} {
-		u := graph.New(16 + extra.N())
-		for _, e := range t1.Edges() {
-			u.MustEdge(e[0], e[1])
+		t.Run("torus+"+name, func(t *testing.T) {
+			if _, err := CheckNice(disjointUnion(t1, extra), 3); !errors.Is(err, ErrNotNice) {
+				t.Errorf("got %v, want ErrNotNice", err)
+			}
+		})
+	}
+}
+
+// TestCheckNiceMatchesComponentOracle checks CheckNice, which judges each
+// component by its node count and degree range, against the definition
+// applied to each induced component: a (Δ+1)-clique is ErrComplete, any
+// other clique, path or cycle is ErrNotNice, and the first offending
+// component in ConnectedComponents order decides the error. The parts
+// are relabeled at random, so components interleave in ID order.
+func TestCheckNiceMatchesComponentOracle(t *testing.T) {
+	oracle := func(g *graph.G) error {
+		delta := g.MaxDegree()
+		if delta < 3 {
+			return ErrDegreeTooSmall
 		}
-		for _, e := range extra.Edges() {
-			u.MustEdge(e[0]+16, e[1]+16)
+		comp, count := g.ConnectedComponents()
+		byComp := make([][]int, count)
+		for v, c := range comp {
+			byComp[c] = append(byComp[c], v)
 		}
-		if _, err := CheckNice(u, 3); !errors.Is(err, ErrNotNice) {
-			t.Errorf("torus+%s: got %v, want ErrNotNice", name, err)
+		for _, nodes := range byComp {
+			sub, _, err := g.InducedSubgraph(nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.IsClique() && sub.N() == delta+1 {
+				return ErrComplete
+			}
+			if !sub.IsNice() {
+				return ErrNotNice
+			}
+		}
+		return nil
+	}
+	rng := rand.New(rand.NewSource(21))
+	pieces := []func() *graph.G{
+		func() *graph.G { return gen.Complete(1 + rng.Intn(6)) },
+		func() *graph.G { return gen.Cycle(3 + rng.Intn(6)) },
+		func() *graph.G { return gen.Path(1 + rng.Intn(6)) },
+		func() *graph.G { return gen.Torus(3+rng.Intn(2), 3+rng.Intn(2)) },
+		func() *graph.G { return gen.CompleteBipartite(1+rng.Intn(3), 1+rng.Intn(3)) },
+		func() *graph.G { return gen.RandomTree(rng, 1+rng.Intn(10)) },
+		func() *graph.G { return gen.GNPMaxDeg(rng, 4+rng.Intn(8), 0.4, 3+rng.Intn(3)) },
+	}
+	seen := map[error]int{}
+	for trial := 0; trial < 300; trial++ {
+		parts := make([]*graph.G, 1+rng.Intn(4))
+		for i := range parts {
+			parts[i] = pieces[rng.Intn(len(pieces))]()
+		}
+		g := permuted(rng, disjointUnion(parts...))
+		want := oracle(g)
+		seen[want]++
+		if _, err := CheckNice(g, 3); !errors.Is(err, want) && !(err == nil && want == nil) {
+			t.Fatalf("trial %d (n=%d, m=%d): CheckNice = %v, oracle = %v", trial, g.N(), g.M(), err, want)
+		}
+	}
+	for _, want := range []error{nil, ErrComplete, ErrNotNice, ErrDegreeTooSmall} {
+		if seen[want] == 0 {
+			t.Errorf("no trial exercised outcome %v", want)
 		}
 	}
 }
