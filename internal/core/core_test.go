@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -593,27 +595,76 @@ func TestDiscoverAnchorsOverlapExcluded(t *testing.T) {
 	}
 }
 
-func TestSmallComponentsOverlappingAnchors(t *testing.T) {
-	// End to end: colorSmallComponents on the overlap construction must
-	// color all of L properly with nothing deferred (the DCC anchor covers
-	// the whole component).
-	g, inL, colors := diamondWithTail()
-	delta := 3
-	acct := &local.Accountant{}
-	lc := NewLayerColorer(g, delta, ListColorRandomized, 7, acct)
-	deferred, err := colorSmallComponents(g, inL, colors, delta, RandOptions{Seed: 7}.AutoParams(g.N(), delta), lc, acct)
+// TestDiscoverAnchorsDCCGroupsMayOverlap pins the other half of
+// discoverAnchors' contract: DCC groups may overlap one another. On the
+// 2x4 ladder every DCC group shares a rung with the next, so only the
+// quotient network's shared-member adjacency keeps the chosen anchors
+// disjoint.
+func TestDiscoverAnchorsDCCGroupsMayOverlap(t *testing.T) {
+	g := gen.Grid(2, 4)
+	inL := make([]bool, g.N())
+	colors := make([]int, g.N())
+	byComp := [][]int{nil}
+	for v := range inL {
+		inL[v], colors[v] = true, -1
+		byComp[0] = append(byComp[0], v)
+	}
+	groups, _, err := discoverAnchors(g, inL, colors, byComp, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deferred != 0 {
-		t.Fatalf("deferred = %d, want 0", deferred)
+	want := []anchorGroup{{nodes: []int{0, 1, 4, 5}}, {nodes: []int{1, 2, 5, 6}}, {nodes: []int{2, 3, 6, 7}}}
+	if !reflect.DeepEqual(groups, want) {
+		t.Fatalf("groups = %+v, want %+v", groups, want)
 	}
-	for v := 0; v < g.N(); v++ {
-		if inL[v] && colors[v] < 0 {
-			t.Fatalf("L node %d left uncolored", v)
+}
+
+func TestSmallComponentsOverlappingAnchors(t *testing.T) {
+	// End to end: colorSmallComponents on components whose anchors
+	// overlap must color all of L properly with nothing deferred. In the
+	// diamond with a tail, free singletons sit inside the DCC group (the
+	// DCC anchor covers the whole component); on the 2xk ladders the DCC
+	// groups overlap one another.
+	type overlapCase struct {
+		name string
+		g    *graph.G
+		inL  []bool
+	}
+	g, inL, _ := diamondWithTail()
+	cases := []overlapCase{{"diamond-tail", g, inL}}
+	for _, k := range []int{4, 6, 9} {
+		ladder := gen.Grid(2, k) // rails i-(i+1) and (i+k)-(i+k+1), rungs i-(i+k)
+		all := make([]bool, ladder.N())
+		for v := range all {
+			all[v] = true
 		}
+		cases = append(cases, overlapCase{fmt.Sprintf("ladder-2x%d", k), ladder, all})
 	}
-	if err := verify.PartialColoring(g, colors, delta); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, inL := tc.g, tc.inL
+			colors := make([]int, g.N())
+			for v := range colors {
+				colors[v] = -1
+			}
+			delta := 3
+			acct := &local.Accountant{}
+			lc := NewLayerColorer(g, delta, ListColorRandomized, 7, acct)
+			deferred, err := colorSmallComponents(g, inL, colors, delta, RandOptions{Seed: 7}.AutoParams(g.N(), delta), lc, acct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if deferred != 0 {
+				t.Fatalf("deferred = %d, want 0", deferred)
+			}
+			for v := 0; v < g.N(); v++ {
+				if inL[v] && colors[v] < 0 {
+					t.Fatalf("L node %d left uncolored", v)
+				}
+			}
+			if err := verify.PartialColoring(g, colors, delta); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -172,14 +172,14 @@ type anchorGroup struct {
 
 // discoverAnchors finds the candidate anchors of every component: DCC
 // groups first, then free-node singletons for nodes outside every DCC
-// group of their component. The exclusion matters because anchor groups
-// may otherwise overlap — a free node frequently sits inside a
-// degree-choosable component — and while the quotient network marks
-// overlapping groups adjacent, so the ruling set can never select two
-// groups sharing a node (TestQuotientNetworkSharedMemberAdjacent), a
-// redundant singleton anchor would only shrink the ruling set's coverage.
-// The returned groups are pairwise disjoint within each component by
-// construction (TestDiscoverAnchorsOverlapExcluded). maxRC is the largest
+// group of their component, so no free singleton overlaps a DCC group
+// (TestDiscoverAnchorsOverlapExcluded): a free node frequently sits
+// inside a degree-choosable component, and a redundant singleton anchor
+// would only shrink the ruling set's coverage. DCC groups may overlap
+// one another (on the 2x4 ladder they are {0,1,4,5}, {1,2,5,6} and
+// {2,3,6,7}); the quotient network marks groups that share a member
+// adjacent (TestQuotientNetworkSharedMemberAdjacent), so the DCC groups
+// the ruling set chooses are disjoint. maxRC is the largest
 // per-component DCC search radius, the ball the anchor discovery is
 // charged for.
 func discoverAnchors(g *graph.G, inL []bool, colors []int, byComp [][]int, delta int) (groups []anchorGroup, maxRC int, err error) {

@@ -14,10 +14,10 @@ import (
 //
 // The search is built around the canonical small DCCs:
 //
-//	(1) a short cycle through v whose node set already induces a DCC
-//	    (even chordless cycle, or any cycle with chords that is not a
-//	    clique);
-//	(2) a short cycle through v plus one "ear" node attached twice
+//	(1) a short cycle through v whose node set already induces a DCC:
+//	    every even cycle of length >= 4 closed by a BFS non-tree edge,
+//	    and any odd one with a chord that is not a clique;
+//	(2) a short odd cycle through v plus one "ear" node attached twice
 //	    (theta-like subgraphs such as K4 minus an edge);
 //	(3) for small balls, the block of v (exact but more expensive).
 //
@@ -33,8 +33,9 @@ func FindDCC(g *graph.G, v, r int) []int {
 }
 
 const (
-	// maxCycles caps how many short cycles through v are tried, shortest
-	// first, before the search falls back to the block search.
+	// maxCycles caps how many odd short cycles through v are tried,
+	// shortest first, before the search falls back to the block search.
+	// Even cycles never fail, so they do not count.
 	maxCycles = 8
 	// blockBallMax is the largest radius-2r ball the exact block search
 	// runs on.
@@ -42,65 +43,71 @@ const (
 )
 
 // Finder runs FindDCC's search around many nodes of one graph. Its
-// scratch — BFS distances, parents and branches, the candidate-set index
-// and the ear counts — is flat, allocated once at NewFinder and cleared by
-// bumping an epoch, so a call costs only the nodes its search visits.
+// scratch — one packed BFS record per node and the ear counts — is flat,
+// allocated once at NewFinder and cleared by bumping an epoch, so a call
+// costs only the nodes its search visits.
 //
 // A Finder belongs to one goroutine and to the graph it was built for:
 // adding or removing nodes or edges of that graph invalidates it.
 type Finder struct {
 	g *graph.G
 
-	// BFS from the current center: dist is live for discovered nodes, and
-	// parent/branch (the center's child the node descends from) are valid
-	// exactly for them. order is the discovery order; order[lo:] is the
-	// deepest complete level, at distance depth from the center.
-	dist      stamped
-	parent    []int32
-	branch    []int32
+	// BFS from the current center: mark[u] is live when its stamp equals
+	// epoch. order is the discovery order; order[lo:] is the deepest
+	// complete level, at distance depth from the center.
+	mark      []bfsMark
+	epoch     uint32
 	order     []int32
 	lo, depth int
 
-	pos            stamped // position of each node in the candidate set
-	ear            stamped // per-node count of candidate-set neighbors
-	cyc, ext, ears []int   // candidate cycle, cycle plus ear, ear order
-	sub            induced // the candidate set's induced adjacency
+	odd            []closer // the last read level's (2k+1)-closers, in try order
+	ear            stamped  // candidate cycle nodes (-1), other nodes' cycle-neighbor counts
+	cyc, ext, ears []int    // candidate cycle, cycle plus ear, ear order
 }
+
+// bfsMark is one node's BFS entry, packed so that a visit touches one
+// record: its index in order (which the level bounds turn into its
+// depth), its BFS parent, and its branch (the center's child it descends
+// from; -1 at the center).
+type bfsMark struct {
+	stamp               uint32
+	pos, parent, branch int32
+}
+
+// closer is a non-tree edge {x, y}, x < y, between two BFS branches.
+type closer struct{ x, y int32 }
 
 // NewFinder returns a Finder over g.
 func NewFinder(g *graph.G) *Finder {
 	n := g.N()
 	return &Finder{
-		g:      g,
-		dist:   newStamped(n),
-		parent: make([]int32, n),
-		branch: make([]int32, n),
-		pos:    newStamped(n),
-		ear:    newStamped(n),
+		g:    g,
+		mark: make([]bfsMark, n),
+		ear:  newStamped(n),
 	}
 }
 
 // Find is FindDCC(g, v, r) on the Finder's graph.
 func (f *Finder) Find(v, r int) []int {
+	return slices.Clone(f.find(v, r))
+}
+
+// find is Find without the copy: a result built in the Finder's scratch
+// is valid only until the next call.
+func (f *Finder) find(v, r int) []int {
 	if r < 1 {
 		return nil
 	}
-	f.dist.reset()
-	f.dist.put(v, 0)
-	f.parent[v], f.branch[v] = -1, -1
-	f.order = append(f.order[:0], int32(v))
-	f.lo, f.depth = 0, 0
+	f.start(v)
 	// (1)+(2): cycle-based search inside the radius-r ball.
 	if got := f.cycleDCC(r); got != nil {
 		return got
 	}
-	// (3): exact block search on small balls only. The BFS resumes where
-	// the cycle search left it, which may already be past the cap, and
-	// stops growing at the first node past it.
-	for len(f.order) <= blockBallMax && f.depth < 2*r {
-		if !f.grow(blockBallMax + 1) {
-			break
-		}
+	// (3): exact block search on small balls only. The BFS resumes from
+	// the complete level the cycle search stopped at, which may already
+	// be past the cap, and stops growing at the first node past it.
+	for len(f.order) <= blockBallMax && f.depth < 2*r && f.lo < len(f.order) {
+		f.grow(blockBallMax+1, false)
 	}
 	if len(f.order) > blockBallMax {
 		return nil
@@ -112,151 +119,200 @@ func (f *Finder) Find(v, r int) []int {
 	return blockDCC(f.g, ball, r)
 }
 
-// grow discovers the BFS level below order[lo:], stopping early once
-// order holds limit nodes (limit < 0: no cap). It reports whether the new
-// level is nonempty.
-func (f *Finder) grow(limit int) bool {
-	hi := len(f.order)
-	for _, u := range f.order[f.lo:hi] {
-		d, _ := f.dist.get(int(u))
-		for _, w := range f.g.Neighbors(int(u)) {
-			if _, seen := f.dist.get(w); seen {
+// start resets the BFS to the single node v.
+func (f *Finder) start(v int) {
+	f.epoch++
+	if f.epoch == 0 { // wrapped: stale stamps could collide, re-zero once
+		clear(f.mark)
+		f.epoch = 1
+	}
+	f.mark[v] = bfsMark{stamp: f.epoch, parent: -1, branch: -1}
+	f.order = append(f.order[:0], int32(v))
+	f.lo, f.depth = 0, 0
+}
+
+// grow discovers level k+1 from the complete, nonempty level k =
+// order[lo:], in FIFO BFS order. It stops early once order holds limit
+// nodes (limit < 0: no cap), leaving lo and depth at level k. With
+// closers set (k >= 1), the same read of level k also finds the closers
+// it meets: it lists the (2k+1)-closers inside level k in f.odd, in try
+// order, and returns the first 2(k+1)-closer in try order (x = -1: none).
+func (f *Finder) grow(limit int, closers bool) closer {
+	mark, epoch, order := f.mark, f.epoch, f.order
+	lo, hi := int32(f.lo), int32(len(order))
+	first := f.depth == 0
+	odd := f.odd[:0]
+	// A 2(k+1)-closer joins u on level k to a w on level k+1 that an
+	// earlier node of level k discovered. With w > u it is eager: x = u,
+	// and the first one met is the first in try order. With w < u, x = w
+	// lies on level k+1, behind every eager one; late keeps one with the
+	// earliest such x.
+	eager, late := closer{-1, -1}, closer{-1, -1}
+	next := f.g.Neighbors(int(order[lo]))
+	for i := lo; i < hi; i++ {
+		u, nbrs := order[i], next
+		if i+1 < hi {
+			// Load the next node's adjacency before scanning this one's,
+			// so that the two cache misses overlap.
+			next = f.g.Neighbors(int(order[i+1]))
+		}
+		br := mark[u].branch
+		for _, w := range nbrs {
+			m := &mark[w]
+			if m.stamp != epoch {
+				b := br
+				if first {
+					b = int32(w)
+				}
+				*m = bfsMark{stamp: epoch, pos: int32(len(order)), parent: u, branch: b}
+				order = append(order, int32(w))
+				if len(order) == limit {
+					f.order = order
+					return closer{-1, -1}
+				}
 				continue
 			}
-			f.dist.put(w, d+1)
-			f.parent[w], f.branch[w] = u, f.branch[u]
-			if d == 0 {
-				f.branch[w] = int32(w)
+			if !closers || m.branch == br || m.pos < lo {
+				// A tree edge or a cycle that may avoid the center (one
+				// branch), or a 2k-closer, met when level k grew.
+				continue
 			}
-			f.order = append(f.order, int32(w))
-			if len(f.order) == limit {
-				return true
+			switch {
+			case m.pos < hi:
+				if int32(w) > u {
+					odd = append(odd, closer{u, int32(w)})
+				}
+			case eager.x >= 0:
+			case int32(w) > u:
+				eager = closer{u, int32(w)}
+			case late.x < 0 || m.pos < mark[late.x].pos:
+				late = closer{int32(w), u}
 			}
 		}
 	}
-	f.lo = hi
+	f.order, f.odd = order, odd
+	f.lo = int(hi)
 	f.depth++
-	return len(f.order) > hi
+	if eager.x >= 0 || late.x < 0 {
+		return eager
+	}
+	// late.x's closers come in its adjacency order, and late.y is one.
+	bx := mark[late.x].branch
+	for _, y := range f.g.Neighbors(int(late.x)) {
+		if m := mark[y]; m.stamp == epoch && lo <= m.pos && m.pos < hi && int32(y) > late.x && m.branch != bx {
+			late.y = int32(y)
+			break
+		}
+	}
+	return late
 }
 
-// cycleDCC tries the shortest cycles through the center, at most
-// maxCycles of them, and upgrades them to DCCs.
+// cycleDCC tries the shortest cycles through the center and upgrades
+// them to DCCs.
 //
-// A non-tree edge {x, y} between different BFS branches closes a cycle
-// through the center of length dist(x)+dist(y)+1. Adjacent nodes differ
-// in depth by at most one, so once level k is complete every closer of
-// length <= 2k+1 is known and every other one is longer: the search grows
-// one level at a time and, after level k, tries that level's closers of
-// length 2k, then 2k+1. Within a length, closers come in BFS order of
-// their smaller-ID endpoint x, then in x's adjacency order — the order a
-// stable length sort of all closers in the radius-r ball would give.
+// A closer, a non-tree edge {x, y} (x < y) between different BFS
+// branches, closes a cycle through the center of length
+// dist(x)+dist(y)+1. Adjacent nodes differ in depth by at most one, so
+// the read of level k that grows level k+1 meets every closer of length
+// 2k+1 and 2k+2, and every closer it has not met is longer: each level's
+// adjacency is read once. The try order is a stable length sort of all
+// closers in the radius-r ball: by length, then in BFS order of x, then
+// in x's adjacency order.
+//
+// A 2k-closer with k >= 2 always yields a DCC: its 2k nodes carry a
+// spanning cycle, so they are 2-connected; their count is even, so they
+// are no odd cycle; and the deepest lies k >= 2 hops from the center, so
+// they are no clique. So the first even closer is the answer, without a
+// set test. Only odd closers go through tryCycle and count toward
+// maxCycles. When the cap is met, level k+1 is already complete; the
+// block search resumes from there, with the result it would get from
+// level k, whose next step grows level k+1 under the same node cap.
 func (f *Finder) cycleDCC(r int) []int {
+	f.grow(-1, false) // level 1: every edge at the center is a tree edge
 	tried := 0
-	for k := 1; k <= r; k++ {
-		prev := f.lo // start of level k-1
-		if !f.grow(-1) {
-			return nil
+	for k := 1; k <= r && f.lo < len(f.order); k++ {
+		even := f.grow(-1, true)
+		for _, c := range f.odd {
+			if got := f.tryCycle(c); got != nil {
+				return got
+			}
+			if tried++; tried == maxCycles {
+				return nil
+			}
 		}
-		for length := 2 * k; length <= 2*k+1; length++ {
-			from := prev // a 2k-closer joins levels k-1 and k
-			if length == 2*k+1 {
-				from = f.lo // a (2k+1)-closer lies within level k
-			}
-			for _, x := range f.order[from:] {
-				for _, y := range f.g.Neighbors(int(x)) {
-					if !f.closes(int(x), y, length) {
-						continue
-					}
-					if got := f.tryCycle(int(x), y, r); got != nil {
-						return got
-					}
-					if tried++; tried == maxCycles {
-						return nil
-					}
-				}
-			}
+		if even.x >= 0 && k < r {
+			return f.cycle(even.x, even.y)
 		}
 	}
 	return nil
 }
 
-// closes reports whether the edge {x, y}, seen from its smaller endpoint
-// x, closes a cycle of the given length through the center.
-func (f *Finder) closes(x, y, length int) bool {
-	if x >= y {
-		return false
-	}
-	dy, ok := f.dist.get(y)
-	if !ok || f.parent[y] == int32(x) || f.parent[x] == int32(y) || f.branch[x] == f.branch[y] {
-		return false // outside the ball, a tree edge, or a cycle that may avoid the center
-	}
-	dx, _ := f.dist.get(x)
-	return int(dx+dy)+1 == length
-}
-
-// tryCycle upgrades the cycle closed by {x, y} to a DCC: its node set, or
-// failing that the node set plus an ear node adjacent to two of its nodes.
-func (f *Finder) tryCycle(x, y, r int) []int {
+// cycle returns the node set, sorted, of the cycle the closer {x, y}
+// closes through the center, in f.cyc.
+func (f *Finder) cycle(x, y int32) []int {
 	cyc := f.cyc[:0]
-	for u := int32(x); u != -1; u = f.parent[u] {
+	for u := x; u != -1; u = f.mark[u].parent {
 		cyc = append(cyc, int(u))
 	}
-	for u := int32(y); f.parent[u] != -1; u = f.parent[u] { // the center is already in
+	for u := y; f.mark[u].parent != -1; u = f.mark[u].parent { // the center is already in
 		cyc = append(cyc, int(u))
 	}
 	slices.Sort(cyc)
 	f.cyc = cyc
-	// No radius check: the center reaches every cycle node along the
-	// cycle within max(dist(x), dist(y)) <= r hops.
-	f.load(cyc)
-	if f.sub.isDCC() {
-		return slices.Clone(cyc)
-	}
-	// The cycle induces a clique (triangle) or a chordless odd cycle: try
-	// attaching an ear, in order of first appearance. f.pos still indexes
-	// the cycle here.
+	return cyc
+}
+
+// tryCycle upgrades the odd cycle closed by e to a DCC: its node set, or
+// failing that the node set plus an ear node adjacent to two of its
+// nodes, the first such ear in order of first appearance.
+//
+// Neither set needs a graph test. Both are 2-connected (a cycle, and a
+// cycle plus an ear), so clique and odd cycle are counts (isDCC2). Both
+// have radius <= k <= r: on a cycle of 2k+1 nodes every node reaches
+// the others within k hops, and so does a cycle node next to the ear.
+func (f *Finder) tryCycle(e closer) []int {
+	cyc := f.cycle(e.x, e.y)
+	// f.ear marks the cycle's nodes with -1. One read of their adjacency
+	// counts the induced edges and, for every other neighbor, its
+	// neighbors on the cycle.
 	f.ear.reset()
+	for _, u := range cyc {
+		f.ear.put(u, -1)
+	}
 	ears := f.ears[:0]
+	deg := 0 // twice the induced edge count
 	for _, u := range cyc {
 		for _, w := range f.g.Neighbors(u) {
-			if _, in := f.pos.get(w); in {
-				continue
-			}
-			c, seen := f.ear.get(w)
-			if !seen {
+			switch c, seen := f.ear.get(w); {
+			case !seen:
 				ears = append(ears, w)
+				f.ear.put(w, 1)
+			case c < 0:
+				deg++
+			default:
+				f.ear.put(w, c+1)
 			}
-			f.ear.put(w, c+1)
 		}
 	}
 	f.ears = ears
-	f.ext = append(f.ext[:0], cyc...)
+	n, m := len(cyc), deg/2
+	if isDCC2(n, m) {
+		return cyc
+	}
 	for _, w := range ears {
-		if c, _ := f.ear.get(w); c < 2 {
-			continue
-		}
-		f.ext = append(f.ext[:len(cyc)], w)
-		f.load(f.ext)
-		if f.sub.radius() <= r && f.sub.isDCC() { // radius -1 (disconnected) fails isDCC
-			return slices.Clone(f.ext)
+		if c, _ := f.ear.get(w); c >= 2 && isDCC2(n+1, m+int(c)) {
+			f.ext = append(append(f.ext[:0], cyc...), w)
+			return f.ext
 		}
 	}
 	return nil
 }
 
-// load indexes nodes (distinct by construction) as the candidate set and
-// builds its induced adjacency in f.sub.
-func (f *Finder) load(nodes []int) {
-	f.pos.reset()
-	for i, u := range nodes {
-		f.pos.put(u, int32(i))
-	}
-	f.sub.build(f.g, nodes, func(u int) int {
-		if i, ok := f.pos.get(u); ok {
-			return int(i)
-		}
-		return -1
-	})
+// isDCC2 reports whether a 2-connected set of n nodes with m induced
+// edges is a DCC. A 2-connected graph has minimum degree 2, so it is an
+// odd cycle exactly when n is odd and m == n.
+func isDCC2(n, m int) bool {
+	return n >= 4 && m != n*(n-1)/2 && (n%2 == 0 || m != n)
 }
 
 // stamped is an int32 table over node IDs whose entries all clear in
@@ -362,30 +418,33 @@ func withoutNode(nodes []int, v int) []int {
 // SelectDCCs runs phase (1) of the randomized algorithm: every node that is
 // contained in a DCC of radius <= r selects one; the returned slice holds
 // the distinct selected DCCs, and owner maps each selecting node to its
-// DCC's index (-1 when none found).
+// DCC's index (-1 when none found). A DCC is copied out of the search's
+// scratch only the first time it is selected.
 //
 // rounds reports the LOCAL cost charged: collecting the radius-2r ball
 // costs 2r rounds (see local.GatherStepped).
 func SelectDCCs(g *graph.G, r int) (dccs [][]int, owner []int, rounds int) {
 	owner = make([]int, g.N())
-	for v := range owner {
-		owner[v] = -1
-	}
 	f := NewFinder(g)
 	seen := map[string]int{}
-	for v := 0; v < g.N(); v++ {
-		d := f.Find(v, r)
+	var sorted []int
+	var key []byte
+	for v := range owner {
+		owner[v] = -1
+		d := f.find(v, r)
 		if d == nil {
 			continue
 		}
-		key := dccKey(d)
-		if idx, ok := seen[key]; ok {
-			owner[v] = idx
-			continue
+		sorted = append(sorted[:0], d...)
+		slices.Sort(sorted)
+		key = appendDCCKey(key[:0], sorted)
+		idx, ok := seen[string(key)]
+		if !ok {
+			idx = len(dccs)
+			seen[string(key)] = idx
+			dccs = append(dccs, slices.Clone(d))
 		}
-		seen[key] = len(dccs)
-		owner[v] = len(dccs)
-		dccs = append(dccs, d)
+		owner[v] = idx
 	}
 	return dccs, owner, 2 * r
 }
@@ -396,9 +455,13 @@ func SelectDCCs(g *graph.G, r int) (dccs [][]int, owner []int, rounds int) {
 func dccKey(nodes []int) string {
 	sorted := slices.Clone(nodes)
 	slices.Sort(sorted)
-	b := make([]byte, 0, len(sorted)*binary.MaxVarintLen32)
+	return string(appendDCCKey(nil, sorted))
+}
+
+// appendDCCKey appends dccKey's bytes for the sorted node set to b.
+func appendDCCKey(b []byte, sorted []int) []byte {
 	for _, x := range sorted {
 		b = binary.AppendUvarint(b, uint64(x))
 	}
-	return string(b)
+	return b
 }

@@ -413,6 +413,110 @@ func TestStampedEpochWrap(t *testing.T) {
 	}
 }
 
+// TestEvenClosersAreDCCs pins the lemma the search rests on: every even
+// cycle of length >= 4 that a closer makes through the center induces a
+// DCC, so the search returns it without a set test.
+func TestEvenClosersAreDCCs(t *testing.T) {
+	checked := 0
+	for _, tc := range oracleCases(testing.Short()) {
+		for _, r := range []int{2, 3, 4, 6} {
+			for v := 0; v < tc.g.N(); v++ {
+				for _, cyc := range oracleShortCyclesThrough(tc.g, v, r) {
+					if len(cyc) < 4 || len(cyc)%2 == 1 {
+						continue
+					}
+					if !IsDCCSet(tc.g, cyc) {
+						t.Fatalf("%s r=%d v=%d: even cycle %v is not a DCC", tc.name, r, v, cyc)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no even cycle checked")
+	}
+}
+
+// TestFinderEpochWrap: when the Finder's epoch wraps, its BFS records are
+// cleared instead of aliasing the new epoch, so every search still
+// equals a fresh Finder's. The stale stamps alternate between 0 and 1,
+// the two epochs a mishandled wrap could reuse.
+func TestFinderEpochWrap(t *testing.T) {
+	for _, tc := range []oracleCase{
+		{"rr4-n64", gen.MustRandomRegular(rand.New(rand.NewSource(5)), 64, 4)},
+		{"pentagon-fan-4", pentagonFan(4)},
+		{"ladder-2x6", gen.Grid(2, 6)},
+	} {
+		f := NewFinder(tc.g)
+		for _, r := range []int{1, 2, 3} {
+			for v := 0; v < tc.g.N(); v++ {
+				f.Find((v+1)%tc.g.N(), r) // leave records of another search behind
+				for u := range f.mark {
+					f.mark[u].stamp = uint32(u % 2)
+				}
+				f.epoch = math.MaxUint32
+				want := NewFinder(tc.g).Find(v, r)
+				if got := f.Find(v, r); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s r=%d v=%d: Find across the wrap = %v, fresh Finder %v", tc.name, r, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// fuzzGraph decodes a graph of at most 20 nodes: n-1 in the first byte,
+// then one edge per byte pair; self-loops and repeated edges are skipped.
+func fuzzGraph(data []byte) *graph.G {
+	if len(data) == 0 {
+		return graph.New(1)
+	}
+	n := 1 + int(data[0])%20
+	g := graph.New(n)
+	for i := 1; i+1 < len(data); i += 2 {
+		u, v := int(data[i])%n, int(data[i+1])%n
+		if u != v && !g.HasEdge(u, v) {
+			g.MustEdge(u, v)
+		}
+	}
+	return g
+}
+
+// fuzzBytes is fuzzGraph's inverse, for the seed corpus: n nodes and the
+// edges in insertion order.
+func fuzzBytes(n int, edges [][2]int) []byte {
+	b := []byte{byte(n - 1)}
+	for _, e := range edges {
+		b = append(b, byte(e[0]), byte(e[1]))
+	}
+	return b
+}
+
+// FuzzFinderMatchesOracle: on random small graphs, Finder.Find returns
+// exactly the original search's result at every node for r in {1, 2, 3}.
+func FuzzFinderMatchesOracle(f *testing.F) {
+	for _, g := range []*graph.G{diamond(), gen.Complete(4), gen.Complete(5), pentagonFan(3), gen.Grid(2, 4)} {
+		f.Add(fuzzBytes(g.N(), g.Edges()))
+	}
+	// K_{2,3} with hubs 9 and 0, in an insertion order that makes node 9's
+	// first 4-cycle closer a tie: its smaller end 0 lies on level 2 and
+	// closes with 6 and 7, which the BFS meets in the order opposite to
+	// node 0's adjacency.
+	f.Add(fuzzBytes(10, [][2]int{{9, 5}, {9, 6}, {9, 7}, {0, 5}, {0, 7}, {0, 6}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := fuzzGraph(data)
+		fd := NewFinder(g)
+		for _, r := range []int{1, 2, 3} {
+			for v := 0; v < g.N(); v++ {
+				want := oracleFindDCC(g, v, r)
+				if got := fd.Find(v, r); !reflect.DeepEqual(got, want) {
+					t.Fatalf("r=%d v=%d on %v: Find=%v, oracle=%v", r, v, g.Edges(), got, want)
+				}
+			}
+		}
+	})
+}
+
 var sinkDCCs [][]int
 
 // BenchmarkSelectDCCs measures the central DCC sweep of the randomized
@@ -420,6 +524,17 @@ var sinkDCCs [][]int
 // radius the randomized pipeline picks for Δ = 4.
 func BenchmarkSelectDCCs(b *testing.B) {
 	g := gen.MustRandomRegular(rand.New(rand.NewSource(1)), 1024, 4)
+	b.ReportAllocs()
+	for b.Loop() {
+		sinkDCCs, _, _ = SelectDCCs(g, 6)
+	}
+}
+
+// BenchmarkSelectDCCsN20000 is BenchmarkSelectDCCs at n = 20000, where
+// the adjacency and the search's records outgrow the caches that hold
+// them at n = 1024 and a search reaches deeper levels.
+func BenchmarkSelectDCCsN20000(b *testing.B) {
+	g := gen.MustRandomRegular(rand.New(rand.NewSource(1)), 20000, 4)
 	b.ReportAllocs()
 	for b.Loop() {
 		sinkDCCs, _, _ = SelectDCCs(g, 6)

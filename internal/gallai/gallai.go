@@ -90,24 +90,8 @@ type induced struct {
 	dist, queue []int32
 }
 
-// build fills s with the subgraph of g induced by nodes; pos maps a node
-// to its position in nodes, or -1 for non-members.
-func (s *induced) build(g *graph.G, nodes []int, pos func(u int) int) {
-	s.off = append(s.off[:0], 0)
-	s.nbr = s.nbr[:0]
-	for _, u := range nodes {
-		for _, w := range g.Neighbors(u) {
-			if j := pos(w); j >= 0 {
-				s.nbr = append(s.nbr, int32(j))
-			}
-		}
-		s.off = append(s.off, int32(len(s.nbr)))
-	}
-	s.dist = slices.Grow(s.dist[:0], len(nodes))[:len(nodes)]
-}
-
-// buildSet is build through a one-shot index of nodes, for callers without
-// a Finder; it reports false when nodes lists a node twice.
+// buildSet fills s with the subgraph of g induced by nodes; it reports
+// false when nodes lists a node twice.
 func (s *induced) buildSet(g *graph.G, nodes []int) bool {
 	idx := make(map[int]int, len(nodes))
 	for i, u := range nodes {
@@ -116,12 +100,17 @@ func (s *induced) buildSet(g *graph.G, nodes []int) bool {
 		}
 		idx[u] = i
 	}
-	s.build(g, nodes, func(u int) int {
-		if i, ok := idx[u]; ok {
-			return i
+	s.off = append(s.off[:0], 0)
+	s.nbr = s.nbr[:0]
+	for _, u := range nodes {
+		for _, w := range g.Neighbors(u) {
+			if j, ok := idx[w]; ok {
+				s.nbr = append(s.nbr, int32(j))
+			}
 		}
-		return -1
-	})
+		s.off = append(s.off, int32(len(s.nbr)))
+	}
+	s.dist = slices.Grow(s.dist[:0], len(nodes))[:len(nodes)]
 	return true
 }
 

@@ -110,7 +110,7 @@ func MeasureExpansion(g *graph.G, v, r, delta int) ExpansionReport {
 func HasDCCFreeBall(g *graph.G, v, r int) bool {
 	f := NewFinder(g)
 	for _, u := range g.Ball(v, r) {
-		if f.Find(u, r) != nil {
+		if f.find(u, r) != nil {
 			return false
 		}
 	}
