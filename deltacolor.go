@@ -27,7 +27,6 @@ package deltacolor
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"deltacolor/graph"
 	"deltacolor/internal/baseline"
@@ -70,17 +69,11 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Options configures Color.
+// Options configures Color. The randomized algorithm runs with the
+// paper's parameters (core.RandOptions.AutoParams).
 type Options struct {
 	Algorithm Algorithm // default AlgAuto
 	Seed      int64
-
-	// Randomized-algorithm knobs (zero = the paper's defaults, see
-	// core.RandOptions.AutoParams): DCC radius R, marking backoff B,
-	// selection probability P.
-	R       int
-	Backoff int
-	P       float64
 }
 
 // PhaseStat re-exports the per-phase round accounting.
@@ -120,8 +113,8 @@ var (
 	ErrNotNice        = core.ErrNotNice
 )
 
-// ErrBadOptions is the sentinel all option-validation errors wrap; match
-// with errors.Is(err, ErrBadOptions).
+// ErrBadOptions is the sentinel option errors wrap (an unknown
+// Algorithm); match with errors.Is(err, ErrBadOptions).
 var ErrBadOptions = errors.New("invalid options")
 
 // OptionError reports a single invalid Options field. It wraps
@@ -138,31 +131,10 @@ func (e *OptionError) Error() string {
 
 func (e *OptionError) Unwrap() error { return ErrBadOptions }
 
-// validate rejects option values that the algorithm knobs cannot
-// meaningfully interpret; zero values always pass (they select the
-// paper's defaults via core.RandOptions.AutoParams).
-func (opts Options) validate() error {
-	if opts.R < 0 {
-		return &OptionError{Field: "R", Value: opts.R, Reason: "DCC radius must be >= 0 (0 = auto)"}
-	}
-	if opts.Backoff < 0 {
-		return &OptionError{Field: "Backoff", Value: opts.Backoff, Reason: "marking backoff must be >= 0 (0 = auto)"}
-	}
-	if opts.P < 0 || opts.P > 1 || math.IsNaN(opts.P) {
-		// The accepted set is [0, 1]: the open-interval phrasing this
-		// message once used contradicted the documented P = 0 auto value.
-		return &OptionError{Field: "P", Value: opts.P, Reason: "selection probability must lie in [0, 1] (0 selects the paper's auto value)"}
-	}
-	return nil
-}
-
 // Color computes a Δ-coloring of g. The graph must be "nice" per the
 // paper: every connected component is neither a path, a cycle, nor a
 // clique, and Δ >= 3 (otherwise a typed error is returned).
 func Color(g *graph.G, opts Options) (*Result, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
 	alg := opts.Algorithm
 	if alg == 0 {
 		alg = AlgAuto
@@ -174,7 +146,7 @@ func Color(g *graph.G, opts Options) (*Result, error) {
 	var err error
 	switch alg {
 	case AlgRandomized:
-		res, err = core.Randomized(g, core.RandOptions{Seed: opts.Seed, R: opts.R, Backoff: opts.Backoff, P: opts.P})
+		res, err = core.Randomized(g, core.RandOptions{Seed: opts.Seed})
 	case AlgDeterministic:
 		res, err = core.Deterministic(g, opts.Seed)
 	case AlgNetDec:

@@ -11,6 +11,7 @@ import (
 	"deltacolor/graph"
 	"deltacolor/graph/gen"
 	"deltacolor/internal/brooks"
+	"deltacolor/internal/gallai"
 	"deltacolor/local"
 	"deltacolor/verify"
 )
@@ -158,7 +159,7 @@ func TestLayeringDistances(t *testing.T) {
 	// equal BFS distance from the base.
 	g := gen.Grid(4, 4)
 	base := []int{0}
-	layer := Layering(g, base, nil)
+	layer := Layering(g, base, nil, -1)
 	if layer[0] != 0 {
 		t.Fatalf("base node layer = %d, want 0", layer[0])
 	}
@@ -189,7 +190,7 @@ func TestLayeringRestricted(t *testing.T) {
 	restrict := make([]bool, g.N())
 	// Restrict to the top row {0,1,2}.
 	restrict[0], restrict[1], restrict[2] = true, true, true
-	layer := Layering(g, []int{0}, restrict)
+	layer := Layering(g, []int{0}, restrict, -1)
 	if layer[0] != 0 || layer[1] != 1 || layer[2] != 2 {
 		t.Fatalf("restricted layering on row: got %v %v %v, want 0 1 2", layer[0], layer[1], layer[2])
 	}
@@ -489,7 +490,7 @@ func TestLayerColorerReverseOrder(t *testing.T) {
 	lc := NewLayerColorer(g, delta, ListColorRandomized, 3, acct)
 
 	// Layer by distance from node 0; layer 0 = {0}.
-	layer := Layering(g, []int{0}, nil)
+	layer := Layering(g, []int{0}, nil, -1)
 	s := 0
 	for _, l := range layer {
 		if l > s {
@@ -557,15 +558,7 @@ func diamondWithTail() (g *graph.G, inL []bool, colors []int) {
 func TestDiscoverAnchorsOverlapExcluded(t *testing.T) {
 	g, inL, colors := diamondWithTail()
 	delta := 3
-	lGraph := maskGraph(g, inL)
-	comp, count := lGraph.ConnectedComponents()
-	byComp := make([][]int, count)
-	for v := 0; v < g.N(); v++ {
-		if inL[v] {
-			byComp[comp[v]] = append(byComp[comp[v]], v)
-		}
-	}
-	groups, _, err := discoverAnchors(g, inL, colors, byComp, delta)
+	groups, _, err := discoverAnchors(g, inL, colors, maskedComponents(g, inL), delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,6 +609,36 @@ func TestDiscoverAnchorsDCCGroupsMayOverlap(t *testing.T) {
 	want := []anchorGroup{{nodes: []int{0, 1, 4, 5}}, {nodes: []int{1, 2, 5, 6}}, {nodes: []int{2, 3, 6, 7}}}
 	if !reflect.DeepEqual(groups, want) {
 		t.Fatalf("groups = %+v, want %+v", groups, want)
+	}
+}
+
+// TestDiscoverAnchorsOneDCCPerMinNode pins the minimum-node thinning of
+// discoverAnchors: on the 4x4 torus as one L-component (Δ = 4, rc = 10)
+// SelectDCCs returns 12 distinct DCCs, and discoverAnchors keeps 9 DCC
+// groups, each with a distinct minimum node, and no free singleton.
+func TestDiscoverAnchorsOneDCCPerMinNode(t *testing.T) {
+	g := gen.Torus(4, 4)
+	inL := make([]bool, g.N())
+	colors := make([]int, g.N())
+	for v := range inL {
+		inL[v], colors[v] = true, -1
+	}
+	if dccs, _, _ := gallai.SelectDCCs(g, 10); len(dccs) != 12 {
+		t.Fatalf("SelectDCCs found %d DCCs, want 12", len(dccs))
+	}
+	groups, maxRC, err := discoverAnchors(g, inL, colors, maskedComponents(g, inL), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxRC != 10 || len(groups) != 9 {
+		t.Fatalf("rc = %d and %d groups, want 10 and 9: %+v", maxRC, len(groups), groups)
+	}
+	mins := map[int]bool{}
+	for _, grp := range groups {
+		if grp.free || mins[minOf(grp.nodes)] {
+			t.Fatalf("group %+v is free or repeats a minimum node: %+v", grp, groups)
+		}
+		mins[minOf(grp.nodes)] = true
 	}
 }
 

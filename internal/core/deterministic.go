@@ -60,7 +60,7 @@ func layered(g *graph.G, name string, seed int64, buildB0 func(acct *local.Accou
 		f.Acct.End() // close "decompose" on the error path (spanpair)
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	layer := Layering(g, base, nil)
+	layer := Layering(g, base, nil, -1)
 	s := max(0, slices.Max(layer))
 	f.Acct.Charge("layering", s)
 	f.Acct.End()

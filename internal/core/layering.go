@@ -7,42 +7,70 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"deltacolor/graph"
 	"deltacolor/internal/dist"
 	"deltacolor/local"
 )
 
-// Layering assigns every node of a restricted node set its distance to a
-// base set, producing the layers B_0, B_1, ..., B_s of Section 3.
+// Layering assigns every node of a masked node set its distance to a set
+// of sources, producing the layers B_0, B_1, ..., B_s of Section 3. The
+// shattering phases take all their distances from it, reading G[H], G[L]
+// and G[uncolored H] through masks on g rather than copies.
 //
-// layer[v] = dist(v, base) measured within G[restrict] when restrict is
-// non-nil (otherwise in G); -1 for unreachable or non-restricted nodes.
-func Layering(g *graph.G, base []int, restrict []bool) []int {
-	work := g
-	if restrict != nil {
-		work = maskGraph(g, restrict)
+// layer[v] = dist(v, sources) measured within G[mask] when mask is
+// non-nil (otherwise in G); -1 for nodes outside the mask, unreachable
+// nodes and nodes farther than maxDepth (maxDepth < 0: unbounded).
+// Sources outside the mask are ignored; duplicate sources are harmless.
+func Layering(g *graph.G, sources []int, mask []bool, maxDepth int) []int {
+	layer := slices.Repeat([]int{-1}, g.N())
+	queue := make([]int, 0, len(sources))
+	for _, s := range sources {
+		if layer[s] < 0 && (mask == nil || mask[s]) {
+			layer[s] = 0
+			queue = append(queue, s)
+		}
 	}
-	dist, _ := work.MultiSourceDist(base)
-	if restrict != nil {
-		for v := range dist {
-			if !restrict[v] {
-				dist[v] = -1
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		if layer[v] == maxDepth {
+			continue
+		}
+		for _, w := range g.Neighbors(v) {
+			if layer[w] < 0 && (mask == nil || mask[w]) {
+				layer[w] = layer[v] + 1
+				queue = append(queue, w)
 			}
 		}
 	}
-	return dist
+	return layer
 }
 
-// maskGraph returns g with edges incident to non-restricted nodes removed.
-func maskGraph(g *graph.G, restrict []bool) *graph.G {
-	sub := graph.New(g.N())
-	for _, e := range g.Edges() {
-		if restrict[e[0]] && restrict[e[1]] {
-			sub.MustEdge(e[0], e[1])
+// maskedComponents returns the connected components of G[mask], each as
+// its members in ascending order, ranked by minimum member: the order
+// graph.ConnectedComponents numbers them in on a copy of G[mask].
+func maskedComponents(g *graph.G, mask []bool) [][]int {
+	seen := make([]bool, g.N())
+	var comps [][]int
+	for v := range mask {
+		if !mask[v] || seen[v] {
+			continue
 		}
+		seen[v] = true
+		comp := []int{v}
+		for i := 0; i < len(comp); i++ {
+			for _, w := range g.Neighbors(comp[i]) {
+				if mask[w] && !seen[w] {
+					seen[w] = true
+					comp = append(comp, w)
+				}
+			}
+		}
+		slices.Sort(comp)
+		comps = append(comps, comp)
 	}
-	return sub
+	return comps
 }
 
 // ListColorMode selects the list-coloring subroutine used when re-coloring

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"deltacolor/graph"
 	"deltacolor/internal/brooks"
@@ -98,7 +99,6 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 	}
 	delta, colors, acct, n := f.Delta, f.Colors, f.Acct, g.N()
 	o := opts.AutoParams(n, delta)
-	rng := rand.New(rand.NewSource(o.Seed ^ 0x5eed))
 	lc := NewLayerColorer(g, delta, ListColorRandomized, o.Seed, acct)
 
 	// ---- Phase I: remove DCCs of radius <= r (phases 1-3). ----
@@ -107,7 +107,7 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 	acct.Charge("dcc-select", selRounds)
 
 	inB0 := make([]bool, n)
-	var layerB []int
+	var base []int
 	sB := 0
 	if len(dccs) > 0 {
 		// The virtual DCC network is built directly from g's port tables
@@ -116,7 +116,6 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 		qnet := local.QuotientNetwork(g, dccs, o.Seed+11)
 		inMIS, misRounds := dist.LubyMIS(qnet, nil)
 		acct.Charge("dcc-ruling-set", misRounds*(2*o.R+1))
-		var base []int
 		for di, d := range dccs {
 			if inMIS[di] {
 				for _, v := range d {
@@ -127,22 +126,13 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 				}
 			}
 		}
-		layerB = Layering(g, base, nil)
-		// Keep only layers 0..sB; beyond that nodes stay in H.
 		sB = 4*o.R + 2
-		for v := range layerB {
-			if layerB[v] > sB {
-				layerB[v] = -1
-			}
-		}
-		acct.Charge("dcc-layers", sB)
-	} else {
-		layerB = make([]int, n)
-		for v := range layerB {
-			layerB[v] = -1
-		}
 	}
-
+	// Keep only layers 0..sB; beyond that nodes stay in H.
+	layerB := Layering(g, base, nil, sB)
+	if len(dccs) > 0 {
+		acct.Charge("dcc-layers", sB)
+	}
 	acct.End()
 
 	inH := make([]bool, n)
@@ -152,27 +142,10 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 
 	// ---- Phase II: shattering (phases 4-6). ----
 	acct.Begin("shatter")
-	sh := runMarking(g, inH, delta, o, rng)
-	acct.Charge("marking", o.Backoff+2)
-	for _, v := range sh.marked {
-		colors[v] = 0 // color one
-	}
-
-	layerC, sC := buildHappyLayers(g, inH, sh, delta, o.R, colors)
-	acct.Charge("happy-layers", 3*o.R)
-
-	// Remaining graph L: H nodes that are neither marked nor in a C layer.
-	inL := make([]bool, n)
-	anyL := false
-	for v := 0; v < n; v++ {
-		if inH[v] && colors[v] < 0 && layerC[v] < 0 {
-			inL[v] = true
-			anyL = true
-		}
-	}
+	sh := shatter(g, inH, colors, delta, o, acct)
 	repairs := 0
-	if anyL {
-		rep, err := colorSmallComponents(g, inL, colors, delta, o, lc, acct)
+	if sh.nL > 0 {
+		rep, err := colorSmallComponents(g, sh.inL, colors, delta, o, lc, acct)
 		if err != nil {
 			acct.End() // close "shatter" on the error path (spanpair)
 			return nil, err
@@ -182,7 +155,7 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 	acct.End()
 
 	// ---- Phase III: color happy layers C_{2r}..C_0 (phase 7). ----
-	rep, err := lc.ColorLayersReverse(colors, shiftLayers(layerC), sC+1, "C")
+	rep, err := lc.ColorLayersReverse(colors, shiftLayers(sh.layerC), sh.sC+1, "C")
 	if err != nil {
 		return nil, err
 	}
@@ -225,45 +198,61 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 	return f.Finish(repairs + rres.Fixed)
 }
 
-// shatterState is the outcome of the marking process (phase 4).
-type shatterState struct {
-	selected []bool // survived the backoff and created a T-node
-	marked   []int  // nodes colored with color one
-	isTNode  []bool
+// shattering is the outcome of phases (4)–(5) on H.
+type shattering struct {
+	tnodes int    // selected nodes that survived the backoff and marked a pair
+	marked int    // nodes the marking colored with color one
+	layerC []int  // happy layers C_0..C_sC by distance to the anchors, -1 elsewhere
+	sC     int    // top happy layer
+	inL    []bool // L: the H-nodes neither marked nor in a C layer
+	nL     int    // |L|
+}
+
+// shatter runs phases (4)–(5) on H, the part of the randomized algorithm
+// that Randomized and ShatterOnce share: the marking process colors the
+// marked nodes with color one in colors, then the happy layers are built
+// and what they leave is L. Rounds are charged to acct.
+func shatter(g *graph.G, inH []bool, colors []int, delta int, o RandOptions, acct *local.Accountant) shattering {
+	rng := rand.New(rand.NewSource(o.Seed ^ 0x5eed))
+	marked, isTNode := runMarking(g, inH, o, rng)
+	acct.Charge("marking", o.Backoff+2)
+	sh := shattering{tnodes: len(marked) / 2}
+	for _, v := range marked {
+		if colors[v] < 0 {
+			sh.marked++
+		}
+		colors[v] = 0 // color one
+	}
+	sh.layerC, sh.sC = buildHappyLayers(g, inH, isTNode, delta, o.R, colors)
+	acct.Charge("happy-layers", 3*o.R)
+	sh.inL = make([]bool, len(inH))
+	for v := range inH {
+		if inH[v] && colors[v] < 0 && sh.layerC[v] < 0 {
+			sh.inL[v] = true
+			sh.nL++
+		}
+	}
+	return sh
 }
 
 // runMarking performs phase (4) on H: every H-node is selected with
 // probability p; a selected node with another selected node within
 // distance b (in H) unselects; survivors pick two random non-adjacent
-// H-neighbors and mark them with color one, becoming T-nodes.
-func runMarking(g *graph.G, inH []bool, delta int, o RandOptions, rng *rand.Rand) *shatterState {
+// H-neighbors and mark them with color one, becoming T-nodes. It returns
+// the marked pairs, in T-node order, and the T-nodes.
+func runMarking(g *graph.G, inH []bool, o RandOptions, rng *rand.Rand) (marked []int, isTNode []bool) {
 	n := g.N()
-	sh := &shatterState{
-		selected: make([]bool, n),
-		isTNode:  make([]bool, n),
-	}
-	hGraph := maskGraph(g, inH)
+	isTNode = make([]bool, n)
 	var initial []int
 	for v := 0; v < n; v++ {
 		if inH[v] && rng.Float64() < o.P {
 			initial = append(initial, v)
 		}
 	}
-	// Backoff: unselect when another selected node is within distance b.
-	initialSet := make([]bool, n)
 	for _, v := range initial {
-		initialSet[v] = true
-	}
-	for _, v := range initial {
-		keep := true
-		res := hGraph.BFSLimited(v, o.Backoff)
-		for _, u := range res.Order {
-			if u != v && initialSet[u] {
-				keep = false
-				break
-			}
-		}
-		if !keep {
+		// Backoff: unselect when another selected node is within distance b.
+		dist := Layering(g, []int{v}, inH, o.Backoff)
+		if slices.ContainsFunc(initial, func(u int) bool { return u != v && dist[u] >= 0 }) {
 			continue
 		}
 		// Pick two random non-adjacent H-neighbors.
@@ -272,11 +261,10 @@ func runMarking(g *graph.G, inH []bool, delta int, o RandOptions, rng *rand.Rand
 		if !ok {
 			continue // neighborhood is a clique: cannot become a T-node
 		}
-		sh.selected[v] = true
-		sh.isTNode[v] = true
-		sh.marked = append(sh.marked, pair[0], pair[1])
+		isTNode[v] = true
+		marked = append(marked, pair[0], pair[1])
 	}
-	return sh
+	return marked, isTNode
 }
 
 func hNeighbors(g *graph.G, inH []bool, v int) []int {
@@ -310,25 +298,22 @@ func randomNonAdjacentPair(g *graph.G, nbrs []int, rng *rand.Rand) ([2]int, bool
 // the boundary, and the C_0..C_{2r} layers by distance (through uncolored
 // H-nodes) to the anchor set (T-nodes and boundary nodes). Returns the
 // layer array (-1 for unassigned) and the top layer index used.
-func buildHappyLayers(g *graph.G, inH []bool, sh *shatterState, delta, r int, colors []int) ([]int, int) {
+func buildHappyLayers(g *graph.G, inH, isTNode []bool, delta, r int, colors []int) ([]int, int) {
 	n := g.N()
-	hGraph := maskGraph(g, inH)
 	// Boundary of H: degree < Δ within H.
 	boundary := make([]bool, n)
 	var boundaryNodes []int
 	for v := 0; v < n; v++ {
-		if inH[v] && hGraph.Deg(v) < delta {
+		if inH[v] && countIn(g, inH, v) < delta {
 			boundary[v] = true
 			boundaryNodes = append(boundaryNodes, v)
 		}
 	}
 	// Marked nodes within distance r of the boundary lose their color.
-	if len(boundaryNodes) > 0 {
-		dist, _ := hGraph.MultiSourceDist(boundaryNodes)
-		for v := 0; v < n; v++ {
-			if inH[v] && colors[v] == 0 && dist[v] >= 0 && dist[v] <= r {
-				colors[v] = -1
-			}
+	dist := Layering(g, boundaryNodes, inH, r)
+	for v := 0; v < n; v++ {
+		if colors[v] == 0 && dist[v] >= 0 {
+			colors[v] = -1
 		}
 	}
 	// Anchors: T-nodes that still have two same-colored (color one)
@@ -342,7 +327,7 @@ func buildHappyLayers(g *graph.G, inH []bool, sh *shatterState, delta, r int, co
 			anchors = append(anchors, v)
 			continue
 		}
-		if sh.isTNode[v] {
+		if isTNode[v] {
 			cnt := 0
 			for _, u := range g.Neighbors(v) {
 				if inH[u] && colors[u] == 0 {
@@ -354,30 +339,28 @@ func buildHappyLayers(g *graph.G, inH []bool, sh *shatterState, delta, r int, co
 			}
 		}
 	}
-	layer := make([]int, n)
-	for v := range layer {
-		layer[v] = -1
-	}
-	if len(anchors) == 0 {
-		return layer, 0
-	}
 	// Distance through uncolored H-nodes only.
 	uncH := make([]bool, n)
 	for v := 0; v < n; v++ {
 		uncH[v] = inH[v] && colors[v] < 0
 	}
-	uncGraph := maskGraph(g, uncH)
-	dist, _ := uncGraph.MultiSourceDist(anchors)
+	layer := Layering(g, anchors, uncH, 2*r)
 	top := 0
-	for v := 0; v < n; v++ {
-		if uncH[v] && dist[v] >= 0 && dist[v] <= 2*r {
-			layer[v] = dist[v]
-			if dist[v] > top {
-				top = dist[v]
-			}
-		}
+	for _, d := range layer {
+		top = max(top, d)
 	}
 	return layer, top
+}
+
+// countIn returns v's degree within G[in].
+func countIn(g *graph.G, in []bool, v int) int {
+	d := 0
+	for _, u := range g.Neighbors(v) {
+		if in[u] {
+			d++
+		}
+	}
+	return d
 }
 
 // shiftLayers maps layer i -> i+1 so that C_0 participates in the reverse

@@ -1,9 +1,10 @@
 package core
 
 import (
-	"math/rand"
+	"slices"
 
 	"deltacolor/graph"
+	"deltacolor/local"
 )
 
 // ShatterStats quantifies one run of the Section 4 marking process
@@ -17,7 +18,6 @@ type ShatterStats struct {
 	P         float64 // selection probability used
 	Backoff   int     // backoff distance used
 	R         int     // happiness radius used
-	Selected  int     // nodes that drew heads
 	TNodes    int     // selected nodes that survived backoff and marked a pair
 	Marked    int     // nodes colored with color one
 	Survivors int     // nodes left in L (unhappy, unmarked)
@@ -36,87 +36,28 @@ func (s ShatterStats) SurvivalRate() float64 {
 }
 
 // ShatterOnce runs phases (4)–(5) of the randomized algorithm on the whole
-// graph (treating every node as part of the remainder graph H) and reports
-// the shattering statistics. The graph is not modified.
+// graph (treating every node as part of the remainder graph H), through
+// the same code as Randomized, and reports the shattering statistics. The
+// graph is not modified.
 func ShatterOnce(g *graph.G, opts RandOptions) ShatterStats {
-	delta := g.MaxDegree()
-	o := opts.AutoParams(g.N(), delta)
-	n := g.N()
-	rng := rand.New(rand.NewSource(o.Seed ^ 0x5eed))
-
-	inH := make([]bool, n)
-	for v := range inH {
-		inH[v] = true
+	n, delta := g.N(), g.MaxDegree()
+	o := opts.AutoParams(n, delta)
+	inH := slices.Repeat([]bool{true}, n)
+	colors := slices.Repeat([]int{-1}, n)
+	sh := shatter(g, inH, colors, delta, o, &local.Accountant{})
+	st := ShatterStats{
+		N:         n,
+		Delta:     delta,
+		P:         o.P,
+		Backoff:   o.Backoff,
+		R:         o.R,
+		TNodes:    sh.tnodes,
+		Marked:    sh.marked,
+		Survivors: sh.nL,
 	}
-	colors := make([]int, n)
-	for v := range colors {
-		colors[v] = -1
+	for _, comp := range maskedComponents(g, sh.inL) {
+		st.Components++
+		st.MaxComponent = max(st.MaxComponent, len(comp))
 	}
-
-	sh := runMarking(g, inH, delta, o, rng)
-	for _, v := range sh.marked {
-		colors[v] = 0
-	}
-	// selected[] and isTNode[] coincide after runMarking: both record the
-	// nodes that survived the backoff and marked a pair.
-	tnodes := 0
-	for v := 0; v < n; v++ {
-		if sh.isTNode[v] {
-			tnodes++
-		}
-	}
-	marked := 0
-	for v := 0; v < n; v++ {
-		if colors[v] == 0 {
-			marked++
-		}
-	}
-
-	layerC, _ := buildHappyLayers(g, inH, sh, delta, o.R, colors)
-
-	inL := make([]bool, n)
-	survivors := 0
-	for v := 0; v < n; v++ {
-		if inH[v] && colors[v] < 0 && layerC[v] < 0 {
-			inL[v] = true
-			survivors++
-		}
-	}
-	maxComp, comps := largestComponent(g, inL)
-	return ShatterStats{
-		N:            n,
-		Delta:        delta,
-		P:            o.P,
-		Backoff:      o.Backoff,
-		R:            o.R,
-		Selected:     tnodes, // survivors of the backoff
-		TNodes:       tnodes,
-		Marked:       marked,
-		Survivors:    survivors,
-		MaxComponent: maxComp,
-		Components:   comps,
-	}
-}
-
-// largestComponent returns the size of the largest connected component of
-// G[in] and the number of components.
-func largestComponent(g *graph.G, in []bool) (largest, count int) {
-	sub := maskGraph(g, in)
-	comp, nc := sub.ConnectedComponents()
-	size := make([]int, nc)
-	for v := 0; v < g.N(); v++ {
-		if in[v] {
-			size[comp[v]]++
-		}
-	}
-	for _, s := range size {
-		if s == 0 {
-			continue
-		}
-		count++
-		if s > largest {
-			largest = s
-		}
-	}
-	return largest, count
+	return st
 }

@@ -26,17 +26,8 @@ import (
 // repair pass; the count is returned.
 func colorSmallComponents(g *graph.G, inL []bool, colors []int, delta int, o RandOptions, lc *LayerColorer, acct *local.Accountant) (int, error) {
 	n := g.N()
-	lGraph := maskGraph(g, inL)
-	comp, count := componentsOf(lGraph)
-	byComp := make([][]int, count)
-	for v := 0; v < n; v++ {
-		if inL[v] {
-			byComp[comp[v]] = append(byComp[comp[v]], v)
-		}
-	}
-
 	deferred := 0
-	groups, maxRC, err := discoverAnchors(g, inL, colors, byComp, delta)
+	groups, maxRC, err := discoverAnchors(g, inL, colors, maskedComponents(g, inL), delta)
 	if err != nil {
 		return deferred, err
 	}
@@ -52,13 +43,14 @@ func colorSmallComponents(g *graph.G, inL []bool, colors []int, delta int, o Ran
 		return deferred, nil
 	}
 
-	// Ruling set over the virtual anchor graph, built straight from the
-	// masked graph's port tables (see local.QuotientNetwork).
+	// Ruling set over the virtual anchor graph, built straight from g's
+	// port tables (see local.QuotientNetwork): anchors are L-nodes, so the
+	// edges g has between them are exactly G[L]'s.
 	nodeSets := make([][]int, len(groups))
 	for gi, grp := range groups {
 		nodeSets[gi] = grp.nodes
 	}
-	qnet := local.QuotientNetwork(lGraph, nodeSets, o.Seed+23)
+	qnet := local.QuotientNetwork(g, nodeSets, o.Seed+23)
 	inMIS, misRounds := dist.LubyMIS(qnet, nil)
 	acct.Charge("small-ruling-set", misRounds*(2*maxRC+1))
 
@@ -79,20 +71,11 @@ func colorSmallComponents(g *graph.G, inL []bool, colors []int, delta int, o Ran
 	}
 
 	// D layers by distance within L to the chosen anchors.
-	layerD := Layering(g, base, inL)
+	layerD := Layering(g, base, inL, -1)
 	sD := 0
 	for v := 0; v < n; v++ {
-		if !inL[v] {
-			layerD[v] = -1
-			continue
-		}
-		if inBase[v] {
-			layerD[v] = 0
-		}
-		if layerD[v] > sD {
-			sD = layerD[v]
-		}
-		if layerD[v] < 0 {
+		sD = max(sD, layerD[v])
+		if inL[v] && layerD[v] < 0 {
 			deferred++ // unreachable from any anchor; repaired later
 		}
 	}
@@ -139,30 +122,6 @@ func colorSmallComponents(g *graph.G, inL []bool, colors []int, delta int, o Ran
 	return deferred, nil
 }
 
-// smallComponentNetLimit caps the graph size for which component
-// discovery runs through the stepped network. The stepped collector costs
-// O(|component|) per-node memory (every member learns its component), so
-// it is reserved for the shattered-small regime the phase targets;
-// anything larger — or a component overrunning the collector's own cap —
-// falls back to the central traversal.
-const smallComponentNetLimit = 65536
-
-// componentsOf computes the connected components of the masked L-graph
-// through the stepped engine (the message-passing form the shattering
-// analysis describes), falling back to the central traversal above
-// smallComponentNetLimit or when a component overruns the collector's
-// cap. Both number components in ascending order of their minimum
-// member, so the fallback is observationally invisible; the tests pin
-// that against ConnectedComponents.
-func componentsOf(lGraph *graph.G) ([]int, int) {
-	if lGraph.N() <= smallComponentNetLimit {
-		if comp, count, ok := local.CollectComponents(local.NewNetwork(lGraph, 1)); ok {
-			return comp, count
-		}
-	}
-	return lGraph.ConnectedComponents()
-}
-
 // anchorGroup is one candidate anchor of a small component: a DCC (free ==
 // false) or a free-node singleton (free == true).
 type anchorGroup struct {
@@ -202,9 +161,15 @@ func discoverAnchors(g *graph.G, inL []bool, colors []int, byComp [][]int, delta
 		seen := map[int]bool{}
 		inDCC := map[int]bool{}
 		for _, d := range subDCCs {
+			// At most one DCC per minimum node. SelectDCCs returns
+			// distinct sets, so this drops distinct DCCs, and that thinning
+			// keeps the anchor quotient sparse: without it the 4x4 torus
+			// yields 14 groups instead of 9, and on rr4 with R = 1 the
+			// small-component ruling set charges 351 rounds instead of 273
+			// at n = 512 (TestDiscoverAnchorsOneDCCPerMinNode).
 			key := minOf(d)
 			if seen[key] {
-				continue // dedupe identical selections cheaply by their min node
+				continue
 			}
 			seen[key] = true
 			mapped := make([]int, len(d))

@@ -65,23 +65,3 @@ func TestRulingSetViaDecompositionSteppedMatchesCentral(t *testing.T) {
 		}
 	}
 }
-
-// TestComponentsOfMatchesCentral pins the stepped component discovery on
-// masked L-graphs against ConnectedComponents: identical labels and
-// counts, including graphs where the mask isolates nodes.
-func TestComponentsOfMatchesCentral(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 4; trial++ {
-		g := gen.MustRandomRegular(rng, 200, 4)
-		inL := make([]bool, g.N())
-		for v := range inL {
-			inL[v] = rng.Float64() < 0.35
-		}
-		lGraph := maskGraph(g, inL)
-		wantComp, wantCount := lGraph.ConnectedComponents()
-		comp, count := componentsOf(lGraph)
-		if count != wantCount || !reflect.DeepEqual(comp, wantComp) {
-			t.Fatalf("trial %d: stepped components diverge (count %d vs %d)", trial, count, wantCount)
-		}
-	}
-}

@@ -258,41 +258,24 @@ func (net *Network) offlineAt(ext, round int) bool {
 	return false
 }
 
-// stepBatchFaulty is stepBatch with crash windows and panic containment.
-// It is deliberately not on the hot path: a network with a fault plan
-// attached trades throughput for the fault model.
+// stepBatchFaulty is stepBatch with crash windows and panic containment:
+// it wraps the segment and leaves inbox clearing, sender collection and
+// live-list compaction to stepBatch. It is deliberately not on the hot
+// path: a network with a fault plan attached trades throughput for the
+// fault model.
 //
 //deltacolor:coordinator
 func (net *Network) stepBatchFaulty(fn func(*Ctx) bool, b *batch) {
 	hasCrash := net.crashW != nil
-	kept := b.live[:0]
-	for _, id := range b.live {
-		c := &net.ctxs[id]
-		switch {
-		case hasCrash && net.offlineAt(c.id, net.rounds):
+	net.stepBatch(func(c *Ctx) bool {
+		if hasCrash && net.offlineAt(c.id, net.rounds) {
 			// Frozen: the program does not execute this round, and
 			// anything already in the inbox is lost with the outage.
 			b.ftOffline++
-			kept = append(kept, id)
-		case net.stepNodeRecover(fn, c, b):
-			kept = append(kept, id)
-		default:
-			net.haltSeg[id] = int32(net.rounds) + 1
-			b.halts++
+			return true
 		}
-		if net.recvRec[id].Load() {
-			clear(c.in)
-			net.recvRec[id].Store(false)
-		}
-		if net.recvInt[id].Load() {
-			clearBytes(c.inHas)
-			net.recvInt[id].Store(false)
-		}
-		if c.sentAny {
-			b.senders = append(b.senders, id)
-		}
-	}
-	b.live = kept
+		return net.stepNodeRecover(fn, c, b)
+	}, b)
 }
 
 // stepNodeRecover runs one node segment, converting a panic into a halt.

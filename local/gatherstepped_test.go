@@ -1,7 +1,6 @@
 package local
 
 import (
-	"reflect"
 	"runtime/debug"
 	"testing"
 
@@ -95,75 +94,5 @@ func TestGatherSteppedAllocsBounded(t *testing.T) {
 	// allocs/node-round means a regression.
 	if perNodeRound > 6 {
 		t.Fatalf("stepped gather allocates %.1f allocs/node-round (short=%.0f long=%.0f)", perNodeRound, short, long)
-	}
-}
-
-// TestCollectComponentsMatchesCentral pins CollectComponents against
-// graph.ConnectedComponents: identical component labels and count on
-// connected, disconnected and isolated-node graphs, with strict dead-send
-// mode proving the announce-then-halt protocol stages no late sends.
-func TestCollectComponentsMatchesCentral(t *testing.T) {
-	prev := StrictDeadSends()
-	SetStrictDeadSends(true)
-	defer SetStrictDeadSends(prev)
-
-	graphs := []struct {
-		name string
-		g    *graph.G
-	}{
-		{"path-20", pathGraph(20)},
-		{"cycle-33", cycleGraph(33)},
-		{"rand-sparse", randomGraph(120, 0.01, 9)},
-		{"rand-medium", randomGraph(80, 0.05, 10)},
-		{"isolated-mix", func() *graph.G {
-			g := graph.New(25)
-			g.MustEdge(1, 2)
-			g.MustEdge(2, 3)
-			g.MustEdge(10, 11)
-			g.MustEdge(20, 21)
-			g.MustEdge(21, 22)
-			g.MustEdge(22, 20)
-			return g
-		}()},
-		{"all-isolated", graph.New(9)},
-	}
-	for _, tc := range graphs {
-		wantComp, wantCount := tc.g.ConnectedComponents()
-		net := NewNetwork(tc.g, 1)
-		net.TrackDeadSends(true)
-		comp, count, ok := CollectComponents(net)
-		if !ok {
-			t.Fatalf("%s: unexpected cap overflow", tc.name)
-		}
-		if count != wantCount {
-			t.Fatalf("%s: count=%d, want %d", tc.name, count, wantCount)
-		}
-		if !reflect.DeepEqual(comp, wantComp) {
-			t.Fatalf("%s: comp=%v, want %v", tc.name, comp, wantComp)
-		}
-		if late := net.LateDeadSends(); len(late) != 0 {
-			t.Fatalf("%s: late dead sends %v — DONE protocol leaked", tc.name, late)
-		}
-	}
-}
-
-// TestCollectComponentsCapFallback checks the overflow path: a component
-// larger than componentCap makes CollectComponents report ok=false (and a
-// nil assignment) so the caller falls back to a central traversal. The
-// star reaches the cap in one round, keeping the test fast.
-func TestCollectComponentsCapFallback(t *testing.T) {
-	prev := StrictDeadSends()
-	SetStrictDeadSends(true)
-	defer SetStrictDeadSends(prev)
-
-	n := componentCap + 5
-	g := graph.New(n + 1)
-	for v := 1; v <= n; v++ {
-		g.MustEdge(0, v)
-	}
-	net := NewNetwork(g, 1)
-	comp, count, ok := CollectComponents(net)
-	if ok || comp != nil || count != 0 {
-		t.Fatalf("capped collection returned ok=%v comp=%v count=%d, want failure", ok, comp != nil, count)
 	}
 }

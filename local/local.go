@@ -17,9 +17,8 @@
 // equivalent to a function of the t-hop neighborhood. GatherStepped
 // implements exactly that flooding pattern as a reusable building block
 // (flat per-round frontiers packed into int32 records, returned as flat
-// Balls). FloodStepped and CollectComponents cover the other
-// ball-collection shapes (TTL reachability floods and small-component
-// discovery) in the same allocation-free style.
+// Balls). FloodStepped covers TTL reachability floods in the same style,
+// allocation-free on the int lane.
 //
 // # Scheduler architecture
 //

@@ -2,13 +2,13 @@ package deltacolor_test
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"deltacolor"
 	"deltacolor/graph/gen"
+	"deltacolor/local"
 )
 
 func TestColorRejectsBadOptions(t *testing.T) {
@@ -18,14 +18,6 @@ func TestColorRejectsBadOptions(t *testing.T) {
 		opts  deltacolor.Options
 		field string
 	}{
-		{"negative R", deltacolor.Options{R: -1}, "R"},
-		{"negative backoff", deltacolor.Options{Backoff: -3}, "Backoff"},
-		{"negative P", deltacolor.Options{P: -0.5}, "P"},
-		{"P above one", deltacolor.Options{P: 1.5}, "P"},
-		{"NaN P", deltacolor.Options{P: math.NaN()}, "P"},
-		{"+Inf P", deltacolor.Options{P: math.Inf(1)}, "P"},
-		{"-Inf P", deltacolor.Options{P: math.Inf(-1)}, "P"},
-		{"bad options on deterministic too", deltacolor.Options{Algorithm: deltacolor.AlgDeterministic, R: -7}, "R"},
 		{"unknown algorithm", deltacolor.Options{Algorithm: deltacolor.Algorithm(99)}, "Algorithm"},
 	}
 	for _, tc := range cases {
@@ -47,10 +39,11 @@ func TestColorRejectsBadOptions(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.field) {
 				t.Fatalf("error message %q does not name the field", err)
 			}
-			if tc.field == "P" && !strings.Contains(err.Error(), "[0, 1]") {
-				// The accepted set is [0, 1] (0 = auto); the message must
-				// say so instead of the old contradictory "(0, 1]".
-				t.Fatalf("P error message %q does not state the closed bounds [0, 1]", err)
+			// ColorUnderFaults passes the same precondition error through
+			// unwrapped, whatever the plan.
+			_, _, err = deltacolor.ColorUnderFaults(g, tc.opts, &local.FaultPlan{Seed: 1, DropProb: 0.5, RoundLimit: 50})
+			if !errors.Is(err, deltacolor.ErrBadOptions) || errors.Is(err, deltacolor.ErrUnrecoverable) {
+				t.Fatalf("ColorUnderFaults err = %v, want an unwrapped ErrBadOptions", err)
 			}
 		})
 	}
@@ -59,9 +52,8 @@ func TestColorRejectsBadOptions(t *testing.T) {
 func TestColorAcceptsZeroAndValidOptions(t *testing.T) {
 	g := gen.MustRandomRegular(rand.New(rand.NewSource(2)), 64, 4)
 	for _, opts := range []deltacolor.Options{
-		{Seed: 1}, // P = 0 is the documented auto value and must pass
-		{Seed: 1, R: 2, Backoff: 4, P: 0.25},
-		{Seed: 1, P: 1},
+		{Seed: 1}, // the zero Algorithm is AlgAuto
+		{Algorithm: deltacolor.AlgAuto, Seed: 1},
 	} {
 		res, err := deltacolor.Color(g, opts)
 		if err != nil {

@@ -157,9 +157,6 @@ func Recolor(g *graph.G, colors []int, delta int, seed int64) (*RecolorStats, er
 // Determinism: same graph, same Options, same plan ⇒ byte-identical
 // colors, rounds and repair stats, independent of worker count.
 func ColorUnderFaults(g *graph.G, opts Options, plan *local.FaultPlan) (*Result, *RecolorStats, error) {
-	if err := opts.validate(); err != nil {
-		return nil, nil, err
-	}
 	prev := local.DefaultFaultPlan()
 	if plan != nil {
 		if err := local.SetDefaultFaultPlan(plan); err != nil {
