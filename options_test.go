@@ -19,6 +19,8 @@ func TestColorRejectsBadOptions(t *testing.T) {
 		field string
 	}{
 		{"unknown algorithm", deltacolor.Options{Algorithm: deltacolor.Algorithm(99)}, "Algorithm"},
+		{"negative algorithm", deltacolor.Options{Algorithm: deltacolor.Algorithm(-1)}, "Algorithm"},
+		{"one past the last algorithm", deltacolor.Options{Algorithm: deltacolor.AlgNetDec + 1}, "Algorithm"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
