@@ -45,8 +45,7 @@ func Color(g *graph.G, seed int64) (*core.Result, error) {
 	net := local.NewNetwork(g, seed)
 	base, k, r1 := dist.Linial(net)
 	f.Acct.Charge("linial", r1)
-	net2 := local.NewNetwork(g, seed+1)
-	reduced, r2, err := dist.ReduceColors(net2, base, k, delta+1)
+	reduced, r2, err := dist.ReduceColors(net, base, k, delta+1)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}

@@ -24,12 +24,21 @@ import (
 // nodes and nodes farther than maxDepth (maxDepth < 0: unbounded).
 // Sources outside the mask are ignored; duplicate sources are harmless.
 func Layering(g *graph.G, sources []int, mask []bool, maxDepth int) []int {
+	return layering(g, sources, mask, maxDepth, nil)
+}
+
+// layering is Layering that, when nearest is non-nil, also sets
+// nearest[v] to the source each reached node v was reached from.
+func layering(g *graph.G, sources []int, mask []bool, maxDepth int, nearest []int) []int {
 	layer := slices.Repeat([]int{-1}, g.N())
 	queue := make([]int, 0, len(sources))
 	for _, s := range sources {
 		if layer[s] < 0 && (mask == nil || mask[s]) {
 			layer[s] = 0
 			queue = append(queue, s)
+			if nearest != nil {
+				nearest[s] = s
+			}
 		}
 	}
 	for i := 0; i < len(queue); i++ {
@@ -41,6 +50,9 @@ func Layering(g *graph.G, sources []int, mask []bool, maxDepth int) []int {
 			if layer[w] < 0 && (mask == nil || mask[w]) {
 				layer[w] = layer[v] + 1
 				queue = append(queue, w)
+				if nearest != nil {
+					nearest[w] = nearest[v]
+				}
 			}
 		}
 	}

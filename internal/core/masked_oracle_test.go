@@ -244,3 +244,66 @@ func TestMarkingBackoffSpacing(t *testing.T) {
 		}
 	}
 }
+
+// oracleBackoffs is the per-node backoff runMarking ran before backoffs:
+// one bounded Layering per selected node, then a scan of every selected
+// node for one within distance b.
+func oracleBackoffs(g *graph.G, inH []bool, selected []int, b int) []bool {
+	off := make([]bool, g.N())
+	for _, v := range selected {
+		dist := Layering(g, []int{v}, inH, b)
+		off[v] = slices.ContainsFunc(selected, func(u int) bool { return u != v && dist[u] >= 0 })
+	}
+	return off
+}
+
+// TestBackoffsMatchPerNodeOracle checks the one-pass backoff against the
+// per-node loop on random 4-regular graphs and tori with random masks, at
+// b in {1, 2, 3, 6} and selection probabilities up to 0.2. Both verdicts
+// must occur, so neither side of the comparison is vacuous.
+func TestBackoffsMatchPerNodeOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	graphs := []maskedGraphCase{
+		{"rr4-150", gen.MustRandomRegular(rng, 150, 4)},
+		{"rr4-600", gen.MustRandomRegular(rng, 600, 4)},
+		{"torus-9x12", gen.Torus(9, 12)},
+		{"torus-20x25", gen.Torus(20, 25)},
+	}
+	kept, backedOff := 0, 0
+	for _, tc := range graphs {
+		n := tc.g.N()
+		for _, density := range []float64{0.5, 0.8, 1} {
+			inH := randomMask(rng, n, density)
+			for _, p := range []float64{0.01, 0.05, 0.1, 0.2} {
+				var selected []int
+				for v := range n {
+					if inH[v] && rng.Float64() < p {
+						selected = append(selected, v)
+					}
+				}
+				for _, b := range []int{1, 2, 3, 6} {
+					want := oracleBackoffs(tc.g, inH, selected, b)
+					got := backoffs(tc.g, inH, selected, b)
+					for _, v := range selected {
+						if got[v] != want[v] {
+							t.Fatalf("%s density=%v p=%v b=%d: node %d backs off = %v, oracle %v", tc.name, density, p, b, v, got[v], want[v])
+						}
+						if want[v] {
+							backedOff++
+						} else {
+							kept++
+						}
+					}
+					for v := range n {
+						if got[v] && !slices.Contains(selected, v) {
+							t.Fatalf("%s density=%v p=%v b=%d: unselected node %d backs off", tc.name, density, p, b, v)
+						}
+					}
+				}
+			}
+		}
+	}
+	if kept == 0 || backedOff == 0 {
+		t.Fatalf("kept %d, backed off %d: want both > 0", kept, backedOff)
+	}
+}

@@ -35,9 +35,9 @@ func DeterministicNetDec(g *graph.G, seed int64) (*Result, error) {
 		acct.Charge("decomposition", dec.Rounds)
 
 		// (2) B0: greedy (R, ·) ruling set over decomposition color
-		// classes. Iterating one class costs one cluster-graph round =
-		// 2·MaxRadius+1 G-rounds, plus a distance-R probe per chosen
-		// candidate batch.
+		// classes, simulated centrally. Iterating one class costs one
+		// cluster-graph round = 2·MaxRadius+1 G-rounds, plus a distance-R
+		// probe per chosen candidate batch; that bound is the charge.
 		base := rulingSetViaDecomposition(g, dec, bigR)
 		acct.Charge("ruling-set", dec.NumColors*(2*dec.MaxRadius+1+bigR))
 		if len(base) == 0 {
@@ -54,27 +54,25 @@ func DeterministicNetDec(g *graph.G, seed int64) (*Result, error) {
 // which the layering pass still covers because Layering assigns -1 only
 // to disconnected nodes — callers treat the whole reachable set).
 //
-// The rejection test is symmetric — a candidate is rejected iff some
-// already-chosen node lies within distance bigR-1 of it — so each class
-// runs one stepped distance-(bigR-1) flood from the chosen set (the real
-// message-passing form, allocation-free int rounds), and only the
-// intra-class additions are marked centrally as each center is accepted.
-// The result equals a per-candidate central BFS probe, which the tests
-// keep as the reference.
+// A candidate is rejected iff some already-chosen node lies within
+// distance bigR-1 of it, so one central pass decides all: blocked is the
+// union of the chosen centers' radius-(bigR-1) balls, each added by one
+// bounded Layering. The pipeline charges the pass at its bound, as it
+// does the AGLP ruling set. The tests keep the per-candidate central BFS
+// probe as the reference.
 func rulingSetViaDecomposition(g *graph.G, dec *dist.Decomposition, bigR int) []int {
 	var base []int
-	chosen := make([]bool, g.N())
-	fnet := local.NewNetwork(g, 1)
+	blocked := make([]bool, g.N())
 	for class := 0; class < dec.NumColors; class++ {
-		blocked := local.FloodStepped(fnet, chosen, bigR-1)
 		for ci, center := range dec.Centers {
 			if dec.ClusterColor[ci] != class || blocked[center] {
 				continue
 			}
-			chosen[center] = true
 			base = append(base, center)
-			for _, u := range g.BFSLimited(center, bigR-1).Order {
-				blocked[u] = true
+			for v, d := range Layering(g, []int{center}, nil, bigR-1) {
+				if d >= 0 {
+					blocked[v] = true
+				}
 			}
 		}
 	}

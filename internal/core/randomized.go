@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"slices"
 
 	"deltacolor/graph"
 	"deltacolor/internal/brooks"
@@ -249,10 +248,9 @@ func runMarking(g *graph.G, inH []bool, o RandOptions, rng *rand.Rand) (marked [
 			initial = append(initial, v)
 		}
 	}
+	off := backoffs(g, inH, initial, o.Backoff)
 	for _, v := range initial {
-		// Backoff: unselect when another selected node is within distance b.
-		dist := Layering(g, []int{v}, inH, o.Backoff)
-		if slices.ContainsFunc(initial, func(u int) bool { return u != v && dist[u] >= 0 }) {
+		if off[v] {
 			continue
 		}
 		// Pick two random non-adjacent H-neighbors.
@@ -265,6 +263,31 @@ func runMarking(g *graph.G, inH []bool, o RandOptions, rng *rand.Rand) (marked [
 		marked = append(marked, pair[0], pair[1])
 	}
 	return marked, isTNode
+}
+
+// backoffs decides every selected node's backoff in one pass: off[s]
+// reports whether another selected node lies within distance b of s in
+// G[H]. A BFS of G[H] from all selected nodes to depth b-1 labels each
+// node with its distance and nearest selected node, and s backs off iff
+// some edge {x, y} of G[H] has nearest[x] = s != nearest[y] and
+// dist[x]+dist[y]+1 <= b: along a shortest path from s to another
+// selected node within b, the first edge leaving s's region meets that
+// bound, however ties were broken. b must be at least 1.
+func backoffs(g *graph.G, inH []bool, selected []int, b int) []bool {
+	nearest := make([]int, g.N())
+	dist := layering(g, selected, inH, b-1, nearest)
+	off := make([]bool, g.N())
+	for x, dx := range dist {
+		if dx < 0 {
+			continue
+		}
+		for _, y := range g.Neighbors(x) {
+			if dist[y] >= 0 && nearest[y] != nearest[x] && dx+dist[y]+1 <= b {
+				off[nearest[x]] = true
+			}
+		}
+	}
+	return off
 }
 
 func hNeighbors(g *graph.G, inH []bool, v int) []int {

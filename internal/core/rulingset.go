@@ -20,7 +20,6 @@ import (
 // "Departures from the paper").
 type DetRulingSet struct {
 	InSet  []bool
-	Alpha  int
 	Beta   int
 	Rounds int
 }
@@ -50,7 +49,6 @@ func DetRulingSetCompute(g *graph.G, active []bool, k int) *DetRulingSet {
 	}
 	return &DetRulingSet{
 		InSet:  in,
-		Alpha:  k,
 		Beta:   beta,
 		Rounds: (k - 1) * bits,
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -38,12 +39,24 @@ func rulingSetCentral(g *graph.G, dec *dist.Decomposition, bigR int) []int {
 	return base
 }
 
-// TestRulingSetViaDecompositionSteppedMatchesCentral pins the ruling-set
-// selection: the per-class stepped flood must accept the exact same
-// centers, in the same order, as the per-candidate central BFS probe.
-func TestRulingSetViaDecompositionSteppedMatchesCentral(t *testing.T) {
+// TestRulingSetViaDecompositionMatchesCentral pins the ruling-set
+// selection: the central pass must accept the exact same centers, in the
+// same order, as the per-candidate central BFS probe. On the 30x60 grid
+// balls stay local, and every case must also reject some center and
+// accept centers from at least two classes, so blocking across classes
+// and within one class both take part.
+func TestRulingSetViaDecompositionMatchesCentral(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	cases := []struct {
+	type tc struct {
+		name  string
+		g     *graph.G
+		beta  float64
+		seed  int64
+		radii []int
+		local bool // balls do not cover the graph
+	}
+	var cases []tc
+	for _, c := range []struct {
 		name string
 		n, d int
 		seed int64
@@ -51,16 +64,35 @@ func TestRulingSetViaDecompositionSteppedMatchesCentral(t *testing.T) {
 		{"rr4-128", 128, 4, 1},
 		{"rr3-256", 256, 3, 2},
 		{"rr6-96", 96, 6, 3},
+	} {
+		beta := 1.0 / math.Max(1, math.Log(float64(c.n+2)))
+		cases = append(cases, tc{c.name, gen.MustRandomRegular(rng, c.n, c.d), beta, c.seed, []int{3, 9, 27}, false})
 	}
-	for _, tc := range cases {
-		g := gen.MustRandomRegular(rng, tc.n, tc.d)
-		beta := 1.0 / math.Max(1, math.Log(float64(tc.n+2)))
-		dec := dist.Decompose(g, nil, beta, tc.seed)
-		for _, bigR := range []int{3, 9, 27} {
-			stepped := rulingSetViaDecomposition(g, dec, bigR)
-			central := rulingSetCentral(g, dec, bigR)
-			if !reflect.DeepEqual(stepped, central) {
-				t.Fatalf("%s bigR=%d: stepped base %v, central %v", tc.name, bigR, stepped, central)
+	grid := gen.Grid(30, 60)
+	for _, beta := range []float64{0.3, 0.6} {
+		cases = append(cases, tc{fmt.Sprintf("grid-30x60/beta=%v", beta), grid, beta, 1, []int{3, 5, 9}, true})
+	}
+	for _, c := range cases {
+		dec := dist.Decompose(c.g, nil, c.beta, c.seed)
+		classOf := make(map[int]int, len(dec.Centers))
+		for ci, center := range dec.Centers {
+			classOf[center] = dec.ClusterColor[ci]
+		}
+		for _, bigR := range c.radii {
+			got := rulingSetViaDecomposition(c.g, dec, bigR)
+			want := rulingSetCentral(c.g, dec, bigR)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s bigR=%d: base %v, central %v", c.name, bigR, got, want)
+			}
+			if !c.local {
+				continue
+			}
+			classes := map[int]bool{}
+			for _, center := range got {
+				classes[classOf[center]] = true
+			}
+			if rejected := len(dec.Centers) - len(got); rejected == 0 || len(classes) < 2 {
+				t.Fatalf("%s bigR=%d: %d rejected, accepted centers from %d classes: want a rejection and at least 2 classes", c.name, bigR, rejected, len(classes))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -132,4 +133,65 @@ func TestClaimE13BatchedBeatsSummed(t *testing.T) {
 			t.Fatalf("row %v: ratio %.4f >= 1", row, ratio)
 		}
 	}
+}
+
+// E10: the notes describe the rows benchsuite prints, at quick scale for
+// seeds 1-3 and (outside -short) at full scale for its default seed.
+func TestClaimE10NotesMatchRows(t *testing.T) {
+	type row struct{ tnodes, survivors, rounds float64 }
+	read := func(cfg Config) (map[string]row, float64) {
+		tb := E10Ablations(cfg)
+		rows := map[string]row{}
+		for _, r := range tb.Rows {
+			rows[strings.Fields(r[0])[0]] = row{atof(t, r[6]), atof(t, r[7]), atof(t, r[10])}
+		}
+		return rows, float64(atoi(t, tb.Rows[0][2]))
+	}
+	// r=2 takes about a third of the defaults' rounds and r=8 about a
+	// quarter more, at either scale.
+	checkRounds := func(scale string, rows map[string]row) {
+		def := rows["paper"].rounds
+		if r2, r8 := rows["r=2"].rounds/def, rows["r=8"].rounds/def; r2 < 0.25 || r2 > 0.45 || r8 < 1.15 || r8 > 1.35 {
+			t.Fatalf("%s: r=2 reads %.2f and r=8 %.2f of the defaults' rounds", scale, r2, r8)
+		}
+	}
+
+	for seed := int64(1); seed <= 3; seed++ {
+		rows, n := read(Config{Quick: true, Seed: seed})
+		whole := 0
+		for _, r := range rows {
+			if r.survivors == n {
+				whole++
+			}
+		}
+		if whole <= len(rows)/2 {
+			t.Fatalf("quick seed %d: %d of %d rows keep every node, want most", seed, whole, len(rows))
+		}
+		checkRounds(fmt.Sprintf("quick seed %d", seed), rows)
+	}
+	if testing.Short() {
+		return
+	}
+
+	rows, n := read(Config{Seed: 1})
+	def := rows["paper"]
+	for name, r := range rows {
+		if r.tnodes > rows["b=2"].tnodes {
+			t.Fatalf("full %s: %.2f T-nodes, b=2 %.2f; b=2 should keep the most", name, r.tnodes, rows["b=2"].tnodes)
+		}
+	}
+	switch {
+	case rows["b=2"].survivors != 0:
+		t.Fatalf("full b=2: %.2f survivors, want 0", rows["b=2"].survivors)
+	case rows["b=12"].tnodes >= def.tnodes || rows["b=12"].survivors <= n/2,
+		rows["p×4"].tnodes >= def.tnodes || rows["p×4"].survivors <= n/2:
+		t.Fatalf("full: b=12 %+v and p×4 %+v should keep fewer T-nodes than the defaults %+v and leave most of %v nodes", rows["b=12"], rows["p×4"], def, n)
+	case rows["p÷4"].tnodes > def.tnodes:
+		t.Fatalf("full p÷4: %+v, defaults %+v", rows["p÷4"], def)
+	case rows["r=2"].survivors < 0.9*n:
+		t.Fatalf("full r=2: %+v of %v nodes", rows["r=2"], n)
+	case rows["r=8"].survivors != def.survivors:
+		t.Fatalf("full r=8: %+v, defaults %+v", rows["r=8"], def)
+	}
+	checkRounds("full", rows)
 }

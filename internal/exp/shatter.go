@@ -70,14 +70,15 @@ func E6Shattering(cfg Config) *Table {
 
 // E10Ablations sweeps the design parameters Section 4 fixes: the backoff
 // distance b (6 for Δ >= 4, 12 for Δ = 3), the selection probability p, and
-// the DCC radius r. The table shows why the paper's choices balance T-node
-// density (coverage) against blocked paths.
+// the DCC radius r. Each variant changes one of them from the defaults'
+// values and keeps the other two; T-nodes, survivors and rounds are means
+// over five seeds on one graph.
 func E10Ablations(cfg Config) *Table {
 	cfg.install()
 	t := &Table{
 		ID:     "E10",
 		Title:  "Ablations — marking backoff b, selection probability p, radius r",
-		Header: []string{"variant", "Δ", "n", "T-nodes", "survivors", "survival rate", "max comp", "total rounds"},
+		Header: []string{"variant", "Δ", "n", "b", "p", "r", "T-nodes", "survivors", "survival rate", "max comp", "total rounds"},
 	}
 	n := 1 << 12
 	if cfg.Quick {
@@ -87,47 +88,46 @@ func E10Ablations(cfg Config) *Table {
 	rng := rand.New(rand.NewSource(cfg.Seed + 1001))
 	g := gen.MustRandomRegular(rng, n, delta)
 
-	base := core.RandOptions{Seed: cfg.Seed}.AutoParams(n, delta)
-
+	d := core.RandOptions{}.AutoParams(n, delta)
 	variants := []struct {
 		name string
 		o    core.RandOptions
 	}{
-		{"paper defaults (b=6)", base},
-		{"b=2 (tight backoff)", withBackoff(base, 2)},
-		{"b=12 (wide backoff)", withBackoff(base, 12)},
-		{"p×4 (dense marking)", withP(base, math.Min(0.2, base.P*4))},
-		{"p÷4 (sparse marking)", withP(base, base.P/4)},
-		{"r=2 (short happiness radius)", withR(base, 2)},
-		{"r=8 (long happiness radius)", withR(base, 8)},
+		{"paper defaults (b=6)", d},
+		{"b=2 (tight backoff)", core.RandOptions{Backoff: 2, P: d.P, R: d.R}},
+		{"b=12 (wide backoff)", core.RandOptions{Backoff: 12, P: d.P, R: d.R}},
+		{"p×4 (dense marking)", core.RandOptions{Backoff: d.Backoff, P: math.Min(0.2, d.P*4), R: d.R}},
+		{"p÷4 (sparse marking)", core.RandOptions{Backoff: d.Backoff, P: d.P / 4, R: d.R}},
+		{"r=2 (short happiness radius)", core.RandOptions{Backoff: d.Backoff, P: d.P, R: 2}},
+		{"r=8 (long happiness radius)", core.RandOptions{Backoff: d.Backoff, P: d.P, R: 8}},
 	}
+	const seeds = 5
 	for _, va := range variants {
-		st := core.ShatterOnce(g, va.o)
-		res, err := core.Randomized(g, va.o)
-		if err != nil {
-			panic(fmt.Sprintf("E10 %s: %v", va.name, err))
+		var tnodes, survivors, rounds float64
+		maxComp := 0
+		for i := range seeds {
+			o := va.o
+			o.Seed = cfg.Seed + int64(i)
+			st := core.ShatterOnce(g, o)
+			res, err := core.Randomized(g, o)
+			if err != nil {
+				panic(fmt.Sprintf("E10 %s seed %d: %v", va.name, o.Seed, err))
+			}
+			tnodes += float64(st.TNodes) / seeds
+			survivors += float64(st.Survivors) / seeds
+			rounds += float64(res.Rounds) / seeds
+			maxComp = max(maxComp, st.MaxComponent)
 		}
 		t.AddRow(
-			va.name, itoa(delta), itoa(n),
-			itoa(st.TNodes), itoa(st.Survivors), f4(st.SurvivalRate()),
-			itoa(st.MaxComponent), itoa(res.Rounds),
+			va.name, itoa(delta), itoa(n), itoa(va.o.Backoff), f4(va.o.P), itoa(va.o.R),
+			f2(tnodes), f2(survivors), f4(survivors/float64(n)), itoa(maxComp), f2(rounds),
 		)
 	}
-	t.AddNote("sparser marking (p÷4) or a short happiness radius leaves more survivors for the small-component machinery; a tight backoff (b=2) raises T-node density but risks blocked paths — the paper's defaults sit at the low-survivor, low-round corner.")
+	t.AddNote("each variant changes one parameter and holds the others at the defaults' values, so b=2 and b=12 keep the p of b=6; T-nodes, survivors and rounds are means over 5 seeds, max comp the largest over them.")
+	if cfg.Quick {
+		t.AddNote("at n = 512 that p selects about half a node per run, so T-nodes are rare: most rows keep all 512 nodes in every seed and differ in rounds alone. r sets the rounds: r=2 cuts them to about a third, r=8 adds about a quarter.")
+	} else {
+		t.AddNote("at n = 4096 b=2 keeps the most T-nodes and leaves no survivors; b=12 and p×4 keep fewer T-nodes than the defaults and leave most nodes surviving; p÷4 keeps no more T-nodes than the defaults. r=2 leaves almost every node a survivor at about a third of the rounds; r=8 leaves the defaults' survivors at more rounds.")
+	}
 	return t
-}
-
-func withBackoff(o core.RandOptions, b int) core.RandOptions {
-	o.Backoff = b
-	return o
-}
-
-func withP(o core.RandOptions, p float64) core.RandOptions {
-	o.P = p
-	return o
-}
-
-func withR(o core.RandOptions, r int) core.RandOptions {
-	o.R = r
-	return o
 }

@@ -2,7 +2,7 @@
 //
 // A mutation touches only the graph (and, for AddNode, the relabel
 // translation arrays) and marks the network dirty; the next run's setup
-// rebuilds every port table — off, portsFlat, revFlat, slotFlat — with
+// rebuilds every port table — off, portsFlat, slotFlat — with
 // buildPorts in one O(n + Σ deg) pass, the same order of work setup
 // already spends clearing the message lanes every run. A burst of k
 // mutations therefore costs the graph updates plus one rebuild, not k.

@@ -348,7 +348,7 @@ func (net *Network) deliverBatchFaulty(b *batch) {
 				b.ftDrops++
 				continue
 			}
-			pm := pendingFault{node: u, slot: net.off[u] + int(net.revFlat[e]), isInt: isInt, val: c.outInt[pt], rec: rec}
+			pm := pendingFault{node: u, slot: int(net.slotFlat[e]), isInt: isInt, val: c.outInt[pt], rec: rec}
 			if delayP > 0 && u01(faultBits(seed, rs, round, e, saltDelay)) < delayP {
 				pm.due = round + 1 + int(faultBits(seed, rs, round, e, saltDelayLen)%maxDelay)
 				b.pend = append(b.pend, pm)

@@ -17,8 +17,7 @@
 // equivalent to a function of the t-hop neighborhood. GatherStepped
 // implements exactly that flooding pattern as a reusable building block
 // (flat per-round frontiers packed into int32 records, returned as flat
-// Balls). FloodStepped covers TTL reachability floods in the same style,
-// allocation-free on the int lane.
+// Balls).
 //
 // # Scheduler architecture
 //
@@ -39,10 +38,11 @@
 // arrays. Every protocol in this repository (Linial, color reduction,
 // MIS, list coloring) and every ball-collection phase runs this way.
 //
-// Message delivery never touches per-node scheduling state: ports, reverse
-// ports, payloads, presence maps and receiver flags all live in flat
-// arrays indexed by directed-edge slot, so delivering a round of small
-// messages streams a few compact arrays instead of walking node objects.
+// Message delivery never touches per-node scheduling state: ports,
+// receiver slots, payloads, presence maps and receiver flags all live in
+// flat arrays indexed by directed-edge slot, so delivering a round of
+// small messages streams a few compact arrays instead of walking node
+// objects.
 //
 // # Cache-locality relabeling
 //
@@ -83,6 +83,7 @@ package local
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -366,8 +367,7 @@ type Network struct {
 	// objects.
 	off       []int   // off[v] = first slot of v; len n+1
 	portsFlat []int32 // portsFlat[off[v]+p] = neighbor on port p
-	revFlat   []int32 // revFlat[off[v]+p] = port of v on the neighbor's side
-	slotFlat  []int32 // slotFlat[off[v]+p] = off[neighbor] + reverse port, the receiver's lane slot; nil if slots exceed int32
+	slotFlat  []int32 // slotFlat[off[v]+p] = off[neighbor] + port of v on the neighbor's side: the receiver's lane slot
 
 	// Run tables: the contexts, the message lanes and the receiver flags,
 	// indexed by node (ctxs, flags, haltSeg) or slot (lanes). setup
@@ -471,7 +471,9 @@ func (net *Network) toInt(v int) int {
 
 // NewNetwork prepares a network over g with the given randomness seed.
 // Construction is the locality-order pass (BFS-shaped; see
-// graph.LocalityOrder) plus buildPorts' O(n + Σ deg).
+// graph.LocalityOrder) plus buildPorts' O(n + Σ deg). It panics when g
+// has more than math.MaxInt32 directed edges, the most an int32 receiver
+// slot can address.
 func NewNetwork(g *graph.G, seed int64) *Network {
 	n := g.N()
 	net := &Network{g: g, seed: seed, tracer: defaultTracer.Load()}
@@ -519,6 +521,9 @@ func (net *Network) buildPorts() {
 		off[i+1] = off[i] + g.Deg(net.toExt(i))
 	}
 	sum := off[n]
+	if sum > math.MaxInt32 {
+		panic(fmt.Sprintf("local: %d directed edges exceed the limit of %d (math.MaxInt32) that int32 receiver slots can address", sum, math.MaxInt32))
+	}
 	ports := make([]int32, sum)
 	for i := 0; i < n; i++ {
 		for p, u := range g.Neighbors(net.toExt(i)) {
@@ -541,33 +546,22 @@ func (net *Network) buildPorts() {
 		}
 	}
 	// For each node u, scratch[w] = port of w in u's list; every entry
-	// (v, p) in u's bucket then resolves as rev = scratch[v]. Stale
-	// scratch entries are never read: bucket u holds exactly u's neighbors.
-	rev := make([]int32, sum)
+	// (v, p) in u's bucket then resolves as reverse port scratch[v], and
+	// its receiver slot is off[u] plus that port, so the delivery loop
+	// reads one sequential int32 instead of chasing off[u] through a
+	// scattered 8-byte table. Stale scratch entries are never read:
+	// bucket u holds exactly u's neighbors.
+	slots := make([]int32, sum)
 	scratch := make([]int32, n)
 	for u := 0; u < n; u++ {
 		for q, w := range ports[off[u]:off[u+1]] {
 			scratch[w] = int32(q)
 		}
 		for k := off[u]; k < off[u+1]; k++ {
-			rev[off[bufV[k]]+int(bufP[k])] = scratch[bufV[k]]
+			slots[off[bufV[k]]+int(bufP[k])] = int32(off[u]) + scratch[bufV[k]]
 		}
 	}
-	net.off, net.portsFlat, net.revFlat = off, ports, rev
-
-	// Precomputed receiver slots: delivering port p of node v writes lane
-	// slot off[u] + rev, both already known here, so the hot loop reads
-	// one sequential int32 instead of chasing off[u] through a scattered
-	// 8-byte table. Slots only fit int32 when the directed edge count
-	// does; beyond that (a >2^31-edge graph) delivery falls back to the
-	// two-table lookup.
-	net.slotFlat = nil
-	if sum <= 1<<31-1 {
-		net.slotFlat = make([]int32, sum)
-		for k, u := range ports {
-			net.slotFlat[k] = int32(off[u]) + rev[k]
-		}
-	}
+	net.off, net.portsFlat, net.slotFlat = off, ports, slots
 	net.dirty = false
 }
 
@@ -1095,8 +1089,8 @@ func clearBytes(h []byte) {
 func (net *Network) deliverBatch(b *batch) {
 	// checkHalt is false while no node in the network has halted: the
 	// haltSeg lookup is then provably always zero, so the hot loops skip
-	// one scattered read per message. slotFlat folds the receiver's
-	// off[u]+rev slot computation into one sequential int32 read.
+	// one scattered read per message. slotFlat gives the receiver's slot
+	// in one sequential int32 read.
 	checkHalt := !net.noHalts
 	count := net.countMsgs
 	sf := net.slotFlat
@@ -1123,13 +1117,7 @@ func (net *Network) deliverBatch(b *batch) {
 					}
 					continue
 				}
-				var slot int
-				if sf != nil {
-					slot = int(sf[base+p])
-				} else {
-					slot = net.off[u] + int(net.revFlat[base+p])
-				}
-				net.inRec[slot] = rec
+				net.inRec[sf[base+p]] = rec
 				if !net.recvRec[u].Load() {
 					net.recvRec[u].Store(true)
 				}
@@ -1156,12 +1144,7 @@ func (net *Network) deliverBatch(b *batch) {
 					}
 					continue
 				}
-				var slot int
-				if sf != nil {
-					slot = int(sf[base+p])
-				} else {
-					slot = net.off[u] + int(net.revFlat[base+p])
-				}
+				slot := sf[base+p]
 				net.inInt[slot] = c.outInt[p]
 				net.inHas[slot] = 1
 				if !net.recvInt[u].Load() {

@@ -205,8 +205,8 @@ func TestRunStats(t *testing.T) {
 
 // TestReversePortTables cross-checks the linear-time construction of the
 // flat port tables against the definition on assorted graph shapes: port
-// p of v is its p-th external neighbor, the reverse port leads back, and
-// the receiver slot is the reverse port's slot.
+// p of v is its p-th external neighbor, and its receiver slot lies in the
+// neighbor's slot range on the port that leads back to v.
 func TestReversePortTables(t *testing.T) {
 	graphs := map[string]*graph.G{
 		"path":   pathGraph(17),
@@ -224,15 +224,15 @@ func TestReversePortTables(t *testing.T) {
 		for v := 0; v < g.N(); v++ {
 			for p := 0; p < net.off[v+1]-net.off[v]; p++ {
 				e := net.off[v] + p
-				u, q := int(net.portsFlat[e]), int(net.revFlat[e])
+				u, slot := int(net.portsFlat[e]), int(net.slotFlat[e])
 				if want := g.Neighbors(net.toExt(v))[p]; net.toExt(u) != want {
 					t.Fatalf("%s: port %d of %d leads to %d, want %d", name, p, net.toExt(v), net.toExt(u), want)
 				}
-				if back := int(net.portsFlat[net.off[u]+q]); back != v {
-					t.Fatalf("%s: rev of slot %d is %d but port %d of %d leads to %d", name, e, q, q, u, back)
+				if slot < net.off[u] || slot >= net.off[u+1] {
+					t.Fatalf("%s: slotFlat[%d]=%d outside %d's slots [%d, %d)", name, e, slot, u, net.off[u], net.off[u+1])
 				}
-				if int(net.slotFlat[e]) != net.off[u]+q {
-					t.Fatalf("%s: slotFlat[%d]=%d, want %d", name, e, net.slotFlat[e], net.off[u]+q)
+				if back := int(net.portsFlat[slot]); back != v {
+					t.Fatalf("%s: port %d of %d writes slot %d, but port %d of %d leads to %d", name, p, v, slot, slot-net.off[u], u, back)
 				}
 			}
 		}
