@@ -331,8 +331,8 @@ func (f *fixer) walkAndResolve(colors []int, v, target int, mode Mode, dcc []int
 		if err != nil {
 			return Result{}, fmt.Errorf("brooks: DCC recoloring: %w", err)
 		}
-		for u, c := range sol {
-			f.set(colors, u, c)
+		for i, u := range dcc {
+			f.set(colors, u, sol[i])
 		}
 		dccRadius := gallai.SetRadius(g, dcc)
 		if dccRadius < 0 {
@@ -361,8 +361,8 @@ func (f *fixer) fallbackRecolor(colors []int, v int) (Result, error) {
 		lists := gallai.DegreeLists(f.g, ball, colors, f.delta)
 		sol, err := gallai.BruteListColor(f.g, ball, lists)
 		if err == nil {
-			for u, c := range sol {
-				f.set(colors, u, c)
+			for i, u := range ball {
+				f.set(colors, u, sol[i])
 			}
 			return Result{Radius: r, Rounds: 2*r + 2, Mode: ModeFallback}, nil
 		}

@@ -105,8 +105,8 @@ func oracleWalkAndResolve(g *graph.G, colors []int, v, target, delta int, mode M
 		if err != nil {
 			return nil, fmt.Errorf("brooks: DCC recoloring: %w", err)
 		}
-		for u, c := range sol {
-			colors[u] = c
+		for i, u := range dcc {
+			colors[u] = sol[i]
 		}
 		dccRadius := gallai.SetRadius(g, dcc)
 		if dccRadius < 0 {
@@ -130,8 +130,8 @@ func oracleFallbackRecolor(g *graph.G, colors []int, v, delta int) (*Result, err
 		lists := gallai.DegreeLists(g, ball, colors, delta)
 		sol, err := gallai.BruteListColor(g, ball, lists)
 		if err == nil {
-			for u, c := range sol {
-				colors[u] = c
+			for i, u := range ball {
+				colors[u] = sol[i]
 			}
 			return &Result{Colors: colors, Radius: r, Rounds: 2*r + 2, Mode: ModeFallback}, nil
 		}

@@ -2,6 +2,7 @@ package brooks
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"deltacolor/graph"
@@ -115,9 +116,9 @@ func stuckInstance(t *testing.T, g *graph.G, v, delta int) []int {
 			nodes = append(nodes, u)
 		}
 	}
-	lists := map[int][]int{}
-	for _, u := range nodes {
-		lists[u] = []int{}
+	// lists by node ID; v's entry is dropped with v.
+	lists := make([][]int, g.N())
+	for u := range lists {
 		for c := 0; c < delta; c++ {
 			lists[u] = append(lists[u], c)
 		}
@@ -132,13 +133,13 @@ func stuckInstance(t *testing.T, g *graph.G, v, delta int) []int {
 	for i := range empty {
 		empty[i] = -1
 	}
-	sol, err := gallai.BruteListColor(g, nodes, lists)
+	sol, err := gallai.BruteListColor(g, nodes, slices.Delete(lists, v, v+1))
 	if err != nil {
 		return nil
 	}
 	colors := append([]int(nil), empty...)
-	for u, c := range sol {
-		colors[u] = c
+	for i, u := range nodes {
+		colors[u] = sol[i]
 	}
 	if err := verify.PartialColoring(g, colors, delta); err != nil {
 		t.Fatalf("stuckInstance produced improper coloring: %v", err)
@@ -308,7 +309,7 @@ func TestDeltaListsExcludesBoundary(t *testing.T) {
 	g.MustEdge(1, 2)
 	colors := []int{2, -1, 0}
 	lists := gallai.DegreeLists(g, []int{1}, colors, 3)
-	if got := lists[1]; len(got) != 1 || got[0] != 1 {
+	if got := lists[0]; len(got) != 1 || got[0] != 1 {
 		t.Fatalf("list = %v, want [1]", got)
 	}
 }

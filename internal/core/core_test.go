@@ -501,11 +501,7 @@ func TestLayerColorerReverseOrder(t *testing.T) {
 	for v := range colors {
 		colors[v] = -1
 	}
-	rep, err := lc.ColorLayersReverse(colors, layer, s, "t")
-	if err != nil {
-		t.Fatalf("ColorLayersReverse: %v", err)
-	}
-	if rep != 0 {
+	if rep := lc.ColorLayersReverse(colors, layer, s, "t"); rep != 0 {
 		t.Fatalf("repairs = %d, want 0 (every layer is a deg+1 instance)", rep)
 	}
 	// All nodes except layer 0 must be colored, properly.
@@ -516,6 +512,53 @@ func TestLayerColorerReverseOrder(t *testing.T) {
 	}
 	if err := verify.PartialColoring(g, colors, delta); err != nil {
 		t.Fatalf("partial coloring invalid: %v", err)
+	}
+}
+
+// TestLayerColorerDefersFailedLayer pins the failure branch. The 6x6
+// torus is layered by distance from node 0, and the four neighbors of
+// node 8 = (1, 2), two in layer 2 and two in layer 4, are colored 0-3
+// beforehand, so node 8's list is empty and layer 3 fails
+// CheckDegPlusOne. Layer 3 must stay uncolored and count each of its
+// nodes once in repairs, every other layer from 1 up must be colored,
+// and RepairHoles must then complete the coloring.
+func TestLayerColorerDefersFailedLayer(t *testing.T) {
+	for _, mode := range []ListColorMode{ListColorRandomized, ListColorDeterministic} {
+		g := gen.Torus(6, 6)
+		delta := g.MaxDegree()
+		layer := Layering(g, []int{0}, nil, -1)
+		colors := slices.Repeat([]int{-1}, g.N())
+		for c, u := range []int{2, 7, 14, 9} {
+			colors[u] = c
+		}
+		if layer[8] != 3 {
+			t.Fatalf("node 8 in layer %d, want 3", layer[8])
+		}
+		inLayer3 := 0
+		for _, l := range layer {
+			if l == 3 {
+				inLayer3++
+			}
+		}
+
+		lc := NewLayerColorer(g, delta, mode, 3, &local.Accountant{})
+		if rep := lc.ColorLayersReverse(colors, layer, slices.Max(layer), "t"); rep != inLayer3 {
+			t.Fatalf("mode %v: repairs = %d, want layer 3's %d nodes", mode, rep, inLayer3)
+		}
+		for v, l := range layer {
+			if (l == 3 || l == 0) != (colors[v] < 0) {
+				t.Fatalf("mode %v: node %d in layer %d has color %d; want exactly layers 0 and 3 uncolored", mode, v, l, colors[v])
+			}
+		}
+		if err := verify.PartialColoring(g, colors, delta); err != nil {
+			t.Fatalf("mode %v: partial coloring invalid: %v", mode, err)
+		}
+		if _, err := brooks.RepairHoles(g, colors, brooks.Holes(colors), delta, 5); err != nil {
+			t.Fatalf("mode %v: RepairHoles: %v", mode, err)
+		}
+		if err := verify.DeltaColoring(g, colors, delta); err != nil {
+			t.Fatalf("mode %v: repaired coloring invalid: %v", mode, err)
+		}
 	}
 }
 

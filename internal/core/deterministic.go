@@ -66,10 +66,7 @@ func layered(g *graph.G, name string, seed int64, buildB0 func(acct *local.Accou
 	f.Acct.End()
 
 	lc := NewLayerColorer(g, f.Delta, ListColorDeterministic, seed, f.Acct)
-	repairs, err := lc.ColorLayersReverse(f.Colors, layer, s, "layers")
-	if err != nil {
-		return nil, err
-	}
+	repairs := lc.ColorLayersReverse(f.Colors, layer, s, "layers")
 	if _, err := f.Repair("brooks-B0", "brooks-B0", base, seed+0xb0); err != nil {
 		return nil, err
 	}

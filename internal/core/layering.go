@@ -129,39 +129,41 @@ func NewLayerColorer(g *graph.G, delta int, mode ListColorMode, seed int64, acct
 // ColorLayersReverse colors every node with layer[v] in [1, s] (and
 // colors[v] < 0) in decreasing layer order, writing into colors. Layer 0 is
 // the caller's responsibility (base layers are colored with different
-// techniques). Nodes whose list instance turns out infeasible are repaired
-// with the distributed Brooks procedure and counted in repairs.
-func (lc *LayerColorer) ColorLayersReverse(colors []int, layer []int, s int, phase string) (repairs int, err error) {
+// techniques). A layer whose list instance fails (not deg+1, or unsolved)
+// stays uncolored for the caller's final Brooks repair pass; the result
+// counts the nodes left so.
+func (lc *LayerColorer) ColorLayersReverse(colors []int, layer []int, s int, phase string) (repairs int) {
 	lc.acct.Begin(phase)
 	defer lc.acct.End()
-	for i := s; i >= 1; i-- {
-		active := make([]bool, lc.g.N())
-		any := false
-		for v := range layer {
-			if layer[v] == i && colors[v] < 0 {
-				active[v] = true
-				any = true
-			}
+	members := make([][]int, s+1)
+	for v, l := range layer {
+		if l >= 1 && l <= s && colors[v] < 0 {
+			members[l] = append(members[l], v)
 		}
-		if !any {
+	}
+	active := make([]bool, lc.g.N())
+	for i := s; i >= 1; i-- {
+		nodes := members[i]
+		if len(nodes) == 0 {
 			continue
+		}
+		for _, v := range nodes {
+			active[v] = true
 		}
 		li := dist.NewListInstance(lc.g, active, colors, lc.delta)
-		got, rounds, solveErr := lc.solve(li, int64(i))
+		got, rounds, err := lc.solve(li, int64(i))
 		lc.acct.Charge(fmt.Sprintf("%s[%d]", phase, i), rounds)
-		if solveErr != nil {
-			// Infeasible or unlucky instance: repair node-by-node with the
-			// Brooks token procedure at the end; mark and continue.
-			repairs += repairDefer(colors, active)
-			continue
-		}
-		for v := range got {
-			if active[v] {
+		for _, v := range nodes {
+			active[v] = false
+			if err == nil {
 				colors[v] = got[v]
 			}
 		}
+		if err != nil {
+			repairs += len(nodes)
+		}
 	}
-	return repairs, nil
+	return repairs
 }
 
 // solve runs the configured list-coloring subroutine on the shared
@@ -179,16 +181,4 @@ func (lc *LayerColorer) solve(li *dist.ListInstance, salt int64) ([]int, int, er
 	default:
 		return dist.ListColorRandomized(lc.net, li)
 	}
-}
-
-// repairDefer leaves the active nodes uncolored (colors[v] stays -1) so the
-// final repair pass can fix them; returns how many were deferred.
-func repairDefer(colors []int, active []bool) int {
-	n := 0
-	for v := range active {
-		if active[v] && colors[v] < 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -154,18 +154,10 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 	acct.End()
 
 	// ---- Phase III: color happy layers C_{2r}..C_0 (phase 7). ----
-	rep, err := lc.ColorLayersReverse(colors, shiftLayers(sh.layerC), sh.sC+1, "C")
-	if err != nil {
-		return nil, err
-	}
-	repairs += rep
+	repairs += lc.ColorLayersReverse(colors, shiftLayers(sh.layerC), sh.sC+1, "C")
 
 	// ---- Phase IV: color DCC layers B_s..B_1 and base B0 (phases 8-9). ----
-	rep, err = lc.ColorLayersReverse(colors, layerB, sB, "B")
-	if err != nil {
-		return nil, err
-	}
-	repairs += rep
+	repairs += lc.ColorLayersReverse(colors, layerB, sB, "B")
 
 	if len(dccs) > 0 {
 		maxRad := 0
@@ -180,8 +172,8 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 				// (should not happen, Theorem 8); defer to repair.
 				continue
 			}
-			for v, c := range sol {
-				colors[v] = c
+			for i, v := range d {
+				colors[v] = sol[i]
 			}
 			if r := gallai.SetRadius(g, d); r > maxRad {
 				maxRad = r

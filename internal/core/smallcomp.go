@@ -81,11 +81,7 @@ func colorSmallComponents(g *graph.G, inL []bool, colors []int, delta int, o Ran
 	}
 	acct.Charge("small-layers", sD)
 
-	rep, err := lc.ColorLayersReverse(colors, layerD, sD, "D")
-	if err != nil {
-		return deferred, err
-	}
-	deferred += rep
+	deferred += lc.ColorLayersReverse(colors, layerD, sD, "D")
 
 	// Anchors last (independently: MIS groups are pairwise non-adjacent).
 	maxRad := 0
@@ -111,8 +107,8 @@ func colorSmallComponents(g *graph.G, inL []bool, colors []int, delta int, o Ran
 			deferred += len(grp.nodes)
 			continue
 		}
-		for v, c := range sol {
-			colors[v] = c
+		for i, v := range grp.nodes {
+			colors[v] = sol[i]
 		}
 		if r := gallai.SetRadius(g, grp.nodes); r > maxRad {
 			maxRad = r

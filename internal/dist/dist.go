@@ -17,7 +17,10 @@
 //     assignment — the subroutine the layering technique of Section 3
 //     invokes once per layer, in random-trial and Linial-class-scheduled
 //     deterministic variants (the paper's Theorems 18/19 substitutes,
-//     README "Departures from the paper").
+//     README "Departures from the paper"). An instance holds the active
+//     mask, the partial coloring and Δ; each active node derives its list
+//     from the partial coloring when its protocol starts and folds every
+//     final it hears out of it.
 //   - Decompose / VerifyDecomposition: a Miller–Peng–Xu-style low-diameter
 //     decomposition with exponential random shifts, standing in for the
 //     deterministic network decomposition of [PS92] in the Theorem 21

@@ -9,50 +9,45 @@ import (
 )
 
 // ListInstance is a (deg+1)-list-coloring instance over a layer of active
-// nodes: every active node must pick a color from its list, and the lists
-// already exclude the colors of finished neighbors (the partial coloring
-// the layer is solved against).
+// nodes against a partial coloring: every active node must pick a color
+// from its list, the colors in [0, Delta) that no neighbor holds in
+// Partial. Lists are not stored: each protocol derives an active node's
+// list at Init, and the checks derive it where they read it.
 type ListInstance struct {
-	Active []bool  // nodes to color
-	Lists  [][]int // Lists[v]: allowed colors for active v, ascending
-	Delta  int     // palette bound: all list colors lie in [0, Delta)
+	Active  []bool // nodes to color
+	Partial []int  // the coloring the layer is solved against (-1 = uncolored)
+	Delta   int    // palette bound: all list colors lie in [0, Delta)
 }
 
-// NewListInstance builds the instance for one layer: the list of an active
-// node is [0, delta) minus the colors its already colored neighbors hold in
-// partial (-1 = uncolored). active == nil activates every node.
+// NewListInstance builds the instance for one layer. active == nil
+// activates every node. The instance reads active and partial in place,
+// so neither may change while it is in use.
 func NewListInstance(g *graph.G, active []bool, partial []int, delta int) *ListInstance {
-	n := g.N()
-	act := make([]bool, n)
-	for v := 0; v < n; v++ {
-		act[v] = active == nil || active[v]
+	if active == nil {
+		active = slices.Repeat([]bool{true}, g.N())
 	}
-	lists := make([][]int, n)
-	for v := 0; v < n; v++ {
-		if !act[v] {
-			continue
-		}
-		used := make([]bool, delta)
-		for _, u := range g.Neighbors(v) {
-			if c := partial[u]; c >= 0 && c < delta {
-				used[c] = true
-			}
-		}
-		list := make([]int, 0, delta)
-		for c := 0; c < delta; c++ {
-			if !used[c] {
-				list = append(list, c)
-			}
-		}
-		lists[v] = list
+	return &ListInstance{Active: active, Partial: partial, Delta: delta}
+}
+
+// list returns v's list, ascending, in buf's storage (grown when short).
+func (li *ListInstance) list(buf []int, g *graph.G, v int) []int {
+	buf = buf[:0]
+	for c := range li.Delta {
+		buf = append(buf, c)
 	}
-	return &ListInstance{Active: act, Lists: lists, Delta: delta}
+	for _, u := range g.Neighbors(v) {
+		if c := li.Partial[u]; c >= 0 && c < li.Delta {
+			buf[c] = -1
+		}
+	}
+	return slices.DeleteFunc(buf, func(c int) bool { return c < 0 })
 }
 
 // CheckDegPlusOne verifies the layering invariant that makes the instance
 // always solvable: every active node's list strictly exceeds its degree in
 // the active subgraph.
 func (li *ListInstance) CheckDegPlusOne(g *graph.G) error {
+	var list []int
 	for v := 0; v < g.N(); v++ {
 		if !li.Active[v] {
 			continue
@@ -63,8 +58,8 @@ func (li *ListInstance) CheckDegPlusOne(g *graph.G) error {
 				deg++
 			}
 		}
-		if len(li.Lists[v]) < deg+1 {
-			return fmt.Errorf("list instance: node %d has %d list colors for active degree %d", v, len(li.Lists[v]), deg)
+		if list = li.list(list, g, v); len(list) < deg+1 {
+			return fmt.Errorf("list instance: node %d has %d list colors for active degree %d", v, len(list), deg)
 		}
 	}
 	return nil
@@ -101,14 +96,13 @@ type listRandState struct {
 	propose  int
 	stuck    bool // list ran dry (infeasible instance)
 	phase    int
-	list     []int
+	list     []int  // own list minus every final heard so far
 	known    []byte // misUnknown / misUndecided-style tracking
 	bye      byeTracker
-	finals   map[int]bool
 }
 
 // lcNote folds a decoded (done, bye) announcement on port p into the
-// tracking state.
+// tracking state; an announced final leaves the list.
 func (s *listRandState) lcNote(p int, done, bye bool, c int) {
 	if bye {
 		s.bye.note(p)
@@ -116,7 +110,7 @@ func (s *listRandState) lcNote(p int, done, bye bool, c int) {
 	if done {
 		s.known[p] = misIn
 		if c >= 0 {
-			s.finals[c] = true
+			s.list = slices.DeleteFunc(s.list, func(x int) bool { return x == c })
 		}
 	}
 }
@@ -124,11 +118,13 @@ func (s *listRandState) lcNote(p int, done, bye bool, c int) {
 // ListColorRandomized solves the instance with random color trials: each
 // uncolored node proposes a uniform color from its remaining list; a
 // proposal is kept unless a finished neighbor owns the color or a proposing
-// neighbor with smaller ID picked it too. Kept colors are final; neighbors
-// prune them from their lists. Nodes halt once their whole neighborhood is
-// finished, so the returned rounds are the measured cost, O(log n) w.h.p.
-// on (deg+1)-instances. Nodes still uncolored at the phase cap are reported
-// as an error (callers defer them to the repair pass).
+// neighbor with smaller ID picked it too. Kept colors are final; a node
+// folds every final it hears out of its list on receipt. A node whose list
+// runs dry (or starts empty) is stuck: it announces done without a color.
+// Nodes halt once their whole neighborhood is finished, so the returned
+// rounds are the measured cost, O(log n) w.h.p. on (deg+1)-instances.
+// Nodes still uncolored at the phase cap are reported as an error
+// (callers defer them to the repair pass).
 func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, error) {
 	g := net.Graph()
 	n := g.N()
@@ -156,18 +152,19 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 	colors := slices.Repeat([]int{-1}, n)
 	local.RunStepped(net, local.Stepped[listRandState]{
 		Init: func(ctx *local.Ctx, s *listRandState) bool {
-			if !li.Active[ctx.ID()] {
+			v := ctx.ID()
+			if !li.Active[v] {
 				// Inactive: one done announcement with the bye flag (this
 				// node leaves after the round) so neighbors mute the port.
 				ctx.BroadcastInt(encDC(true, true, -1))
 				s.inactive = true
 				return true
 			}
-			s.list = append([]int(nil), li.Lists[ctx.ID()]...)
+			s.list = li.list(make([]int, 0, li.Delta), g, v)
+			s.stuck = len(s.list) == 0
 			s.color = -1
 			s.known = make([]byte, ctx.Degree())
 			s.bye.init(ctx.Degree())
-			s.finals = make(map[int]bool)
 			sendA(ctx, s)
 			return true
 		},
@@ -176,13 +173,10 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 				return false
 			}
 			if !s.afterB {
-				// A round A just completed: collect announcements and
-				// competing proposals.
-				type prop struct {
-					color int
-					id    int
-				}
-				props := make([]prop, 0, ctx.Degree())
+				// A round A just completed: fold in announcements, and
+				// look for a proposing neighbor with smaller ID that
+				// picked this node's color.
+				beaten := false
 				for p := 0; p < ctx.Degree(); p++ {
 					if e, ok := ctx.RecvInt(p); ok {
 						done, bye, c := decDC(e)
@@ -191,8 +185,8 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 					}
 					if m := ctx.Recv(p); m != nil {
 						s.known[p] = misUndecided
-						if m[0] >= 0 {
-							props = append(props, prop{color: int(m[0]), id: int(m[1])})
+						if int(m[0]) == s.propose && int(m[1]) < ctx.ID() {
+							beaten = true
 						}
 					}
 				}
@@ -212,24 +206,17 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 						return false
 					}
 				}
-				if s.color < 0 && s.propose >= 0 && !s.finals[s.propose] {
-					keep := true
-					for _, pr := range props {
-						if pr.color == s.propose && pr.id < ctx.ID() {
-							keep = false
-							break
-						}
-					}
-					if keep {
-						s.color = s.propose
-					}
+				// The proposal is still on the list unless a neighbor
+				// finished with it.
+				if s.color < 0 && s.propose >= 0 && !beaten && slices.Contains(s.list, s.propose) {
+					s.color = s.propose
 				}
-				// Round B: announce the outcome; neighbors prune kept colors.
+				// Round B: announce the outcome; neighbors fold kept colors.
 				s.bye.castInt(ctx, encDC(s.color >= 0 || s.stuck, false, s.color))
 				s.afterB = true
 				return true
 			}
-			// A round B just completed: record finals and prune the list.
+			// A round B just completed: fold in the finals.
 			for p := 0; p < ctx.Degree(); p++ {
 				if e, ok := ctx.RecvInt(p); ok {
 					done, bye, c := decDC(e)
@@ -237,13 +224,6 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 				}
 			}
 			if s.color < 0 {
-				pruned := s.list[:0]
-				for _, c := range s.list {
-					if !s.finals[c] {
-						pruned = append(pruned, c)
-					}
-				}
-				s.list = pruned
 				// An empty list means the instance is infeasible for this
 				// node; it announces done(-1) next round so neighbors halt.
 				s.stuck = len(s.list) == 0
@@ -270,9 +250,9 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 // in round 1 and halts at its first Step, leaving its color -1. An uncolored
 // active node sends nothing. A colored active node re-announces its final
 // color every round on every port not muted by a bye; the repetition is
-// what lets a dropped announcement heal. A node folds the first final it
-// hears on each port into its own copy of its list, so the head of that
-// copy is always its pick.
+// what lets a dropped announcement heal. A node derives its list at Init
+// and folds the first final it hears on each port out of it, so the head
+// of the list is always its pick.
 //
 // With at least one active node the run takes exactly baseK rounds: every
 // active node steps through all baseK classes and halts after the last.
@@ -315,7 +295,7 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 				return true
 			}
 			s.color = -1
-			s.list = append([]int(nil), li.Lists[v]...)
+			s.list = li.list(make([]int, 0, li.Delta), g, v)
 			s.folded = make([]bool, ctx.Degree())
 			s.bye.init(ctx.Degree())
 			return true
@@ -358,6 +338,7 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 // checkInstanceSolved verifies that every active node took a color from its
 // list and no two adjacent active nodes collide.
 func checkInstanceSolved(g *graph.G, li *ListInstance, colors []int) error {
+	var list []int
 	for v := 0; v < g.N(); v++ {
 		if !li.Active[v] {
 			continue
@@ -365,14 +346,7 @@ func checkInstanceSolved(g *graph.G, li *ListInstance, colors []int) error {
 		if colors[v] < 0 {
 			return fmt.Errorf("list coloring: node %d left uncolored", v)
 		}
-		inList := false
-		for _, c := range li.Lists[v] {
-			if c == colors[v] {
-				inList = true
-				break
-			}
-		}
-		if !inList {
+		if list = li.list(list, g, v); !slices.Contains(list, colors[v]) {
 			return fmt.Errorf("list coloring: node %d took color %d outside its list", v, colors[v])
 		}
 	}

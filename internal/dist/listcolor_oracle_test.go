@@ -11,15 +11,221 @@ import (
 	"deltacolor/local"
 )
 
-// This file freezes the original ListColorDeterministic — every node
-// stepped in all baseK rounds and broadcasting a (done, color) word in
-// each, finals kept in a per-node map, and both validity checks scanning
-// g.Edges() — as a test-only oracle. ListColorDeterministic must return
-// its colors, rounds and errors, with one exception: an instance with no
-// active node returns all -1 in 0 rounds without running the network,
-// where the oracle spent baseK idle rounds.
+// This file freezes the original list-coloring code as test-only oracles:
+//
+//   - the list-table instance: NewListInstance built every active node's
+//     list up front in an n-sized table, and CheckDegPlusOne read it;
+//   - ListColorRandomized with its finals kept in a per-node map, the
+//     list pruned in a pass after every round B, and each round A's
+//     proposals collected in a slice;
+//   - ListColorDeterministic with every node stepped in all baseK rounds
+//     and broadcasting a (done, color) word in each, finals kept in a
+//     per-node map, and both validity checks scanning g.Edges().
+//
+// The protocols must return the oracles' colors, rounds and errors, and
+// CheckDegPlusOne the oracle's verdict, with one exception:
+// ListColorDeterministic on an instance with no active node returns all
+// -1 in 0 rounds without running the network, where the oracle spent
+// baseK idle rounds.
 
-func oracleListColorDet(net *local.Network, li *ListInstance, baseColors []int, baseK int) ([]int, int, error) {
+// oracleListInstance is the list-table instance: Lists[v] holds active
+// v's list, ascending.
+type oracleListInstance struct {
+	Active []bool
+	Lists  [][]int
+	Delta  int
+}
+
+func oracleNewListInstance(g *graph.G, active []bool, partial []int, delta int) *oracleListInstance {
+	n := g.N()
+	act := make([]bool, n)
+	for v := 0; v < n; v++ {
+		act[v] = active == nil || active[v]
+	}
+	lists := make([][]int, n)
+	for v := 0; v < n; v++ {
+		if !act[v] {
+			continue
+		}
+		used := make([]bool, delta)
+		for _, u := range g.Neighbors(v) {
+			if c := partial[u]; c >= 0 && c < delta {
+				used[c] = true
+			}
+		}
+		list := make([]int, 0, delta)
+		for c := 0; c < delta; c++ {
+			if !used[c] {
+				list = append(list, c)
+			}
+		}
+		lists[v] = list
+	}
+	return &oracleListInstance{Active: act, Lists: lists, Delta: delta}
+}
+
+func (li *oracleListInstance) CheckDegPlusOne(g *graph.G) error {
+	for v := 0; v < g.N(); v++ {
+		if !li.Active[v] {
+			continue
+		}
+		deg := 0
+		for _, u := range g.Neighbors(v) {
+			if li.Active[u] {
+				deg++
+			}
+		}
+		if len(li.Lists[v]) < deg+1 {
+			return fmt.Errorf("list instance: node %d has %d list colors for active degree %d", v, len(li.Lists[v]), deg)
+		}
+	}
+	return nil
+}
+
+type oracleListRandState struct {
+	inactive bool
+	afterB   bool
+	color    int
+	propose  int
+	stuck    bool
+	phase    int
+	list     []int
+	known    []byte
+	bye      byeTracker
+	finals   map[int]bool
+}
+
+func (s *oracleListRandState) lcNote(p int, done, bye bool, c int) {
+	if bye {
+		s.bye.note(p)
+	}
+	if done {
+		s.known[p] = misIn
+		if c >= 0 {
+			s.finals[c] = true
+		}
+	}
+}
+
+func oracleListColorRand(net *local.Network, li *oracleListInstance) ([]int, int, error) {
+	g := net.Graph()
+	n := g.N()
+	maxPhases := 16
+	for top := n + 2; top > 1; top /= 2 {
+		maxPhases += 6
+	}
+
+	sendA := func(ctx *local.Ctx, s *oracleListRandState) {
+		s.propose = -1
+		if s.color < 0 && !s.stuck {
+			s.propose = s.list[ctx.Rand().Intn(len(s.list))]
+		}
+		if s.color >= 0 || s.stuck {
+			s.bye.castInt(ctx, encDC(true, false, s.color))
+		} else {
+			s.bye.castRec(ctx, []int32{int32(s.propose), int32(ctx.ID())})
+		}
+		s.afterB = false
+	}
+
+	colors := slices.Repeat([]int{-1}, n)
+	local.RunStepped(net, local.Stepped[oracleListRandState]{
+		Init: func(ctx *local.Ctx, s *oracleListRandState) bool {
+			if !li.Active[ctx.ID()] {
+				ctx.BroadcastInt(encDC(true, true, -1))
+				s.inactive = true
+				return true
+			}
+			s.list = append([]int(nil), li.Lists[ctx.ID()]...)
+			s.color = -1
+			s.known = make([]byte, ctx.Degree())
+			s.bye.init(ctx.Degree())
+			s.finals = make(map[int]bool)
+			sendA(ctx, s)
+			return true
+		},
+		Step: func(ctx *local.Ctx, s *oracleListRandState) bool {
+			if s.inactive {
+				return false
+			}
+			if !s.afterB {
+				type prop struct {
+					color int
+					id    int
+				}
+				props := make([]prop, 0, ctx.Degree())
+				for p := 0; p < ctx.Degree(); p++ {
+					if e, ok := ctx.RecvInt(p); ok {
+						done, bye, c := decDC(e)
+						s.lcNote(p, done, bye, c)
+						continue
+					}
+					if m := ctx.Recv(p); m != nil {
+						s.known[p] = misUndecided
+						if m[0] >= 0 {
+							props = append(props, prop{color: int(m[0]), id: int(m[1])})
+						}
+					}
+				}
+				if s.color >= 0 || s.stuck {
+					done := true
+					for p := 0; p < ctx.Degree(); p++ {
+						if s.known[p] != misIn {
+							done = false
+							break
+						}
+					}
+					if done {
+						s.bye.castInt(ctx, encDC(true, true, s.color))
+						colors[ctx.ID()] = s.color
+						return false
+					}
+				}
+				if s.color < 0 && s.propose >= 0 && !s.finals[s.propose] {
+					keep := true
+					for _, pr := range props {
+						if pr.color == s.propose && pr.id < ctx.ID() {
+							keep = false
+							break
+						}
+					}
+					if keep {
+						s.color = s.propose
+					}
+				}
+				s.bye.castInt(ctx, encDC(s.color >= 0 || s.stuck, false, s.color))
+				s.afterB = true
+				return true
+			}
+			for p := 0; p < ctx.Degree(); p++ {
+				if e, ok := ctx.RecvInt(p); ok {
+					done, bye, c := decDC(e)
+					s.lcNote(p, done, bye, c)
+				}
+			}
+			if s.color < 0 {
+				pruned := s.list[:0]
+				for _, c := range s.list {
+					if !s.finals[c] {
+						pruned = append(pruned, c)
+					}
+				}
+				s.list = pruned
+				s.stuck = len(s.list) == 0
+			}
+			s.phase++
+			if s.phase >= maxPhases {
+				colors[ctx.ID()] = s.color
+				return false
+			}
+			sendA(ctx, s)
+			return true
+		},
+	})
+	return colors, net.Rounds(), oracleCheckInstanceSolved(g, li, colors)
+}
+
+func oracleListColorDet(net *local.Network, li *oracleListInstance, baseColors []int, baseK int) ([]int, int, error) {
 	g := net.Graph()
 	n := g.N()
 	if len(baseColors) != n {
@@ -79,7 +285,7 @@ func oracleListColorDet(net *local.Network, li *ListInstance, baseColors []int, 
 	return colors, net.Rounds(), oracleCheckInstanceSolved(g, li, colors)
 }
 
-func oracleCheckInstanceSolved(g *graph.G, li *ListInstance, colors []int) error {
+func oracleCheckInstanceSolved(g *graph.G, li *oracleListInstance, colors []int) error {
 	for v := 0; v < g.N(); v++ {
 		if !li.Active[v] {
 			continue
@@ -132,17 +338,54 @@ type listRun struct {
 	err    string
 }
 
-func runListDet(f func(*local.Network, *ListInstance, []int, int) ([]int, int, error), g *graph.G, plan *local.FaultPlan, li *ListInstance, base []int, k int) listRun {
+// runList runs f on a fresh network over g under plan (nil: none).
+func runList(g *graph.G, plan *local.FaultPlan, f func(*local.Network) ([]int, int, error)) listRun {
 	net := local.NewNetwork(g, 15)
 	if err := net.SetFaultPlan(plan); err != nil {
 		panic(err)
 	}
-	colors, rounds, err := f(net, li, base, k)
+	colors, rounds, err := f(net)
 	r := listRun{colors: colors, rounds: rounds}
 	if err != nil {
 		r.err = err.Error()
 	}
 	return r
+}
+
+// runListDet runs ListColorDeterministic and its oracle on the instance
+// the layer (active, partial, delta) defines.
+func runListDet(g *graph.G, plan *local.FaultPlan, active []bool, partial []int, delta int, base []int, k int) (got, want listRun) {
+	li := NewListInstance(g, active, partial, delta)
+	oli := oracleNewListInstance(g, active, partial, delta)
+	got = runList(g, plan, func(net *local.Network) ([]int, int, error) { return ListColorDeterministic(net, li, base, k) })
+	want = runList(g, plan, func(net *local.Network) ([]int, int, error) { return oracleListColorDet(net, oli, base, k) })
+	return got, want
+}
+
+// checkRandMatchesOracle runs ListColorRandomized and its oracle on the
+// instance the layer (active, partial, delta) defines and fails t unless
+// they agree. Where an active node's list starts empty the oracle panics
+// (its round 1 draws from the empty list), so there it is not run, and
+// ListColorRandomized, which starts such a node stuck, must fail the
+// instance. It returns the oracle's run and whether the oracle ran.
+func checkRandMatchesOracle(t *testing.T, g *graph.G, plan *local.FaultPlan, active []bool, partial []int, delta int) (listRun, bool) {
+	t.Helper()
+	li := NewListInstance(g, active, partial, delta)
+	oli := oracleNewListInstance(g, active, partial, delta)
+	got := runList(g, plan, func(net *local.Network) ([]int, int, error) { return ListColorRandomized(net, li) })
+	for v, a := range oli.Active {
+		if a && len(oli.Lists[v]) == 0 {
+			if got.err == "" {
+				t.Fatalf("node %d starts with an empty list, yet the run succeeded", v)
+			}
+			return listRun{}, false
+		}
+	}
+	want := runList(g, plan, func(net *local.Network) ([]int, int, error) { return oracleListColorRand(net, oli) })
+	if d := got.diff(want); d != "" {
+		t.Fatal(d)
+	}
+	return want, true
 }
 
 func (r listRun) diff(want listRun) string {
@@ -197,10 +440,8 @@ func TestListColorDeterministicMatchesOracle(t *testing.T) {
 			partial := greedyPartial(g, active)
 			for _, b := range bases {
 				for _, delta := range []int{g.MaxDegree() + 1, g.MaxDegree()} {
-					li := NewListInstance(g, active, partial, delta)
 					t.Run(fmt.Sprintf("%s/%s/%s/palette=%d", fam.name, act.name, b.name, delta), func(t *testing.T) {
-						want := runListDet(oracleListColorDet, g, nil, li, b.base, b.k)
-						got := runListDet(ListColorDeterministic, g, nil, li, b.base, b.k)
+						got, want := runListDet(g, nil, active, partial, delta, b.base, b.k)
 						if d := got.diff(want); d != "" {
 							t.Fatal(d)
 						}
@@ -217,9 +458,7 @@ func TestListColorDeterministicMatchesOracle(t *testing.T) {
 			e := es[len(es)-1]
 			base := slices.Clone(linial)
 			base[e[1]] = base[e[0]]
-			li := NewListInstance(g, nil, greedyPartial(g, nil), g.MaxDegree()+1)
-			want := runListDet(oracleListColorDet, g, nil, li, base, linialK)
-			got := runListDet(ListColorDeterministic, g, nil, li, base, linialK)
+			got, want := runListDet(g, nil, nil, greedyPartial(g, nil), g.MaxDegree()+1, base, linialK)
 			if d := got.diff(want); d != "" {
 				t.Fatal(d)
 			}
@@ -232,8 +471,9 @@ func TestListColorDeterministicMatchesOracle(t *testing.T) {
 		// through baseK rounds to return the same colors.
 		t.Run(fam.name+"/no active node", func(t *testing.T) {
 			none := make([]bool, n)
-			li := NewListInstance(g, none, greedyPartial(g, none), g.MaxDegree()+1)
-			want := runListDet(oracleListColorDet, g, nil, li, linial, linialK)
+			partial := greedyPartial(g, none)
+			_, want := runListDet(g, nil, none, partial, g.MaxDegree()+1, linial, linialK)
+			li := NewListInstance(g, none, partial, g.MaxDegree()+1)
 			net := local.NewNetwork(g, 15)
 			colors, rounds, err := ListColorDeterministic(net, li, linial, linialK)
 			if err != nil || rounds != 0 || net.LastRunStats().Nodes != 0 {
@@ -262,7 +502,7 @@ func TestListColorDeterministicMatchesOracleUnderFaults(t *testing.T) {
 	for _, fam := range families(t) {
 		g := fam.g
 		active, _, _ := partialScenario(g, 13)
-		li := NewListInstance(g, active, greedyPartial(g, active), g.MaxDegree()+1)
+		partial := greedyPartial(g, active)
 		base, k, _ := Linial(local.NewNetwork(g, 14))
 		inactive := slices.Index(active, false)
 		firstActive := slices.Index(active, true)
@@ -279,8 +519,7 @@ func TestListColorDeterministicMatchesOracleUnderFaults(t *testing.T) {
 		}
 		for _, pc := range plans {
 			t.Run(fam.name+"/"+pc.name, func(t *testing.T) {
-				want := runListDet(oracleListColorDet, g, pc.plan, li, base, k)
-				got := runListDet(ListColorDeterministic, g, pc.plan, li, base, k)
+				got, want := runListDet(g, pc.plan, active, partial, g.MaxDegree()+1, base, k)
 				if !pc.exact {
 					// The oracle waits out the inactive node's 8 frozen
 					// rounds; the quiet run only the active node's 3.
@@ -295,6 +534,179 @@ func TestListColorDeterministicMatchesOracleUnderFaults(t *testing.T) {
 			})
 		}
 	}
+}
+
+// randomLayer draws an arbitrary instance on g: each node active with
+// probability pActive, and a partial coloring, proper or not, in which
+// each node holds a uniform value in [-1, delta] (-1 uncolored, delta
+// outside the palette) with probability pColored and is uncolored
+// otherwise.
+func randomLayer(g *graph.G, rng *rand.Rand, pActive, pColored float64, delta int) ([]bool, []int) {
+	active := make([]bool, g.N())
+	partial := make([]int, g.N())
+	for v := range active {
+		active[v] = rng.Float64() < pActive
+		partial[v] = -1
+		if rng.Float64() < pColored {
+			partial[v] = rng.Intn(delta+2) - 1
+		}
+	}
+	return active, partial
+}
+
+// checkDegVerdicts compares CheckDegPlusOne with the list-table oracle's
+// verdict and reports whether the instance passed.
+func checkDegVerdicts(t *testing.T, g *graph.G, active []bool, partial []int, delta int) bool {
+	t.Helper()
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	got := errText(NewListInstance(g, active, partial, delta).CheckDegPlusOne(g))
+	want := errText(oracleNewListInstance(g, active, partial, delta).CheckDegPlusOne(g))
+	if got != want {
+		t.Fatalf("CheckDegPlusOne %q, oracle %q", got, want)
+	}
+	return got == ""
+}
+
+// TestListColorRandomizedMatchesOracle runs the protocol and its frozen
+// oracle on random rr4 graphs, tori and G(n, p) graphs, each with random
+// active masks and partial colorings (arbitrary ones, whose lists are
+// often tight or empty, and the greedy coloring of the inactive nodes,
+// whose instances are deg+1) over the palettes Δ+1, Δ and Δ-1, fault-free
+// and under drops, duplicates and delays. Colors, rounds, error text and
+// CheckDegPlusOne's verdict must be identical, and both verdicts, both
+// outcomes and a list that starts empty must occur.
+func TestListColorRandomizedMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	graphs := []struct {
+		name string
+		g    *graph.G
+	}{
+		{"rr4 n=96", gen.MustRandomRegular(rng, 96, 4)},
+		{"rr4 n=128", gen.MustRandomRegular(rng, 128, 4)},
+		{"torus 8x8", gen.Torus(8, 8)},
+		{"torus 6x10", gen.Torus(6, 10)},
+		{"gnp n=80 p=0.06", gen.GNPMaxDeg(rng, 80, 0.06, 9)},
+		{"gnp n=60 p=0.15", gen.GNPMaxDeg(rng, 60, 0.15, 12)},
+	}
+	plans := []struct {
+		name string
+		plan *local.FaultPlan
+	}{
+		{"fault-free", nil},
+		{"drop+dup+delay", &local.FaultPlan{Seed: 6, DropProb: 0.1, DupProb: 0.1, DelayProb: 0.2, MaxDelay: 3, RoundLimit: 10_000}},
+	}
+	var passed, rejected, solved, failed, empty int
+	for _, tg := range graphs {
+		g := tg.g
+		for i := range 4 {
+			pActive := []float64{1, 0.6, 0.3, 0.8}[i]
+			for _, delta := range []int{g.MaxDegree() + 1, g.MaxDegree(), g.MaxDegree() - 1} {
+				active, partial := randomLayer(g, rng, pActive, 0.5, delta)
+				layers := []struct {
+					name    string
+					partial []int
+				}{{"random", partial}, {"greedy", greedyPartial(g, active)}}
+				for _, l := range layers {
+					if checkDegVerdicts(t, g, active, l.partial, delta) {
+						passed++
+					} else {
+						rejected++
+					}
+					for _, pc := range plans {
+						t.Run(fmt.Sprintf("%s/%d/palette=%d/%s/%s", tg.name, i, delta, l.name, pc.name), func(t *testing.T) {
+							want, ran := checkRandMatchesOracle(t, g, pc.plan, active, l.partial, delta)
+							switch {
+							case !ran:
+								empty++
+							case want.err != "":
+								failed++
+							default:
+								solved++
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+	if passed == 0 || rejected == 0 || solved == 0 || failed == 0 || empty == 0 {
+		t.Fatalf("deg+1 passed %d, rejected %d; runs solved %d, failed %d, started empty %d: a case went untested", passed, rejected, solved, failed, empty)
+	}
+}
+
+// fuzzListInstance decodes a graph of at most 20 nodes with an instance
+// on it: n-1 in the first byte, the palette (0 to 8 colors) in the
+// second, a fault plan in the third (bit 0 on: drops, duplicates and
+// delays, with the probabilities picked by bits 1-6), then one byte per
+// node (bit 0: active; the rest, mod palette+2, minus 1: the partial
+// color), then one edge per byte pair; self-loops and repeated edges are
+// skipped. Missing bytes leave a node active and uncolored.
+func fuzzListInstance(data []byte) (g *graph.G, active []bool, partial []int, delta int, plan *local.FaultPlan) {
+	at := func(i int) int {
+		if i < len(data) {
+			return int(data[i])
+		}
+		return 0
+	}
+	n := 1 + at(0)%20
+	delta = at(1) % 9
+	if f := at(2); f&1 == 1 {
+		plan = &local.FaultPlan{
+			Seed:      int64(f),
+			DropProb:  float64(f>>1&3) / 8,
+			DupProb:   float64(f>>3&3) / 8,
+			DelayProb: float64(f>>5&3) / 8,
+			MaxDelay:  3,
+			// Cuts a run that drops keep from finishing.
+			RoundLimit: 400,
+		}
+	}
+	g = graph.New(n)
+	active = make([]bool, n)
+	partial = make([]int, n)
+	for v := range n {
+		b, ok := 0, 3+v < len(data)
+		if ok {
+			b = at(3 + v)
+		}
+		active[v] = !ok || b&1 == 1
+		partial[v] = (b>>1)%(delta+2) - 1
+		if !ok {
+			partial[v] = -1
+		}
+	}
+	for i := 3 + n; i+1 < len(data); i += 2 {
+		u, v := at(i)%n, at(i+1)%n
+		if u != v && !g.HasEdge(u, v) {
+			g.MustEdge(u, v)
+		}
+	}
+	return g, active, partial, delta, plan
+}
+
+// FuzzListColorRandomizedMatchesOracle: on a random instance over a
+// graph of at most 20 nodes, ListColorRandomized returns the frozen
+// protocol's colors, rounds and error, fault-free or not (or fails the
+// instance where a list starts empty and the oracle would panic), and
+// CheckDegPlusOne the list-table oracle's verdict.
+func FuzzListColorRandomizedMatchesOracle(f *testing.F) {
+	f.Add([]byte{})
+	// K4 on palette 4, every node active and uncolored: deg+1 holds.
+	f.Add([]byte{3, 4, 0, 1, 1, 1, 1, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3})
+	// The same K4 on palette 3 under drops and delays: lists run dry.
+	f.Add([]byte{3, 3, 0x63, 1, 1, 1, 1, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3})
+	// A 6-cycle with nodes 0 and 3 inactive and colored 0 and 1.
+	f.Add([]byte{5, 3, 0, 2, 1, 1, 4, 1, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, active, partial, delta, plan := fuzzListInstance(data)
+		checkDegVerdicts(t, g, active, partial, delta)
+		checkRandMatchesOracle(t, g, plan, active, partial, delta)
+	})
 }
 
 var sinkListColors []int

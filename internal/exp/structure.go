@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"deltacolor/graph"
 	"deltacolor/graph/gen"
@@ -237,36 +238,31 @@ func stuckInstance(g *graph.G, v, delta int) []int {
 	if g.Deg(v) < delta {
 		return nil
 	}
-	var nodes []int
-	for u := 0; u < g.N(); u++ {
+	// lists by node ID: the full palette, pinned to one color on each of
+	// v's first delta neighbors; v's own entry is dropped with v.
+	lists := make([][]int, g.N())
+	for u := range lists {
+		lists[u] = make([]int, delta)
+		for c := range lists[u] {
+			lists[u][c] = c
+		}
+	}
+	for i, u := range g.Neighbors(v)[:delta] {
+		lists[u] = []int{i}
+	}
+	nodes := make([]int, 0, g.N()-1)
+	for u := range g.N() {
 		if u != v {
 			nodes = append(nodes, u)
 		}
 	}
-	lists := map[int][]int{}
-	for _, u := range nodes {
-		full := make([]int, delta)
-		for c := range full {
-			full[c] = c
-		}
-		lists[u] = full
-	}
-	for i, u := range g.Neighbors(v) {
-		if i >= delta {
-			break
-		}
-		lists[u] = []int{i}
-	}
-	sol, err := gallai.BruteListColor(g, nodes, lists)
+	sol, err := gallai.BruteListColor(g, nodes, slices.Delete(lists, v, v+1))
 	if err != nil {
 		return nil
 	}
-	colors := make([]int, g.N())
-	for i := range colors {
-		colors[i] = -1
-	}
-	for u, c := range sol {
-		colors[u] = c
+	colors := slices.Repeat([]int{-1}, g.N())
+	for i, u := range nodes {
+		colors[u] = sol[i]
 	}
 	return colors
 }

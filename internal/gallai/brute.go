@@ -2,69 +2,63 @@ package gallai
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"deltacolor/graph"
 )
 
-// BruteListColor finds an exact proper list coloring of the induced
-// subgraph on nodes via backtracking with a most-constrained-first
-// heuristic. lists maps original node ID -> allowed colors. Returns
-// original-ID -> color, or an error when no coloring exists.
+// BruteListColor finds an exact proper list coloring of the subgraph
+// induced by nodes via backtracking with a most-constrained-first
+// heuristic. lists[i] holds the allowed colors of nodes[i]; the result is
+// aligned with nodes the same way. It returns an error when no coloring
+// exists.
 //
 // This is phase (9)/(5)'s "brute force each component" for DCCs and free
 // nodes: by Theorem 8 a DCC always admits a coloring for deg-sized lists,
 // so for DCC inputs the error path indicates a caller bug.
-func BruteListColor(g *graph.G, nodes []int, lists map[int][]int) (map[int]int, error) {
-	sub, orig, err := g.InducedSubgraph(nodes)
-	if err != nil {
-		return nil, fmt.Errorf("brute list color: %w", err)
+func BruteListColor(g *graph.G, nodes []int, lists [][]int) ([]int, error) {
+	if len(lists) != len(nodes) {
+		return nil, fmt.Errorf("brute list color: %d lists for %d nodes", len(lists), len(nodes))
 	}
-	n := sub.N()
-	local := make([][]int, n)
-	for i, u := range orig {
-		l, ok := lists[u]
-		if !ok {
-			return nil, fmt.Errorf("brute list color: node %d has no list", u)
-		}
-		local[i] = append([]int(nil), l...)
+	var s induced
+	if !s.buildSet(g, nodes) {
+		return nil, fmt.Errorf("brute list color: a node is listed twice")
 	}
-	// Order nodes by ascending list slack (|L| - deg), then by degree
+	// Order positions by ascending list slack (|L| - deg), then by degree
 	// descending: most constrained first.
+	n := len(nodes)
+	deg := func(i int) int { return int(s.off[i+1] - s.off[i]) }
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		sa := len(local[order[a]]) - sub.Deg(order[a])
-		sb := len(local[order[b]]) - sub.Deg(order[b])
+		sa := len(lists[order[a]]) - deg(order[a])
+		sb := len(lists[order[b]]) - deg(order[b])
 		if sa != sb {
 			return sa < sb
 		}
-		return sub.Deg(order[a]) > sub.Deg(order[b])
+		return deg(order[a]) > deg(order[b])
 	})
-	colors := make([]int, n)
-	for i := range colors {
-		colors[i] = -1
-	}
-	if !bruteRec(sub, order, 0, local, colors) {
+	colors := slices.Repeat([]int{-1}, n)
+	if !s.bruteRec(order, lists, colors) {
 		return nil, fmt.Errorf("brute list color: no proper list coloring exists for %d nodes", n)
 	}
-	out := make(map[int]int, n)
-	for i, u := range orig {
-		out[u] = colors[i]
-	}
-	return out, nil
+	return colors, nil
 }
 
-func bruteRec(g *graph.G, order []int, k int, lists [][]int, colors []int) bool {
-	if k == len(order) {
+// bruteRec colors the positions order[0], order[1], ... in turn, each with
+// the first list color no colored neighbor holds, backtracking on a dead
+// end.
+func (s *induced) bruteRec(order []int, lists [][]int, colors []int) bool {
+	if len(order) == 0 {
 		return true
 	}
-	v := order[k]
+	v := order[0]
 	for _, c := range lists[v] {
 		ok := true
-		for _, u := range g.Neighbors(v) {
+		for _, u := range s.nbr[s.off[v]:s.off[v+1]] {
 			if colors[u] == c {
 				ok = false
 				break
@@ -74,7 +68,7 @@ func bruteRec(g *graph.G, order []int, k int, lists [][]int, colors []int) bool 
 			continue
 		}
 		colors[v] = c
-		if bruteRec(g, order, k+1, lists, colors) {
+		if s.bruteRec(order[1:], lists, colors) {
 			return true
 		}
 		colors[v] = -1
@@ -83,30 +77,26 @@ func bruteRec(g *graph.G, order []int, k int, lists [][]int, colors []int) bool 
 }
 
 // DegreeLists builds the canonical degree-choosability lists for a
-// component against a partial coloring of the rest of the graph: node v's
-// list is {0..delta-1} minus the colors of its already-colored neighbors
-// outside the component. For a DCC these lists have size >= deg within the
-// component, so a coloring exists by Theorem 8.
-func DegreeLists(g *graph.G, nodes []int, partial []int, delta int) map[int][]int {
-	inComp := make(map[int]bool, len(nodes))
-	for _, v := range nodes {
-		inComp[v] = true
-	}
-	lists := make(map[int][]int, len(nodes))
-	for _, v := range nodes {
-		used := map[int]bool{}
+// component against a partial coloring of the rest of the graph: lists[i]
+// is {0..delta-1} minus the colors of nodes[i]'s already-colored
+// neighbors outside the component. For a DCC these lists have size >= deg
+// within the component, so a coloring exists by Theorem 8.
+func DegreeLists(g *graph.G, nodes []int, partial []int, delta int) [][]int {
+	in := slices.Sorted(slices.Values(nodes))
+	lists := make([][]int, len(nodes))
+	for i, v := range nodes {
+		l := make([]int, delta)
+		for c := range l {
+			l[c] = c
+		}
 		for _, u := range g.Neighbors(v) {
-			if !inComp[u] && partial[u] >= 0 {
-				used[partial[u]] = true
+			if c := partial[u]; c >= 0 && c < delta {
+				if _, inComp := slices.BinarySearch(in, u); !inComp {
+					l[c] = -1
+				}
 			}
 		}
-		var l []int
-		for c := 0; c < delta; c++ {
-			if !used[c] {
-				l = append(l, c)
-			}
-		}
-		lists[v] = l
+		lists[i] = slices.DeleteFunc(l, func(c int) bool { return c < 0 })
 	}
 	return lists
 }

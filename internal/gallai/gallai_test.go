@@ -2,6 +2,7 @@ package gallai
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -223,7 +224,7 @@ func TestSelectDCCs(t *testing.T) {
 
 func TestBruteListColorSolvable(t *testing.T) {
 	g := diamond()
-	lists := map[int][]int{0: {0, 1, 2}, 1: {0, 1}, 2: {0, 1, 2}, 3: {0, 1}}
+	lists := [][]int{{0, 1, 2}, {0, 1}, {0, 1, 2}, {0, 1}}
 	sol, err := BruteListColor(g, []int{0, 1, 2, 3}, lists)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +249,7 @@ func TestBruteListColorSolvable(t *testing.T) {
 
 func TestBruteListColorInfeasible(t *testing.T) {
 	g := gen.Complete(3)
-	lists := map[int][]int{0: {0}, 1: {0}, 2: {0, 1}}
+	lists := [][]int{{0}, {0}, {0, 1}}
 	if _, err := BruteListColor(g, []int{0, 1, 2}, lists); err == nil {
 		t.Fatal("want infeasibility error")
 	}
@@ -256,7 +257,7 @@ func TestBruteListColorInfeasible(t *testing.T) {
 
 func TestBruteListColorMissingList(t *testing.T) {
 	g := gen.Complete(3)
-	lists := map[int][]int{0: {0}, 1: {1}}
+	lists := [][]int{{0}, {1}}
 	if _, err := BruteListColor(g, []int{0, 1, 2}, lists); err == nil {
 		t.Fatal("want missing-list error")
 	}
@@ -267,7 +268,7 @@ func TestBruteListColorMissingList(t *testing.T) {
 func TestTheorem8Property(t *testing.T) {
 	// C6 with exactly-degree lists is colorable.
 	c6 := gen.Cycle(6)
-	lists := map[int][]int{}
+	lists := make([][]int, 6)
 	for v := 0; v < 6; v++ {
 		lists[v] = []int{0, 1} // deg = 2
 	}
@@ -276,7 +277,7 @@ func TestTheorem8Property(t *testing.T) {
 	}
 	// C5 with identical 2-lists is not.
 	c5 := gen.Cycle(5)
-	lists5 := map[int][]int{}
+	lists5 := make([][]int, 5)
 	for v := 0; v < 5; v++ {
 		lists5[v] = []int{0, 1}
 	}
@@ -285,7 +286,7 @@ func TestTheorem8Property(t *testing.T) {
 	}
 	// K4 with uniform 3-lists is not colorable.
 	k4 := gen.Complete(4)
-	lists4 := map[int][]int{}
+	lists4 := make([][]int, 4)
 	for v := 0; v < 4; v++ {
 		lists4[v] = []int{0, 1, 2}
 	}
@@ -317,15 +318,15 @@ func TestDCCAlwaysDegreeColorableProperty(t *testing.T) {
 			return false
 		}
 		// Random lists of size exactly deg within the component.
-		lists := map[int][]int{}
-		for i, u := range orig {
+		lists := make([][]int, len(orig))
+		for i := range orig {
 			deg := sub.Deg(i)
 			off := rng.Intn(3)
 			l := make([]int, deg)
 			for c := 0; c < deg; c++ {
 				l[c] = off + c
 			}
-			lists[u] = l
+			lists[i] = l
 		}
 		_, err = BruteListColor(g, d, lists)
 		return err == nil
@@ -350,6 +351,12 @@ func TestDegreeLists(t *testing.T) {
 	// Node 1: no colored outside neighbors -> full {0,1,2}.
 	if len(lists[1]) != 3 {
 		t.Fatalf("lists[1]=%v", lists[1])
+	}
+	// A member's own color constrains no list: coloring node 1 changes
+	// nothing.
+	partial[1] = 0
+	if again := DegreeLists(g, []int{0, 1, 2}, partial, 3); !reflect.DeepEqual(again, lists) {
+		t.Fatalf("with member 1 colored: lists %v, want %v", again, lists)
 	}
 }
 

@@ -32,6 +32,9 @@ type State struct {
 	// touched collects the max distance from Center at which this step
 	// read or wrote.
 	touched int
+	// dist holds Center's BFS distances up to radius, computed on the
+	// first access beyond Center and its neighbors.
+	dist []int
 }
 
 // Read returns node v's output (nil if not yet written), charging the
@@ -50,7 +53,7 @@ func (s *State) Write(v int, out any) {
 }
 
 func (s *State) charge(v int) {
-	d := distOf(s.G, s.Center, v, s.radius)
+	d := s.distTo(v)
 	if d < 0 {
 		panic(fmt.Sprintf("slocal: node %d touched %d outside its radius-%d ball", s.Center, v, s.radius))
 	}
@@ -59,15 +62,23 @@ func (s *State) charge(v int) {
 	}
 }
 
-func distOf(g *graph.G, from, to, limit int) int {
-	if from == to {
+// distTo returns v's distance from Center, or -1 beyond the radius. The
+// center and its neighbors need no BFS; anything farther reads the one
+// BFS of the step.
+func (s *State) distTo(v int) int {
+	switch {
+	case v == s.Center:
 		return 0
+	case s.radius >= 1 && s.G.HasEdge(s.Center, v):
+		return 1
 	}
-	res := g.BFSLimited(from, limit)
-	if res.Dist[to] < 0 || res.Dist[to] > limit {
-		return -1
+	if s.dist == nil {
+		s.dist = s.G.BFSLimited(s.Center, s.radius).Dist
 	}
-	return res.Dist[to]
+	if d := s.dist[v]; d <= s.radius {
+		return d
+	}
+	return -1
 }
 
 // Result reports an SLOCAL execution.

@@ -63,6 +63,24 @@ func TestRunPanicsOutsideRadius(t *testing.T) {
 	})
 }
 
+// TestRunPanicsOnNeighborAtRadiusZero: a radius-0 step may touch only
+// its center, so reading a neighbor must panic like any access outside
+// the ball.
+func TestRunPanicsOnNeighborAtRadiusZero(t *testing.T) {
+	g := gen.Path(3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("read of a neighbor with radius 0 did not panic")
+		}
+	}()
+	_, _ = Run(g, []int{1, 0, 2}, 0, func(s *State) {
+		if s.Center == 1 {
+			s.Read(0)
+		}
+		s.Write(s.Center, 0)
+	})
+}
+
 func TestDeltaColorVariousOrders(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := gen.MustRandomRegular(rng, 128, 4)
@@ -234,5 +252,25 @@ func TestDeltaColorMatchesRebuildPath(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+var sinkSLOCALColors []int
+
+// BenchmarkDeltaColorN2048 runs the Remark 17 SLOCAL Δ-coloring on a
+// random 4-regular graph with n = 2048 in a random order. Its radius,
+// 3·SearchRadius+1, covers the whole graph, so every access that paid
+// for a BFS from the center paid for all n nodes.
+func BenchmarkDeltaColorN2048(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := gen.MustRandomRegular(rng, 2048, 4)
+	order := rng.Perm(g.N())
+	b.ReportAllocs()
+	for b.Loop() {
+		colors, _, err := DeltaColor(g, order)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkSLOCALColors = colors
 	}
 }
