@@ -150,7 +150,7 @@ func (lc *LayerColorer) ColorLayersReverse(colors []int, layer []int, s int, pha
 		for _, v := range nodes {
 			active[v] = true
 		}
-		li := dist.NewListInstance(lc.g, active, colors, lc.delta)
+		li := &dist.ListInstance{Nodes: nodes, Active: active, Partial: colors, Delta: lc.delta}
 		got, rounds, err := lc.solve(li, int64(i))
 		lc.acct.Charge(fmt.Sprintf("%s[%d]", phase, i), rounds)
 		for _, v := range nodes {

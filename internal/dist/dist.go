@@ -17,10 +17,10 @@
 //     assignment — the subroutine the layering technique of Section 3
 //     invokes once per layer, in random-trial and Linial-class-scheduled
 //     deterministic variants (the paper's Theorems 18/19 substitutes,
-//     README "Departures from the paper"). An instance holds the active
-//     mask, the partial coloring and Δ; each active node derives its list
-//     from the partial coloring when its protocol starts and folds every
-//     final it hears out of it.
+//     README "Departures from the paper"). An instance holds the layer's
+//     nodes and their mask, the partial coloring and Δ; each active node
+//     derives its list from the partial coloring when its protocol starts
+//     and folds every final it hears out of it.
 //   - Decompose / VerifyDecomposition: a Miller–Peng–Xu-style low-diameter
 //     decomposition with exponential random shifts, standing in for the
 //     deterministic network decomposition of [PS92] in the Theorem 21
@@ -40,6 +40,12 @@
 //     class, then the same layered list colorings run.
 //   - The Panconesi–Srinivasan baseline: Linial then ReduceColors give a
 //     (Δ+1)-coloring, whose extra color class Brooks token walks repair.
+//
+// The masked protocols (both list colorings, and LubyMIS with a mask) run
+// on the active nodes and their boundary only, through one helper
+// (runMasked) and the engine's node set: a boundary node says one bye
+// toward the active nodes and halts, and nodes farther out never run, so
+// a layer costs its members and their boundary, not n.
 //
 // No primitive here checks a final coloring: every pipeline ends in the
 // frame of internal/core, whose Finish runs verify.DeltaColoring.

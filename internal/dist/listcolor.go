@@ -12,21 +12,32 @@ import (
 // nodes against a partial coloring: every active node must pick a color
 // from its list, the colors in [0, Delta) that no neighbor holds in
 // Partial. Lists are not stored: each protocol derives an active node's
-// list at Init, and the checks derive it where they read it.
+// list at Init, and the checks derive it where they read it. The checks
+// and the protocols read only Nodes and their neighbors; the one n-sized
+// thing per instance is the coloring a protocol returns.
 type ListInstance struct {
-	Active  []bool // nodes to color
+	Nodes   []int  // the nodes to color, ascending
+	Active  []bool // Active[v] reports whether v is in Nodes
 	Partial []int  // the coloring the layer is solved against (-1 = uncolored)
 	Delta   int    // palette bound: all list colors lie in [0, Delta)
 }
 
-// NewListInstance builds the instance for one layer. active == nil
-// activates every node. The instance reads active and partial in place,
-// so neither may change while it is in use.
+// NewListInstance builds the instance for one layer, listing the active
+// nodes in one pass over active; active == nil activates every node. A
+// caller that already holds the layer's nodes in ascending order (the
+// layer colorer) fills the fields itself. The instance reads active and
+// partial in place, so neither may change while it is in use.
 func NewListInstance(g *graph.G, active []bool, partial []int, delta int) *ListInstance {
 	if active == nil {
 		active = slices.Repeat([]bool{true}, g.N())
 	}
-	return &ListInstance{Active: active, Partial: partial, Delta: delta}
+	var nodes []int
+	for v, a := range active {
+		if a {
+			nodes = append(nodes, v)
+		}
+	}
+	return &ListInstance{Nodes: nodes, Active: active, Partial: partial, Delta: delta}
 }
 
 // list returns v's list, ascending, in buf's storage (grown when short).
@@ -48,10 +59,7 @@ func (li *ListInstance) list(buf []int, g *graph.G, v int) []int {
 // the active subgraph.
 func (li *ListInstance) CheckDegPlusOne(g *graph.G) error {
 	var list []int
-	for v := 0; v < g.N(); v++ {
-		if !li.Active[v] {
-			continue
-		}
+	for _, v := range li.Nodes {
 		deg := 0
 		for _, u := range g.Neighbors(v) {
 			if li.Active[u] {
@@ -90,15 +98,14 @@ func decDC(e int) (done, bye bool, color int) { return e&1 == 1, e&2 == 2, (e >>
 
 // listRandState is the cross-round node state of the randomized protocol.
 type listRandState struct {
-	inactive bool
-	afterB   bool // the next Step completes a round B (else a round A)
-	color    int
-	propose  int
-	stuck    bool // list ran dry (infeasible instance)
-	phase    int
-	list     []int  // own list minus every final heard so far
-	known    []byte // misUnknown / misUndecided-style tracking
-	bye      byeTracker
+	afterB  bool // the next Step completes a round B (else a round A)
+	color   int
+	propose int
+	stuck   bool // list ran dry (infeasible instance)
+	phase   int
+	list    []int  // own list minus every final heard so far
+	known   []byte // misUnknown / misUndecided-style tracking
+	bye     byeTracker
 }
 
 // lcNote folds a decoded (done, bye) announcement on port p into the
@@ -125,6 +132,11 @@ func (s *listRandState) lcNote(p int, done, bye bool, c int) {
 // rounds are the measured cost, O(log n) w.h.p. on (deg+1)-instances.
 // Nodes still uncolored at the phase cap are reported as an error
 // (callers defer them to the repair pass).
+//
+// Only the layer and its boundary run (runMasked): an inactive neighbor
+// sends one bye (done, no color) toward the layer in round 1 and halts.
+// An instance with no active node returns all -1 in 0 rounds without
+// running the network.
 func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, error) {
 	g := net.Graph()
 	n := g.N()
@@ -150,17 +162,9 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 	}
 
 	colors := slices.Repeat([]int{-1}, n)
-	local.RunStepped(net, local.Stepped[listRandState]{
+	rounds := runMasked(net, li.Nodes, li.Active, encDC(true, true, -1), local.Stepped[listRandState]{
 		Init: func(ctx *local.Ctx, s *listRandState) bool {
-			v := ctx.ID()
-			if !li.Active[v] {
-				// Inactive: one done announcement with the bye flag (this
-				// node leaves after the round) so neighbors mute the port.
-				ctx.BroadcastInt(encDC(true, true, -1))
-				s.inactive = true
-				return true
-			}
-			s.list = li.list(make([]int, 0, li.Delta), g, v)
+			s.list = li.list(make([]int, 0, li.Delta), g, ctx.ID())
 			s.stuck = len(s.list) == 0
 			s.color = -1
 			s.known = make([]byte, ctx.Degree())
@@ -169,9 +173,6 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 			return true
 		},
 		Step: func(ctx *local.Ctx, s *listRandState) bool {
-			if s.inactive {
-				return false
-			}
 			if !s.afterB {
 				// A round A just completed: fold in announcements, and
 				// look for a proposing neighbor with smaller ID that
@@ -237,7 +238,7 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 			return true
 		},
 	})
-	return colors, net.Rounds(), checkInstanceSolved(g, li, colors)
+	return colors, rounds, checkInstanceSolved(g, li, colors)
 }
 
 // ListColorDeterministic solves the instance scheduled by the classes of a
@@ -246,13 +247,15 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 // takes the smallest list color not finalized in its neighborhood. On a
 // (deg+1)-instance every node succeeds.
 //
-// Only the layer talks. An inactive node sends one bye (done, no color)
-// in round 1 and halts at its first Step, leaving its color -1. An uncolored
-// active node sends nothing. A colored active node re-announces its final
-// color every round on every port not muted by a bye; the repetition is
-// what lets a dropped announcement heal. A node derives its list at Init
-// and folds the first final it hears on each port out of it, so the head
-// of the list is always its pick.
+// Only the layer and its boundary run (runMasked). An inactive neighbor
+// sends one bye (done, no color) toward the layer in round 1 and halts at
+// its first Step, leaving its color -1. An uncolored active node sends
+// nothing. A colored active node re-announces its final color every round
+// on every port not muted by a bye; the repetition is what lets a dropped
+// announcement heal. A node derives its list at Init and folds the first
+// final it hears on each port out of it, so the head of the list is always
+// its pick. Only the active nodes' base classes are read, and they must
+// lie in [0, baseK).
 //
 // With at least one active node the run takes exactly baseK rounds: every
 // active node steps through all baseK classes and halts after the last.
@@ -264,46 +267,32 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 	if len(baseColors) != n {
 		return nil, 0, fmt.Errorf("deterministic list coloring: got %d base colors for %d nodes", len(baseColors), n)
 	}
-	for v := 0; v < n; v++ {
+	for _, v := range li.Nodes {
 		if baseColors[v] < 0 || baseColors[v] >= baseK {
 			return nil, 0, fmt.Errorf("deterministic list coloring: node %d has base class %d outside [0, %d)", v, baseColors[v], baseK)
 		}
 	}
-	if u, v, ok := activeClash(g, li.Active, baseColors); ok {
+	if u, v, ok := activeClash(g, li, baseColors); ok {
 		return nil, 0, fmt.Errorf("deterministic list coloring: base classes not proper on edge (%d,%d)", u, v)
-	}
-	colors := slices.Repeat([]int{-1}, n)
-	if !slices.Contains(li.Active, true) {
-		return colors, 0, nil
 	}
 
 	type listDetState struct {
-		inactive bool
-		color    int
-		class    int    // class whose round the next Step completes
-		list     []int  // own list minus every final folded in so far
-		folded   []bool // folded[p]: port p's final is out of list
-		bye      byeTracker
+		color  int
+		class  int    // class whose round the next Step completes
+		list   []int  // own list minus every final folded in so far
+		folded []bool // folded[p]: port p's final is out of list
+		bye    byeTracker
 	}
-	local.RunStepped(net, local.Stepped[listDetState]{
+	colors := slices.Repeat([]int{-1}, n)
+	rounds := runMasked(net, li.Nodes, li.Active, encDC(true, true, -1), local.Stepped[listDetState]{
 		Init: func(ctx *local.Ctx, s *listDetState) bool {
-			v := ctx.ID()
-			if !li.Active[v] {
-				// One bye, so no neighbor ever talks to this node again.
-				ctx.BroadcastInt(encDC(true, true, -1))
-				s.inactive = true
-				return true
-			}
 			s.color = -1
-			s.list = li.list(make([]int, 0, li.Delta), g, v)
+			s.list = li.list(make([]int, 0, li.Delta), g, ctx.ID())
 			s.folded = make([]bool, ctx.Degree())
 			s.bye.init(ctx.Degree())
 			return true
 		},
 		Step: func(ctx *local.Ctx, s *listDetState) bool {
-			if s.inactive {
-				return false
-			}
 			for p := 0; p < ctx.Degree(); p++ {
 				e, ok := ctx.RecvInt(p)
 				if !ok {
@@ -332,17 +321,14 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 			return true
 		},
 	})
-	return colors, net.Rounds(), checkInstanceSolved(g, li, colors)
+	return colors, rounds, checkInstanceSolved(g, li, colors)
 }
 
 // checkInstanceSolved verifies that every active node took a color from its
 // list and no two adjacent active nodes collide.
 func checkInstanceSolved(g *graph.G, li *ListInstance, colors []int) error {
 	var list []int
-	for v := 0; v < g.N(); v++ {
-		if !li.Active[v] {
-			continue
-		}
+	for _, v := range li.Nodes {
 		if colors[v] < 0 {
 			return fmt.Errorf("list coloring: node %d left uncolored", v)
 		}
@@ -350,7 +336,7 @@ func checkInstanceSolved(g *graph.G, li *ListInstance, colors []int) error {
 			return fmt.Errorf("list coloring: node %d took color %d outside its list", v, colors[v])
 		}
 	}
-	if u, v, ok := activeClash(g, li.Active, colors); ok {
+	if u, v, ok := activeClash(g, li, colors); ok {
 		return fmt.Errorf("list coloring: edge (%d,%d) monochromatic in %d", u, v, colors[u])
 	}
 	return nil
@@ -359,14 +345,11 @@ func checkInstanceSolved(g *graph.G, li *ListInstance, colors []int) error {
 // activeClash returns the first edge (u, v), u < v, in g.Edges() order
 // whose endpoints are both active and share a key, reading only the
 // adjacency of active nodes.
-func activeClash(g *graph.G, active []bool, key []int) (int, int, bool) {
-	for u := 0; u < g.N(); u++ {
-		if !active[u] {
-			continue
-		}
+func activeClash(g *graph.G, li *ListInstance, key []int) (int, int, bool) {
+	for _, u := range li.Nodes {
 		w := -1
 		for _, v := range g.Neighbors(u) {
-			if v > u && (w < 0 || v < w) && active[v] && key[v] == key[u] {
+			if v > u && (w < 0 || v < w) && li.Active[v] && key[v] == key[u] {
 				w = v
 			}
 		}

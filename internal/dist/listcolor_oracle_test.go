@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
@@ -23,10 +24,10 @@ import (
 //     per-node map, and both validity checks scanning g.Edges().
 //
 // The protocols must return the oracles' colors, rounds and errors, and
-// CheckDegPlusOne the oracle's verdict, with one exception:
-// ListColorDeterministic on an instance with no active node returns all
-// -1 in 0 rounds without running the network, where the oracle spent
-// baseK idle rounds.
+// CheckDegPlusOne the oracle's verdict, with one exception: on an
+// instance with no active node both protocols return all -1 in 0 rounds
+// without running the network, where the deterministic oracle spent
+// baseK idle rounds and the randomized one a round of byes.
 
 // oracleListInstance is the list-table instance: Lists[v] holds active
 // v's list, ascending.
@@ -367,7 +368,9 @@ func runListDet(g *graph.G, plan *local.FaultPlan, active []bool, partial []int,
 // they agree. Where an active node's list starts empty the oracle panics
 // (its round 1 draws from the empty list), so there it is not run, and
 // ListColorRandomized, which starts such a node stuck, must fail the
-// instance. It returns the oracle's run and whether the oracle ran.
+// instance. Where no node is active, ListColorRandomized must take 0
+// rounds to the oracle's 1. It returns the oracle's run and whether the
+// oracle ran.
 func checkRandMatchesOracle(t *testing.T, g *graph.G, plan *local.FaultPlan, active []bool, partial []int, delta int) (listRun, bool) {
 	t.Helper()
 	li := NewListInstance(g, active, partial, delta)
@@ -382,6 +385,12 @@ func checkRandMatchesOracle(t *testing.T, g *graph.G, plan *local.FaultPlan, act
 		}
 	}
 	want := runList(g, plan, func(net *local.Network) ([]int, int, error) { return oracleListColorRand(net, oli) })
+	if !slices.Contains(active, true) {
+		if got.rounds != 0 || want.rounds != 1 {
+			t.Fatalf("no active node: rounds %d, oracle %d; want 0 and 1", got.rounds, want.rounds)
+		}
+		got.rounds = want.rounds
+	}
 	if d := got.diff(want); d != "" {
 		t.Fatal(d)
 	}
@@ -496,8 +505,9 @@ func TestListColorDeterministicMatchesOracle(t *testing.T) {
 // round, edge slot), and both protocols send identical finals on every
 // edge between active nodes, so message faults must leave colors, rounds
 // and errors identical. A crash window must not change the colors
-// either, but a crashed inactive node no longer holds the run open: it
-// halts as soon as it resumes instead of stepping through every class.
+// either, but a crashed inactive node no longer holds the run open: on
+// the layer's boundary it halts as soon as it resumes instead of stepping
+// through every class, and off it the node does not run at all.
 func TestListColorDeterministicMatchesOracleUnderFaults(t *testing.T) {
 	for _, fam := range families(t) {
 		g := fam.g
@@ -603,6 +613,18 @@ func TestListColorRandomizedMatchesOracle(t *testing.T) {
 	var passed, rejected, solved, failed, empty int
 	for _, tg := range graphs {
 		g := tg.g
+		// The departure from the oracle: no active node, no run.
+		t.Run(tg.name+"/no active node", func(t *testing.T) {
+			none := make([]bool, g.N())
+			partial := greedyPartial(g, none)
+			checkRandMatchesOracle(t, g, nil, none, partial, g.MaxDegree()+1)
+			net := local.NewNetwork(g, 15)
+			colors, rounds, err := ListColorRandomized(net, NewListInstance(g, none, partial, g.MaxDegree()+1))
+			if err != nil || rounds != 0 || net.LastRunStats().Nodes != 0 || slices.Max(colors) != -1 {
+				t.Fatalf("rounds %d, err %v, ran %d nodes, max color %d: want 0 rounds, no error, no run, all -1",
+					rounds, err, net.LastRunStats().Nodes, slices.Max(colors))
+			}
+		})
 		for i := range 4 {
 			pActive := []float64{1, 0.6, 0.3, 0.8}[i]
 			for _, delta := range []int{g.MaxDegree() + 1, g.MaxDegree(), g.MaxDegree() - 1} {
@@ -706,6 +728,42 @@ func FuzzListColorRandomizedMatchesOracle(f *testing.F) {
 		g, active, partial, delta, plan := fuzzListInstance(data)
 		checkDegVerdicts(t, g, active, partial, delta)
 		checkRandMatchesOracle(t, g, plan, active, partial, delta)
+	})
+}
+
+// FuzzListColorDeterministicMatchesOracle: on a random instance over a
+// graph of at most 20 nodes (fuzzListInstance), scheduled by a random
+// proper base coloring whose class count and classes derive from the
+// input, ListColorDeterministic returns the frozen protocol's colors,
+// rounds and error, fault-free or under drops, duplicates and delays.
+// With no active node it returns the oracle's colors in 0 rounds.
+func FuzzListColorDeterministicMatchesOracle(f *testing.F) {
+	f.Add([]byte{})
+	// K4 on palette 4, every node active and uncolored: deg+1 holds.
+	f.Add([]byte{3, 4, 0, 1, 1, 1, 1, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3})
+	// The same K4 on palette 3 under drops and delays: lists run dry.
+	f.Add([]byte{3, 3, 0x63, 1, 1, 1, 1, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3})
+	// A 6-cycle with nodes 0 and 3 inactive and colored 0 and 1.
+	f.Add([]byte{5, 3, 0, 2, 1, 1, 4, 1, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0})
+	// A path of three inactive nodes: nothing to color.
+	f.Add([]byte{2, 3, 0x1f, 0, 2, 4, 0, 1, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, active, partial, delta, plan := fuzzListInstance(data)
+		h := fnv.New64a()
+		h.Write(data)
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
+		k := g.MaxDegree() + 1 + rng.Intn(4)
+		base := randomBase(g, k, rng)
+		got, want := runListDet(g, plan, active, partial, delta, base, k)
+		if !slices.Contains(active, true) {
+			if got.rounds != 0 || want.rounds != k {
+				t.Fatalf("no active node: rounds %d, oracle %d; want 0 and %d", got.rounds, want.rounds, k)
+			}
+			got.rounds = want.rounds
+		}
+		if d := got.diff(want); d != "" {
+			t.Fatal(d)
+		}
 	})
 }
 

@@ -24,15 +24,14 @@ func misDecided(s byte) bool { return s == misIn || s == misOut || s == misInact
 
 // misState is the cross-round node state of the stepped protocol.
 type misState struct {
-	inactive bool
-	afterB   bool // the next Step completes a round B (else a round A)
-	state    byte
-	phase    int
-	r        uint64
-	known    []byte
-	knownR   []uint64
-	knownID  []int32
-	bye      byeTracker
+	afterB  bool // the next Step completes a round B (else a round A)
+	state   byte
+	phase   int
+	r       uint64
+	known   []byte
+	knownR  []uint64
+	knownID []int32
+	bye     byeTracker
 }
 
 // note records a state heard on port p, stripping and remembering a bye.
@@ -51,6 +50,10 @@ func (s *misState) note(p, st int) {
 // neighbors joins the MIS; joiners announce themselves and their neighbors
 // drop out. A node halts once it and all its neighbors are decided, so the
 // returned round count is the measured cost, O(log n) w.h.p.
+//
+// With a mask, only the active nodes and their boundary run (runMasked):
+// an inactive neighbor announces itself inactive once, with the bye flag,
+// and leaves; with no active node nothing runs, in 0 rounds.
 func LubyMIS(net *local.Network, active []bool) (inMIS []bool, rounds int) {
 	n := net.Graph().N()
 	inMIS = make([]bool, n)
@@ -72,15 +75,8 @@ func LubyMIS(net *local.Network, active []bool) (inMIS []bool, rounds int) {
 		s.afterB = false
 	}
 
-	local.RunStepped(net, local.Stepped[misState]{
+	prog := local.Stepped[misState]{
 		Init: func(ctx *local.Ctx, s *misState) bool {
-			if active != nil && !active[ctx.ID()] {
-				// Inactive: announce once (with the bye flag: this node is
-				// gone) so neighbors can discount and mute this port.
-				ctx.BroadcastInt(int(misInactive) | misBye)
-				s.inactive = true
-				return true
-			}
 			s.state = misUndecided
 			s.known = make([]byte, ctx.Degree())
 			s.knownR = make([]uint64, ctx.Degree())
@@ -90,9 +86,6 @@ func LubyMIS(net *local.Network, active []bool) (inMIS []bool, rounds int) {
 			return true
 		},
 		Step: func(ctx *local.Ctx, s *misState) bool {
-			if s.inactive {
-				return false
-			}
 			if !s.afterB {
 				// A round A just completed: collect states and lotteries.
 				for p := 0; p < ctx.Degree(); p++ {
@@ -167,6 +160,16 @@ func LubyMIS(net *local.Network, active []bool) (inMIS []bool, rounds int) {
 			sendA(ctx, s)
 			return true
 		},
-	})
-	return inMIS, net.Rounds()
+	}
+	if active == nil {
+		local.RunStepped(net, prog)
+		return inMIS, net.Rounds()
+	}
+	var members []int
+	for v, a := range active {
+		if a {
+			members = append(members, v)
+		}
+	}
+	return inMIS, runMasked(net, members, active, int(misInactive)|misBye, prog)
 }

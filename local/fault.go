@@ -335,7 +335,7 @@ func (net *Network) deliverBatchFaulty(b *batch) {
 					b.trDrops++
 				}
 				if net.trackDead {
-					b.dead = append(b.dead, DeadSend{From: c.id, Port: pt, To: net.toExt(int(u)), Round: net.rounds + 1, HaltRound: int(net.haltSeg[u])})
+					b.dead = append(b.dead, net.deadSend(c, pt, u))
 				}
 				continue
 			}

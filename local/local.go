@@ -8,7 +8,9 @@
 // A program is given in stepped form (Stepped, RunStepped): Init runs
 // once before the first round, and each Step reads the messages of the
 // round that just completed and stages the next round's. A node halts by
-// returning false. Inputs and outputs are the program's own: its closures
+// returning false. A run may name a node set; nodes outside it never run
+// and read as halted from the start, so a run costs its members and their
+// ports, not n. Inputs and outputs are the program's own: its closures
 // read the caller's per-node inputs and write each node's result into a
 // caller slice at index ctx.ID(), a slice that starts at the value meaning
 // "no output", so a node cut off by a RoundLimit leaves exactly that.
@@ -21,10 +23,11 @@
 //
 // # Scheduler architecture
 //
-// The round engine is a batch-stepped executor. Nodes are partitioned into
-// k-node batches (contiguous ID ranges); each round, a fixed worker pool
-// pulls batches off a shared cursor and advances every live node in the
-// batch by one segment, then delivers the staged messages batch by batch.
+// The round engine is a batch-stepped executor. The run's nodes are
+// partitioned into k-node batches (contiguous runs in table order); each
+// round, a fixed worker pool pulls batches off a shared cursor and
+// advances every live node in the batch by one segment, then delivers the
+// staged messages batch by batch.
 // Each batch owns its live list, sender list and dead-send log, so workers
 // never contend on shared state, and small rounds are run inline by the
 // coordinating goroutine without waking the pool at all — a round costs
@@ -32,10 +35,10 @@
 // the engine is a plain loop with zero synchronization and zero
 // allocations per round.
 //
-// The executor calls a program's segments directly, with every node's
-// cross-round state in one flat per-run array: no stacks, no coroutines,
-// no switches, so a round touches only the compact state and message
-// arrays. Every protocol in this repository (Linial, color reduction,
+// The executor calls a program's segments directly, with every running
+// node's cross-round state in one flat per-run array: no stacks, no
+// coroutines, no switches, so a round touches only the compact state and
+// message arrays. Every protocol in this repository (Linial, color reduction,
 // MIS, list coloring) and every ball-collection phase runs this way.
 //
 // Message delivery never touches per-node scheduling state: ports,
@@ -84,8 +87,10 @@ package local
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,13 +101,14 @@ import (
 )
 
 // Ctx is a node's interface to the network during a run.
+//
+// A network's contexts are built with its port tables, not per run: the
+// fixed fields below (ID, degree, network, lane views) stay valid until
+// churn rebuilds the tables, and a run sets only the per-run ones.
 type Ctx struct {
-	id     int // external (caller-visible) node ID
-	iid    int // internal (table-order) index; == id without relabeling
-	deg    int
-	n      int
-	maxDeg int
-	rng    *rand.Rand // lazily created; see Rand
+	id  int        // external (caller-visible) node ID
+	deg int        // number of ports
+	rng *rand.Rand // lazily created; see Rand; reset when a run starts
 
 	net *Network
 
@@ -115,6 +121,7 @@ type Ctx struct {
 	inHas  []byte
 	outHas []byte
 
+	si      int32 // index of the node's program state in the current run
 	nRecs   int32 // non-nil slots currently staged in out (owner-only)
 	nInts   int32 // slots currently staged in outHas (owner-only)
 	sentAny bool  // made a staging call this round (owner-only)
@@ -149,10 +156,10 @@ func (c *Ctx) Degree() int { return c.deg }
 
 // N returns the number of nodes in the network (global knowledge, standard
 // in the LOCAL model).
-func (c *Ctx) N() int { return c.n }
+func (c *Ctx) N() int { return len(c.net.ctxs) }
 
 // MaxDegree returns Δ, the maximum degree of the network.
-func (c *Ctx) MaxDegree() int { return c.maxDeg }
+func (c *Ctx) MaxDegree() int { return c.net.maxDeg }
 
 // Rand returns the node's private randomness source. Its stream equals
 // rand.New(rand.NewSource(seed*1_000_003 + id)) for the run seed and the
@@ -325,14 +332,16 @@ type batch struct {
 // is unavoidable in the LOCAL model: the receiver halted in the very sweep
 // the message was staged, before any signal could reach the sender. A send
 // with Round > HaltRound means the sender kept talking to a node it could
-// already have learned was gone — a protocol bug (see LateDeadSends).
+// already have learned was gone — a protocol bug (see LateDeadSends). A
+// node outside the run's node set (see RunStepped) reads as halted from
+// round 0, so every send to one is late.
 // Enable tracking with Network.TrackDeadSends.
 type DeadSend struct {
 	From      int // sender node ID
 	Port      int // sender's port the message was staged on
 	To        int // halted receiver node ID
 	Round     int // 1-based round in which the send was staged
-	HaltRound int // 1-based round during whose sweep the receiver halted
+	HaltRound int // 1-based round during whose sweep the receiver halted; 0 outside the node set
 }
 
 func (d DeadSend) String() string {
@@ -341,7 +350,7 @@ func (d DeadSend) String() string {
 
 // RunStats summarizes the throughput of the last run.
 type RunStats struct {
-	Nodes        int
+	Nodes        int // nodes that ran (the node set's size, or n)
 	Rounds       int
 	WallTime     time.Duration
 	RoundsPerSec float64 // 0 when the run had no rounds
@@ -370,23 +379,29 @@ type Network struct {
 	slotFlat  []int32 // slotFlat[off[v]+p] = off[neighbor] + port of v on the neighbor's side: the receiver's lane slot
 
 	// Run tables: the contexts, the message lanes and the receiver flags,
-	// indexed by node (ctxs, flags, haltSeg) or slot (lanes). setup
-	// allocates them when the node or slot count changes and clears them
-	// before every other run. recvRec/recvInt are set by delivery workers
-	// and cleared by the stepping worker that owns the node; they are
-	// atomic because two workers delivering from different senders may
-	// flag the same receiver.
+	// indexed by node (ctxs, flags, haltSeg) or slot (lanes), built by
+	// resetRunTables after each port-table build. Between runs every lane
+	// is empty and every node reads as absent; a run marks its members
+	// running and leaves the tables clean again when it ends (finishRun),
+	// so a run costs its members, not n. recvRec/recvInt are set by
+	// delivery workers and cleared by the stepping worker that owns the
+	// node; they are atomic because two workers delivering from different
+	// senders may flag the same receiver.
 	ctxs             []Ctx
 	inRec, outRec    []recSlot
 	inInt, outInt    []int32
 	inHas, outHas    []byte
 	recvRec, recvInt []atomic.Bool
-	haltSeg          []int32 // 0 while running; else the round of the sweep v halted in
+	haltSeg          []int32 // 0 while running; absent outside the run; else the round of the sweep v halted in
+	maxDeg           int     // Δ as the contexts report it
+	clean            bool    // the run tables match the port tables and hold nothing of a previous run
+
+	members []int32 // the current run's nodes, ascending internal index
 
 	rounds  int
 	lastRun RunStats
 
-	batches   []batch
+	batches   []batch         // reused across runs
 	batchSize int             // forced batch size; 0 = auto
 	nworkers  int             // worker pool size (stepping and delivery)
 	cursor    atomic.Int64    // next batch index during a parallel phase
@@ -563,6 +578,7 @@ func (net *Network) buildPorts() {
 	}
 	net.off, net.portsFlat, net.slotFlat = off, ports, slots
 	net.dirty = false
+	net.clean = false // the contexts' lane views follow off
 }
 
 // SetWorkers pins the scheduler's worker-pool size for subsequent runs
@@ -654,42 +670,53 @@ func (net *Network) LateDeadSends() []DeadSend {
 //   - Step runs once per round: it reads the messages of the round that
 //     just completed, stages the next round's, and returns false to halt.
 //
-// Cross-round node state lives in S; the executor keeps all n states in
-// one flat array, so programs run without per-node stacks or coroutines —
-// segments are plain calls on the worker's own stack.
+// Cross-round node state lives in S; the executor keeps the states of the
+// run's nodes in one flat array, so programs run without per-node stacks or
+// coroutines — segments are plain calls on the worker's own stack.
 type Stepped[S any] struct {
 	Init func(ctx *Ctx, s *S) bool
 	Step func(ctx *Ctx, s *S) bool
 }
 
-// RunStepped executes a stepped program on every node until all halt. The
-// program delivers its results itself (see the package doc); the number of
-// rounds used is available via Rounds.
-func RunStepped[S any](net *Network, p Stepped[S]) {
-	net.setup()
-	// States are indexed by internal node, so a batch's step sweep walks
-	// this array sequentially.
-	states := make([]S, len(net.ctxs))
-	init := func(c *Ctx) bool { return p.Init(c, &states[c.iid]) }
-	step := func(c *Ctx) bool { return p.Step(c, &states[c.iid]) }
+// RunStepped executes a stepped program until every node of the run
+// halts. The program delivers its results itself (see the package doc);
+// the number of rounds used is available via Rounds.
+//
+// Without nodes, every node runs. Otherwise only the listed nodes
+// (external IDs, in any order; a repeat counts once) run, and a list that
+// names every node is the same run as none. A node outside the set never
+// runs Init or Step, gets no program state and reads as halted from round
+// 0: a message staged for it is dropped as a dead send with HaltRound 0,
+// which strict mode rejects. An empty list therefore runs nothing, in 0
+// rounds. The run costs its members and their ports, not n.
+func RunStepped[S any](net *Network, p Stepped[S], nodes ...int) {
+	net.setup(nodes)
+	// States are indexed by rank among the members in internal order, so
+	// a batch's step sweep walks this array sequentially.
+	states := make([]S, len(net.members))
+	init := func(c *Ctx) bool { return p.Init(c, &states[c.si]) }
+	step := func(c *Ctx) bool { return p.Step(c, &states[c.si]) }
 	net.runRounds(init, step)
 }
 
-// setup prepares the per-run state — contexts, message lanes, receiver
-// flags and batches — and resets every piece of bookkeeping a previous
-// run on the same network may have left behind (round counter, run stats,
-// message-stat counters; the per-batch dead-send logs are rebuilt below),
-// so consecutive runs never leak state into each other's reports. The
-// node- and slot-indexed run tables are allocated only when their size
-// changed (the first run, or churn that changed the node or slot count);
-// otherwise they are cleared in place, including whatever a run cut off
-// by a RoundLimit or a panic left staged.
-func (net *Network) setup() {
+// absent is the haltSeg value of a node outside the current run (or of
+// every node between runs): halted before round 1.
+const absent = -1
+
+// setup prepares a run of the given nodes (nil = every node) and resets
+// every piece of bookkeeping a previous run on the same network may have
+// left behind (round counter, run stats, message-stat counters, fault
+// counters, the batches' dead-send logs), so consecutive runs never leak
+// state into each other's reports. The run tables are rebuilt only after
+// a port-table build or a run that panicked (one that ended normally left
+// them clean); otherwise setup touches only the members: it marks them
+// running, gives each its state index and drops the previous run's
+// generator.
+func (net *Network) setup(nodes []int) {
 	if net.dirty {
 		net.buildPorts()
 	}
 	n := net.g.N()
-	maxDeg := net.g.MaxDegree()
 	net.rounds = 0
 	net.lastRun = RunStats{}
 	if net.stats != nil {
@@ -700,7 +727,76 @@ func (net *Network) setup() {
 		net.faultStats = FaultStats{}
 		net.pendFault = net.pendFault[:0]
 	}
+	if !net.clean {
+		net.resetRunTables()
+	}
+	// A run that panics leaves clean false, so the next one starts from a
+	// full reset.
+	net.clean = false
 
+	ms := net.members[:0]
+	if nodes == nil {
+		for v := range n {
+			ms = append(ms, int32(v))
+		}
+	} else {
+		// Every node reads as absent here, so marking each member running
+		// dedupes the list. Table order keeps a batch's sweep sequential:
+		// a small set is sorted, a large one read back off the marks.
+		for _, v := range nodes {
+			if v < 0 || v >= n {
+				panic(fmt.Sprintf("local: run node %d outside [0,%d)", v, n))
+			}
+			if i := net.toInt(v); net.haltSeg[i] == absent {
+				net.haltSeg[i] = 0
+				ms = append(ms, int32(i))
+			}
+		}
+		if len(ms)*bits.Len(uint(len(ms))) < n {
+			slices.Sort(ms)
+		} else {
+			ms = ms[:0]
+			for i, h := range net.haltSeg {
+				if h == 0 {
+					ms = append(ms, int32(i))
+				}
+			}
+		}
+	}
+	net.members = ms
+	for k, id := range ms {
+		c := &net.ctxs[id]
+		c.si = int32(k)
+		if c.rng != nil {
+			c.rng = nil
+		}
+		net.haltSeg[id] = 0
+	}
+
+	m := len(ms)
+	bs := net.batchSize
+	if bs <= 0 {
+		bs = defaultBatchSize(m, net.nworkers)
+	}
+	nb := max((m+bs-1)/bs, 1)
+	if cap(net.batches) < nb {
+		net.batches = make([]batch, nb)
+	}
+	net.batches = net.batches[:nb]
+	for i := range net.batches {
+		b := &net.batches[i]
+		lo, hi := min(i*bs, m), min((i+1)*bs, m)
+		*b = batch{live: append(b.live[:0], ms[lo:hi]...), senders: b.senders[:0], dead: b.dead[:0], pend: b.pend[:0]}
+	}
+}
+
+// resetRunTables brings the run tables to their between-runs state: every
+// lane and receiver flag clear, every node absent, and every context's
+// fixed fields matching the port tables. The tables are allocated when
+// their size changed (the first run, or churn that changed the node or
+// slot count) and cleared in place otherwise.
+func (net *Network) resetRunTables() {
+	n := net.g.N()
 	total := net.off[n]
 	if len(net.ctxs) != n || len(net.inInt) != total {
 		net.ctxs = make([]Ctx, n)
@@ -710,9 +806,10 @@ func (net *Network) setup() {
 		net.inRec, net.outRec = recs[:total:total], recs[total:]
 		net.inInt, net.outInt = ints[:total:total], ints[total:]
 		net.inHas, net.outHas = has[:total:total], has[total:]
-		net.recvRec = make([]atomic.Bool, n)
-		net.recvInt = make([]atomic.Bool, n)
-		net.haltSeg = make([]int32, n)
+		flags := make([]atomic.Bool, 2*n)
+		net.recvRec, net.recvInt = flags[:n:n], flags[n:]
+		words := make([]int32, 2*n) // haltSeg, then room for every member
+		net.haltSeg, net.members = words[:n:n], words[n:n]
 	} else {
 		clear(net.inRec)
 		clear(net.outRec)
@@ -720,17 +817,13 @@ func (net *Network) setup() {
 		clear(net.outHas)
 		clear(net.recvRec)
 		clear(net.recvInt)
-		clear(net.haltSeg)
 	}
-	for v := 0; v < n; v++ {
+	net.maxDeg = net.g.MaxDegree()
+	for v := range n {
 		lo, hi := net.off[v], net.off[v+1]
-		c := &net.ctxs[v]
-		*c = Ctx{
+		net.ctxs[v] = Ctx{
 			id:     net.toExt(v),
-			iid:    v,
 			deg:    hi - lo,
-			n:      n,
-			maxDeg: maxDeg,
 			net:    net,
 			in:     net.inRec[lo:hi:hi],
 			out:    net.outRec[lo:hi:hi],
@@ -739,26 +832,34 @@ func (net *Network) setup() {
 			inHas:  net.inHas[lo:hi:hi],
 			outHas: net.outHas[lo:hi:hi],
 		}
+		net.haltSeg[v] = absent
 	}
+}
 
-	bs := net.batchSize
-	if bs <= 0 {
-		bs = defaultBatchSize(n, net.nworkers)
-	}
-	nb := (n + bs - 1) / bs
-	if nb == 0 {
-		nb = 1
-	}
-	net.batches = make([]batch, nb)
+// finishRun leaves the run tables clean for the next run. Every inbox is
+// already empty (each live node clears its own when it steps, and nothing
+// is delivered to a halted one), so what is left is the last sweep's
+// staged messages, never delivered: their senders are unstaged, and every
+// member reads as absent again.
+func (net *Network) finishRun() {
 	for i := range net.batches {
-		lo := i * bs
-		hi := min(lo+bs, n)
 		b := &net.batches[i]
-		b.live = make([]int32, hi-lo)
-		for v := lo; v < hi; v++ {
-			b.live[v-lo] = int32(v)
+		for _, id := range b.senders {
+			c := &net.ctxs[id]
+			if c.nRecs > 0 {
+				clear(c.out)
+			}
+			if c.nInts > 0 {
+				clearBytes(c.outHas)
+			}
+			c.nRecs, c.nInts, c.sentAny = 0, 0, false
 		}
+		b.senders = b.senders[:0]
 	}
+	for _, id := range net.members {
+		net.haltSeg[id] = absent
+	}
+	net.clean = true
 }
 
 // defaultBatchSize balances per-batch bookkeeping against load-balancing
@@ -785,7 +886,7 @@ const (
 	phaseDeliver
 )
 
-// runRounds drives the shared round engine: init advances every node
+// runRounds drives the shared round engine: init advances every member
 // through segment 0, then each iteration folds halts, delivers the staged
 // messages and advances every live node by one segment. Matching the
 // historical semantics, the final all-halt sweep is not counted as a round
@@ -798,7 +899,7 @@ const (
 //
 //deltacolor:coordinator
 func (net *Network) runRounds(init, step func(*Ctx) bool) {
-	n := net.g.N()
+	n, m := net.g.N(), len(net.members)
 	start := time.Now()
 
 	// Worker pool: W-1 helpers plus the coordinating goroutine. Helpers
@@ -865,13 +966,13 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) {
 		tr.beginRun()
 	}
 
-	running := n
+	running := m
 	net.segment = init
 	var t0 time.Time
 	if full {
 		t0 = time.Now()
 	}
-	phase(phaseStep, n)
+	phase(phaseStep, m)
 	if full {
 		// The init segment is not a round; its time lands in the
 		// cumulative counters only.
@@ -911,9 +1012,10 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) {
 			rt.StartNanos = t0.Sub(tr.epoch).Nanoseconds()
 		}
 		if senders > 0 {
-			// While every node is still running no receiver can be halted,
-			// so delivery skips the per-message haltSeg lookups entirely
-			// (published to the helpers by the phase channel send).
+			// While every node of the network is still running no receiver
+			// can be halted or absent, so delivery skips the per-message
+			// haltSeg lookups entirely (published to the helpers by the
+			// phase channel send).
 			net.noHalts = running == n
 			phase(phaseDeliver, senders)
 			if full {
@@ -969,9 +1071,10 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) {
 	if net.fault != nil {
 		net.finishFaultRun(tr)
 	}
+	net.finishRun()
 
 	wall := time.Since(start)
-	net.lastRun = RunStats{Nodes: n, Rounds: net.rounds, WallTime: wall}
+	net.lastRun = RunStats{Nodes: m, Rounds: net.rounds, WallTime: wall}
 	if net.rounds > 0 && wall > 0 {
 		net.lastRun.RoundsPerSec = float64(net.rounds) / wall.Seconds()
 	}
@@ -1113,7 +1216,7 @@ func (net *Network) deliverBatch(b *batch) {
 						b.trDrops++
 					}
 					if net.trackDead {
-						b.dead = append(b.dead, DeadSend{From: c.id, Port: p, To: net.toExt(int(u)), Round: net.rounds + 1, HaltRound: int(net.haltSeg[u])})
+						b.dead = append(b.dead, net.deadSend(c, p, u))
 					}
 					continue
 				}
@@ -1140,7 +1243,7 @@ func (net *Network) deliverBatch(b *batch) {
 						b.trDrops++
 					}
 					if net.trackDead {
-						b.dead = append(b.dead, DeadSend{From: c.id, Port: p, To: net.toExt(int(u)), Round: net.rounds + 1, HaltRound: int(net.haltSeg[u])})
+						b.dead = append(b.dead, net.deadSend(c, p, u))
 					}
 					continue
 				}
@@ -1156,6 +1259,12 @@ func (net *Network) deliverBatch(b *batch) {
 		c.sentAny = false
 	}
 	b.senders = b.senders[:0]
+}
+
+// deadSend is the record of c's send on port p to u, a halted or absent
+// node (internal index).
+func (net *Network) deadSend(c *Ctx, p int, u int32) DeadSend {
+	return DeadSend{From: c.id, Port: p, To: net.toExt(int(u)), Round: net.rounds + 1, HaltRound: max(int(net.haltSeg[u]), 0)}
 }
 
 // Accountant aggregates rounds across the phases of a composite algorithm.

@@ -70,18 +70,21 @@ func TestSetupClearsLastRunStats(t *testing.T) {
 	if net.LastRunStats().Rounds == 0 {
 		t.Fatal("first run recorded no stats")
 	}
-	net.setup()
+	net.setup(nil)
 	if st := net.LastRunStats(); st != (RunStats{}) {
 		t.Fatalf("setup left stale run stats: %+v", st)
 	}
 }
 
-// TestReusedRunTablesStartClean pins the reuse of the run tables: a run
-// cut off by a RoundLimit leaves records and ints staged on every port,
-// and the next run on the same network must neither deliver nor count
-// any of them. That run, in which each node sends on port 0 only, must
-// match the same program on a fresh network in outputs, rounds and
-// MessageStats.
+// TestReusedRunTablesStartClean pins the reuse of the run tables. Three
+// runs leave state behind on one network: a run cut off by a RoundLimit
+// leaves records and ints staged on every port; a node-set run ends with
+// its members' last sweep staged, toward absent nodes too, and their
+// generators drawn; a run whose node panics mid-round leaves lanes, flags
+// and halt rounds as they were. The run after each on the same network
+// must neither deliver nor count any of it. That run, in which each node
+// draws from its generator and sends on port 0 only, must match the same
+// program on a fresh network in draws, outputs, rounds and MessageStats.
 func TestReusedRunTablesStartClean(t *testing.T) {
 	g := randomGraph(80, 0.08, 11)
 	// Every node stages -1 on every port, records on even ports and ints
@@ -96,11 +99,15 @@ func TestReusedRunTablesStartClean(t *testing.T) {
 		}
 		return true
 	})
-	// Each node sends its ID on port 0, as an int and then as a record,
-	// and reports into heard[ctx.ID()] every (port, word) it heard.
-	quiet := func(heard [][]int) Stepped[roundState[struct{}]] {
+	// Each node draws once from its generator into draws[ctx.ID()], sends
+	// its ID on port 0, as an int and then as a record, and reports into
+	// heard[ctx.ID()] every (port, word) it heard.
+	quiet := func(heard [][]int, draws []int64) Stepped[roundState[struct{}]] {
 		return roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 			v := ctx.ID()
+			if round == 0 {
+				draws[v] = ctx.Rand().Int63()
+			}
 			for p := 0; p < ctx.Degree(); p++ {
 				if x, ok := ctx.RecvInt(p); ok {
 					heard[v] = append(heard[v], p, x)
@@ -122,9 +129,37 @@ func TestReusedRunTablesStartClean(t *testing.T) {
 		})
 	}
 
-	reused, fresh := NewNetwork(g, 1), NewNetwork(g, 1)
-	reused.EnableMessageStats()
+	fresh := NewNetwork(g, 1)
 	fresh.EnableMessageStats()
+	want, wantDraws := make([][]int, g.N()), make([]int64, g.N())
+	RunStepped(fresh, quiet(want, wantDraws))
+
+	reused := NewNetwork(g, 1)
+	reused.EnableMessageStats()
+	checkClean := func(after string) {
+		t.Helper()
+		got, draws := make([][]int, g.N()), make([]int64, g.N())
+		RunStepped(reused, quiet(got, draws))
+		if !slices.Equal(draws, wantDraws) {
+			t.Fatalf("after %s: the generators did not restart", after)
+		}
+		if reused.Rounds() != fresh.Rounds() || *reused.MessageStats() != *fresh.MessageStats() {
+			t.Fatalf("after %s: rounds %d, stats %+v; fresh: rounds %d, stats %+v",
+				after, reused.Rounds(), *reused.MessageStats(), fresh.Rounds(), *fresh.MessageStats())
+		}
+		for v := range want {
+			heard := got[v]
+			if !slices.Equal(heard, want[v]) {
+				t.Fatalf("after %s: node %d heard %v on the reused network, %v on a fresh one", after, v, heard, want[v])
+			}
+			for i := 1; i < len(heard); i += 2 {
+				if heard[i] < 0 {
+					t.Fatalf("after %s: node %d heard a message of that run on port %d", after, v, heard[i-1])
+				}
+			}
+		}
+	}
+
 	if err := reused.SetFaultPlan(&FaultPlan{RoundLimit: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -135,22 +170,43 @@ func TestReusedRunTablesStartClean(t *testing.T) {
 	if err := reused.SetFaultPlan(nil); err != nil {
 		t.Fatal(err)
 	}
-	got, want := make([][]int, g.N()), make([][]int, g.N())
-	RunStepped(reused, quiet(got))
-	RunStepped(fresh, quiet(want))
-	if reused.Rounds() != fresh.Rounds() || *reused.MessageStats() != *fresh.MessageStats() {
-		t.Fatalf("reused network: rounds %d, stats %+v; fresh: rounds %d, stats %+v",
-			reused.Rounds(), *reused.MessageStats(), fresh.Rounds(), *fresh.MessageStats())
+	checkClean("a run cut off by its RoundLimit")
+
+	// The even nodes draw, stage -1 on every port every round, and halt
+	// after two rounds with their last stagings undelivered.
+	var evens []int
+	for v := 0; v < g.N(); v += 2 {
+		evens = append(evens, v)
 	}
-	for v := range want {
-		heard := got[v]
-		if !slices.Equal(heard, want[v]) {
-			t.Fatalf("node %d heard %v on the reused network, %v on a fresh one", v, heard, want[v])
+	RunStepped(reused, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		ctx.Rand().Int63()
+		for p := 0; p < ctx.Degree(); p++ {
+			ctx.SendInt(p, -1)
 		}
-		for i := 1; i < len(heard); i += 2 {
-			if heard[i] < 0 {
-				t.Fatalf("node %d heard a message of the cut-off run on port %d", v, heard[i-1])
+		return round < 2
+	}), evens...)
+	if reused.LastRunStats().Nodes != len(evens) {
+		t.Fatalf("node-set run ran %d nodes, want %d", reused.LastRunStats().Nodes, len(evens))
+	}
+	checkClean("a node-set run")
+
+	// Every node stages on every port; in round 2, node 5 panics while
+	// the others step, stage and halt around it.
+	func() {
+		defer func() {
+			if r := recover(); r != "node 5 fails" {
+				t.Fatalf("recovered %v, want node 5's panic", r)
 			}
-		}
-	}
+		}()
+		RunStepped(reused, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+			if round == 2 && ctx.ID() == 5 {
+				panic("node 5 fails")
+			}
+			for p := 0; p < ctx.Degree(); p++ {
+				ctx.Send(p, []int32{-1})
+			}
+			return ctx.ID()%3 != 0 || round < 1
+		}))
+	}()
+	checkClean("a run that panicked")
 }
