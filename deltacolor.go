@@ -12,8 +12,8 @@
 //     T-node shattering, layered list colorings. O((log log n)²) rounds for
 //     constant Δ; O(log Δ) + shattering for Δ >= 4.
 //   - Algorithm AlgDeterministic (Theorem 4): ruling-set layering with
-//     Brooks recolorings of the base layer. O(Δ²·log² n) rounds with this
-//     repository's substituted subroutines.
+//     Brooks recolorings of the base layer. O(Δ·log² n + Δ²) rounds with
+//     this repository's substituted subroutines.
 //   - Algorithm AlgBaseline: the Panconesi–Srinivasan-style comparator the
 //     paper improves on.
 //
@@ -135,13 +135,7 @@ func (e *OptionError) Unwrap() error { return ErrBadOptions }
 // paper: every connected component is neither a path, a cycle, nor a
 // clique, and Δ >= 3 (otherwise a typed error is returned).
 func Color(g *graph.G, opts Options) (*Result, error) {
-	alg := opts.Algorithm
-	if alg == 0 {
-		alg = AlgAuto
-	}
-	if alg == AlgAuto {
-		alg = AlgRandomized
-	}
+	alg := opts.algorithm()
 	var res *core.Result
 	var err error
 	switch alg {
@@ -159,6 +153,20 @@ func Color(g *graph.G, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newResult(res, alg), nil
+}
+
+// algorithm is the algorithm Color runs for o: AlgAuto (and the zero
+// value) resolve to AlgRandomized.
+func (o Options) algorithm() Algorithm {
+	if o.Algorithm == 0 || o.Algorithm == AlgAuto {
+		return AlgRandomized
+	}
+	return o.Algorithm
+}
+
+// newResult is the public form of a pipeline's result.
+func newResult(res *core.Result, alg Algorithm) *Result {
 	return &Result{
 		Colors:            res.Colors,
 		Delta:             res.Delta,
@@ -169,5 +177,5 @@ func Color(g *graph.G, opts Options) (*Result, error) {
 		RepairBatches:     res.RepairBatches,
 		RepairBatchRounds: res.RepairBatchRounds,
 		Span:              res.Span,
-	}, nil
+	}
 }

@@ -128,6 +128,17 @@ func TestChurnRecolorDeterminismGolden(t *testing.T) {
 // color every round, so a dropped announcement is usually heard a round
 // later. Announcing each final only once leaves conflicts in the det
 // layers that need repair batches, and the det values move.
+//
+// The layers are scheduled by one (Δ+1)-coloring, reduced from Linial's
+// under the same drops, and last 5 rounds each where they lasted 121, so
+// a dropped final has fewer rounds to be heard again. In both pipelines
+// the drops leave two layers unsolved, and both defer to the pipeline's
+// repair batches: layer 6 ends with a monochromatic edge after its 5
+// rounds, and layer 5 meets improper classes and does not run (charged 0
+// rounds). netdec then ends one conflict short of a Δ-coloring; its
+// final check fails, and ColorUnderFaults hands the coloring to Recolor,
+// which repairs that one node (the repair stats). Before the coloring of
+// a failed final check reached Recolor, that case ended ErrUnrecoverable.
 func TestFaultDeterministicPipelinesGolden(t *testing.T) {
 	g := gen.MustRandomRegular(rand.New(rand.NewSource(1)), 512, 4)
 	plan := &local.FaultPlan{Seed: 7, DropProb: 0.02, RoundLimit: 50_000}
@@ -139,19 +150,19 @@ func TestFaultDeterministicPipelinesGolden(t *testing.T) {
 		phases string
 		stats  deltacolor.RecolorStats
 	}{
-		// Captured with the list coloring that stepped and messaged every
-		// node in every round (oracleListColorDet in internal/dist).
 		{
+			// Five repair batches inside the pipeline heal layers 6 and 5.
 			name: "det", alg: deltacolor.AlgDeterministic,
-			colors: 0xdbdf9174798e0565, rounds: 1522,
-			phases: "ruling-set:666;layering:7;linial:1;layers[7]:121;layers[6]:121;layers[5]:121;layers[4]:121;layers[3]:121;layers[2]:121;layers[1]:121;brooks-B0-batch[0]:1;",
+			colors: 0xc5c1cebe6661b845, rounds: 935,
+			phases: "ruling-set:666;layering:7;linial:1;reduce:116;layers[7]:5;layers[6]:5;layers[5]:0;layers[4]:5;layers[3]:5;layers[2]:5;layers[1]:5;brooks-B0-batch[0]:1;repair-sched[0]:8;repair-batch[0]:1;repair-sched[1]:6;repair-batch[1]:1;repair-sched[2]:4;repair-batch[2]:1;repair-sched[3]:78;repair-batch[3]:1;repair-batch[4]:14;",
 		},
 		{
-			// The drops leave conflicts in the layers; three repair
-			// batches inside the pipeline heal them.
+			// Six repair batches inside the pipeline leave one conflict;
+			// Recolor repairs it.
 			name: "netdec", alg: deltacolor.AlgNetDec,
-			colors: 0xb52c4024e132d525, rounds: 1017,
-			phases: "decomposition:52;ruling-set:90;layering:7;linial:1;layers[7]:121;layers[6]:121;layers[5]:121;layers[4]:121;layers[3]:121;layers[2]:121;layers[1]:121;brooks-B0-batch[0]:1;repair-sched[0]:8;repair-batch[0]:1;repair-sched[1]:4;repair-batch[1]:1;repair-sched[2]:4;repair-batch[2]:1;",
+			colors: 0xe574615a49a4dbc5, rounds: 542,
+			phases: "decomposition:52;ruling-set:90;layering:7;linial:1;reduce:116;layers[7]:5;layers[6]:5;layers[5]:0;layers[4]:5;layers[3]:5;layers[2]:5;layers[1]:5;brooks-B0-batch[0]:1;repair-sched[0]:8;repair-batch[0]:1;repair-sched[1]:6;repair-batch[1]:1;repair-sched[2]:136;repair-batch[2]:1;repair-sched[3]:68;repair-batch[3]:18;repair-sched[4]:4;repair-batch[4]:1;repair-batch[5]:1;",
+			stats:  deltacolor.RecolorStats{Conflicts: 1, Repaired: 1, Changed: 1, RepairBatches: 1, RepairRounds: 1},
 		},
 	}
 	for _, tc := range cases {

@@ -110,17 +110,19 @@ func TestFaultChurnSoak(t *testing.T) {
 // the limit never write their outputs, so the pipelines read each slot's
 // "no output" value there. Every run must end in a verified coloring or
 // in an ErrUnrecoverable whose reason is not a recovered panic, and the
-// deterministic pipelines must heal at RoundLimit 20.
+// deterministic pipelines must heal at RoundLimit 20 and 115. Both cut
+// the 116-round color reduction that schedules their layers, 115 by one
+// round, so the nodes of its last class keep no class.
 func TestColorUnderFaultsRoundLimitCut(t *testing.T) {
 	g := gen.MustRandomRegular(rand.New(rand.NewSource(8)), 512, 4)
 	algs := []deltacolor.Algorithm{deltacolor.AlgRandomized, deltacolor.AlgDeterministic, deltacolor.AlgBaseline, deltacolor.AlgNetDec}
 	for _, alg := range algs {
 		t.Run(alg.String(), func(t *testing.T) {
-			for _, limit := range []int{2, 20} {
+			for _, limit := range []int{2, 20, 115} {
 				t.Run(fmt.Sprintf("RoundLimit=%d", limit), func(t *testing.T) {
 					plan := &local.FaultPlan{Seed: 1, RoundLimit: limit}
 					res, _, err := deltacolor.ColorUnderFaults(g, deltacolor.Options{Algorithm: alg, Seed: 1}, plan)
-					mustHeal := limit == 20 && (alg == deltacolor.AlgDeterministic || alg == deltacolor.AlgNetDec)
+					mustHeal := limit >= 20 && (alg == deltacolor.AlgDeterministic || alg == deltacolor.AlgNetDec)
 					var ue *deltacolor.UnrecoverableError
 					switch {
 					case err == nil:
@@ -135,6 +137,60 @@ func TestColorUnderFaultsRoundLimitCut(t *testing.T) {
 						t.Errorf("the pipeline panicked: %v", err)
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestColorUnderFaultsHealsFailedFinalCheck pins that a pipeline whose
+// coloring fails its final check still heals: ColorUnderFaults hands that
+// coloring to Recolor. AlgBaseline's color reduction takes 116 rounds on
+// this graph, so every RoundLimit below cuts it, and the cut nodes reach
+// the final check uncolored. Before the failed check's coloring reached
+// Recolor, all seven limits ended ErrUnrecoverable.
+func TestColorUnderFaultsHealsFailedFinalCheck(t *testing.T) {
+	g := gen.MustRandomRegular(rand.New(rand.NewSource(8)), 512, 4)
+	for _, limit := range []int{1, 2, 5, 10, 20, 50, 100} {
+		plan := &local.FaultPlan{Seed: 1, RoundLimit: limit}
+		res, stats, err := deltacolor.ColorUnderFaults(g, deltacolor.Options{Algorithm: deltacolor.AlgBaseline, Seed: 1}, plan)
+		if err != nil {
+			t.Errorf("RoundLimit %d: %v, want a healed coloring", limit, err)
+			continue
+		}
+		if verr := verify.DeltaColoring(g, res.Colors, res.Delta); verr != nil {
+			t.Errorf("RoundLimit %d: nil error but invalid coloring: %v", limit, verr)
+		}
+		if stats.Conflicts == 0 {
+			t.Errorf("RoundLimit %d: Recolor found nothing to repair, so the final check passed", limit)
+		}
+	}
+}
+
+// TestColorUnderFaultsImproperLinial runs both deterministic pipelines
+// under 90% drops in every run's first round, which make Linial's
+// coloring improper: the color reduction rejects it, so no layer has a
+// schedule and every layer defers to the repair. Each run must end in a
+// verified coloring or in an ErrUnrecoverable whose reason is not a
+// recovered panic.
+func TestColorUnderFaultsImproperLinial(t *testing.T) {
+	g := gen.MustRandomRegular(rand.New(rand.NewSource(8)), 512, 4)
+	plan := &local.FaultPlan{Seed: 3, DropProb: 0.9, FromRound: 1, ToRound: 1, RoundLimit: 50_000}
+	for _, alg := range []deltacolor.Algorithm{deltacolor.AlgDeterministic, deltacolor.AlgNetDec} {
+		t.Run(alg.String(), func(t *testing.T) {
+			res, stats, err := deltacolor.ColorUnderFaults(g, deltacolor.Options{Algorithm: alg, Seed: 1}, plan)
+			var ue *deltacolor.UnrecoverableError
+			switch {
+			case err == nil:
+				if verr := verify.DeltaColoring(g, res.Colors, res.Delta); verr != nil {
+					t.Errorf("nil error but invalid coloring: %v", verr)
+				}
+				t.Logf("healed: %d repairs in the pipeline, recolor %+v", res.Repairs, *stats)
+			case !errors.As(err, &ue):
+				t.Errorf("untyped error: %v", err)
+			case strings.Contains(ue.Reason.Error(), "panicked"):
+				t.Errorf("the pipeline panicked: %v", err)
+			default:
+				t.Logf("typed error: %v", err)
 			}
 		})
 	}

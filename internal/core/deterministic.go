@@ -19,9 +19,10 @@ import (
 //	    with the deterministic list-coloring subroutine;
 //	(4) color B0 nodes independently via the distributed Brooks theorem.
 //
-// Round complexity with our substitutions: O(Δ²·log²n) — the paper's
+// Round complexity with our substitutions: O(Δ·log²n + Δ²) — the paper's
 // O(√Δ log^1.5Δ · log²n) with the Δ-dependence of our simpler list-coloring
-// subroutine; the log²n growth in n is the quantity experiment E3 checks.
+// subroutine, Δ+1 rounds per layer after one O(Δ²)-round reduction of the
+// schedule; the log²n growth in n is the quantity experiment E3 checks.
 func Deterministic(g *graph.G, seed int64) (*Result, error) {
 	return layered(g, "deterministic", seed, func(acct *local.Accountant, bigR int) ([]int, error) {
 		rs := DetRulingSetCompute(g, nil, bigR)
@@ -40,7 +41,8 @@ func Deterministic(g *graph.G, seed int64) (*Result, error) {
 // "decompose" span, buildB0 returns the base layer B0 as an R-ruling set
 // (charging its own rounds), and the layers B_1..B_s are peeled by
 // distance to B0. The layers are then list-colored in reverse with the
-// deterministic subroutine, B0 is colored via Theorem 5 through the batch
+// deterministic subroutine, each scheduled by one (Δ+1)-coloring of g
+// (NewLayerColorer), B0 is colored via Theorem 5 through the batch
 // engine (the ruling-set spacing guarantees disjoint recoloring balls, so
 // every B0 repair lands in one batch charged max rounds — the
 // independence verified, not assumed), and the safety net completes any

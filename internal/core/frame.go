@@ -135,14 +135,25 @@ func (f *Frame) Repair(span, prefix string, holes []int, seed int64) (*brooks.Ba
 	return res, nil
 }
 
+// CheckError is Finish's error when the final check fails. Result is the
+// run as the pipeline ended it, spans closed, with Colors the coloring
+// that failed the check, so a caller can repair it instead of starting
+// over.
+type CheckError struct {
+	Result *Result
+	Err    error // the pipeline's name and the check's failure
+}
+
+func (e *CheckError) Error() string { return e.Err.Error() }
+
+func (e *CheckError) Unwrap() error { return e.Err }
+
 // Finish checks that Colors is a Δ-coloring (total, proper, every color
 // below Δ) and returns the Result, with repairs as its Repairs count and
-// the spans closed.
+// the spans closed. When the check fails, the error is a *CheckError that
+// carries the Result.
 func (f *Frame) Finish(repairs int) (*Result, error) {
-	if err := verify.DeltaColoring(f.g, f.Colors, f.Delta); err != nil {
-		return nil, fmt.Errorf("%s: %w", f.name, err)
-	}
-	return &Result{
+	res := &Result{
 		Colors:            f.Colors,
 		Delta:             f.Delta,
 		Rounds:            f.Acct.Total(),
@@ -151,5 +162,9 @@ func (f *Frame) Finish(repairs int) (*Result, error) {
 		RepairBatches:     len(f.batchRounds),
 		RepairBatchRounds: f.batchRounds,
 		Span:              f.Acct.FinishSpans(),
-	}, nil
+	}
+	if err := verify.DeltaColoring(f.g, f.Colors, f.Delta); err != nil {
+		return nil, &CheckError{Result: res, Err: fmt.Errorf("%s: %w", f.name, err)}
+	}
+	return res, nil
 }

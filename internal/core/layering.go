@@ -93,35 +93,46 @@ type ListColorMode int
 const (
 	// ListColorRandomized uses random color trials (O(log n) w.h.p.).
 	ListColorRandomized ListColorMode = iota + 1
-	// ListColorDeterministic schedules by the classes of a Linial coloring.
+	// ListColorDeterministic schedules by the classes of one
+	// (Δ+1)-coloring of the graph.
 	ListColorDeterministic
 )
 
 // LayerColorer colors layered node sets in reverse layer order, one
 // (deg+1)-list-coloring instance per layer, charging rounds to the
-// accountant. It owns the base coloring needed by the deterministic mode
-// and a single network over g that every layer instance reuses (reseeded
-// per layer) — the port tables are built once, not once per phase.
+// accountant. It owns the schedule of the deterministic mode and a single
+// network over g that every layer instance reuses (reseeded per layer) —
+// the port tables are built once, not once per phase.
 type LayerColorer struct {
-	g          *graph.G
-	delta      int
-	mode       ListColorMode
-	seed       int64
-	acct       *local.Accountant
-	net        *local.Network
-	baseColors []int
-	baseK      int
+	g     *graph.G
+	delta int
+	mode  ListColorMode
+	seed  int64
+	acct  *local.Accountant
+	net   *local.Network
+	// classes is the deterministic mode's schedule, a (Δ+1)-coloring of
+	// g; when it could not be computed, classErr says why, and every
+	// layer defers to the repair.
+	classes  []int
+	classErr error
 }
 
-// NewLayerColorer prepares a colorer. In deterministic mode it computes a
-// Linial base coloring up front (charged to the accountant once).
+// NewLayerColorer prepares a colorer. In deterministic mode it computes
+// the schedule up front: a Linial coloring with k = O(Δ²) colors, reduced
+// once to Δ+1 colors in k-(Δ+1) rounds, each charged to the accountant
+// once ("linial", "reduce"). Every layer then takes Δ+1 rounds. Under a
+// FaultPlan the schedule can come out unusable: the reduction rejects an
+// improper Linial coloring, and a node the RoundLimit cut off keeps class
+// -1. A layer that meets either fails and stays uncolored, as any layer
+// whose instance fails.
 func NewLayerColorer(g *graph.G, delta int, mode ListColorMode, seed int64, acct *local.Accountant) *LayerColorer {
 	lc := &LayerColorer{g: g, delta: delta, mode: mode, seed: seed, acct: acct}
 	lc.net = local.NewNetwork(g, seed)
 	if mode == ListColorDeterministic {
-		colors, k, rounds := dist.Linial(lc.net)
-		lc.baseColors, lc.baseK = colors, k
+		linial, k, rounds := dist.Linial(lc.net)
 		acct.Charge("linial", rounds)
+		lc.classes, rounds, lc.classErr = dist.ReduceColors(lc.net, linial, k, delta+1)
+		acct.Charge("reduce", rounds)
 	}
 	return lc
 }
@@ -153,10 +164,10 @@ func (lc *LayerColorer) ColorLayersReverse(colors []int, layer []int, s int, pha
 		li := &dist.ListInstance{Nodes: nodes, Active: active, Partial: colors, Delta: lc.delta}
 		got, rounds, err := lc.solve(li, int64(i))
 		lc.acct.Charge(fmt.Sprintf("%s[%d]", phase, i), rounds)
-		for _, v := range nodes {
+		for j, v := range nodes {
 			active[v] = false
 			if err == nil {
-				colors[v] = got[v]
+				colors[v] = got[j]
 			}
 		}
 		if err != nil {
@@ -177,7 +188,10 @@ func (lc *LayerColorer) solve(li *dist.ListInstance, salt int64) ([]int, int, er
 	lc.net.Reseed(lc.seed*31 + salt)
 	switch lc.mode {
 	case ListColorDeterministic:
-		return dist.ListColorDeterministic(lc.net, li, lc.baseColors, lc.baseK)
+		if lc.classErr != nil {
+			return nil, 0, lc.classErr
+		}
+		return dist.ListColorDeterministic(lc.net, li, lc.classes, lc.delta+1)
 	default:
 		return dist.ListColorRandomized(lc.net, li)
 	}

@@ -8,14 +8,16 @@
 //     n to O(Δ²) in a deterministic, globally known number of rounds.
 //   - ReduceColors: Barenboim–Elkin-style one-class-per-round reduction
 //     from a k-coloring down to a target palette (Δ+1 in every caller),
-//     the second half of the classic O(log* n + k) (Δ+1)-coloring.
+//     the second half of the classic O(log* n + k) (Δ+1)-coloring. It is
+//     quiet: each node speaks at the start and when it recolors, and
+//     halts once its color is below the target.
 //   - LubyMIS: Luby's randomized maximal independent set, restricted to an
 //     active node subset; used for ruling sets over virtual (quotient)
 //     graphs in the shattering and DCC phases.
 //   - ListInstance / ListColorRandomized / ListColorDeterministic:
 //     (deg+1)-list-coloring of a layer against an already colored partial
 //     assignment — the subroutine the layering technique of Section 3
-//     invokes once per layer, in random-trial and Linial-class-scheduled
+//     invokes once per layer, in random-trial and class-scheduled
 //     deterministic variants (the paper's Theorems 18/19 substitutes,
 //     README "Departures from the paper"). An instance holds the layer's
 //     nodes and their mask, the partial coloring and Δ; each active node
@@ -32,9 +34,10 @@
 //     layer among degree-choosable components, the T-node shattering
 //     phase marks color-one pairs, and the resulting happy/leftover layers
 //     are colored in reverse with ListColorRandomized instances.
-//   - Algorithm 3 (deterministic, Theorem 4): Linial supplies the schedule
-//     classes, the AGLP ruling set builds B0, and each peeled layer is one
-//     ListColorDeterministic instance.
+//   - Algorithm 3 (deterministic, Theorem 4): Linial and ReduceColors
+//     supply one (Δ+1)-coloring whose classes schedule every layer, the
+//     AGLP ruling set builds B0, and each peeled layer is one
+//     ListColorDeterministic instance of Δ+1 rounds.
 //   - Algorithm 4 (Theorem 21 variant): Decompose replaces the AGLP
 //     recursion; the ruling set is drawn from cluster centers class by
 //     class, then the same layered list colorings run.
@@ -45,7 +48,8 @@
 // on the active nodes and their boundary only, through one helper
 // (runMasked) and the engine's node set: a boundary node says one bye
 // toward the active nodes and halts, and nodes farther out never run, so
-// a layer costs its members and their boundary, not n.
+// a layer costs its members and their boundary, not n. The list
+// colorings return their colors aligned with the instance's nodes.
 //
 // No primitive here checks a final coloring: every pipeline ends in the
 // frame of internal/core, whose Finish runs verify.DeltaColoring.

@@ -317,14 +317,17 @@ func anyTrue(bs []bool) bool {
 	return false
 }
 
-// mergeAndCheck overlays the layer solution on the partial coloring and
-// checks the combined coloring is full and proper in [0, delta).
+// mergeAndCheck overlays the layer solution (its colors aligned with the
+// active nodes, ascending) on the partial coloring and checks the combined
+// coloring is full and proper in [0, delta).
 func mergeAndCheck(t *testing.T, g *graph.G, active []bool, partial, colors []int, delta int) {
 	t.Helper()
 	merged := append([]int(nil), partial...)
+	i := 0
 	for v := range merged {
 		if active[v] {
-			merged[v] = colors[v]
+			merged[v] = colors[i]
+			i++
 		}
 	}
 	assertProper(t, g, merged, delta, "layer+partial")
@@ -451,7 +454,8 @@ func TestVerifyColoring(t *testing.T) {
 
 // TestPipelineLinialReduceList exercises the composition the algorithms
 // use: Linial base -> Δ+1 reduction -> erase a layer -> recolor it as a
-// deterministic list instance scheduled by the same Linial classes.
+// deterministic list instance scheduled by the reduced classes, in Δ+1
+// rounds.
 func TestPipelineLinialReduceList(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := gen.MustRandomRegular(rng, 256, 4)
@@ -472,9 +476,12 @@ func TestPipelineLinialReduceList(t *testing.T) {
 	if err := li.CheckDegPlusOne(g); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ListColorDeterministic(local.NewNetwork(g, 43), li, base, k)
+	got, rounds, err := ListColorDeterministic(local.NewNetwork(g, 43), li, colors, delta+1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rounds != delta+1 {
+		t.Fatalf("the layer took %d rounds, want Δ+1 = %d", rounds, delta+1)
 	}
 	mergeAndCheck(t, g, active, partial, got, delta+1)
 }
@@ -533,9 +540,9 @@ func TestRoundLimitCutReadsNoOutput(t *testing.T) {
 	if err == nil {
 		t.Fatal("ListColorRandomized: a cut run reported the instance solved")
 	}
-	for v, c := range colors {
+	for i, c := range colors {
 		if c != -1 {
-			t.Fatalf("ListColorRandomized: node %d reads color %d after the cut, want -1", v, c)
+			t.Fatalf("ListColorRandomized: node %d reads color %d after the cut, want -1", li.Nodes[i], c)
 		}
 	}
 }

@@ -61,8 +61,7 @@ func linialBestStep(k, delta int) (linialStep, int) {
 // linialState is the cross-round node state of the stepped protocol.
 type linialState struct {
 	color int
-	cur   int   // next schedule step to apply
-	nbr   []int // scratch: neighbor colors of the completed round
+	cur   int // next schedule step to apply
 }
 
 // Linial computes an O(Δ²)-coloring in O(log* n) rounds: nodes start from
@@ -89,13 +88,14 @@ func Linial(net *local.Network) (colors []int, k, rounds int) {
 			return true
 		},
 		Step: func(ctx *local.Ctx, s *linialState) bool {
-			s.nbr = s.nbr[:0]
+			var buf [16]int // the neighbor colors; on the stack up to degree 16
+			nbr := buf[:0]
 			for p := 0; p < ctx.Degree(); p++ {
 				if m, ok := ctx.RecvInt(p); ok {
-					s.nbr = append(s.nbr, m)
+					nbr = append(nbr, m)
 				}
 			}
-			s.color = linialRecolor(s.color, s.nbr, steps[s.cur])
+			s.color = linialRecolor(s.color, nbr, steps[s.cur])
 			s.cur++
 			if s.cur == len(steps) {
 				colors[ctx.ID()] = s.color
@@ -120,22 +120,30 @@ func Linial(net *local.Network) (colors []int, k, rounds int) {
 // linialRecolor maps color c into [0, q²) given the neighbors' current
 // colors: find an evaluation point x where p_c differs from every
 // neighbor's polynomial, and emit (x, p_c(x)). At most Δ·d points are bad,
-// and q > Δ·d, so a clean point always exists for proper inputs.
+// and q > Δ·d, so a clean point always exists for proper inputs. The
+// coefficients of every polynomial are laid out once, in a buffer on the
+// stack while they fit, so a call allocates nothing on bounded degrees.
 func linialRecolor(c int, nbrColors []int, st linialStep) int {
-	own := polyCoeffs(c, st.q, st.d)
-	nbr := make([][]int, 0, len(nbrColors))
+	w := st.d + 1
+	var buf [128]int
+	coef := buf[:0]
+	if need := (len(nbrColors) + 1) * w; need > len(buf) {
+		coef = make([]int, 0, need)
+	}
+	coef = appendCoeffs(coef, c, st.q, w)
 	for _, nc := range nbrColors {
 		if nc == c {
 			// Improper input; no point separates identical polynomials.
 			continue
 		}
-		nbr = append(nbr, polyCoeffs(nc, st.q, st.d))
+		coef = appendCoeffs(coef, nc, st.q, w)
 	}
+	own, nbr := coef[:w], coef[w:]
 	for x := 0; x < st.q; x++ {
 		y := polyEval(own, x, st.q)
 		clean := true
-		for _, coef := range nbr {
-			if polyEval(coef, x, st.q) == y {
+		for i := 0; i < len(nbr); i += w {
+			if polyEval(nbr[i:i+w], x, st.q) == y {
 				clean = false
 				break
 			}
@@ -147,11 +155,11 @@ func linialRecolor(c int, nbrColors []int, st linialStep) int {
 	return c % (st.q * st.q) // unreachable on proper inputs
 }
 
-// polyCoeffs encodes c as d+1 base-q digits (the coefficients of p_c).
-func polyCoeffs(c, q, d int) []int {
-	coef := make([]int, d+1)
-	for i := range coef {
-		coef[i] = c % q
+// appendCoeffs appends c's w base-q digits, lowest first: the
+// coefficients of p_c.
+func appendCoeffs(coef []int, c, q, w int) []int {
+	for range w {
+		coef = append(coef, c%q)
 		c /= q
 	}
 	return coef

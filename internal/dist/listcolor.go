@@ -13,8 +13,9 @@ import (
 // from its list, the colors in [0, Delta) that no neighbor holds in
 // Partial. Lists are not stored: each protocol derives an active node's
 // list at Init, and the checks derive it where they read it. The checks
-// and the protocols read only Nodes and their neighbors; the one n-sized
-// thing per instance is the coloring a protocol returns.
+// and the protocols read only Nodes and their neighbors, and a protocol
+// returns its colors aligned with Nodes, so an instance costs its layer
+// and its boundary, not n.
 type ListInstance struct {
 	Nodes   []int  // the nodes to color, ascending
 	Active  []bool // Active[v] reports whether v is in Nodes
@@ -38,6 +39,12 @@ func NewListInstance(g *graph.G, active []bool, partial []int, delta int) *ListI
 		}
 	}
 	return &ListInstance{Nodes: nodes, Active: active, Partial: partial, Delta: delta}
+}
+
+// index returns the position of active node v in Nodes.
+func (li *ListInstance) index(v int) int {
+	i, _ := slices.BinarySearch(li.Nodes, v)
+	return i
 }
 
 // list returns v's list, ascending, in buf's storage (grown when short).
@@ -135,8 +142,9 @@ func (s *listRandState) lcNote(p int, done, bye bool, c int) {
 //
 // Only the layer and its boundary run (runMasked): an inactive neighbor
 // sends one bye (done, no color) toward the layer in round 1 and halts.
-// An instance with no active node returns all -1 in 0 rounds without
-// running the network.
+// The colors are aligned with li.Nodes (-1 = uncolored). An instance with
+// no active node returns no colors in 0 rounds without running the
+// network.
 func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, error) {
 	g := net.Graph()
 	n := g.N()
@@ -161,7 +169,7 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 		s.afterB = false
 	}
 
-	colors := slices.Repeat([]int{-1}, n)
+	colors := slices.Repeat([]int{-1}, len(li.Nodes))
 	rounds := runMasked(net, li.Nodes, li.Active, encDC(true, true, -1), local.Stepped[listRandState]{
 		Init: func(ctx *local.Ctx, s *listRandState) bool {
 			s.list = li.list(make([]int, 0, li.Delta), g, ctx.ID())
@@ -203,7 +211,7 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 						// Halt: stage one last bye announcement so listening
 						// neighbors mute this port, then leave.
 						s.bye.castInt(ctx, encDC(true, true, s.color))
-						colors[ctx.ID()] = s.color
+						colors[li.index(ctx.ID())] = s.color
 						return false
 					}
 				}
@@ -231,7 +239,7 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 			}
 			s.phase++
 			if s.phase >= maxPhases {
-				colors[ctx.ID()] = s.color
+				colors[li.index(ctx.ID())] = s.color
 				return false
 			}
 			sendA(ctx, s)
@@ -242,10 +250,11 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 }
 
 // ListColorDeterministic solves the instance scheduled by the classes of a
-// proper base coloring (typically Linial's): in the round dedicated to
-// class c, every uncolored active node of that class — an independent set —
-// takes the smallest list color not finalized in its neighborhood. On a
-// (deg+1)-instance every node succeeds.
+// proper base coloring (in the pipelines, one (Δ+1)-coloring of the whole
+// graph): in the round dedicated to class c, every uncolored active node
+// of that class — an independent set — takes the smallest list color not
+// finalized in its neighborhood. On a (deg+1)-instance every node
+// succeeds.
 //
 // Only the layer and its boundary run (runMasked). An inactive neighbor
 // sends one bye (done, no color) toward the layer in round 1 and halts at
@@ -259,8 +268,9 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 //
 // With at least one active node the run takes exactly baseK rounds: every
 // active node steps through all baseK classes and halts after the last.
-// An instance with no active node returns all -1 and 0 rounds without
-// running the network.
+// The colors are aligned with li.Nodes (-1 = uncolored). An instance with
+// no active node returns no colors and 0 rounds without running the
+// network.
 func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []int, baseK int) ([]int, int, error) {
 	g := net.Graph()
 	n := g.N()
@@ -272,7 +282,7 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 			return nil, 0, fmt.Errorf("deterministic list coloring: node %d has base class %d outside [0, %d)", v, baseColors[v], baseK)
 		}
 	}
-	if u, v, ok := activeClash(g, li, baseColors); ok {
+	if u, v, ok := activeClash(g, li, func(v int) int { return baseColors[v] }); ok {
 		return nil, 0, fmt.Errorf("deterministic list coloring: base classes not proper on edge (%d,%d)", u, v)
 	}
 
@@ -283,7 +293,7 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 		folded []bool // folded[p]: port p's final is out of list
 		bye    byeTracker
 	}
-	colors := slices.Repeat([]int{-1}, n)
+	colors := slices.Repeat([]int{-1}, len(li.Nodes))
 	rounds := runMasked(net, li.Nodes, li.Active, encDC(true, true, -1), local.Stepped[listDetState]{
 		Init: func(ctx *local.Ctx, s *listDetState) bool {
 			s.color = -1
@@ -312,7 +322,7 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 			}
 			s.class++
 			if s.class >= baseK {
-				colors[ctx.ID()] = s.color
+				colors[li.index(ctx.ID())] = s.color
 				return false
 			}
 			if s.color >= 0 {
@@ -325,19 +335,21 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 }
 
 // checkInstanceSolved verifies that every active node took a color from its
-// list and no two adjacent active nodes collide.
+// list and no two adjacent active nodes collide; colors is aligned with
+// li.Nodes.
 func checkInstanceSolved(g *graph.G, li *ListInstance, colors []int) error {
 	var list []int
-	for _, v := range li.Nodes {
-		if colors[v] < 0 {
+	for i, v := range li.Nodes {
+		if colors[i] < 0 {
 			return fmt.Errorf("list coloring: node %d left uncolored", v)
 		}
-		if list = li.list(list, g, v); !slices.Contains(list, colors[v]) {
-			return fmt.Errorf("list coloring: node %d took color %d outside its list", v, colors[v])
+		if list = li.list(list, g, v); !slices.Contains(list, colors[i]) {
+			return fmt.Errorf("list coloring: node %d took color %d outside its list", v, colors[i])
 		}
 	}
-	if u, v, ok := activeClash(g, li, colors); ok {
-		return fmt.Errorf("list coloring: edge (%d,%d) monochromatic in %d", u, v, colors[u])
+	color := func(v int) int { return colors[li.index(v)] }
+	if u, v, ok := activeClash(g, li, color); ok {
+		return fmt.Errorf("list coloring: edge (%d,%d) monochromatic in %d", u, v, color(u))
 	}
 	return nil
 }
@@ -345,11 +357,11 @@ func checkInstanceSolved(g *graph.G, li *ListInstance, colors []int) error {
 // activeClash returns the first edge (u, v), u < v, in g.Edges() order
 // whose endpoints are both active and share a key, reading only the
 // adjacency of active nodes.
-func activeClash(g *graph.G, li *ListInstance, key []int) (int, int, bool) {
+func activeClash(g *graph.G, li *ListInstance, key func(v int) int) (int, int, bool) {
 	for _, u := range li.Nodes {
 		w := -1
 		for _, v := range g.Neighbors(u) {
-			if v > u && (w < 0 || v < w) && li.Active[v] && key[v] == key[u] {
+			if v > u && (w < 0 || v < w) && li.Active[v] && key(v) == key(u) {
 				w = v
 			}
 		}

@@ -41,8 +41,9 @@ func E11Congest(cfg Config) *Table {
 		t.AddRow(name, itoa(n), "4", itoa(net.Rounds()), itoa(st.Messages), itoa(st.MaxBytes), f2(avg))
 	}
 
-	// The color reduction and the deterministic list coloring are
-	// scheduled by a Linial base coloring computed off the profile.
+	// The color reduction starts from a Linial coloring computed off the
+	// profile, and the deterministic list coloring is scheduled by the
+	// reduced (Δ+1)-coloring, as in the pipelines.
 	base, k, _ := dist.Linial(local.NewNetwork(g, cfg.Seed))
 	run("Linial O(Δ²) coloring", func(net *local.Network) {
 		dist.Linial(net)
@@ -73,7 +74,7 @@ func E11Congest(cfg Config) *Table {
 	})
 	run("deterministic list coloring, every third node", func(net *local.Network) {
 		// The layer of a Theorem 4 run: every third node erased from the
-		// reduced coloring and recolored on the Linial schedule.
+		// reduced coloring and recolored on its Δ+1 classes.
 		active := make([]bool, g.N())
 		partial := append([]int(nil), reduced...)
 		for v := 0; v < g.N(); v += 3 {
@@ -81,7 +82,7 @@ func E11Congest(cfg Config) *Table {
 			partial[v] = -1
 		}
 		li := dist.NewListInstance(g, active, partial, 5)
-		if _, _, err := dist.ListColorDeterministic(net, li, base, k); err != nil {
+		if _, _, err := dist.ListColorDeterministic(net, li, reduced, 5); err != nil {
 			panic(err)
 		}
 	})
@@ -89,6 +90,6 @@ func E11Congest(cfg Config) *Table {
 		local.GatherStepped(net, 4)
 	})
 
-	t.AddNote("the symmetry-breaking protocols (Linial, color reduction, MIS, list coloring) move a few bytes per edge per round — CONGEST-portable as-is — while ball gathering ships whole neighborhoods (max message orders of magnitude larger): exactly the phases that make the paper's algorithms LOCAL-model results. The deterministic list coloring talks only inside its layer, so over as many rounds as the color reduction it sends a fraction of its messages. The gather packs each round's frontier into one flat integer record per edge.")
+	t.AddNote("the symmetry-breaking protocols (Linial, color reduction, MIS, list coloring) move a few bytes per edge per round — CONGEST-portable as-is — while ball gathering ships whole neighborhoods (max message orders of magnitude larger): exactly the phases that make the paper's algorithms LOCAL-model results. The color reduction is quiet: a node speaks at the start and once when it recolors, so its 116 rounds carry at most two messages per directed edge. The deterministic list coloring talks only inside its layer, for Δ+1 rounds. The gather packs each round's frontier into one flat integer record per edge.")
 	return t
 }

@@ -17,6 +17,7 @@ import (
 
 	"deltacolor/graph"
 	"deltacolor/internal/brooks"
+	"deltacolor/internal/core"
 	"deltacolor/local"
 	"deltacolor/verify"
 )
@@ -146,13 +147,18 @@ func Recolor(g *graph.G, colors []int, delta int, seed int64) (*RecolorStats, er
 // networks all inherit it) and the previous default is restored before
 // repair runs.
 //
+// A pipeline that runs to its end hands its coloring to Recolor even
+// when the coloring fails the pipeline's final check: the Result then
+// holds the pipeline's rounds and phases, and its Colors the repaired
+// coloring.
+//
 // The contract is all-or-typed-error: on nil error the returned
 // Result.Colors passes verify.DeltaColoring; every fault-induced failure
-// — a pipeline error, a pipeline panic on fault-mangled state, or a
-// repair that cannot converge — returns an error wrapping
-// ErrUnrecoverable. Precondition errors (ErrBadOptions, ErrNotNice,
-// ErrComplete, ErrDegreeTooSmall) are not fault-induced and pass through
-// unwrapped.
+// — an error in the middle of a pipeline, a pipeline panic on
+// fault-mangled state, or a repair that cannot converge — returns an
+// error wrapping ErrUnrecoverable. Precondition errors (ErrBadOptions,
+// ErrNotNice, ErrComplete, ErrDegreeTooSmall) are not fault-induced and
+// pass through unwrapped.
 //
 // Determinism: same graph, same Options, same plan ⇒ byte-identical
 // colors, rounds and repair stats, independent of worker count.
@@ -165,10 +171,14 @@ func ColorUnderFaults(g *graph.G, opts Options, plan *local.FaultPlan) (*Result,
 	}
 	res, runErr := colorRecovering(g, opts)
 	_ = local.SetDefaultFaultPlan(prev)
-	if runErr != nil {
-		if isStructuralErr(runErr) {
-			return nil, nil, runErr
-		}
+	var failedCheck *core.CheckError
+	switch {
+	case runErr == nil:
+	case errors.As(runErr, &failedCheck):
+		res = newResult(failedCheck.Result, opts.algorithm())
+	case isStructuralErr(runErr):
+		return nil, nil, runErr
+	default:
 		return nil, nil, &UnrecoverableError{Reason: runErr}
 	}
 	stats, err := Recolor(g, res.Colors, res.Delta, opts.Seed^0x5eed_c0de)
