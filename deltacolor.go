@@ -85,7 +85,7 @@ type Result struct {
 	Delta     int
 	Rounds    int
 	Phases    []PhaseStat
-	Repairs   int // nodes left to Brooks repairs: the safety net's, or the baseline's stuck nodes
+	Repairs   int // nodes left to Brooks repairs: the holes the safety net found (at most n), or the baseline's stuck nodes
 	Algorithm Algorithm
 
 	// RepairBatches is the number of batches the Brooks repair engine ran

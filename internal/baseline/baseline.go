@@ -89,7 +89,7 @@ func Color(g *graph.G, seed int64) (*core.Result, error) {
 		}
 	}
 	if len(stuck) > 0 {
-		if _, err := f.Repair("token-walks", "token", stuck, seed+2); err != nil {
+		if err := f.Repair("token-walks", "token", stuck, seed+2); err != nil {
 			return nil, err
 		}
 	}

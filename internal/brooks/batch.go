@@ -114,27 +114,6 @@ func Holes(colors []int) []int {
 	return holes
 }
 
-// RepairInSpan runs RepairHoles inside a span named span on acct and
-// charges every batch as "<prefix>-sched[i]" (when it needed scheduling)
-// and "<prefix>-batch[i]". The span is open while the repair runs, so the
-// repair's wall time and engine rounds land in the phase that bills them;
-// it is closed on the error path too.
-func RepairInSpan(acct *local.Accountant, span, prefix string, g *graph.G, colors, holes []int, delta int, seed int64) (*BatchResult, error) {
-	acct.Begin(span)
-	defer acct.End()
-	res, err := RepairHoles(g, colors, holes, delta, seed)
-	if err != nil {
-		return res, err
-	}
-	for i, b := range res.Batches {
-		if b.SchedRounds > 0 {
-			acct.Charge(fmt.Sprintf("%s-sched[%d]", prefix, i), b.SchedRounds)
-		}
-		acct.Charge(fmt.Sprintf("%s-batch[%d]", prefix, i), b.Rounds)
-	}
-	return res, nil
-}
-
 // RepairHoles completes the given uncolored nodes (already-colored entries
 // are skipped, as a concurrent repair may fill a hole as a side effect),
 // mutating colors in place. The partial coloring must be proper; other

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"deltacolor/graph"
@@ -451,12 +452,12 @@ func TestRepairUncolored(t *testing.T) {
 		colors[v] = -1
 		erased++
 	}
-	rres, err := f.Repair("repair", "repair", brooks.Holes(colors), 17)
+	repairs, err := f.SafetyNet(17)
 	if err != nil {
-		t.Fatalf("Repair: %v", err)
+		t.Fatalf("SafetyNet: %v", err)
 	}
-	if rres.Fixed != erased {
-		t.Fatalf("fixed %d nodes, want %d", rres.Fixed, erased)
+	if repairs != erased {
+		t.Fatalf("safety net found %d holes, want %d", repairs, erased)
 	}
 	if err := verify.DeltaColoring(g, colors, delta); err != nil {
 		t.Fatalf("repair left invalid coloring: %v", err)
@@ -464,22 +465,31 @@ func TestRepairUncolored(t *testing.T) {
 	if acct.Total() <= 0 {
 		t.Fatalf("repair charged %d rounds, want > 0", acct.Total())
 	}
-	if len(rres.Batches) == 0 || acct.Total() != rres.TotalRounds() {
-		t.Fatalf("accountant total %d != engine total %d over %d batches", acct.Total(), rres.TotalRounds(), len(rres.Batches))
-	}
-	// Batching must not devolve into one batch per hole on a scattered
-	// erasure: at least one batch has to carry multiple repairs.
-	if len(rres.Batches) >= rres.Fixed {
-		t.Fatalf("%d batches for %d repairs: no batching happened", len(rres.Batches), rres.Fixed)
-	}
-	// Finish folds the repair's batches into the result.
-	out, err := f.Finish(rres.Fixed)
+	// Finish folds the repair's batches into the result: one
+	// "repair-batch[i]" phase per batch, and their rounds (scheduling
+	// included) are everything the accountant was charged.
+	out, err := f.Finish(repairs)
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	if out.Rounds != acct.Total() || out.Repairs != erased || out.RepairBatches != len(rres.Batches) || !slices.Equal(out.RepairBatchRounds, rres.BatchRounds()) {
-		t.Fatalf("result rounds %d repairs %d batches %d %v, want %d %d %d %v",
-			out.Rounds, out.Repairs, out.RepairBatches, out.RepairBatchRounds, acct.Total(), erased, len(rres.Batches), rres.BatchRounds())
+	batches := 0
+	for _, p := range out.Phases {
+		if strings.HasPrefix(p.Name, "repair-batch[") {
+			batches++
+		}
+	}
+	total := 0
+	for _, r := range out.RepairBatchRounds {
+		total += r
+	}
+	if out.Rounds != acct.Total() || out.Repairs != erased || out.RepairBatches == 0 || out.RepairBatches != batches || total != acct.Total() {
+		t.Fatalf("result rounds %d repairs %d batches %d %v, want %d %d %d phases summing to the total",
+			out.Rounds, out.Repairs, out.RepairBatches, out.RepairBatchRounds, acct.Total(), erased, batches)
+	}
+	// Batching must not devolve into one batch per hole on a scattered
+	// erasure: at least one batch has to carry multiple repairs.
+	if out.RepairBatches >= erased {
+		t.Fatalf("%d batches for %d repairs: no batching happened", out.RepairBatches, erased)
 	}
 }
 
@@ -501,10 +511,9 @@ func TestLayerColorerReverseOrder(t *testing.T) {
 	for v := range colors {
 		colors[v] = -1
 	}
-	if rep := lc.ColorLayersReverse(colors, layer, s, "t"); rep != 0 {
-		t.Fatalf("repairs = %d, want 0 (every layer is a deg+1 instance)", rep)
-	}
-	// All nodes except layer 0 must be colored, properly.
+	lc.ColorLayersReverse(colors, layer, s, "t")
+	// All nodes except layer 0 must be colored, properly: every layer is a
+	// deg+1 instance.
 	for v := 0; v < g.N(); v++ {
 		if layer[v] >= 1 && colors[v] < 0 {
 			t.Fatalf("node %d (layer %d) left uncolored", v, layer[v])
@@ -519,9 +528,8 @@ func TestLayerColorerReverseOrder(t *testing.T) {
 // torus is layered by distance from node 0, and the four neighbors of
 // node 8 = (1, 2), two in layer 2 and two in layer 4, are colored 0-3
 // beforehand, so node 8's list is empty and layer 3 fails
-// CheckDegPlusOne. Layer 3 must stay uncolored and count each of its
-// nodes once in repairs, every other layer from 1 up must be colored,
-// and RepairHoles must then complete the coloring.
+// CheckDegPlusOne. Layer 3 must stay uncolored, every other layer from
+// 1 up must be colored, and RepairHoles must then complete the coloring.
 func TestLayerColorerDefersFailedLayer(t *testing.T) {
 	for _, mode := range []ListColorMode{ListColorRandomized, ListColorDeterministic} {
 		g := gen.Torus(6, 6)
@@ -534,17 +542,9 @@ func TestLayerColorerDefersFailedLayer(t *testing.T) {
 		if layer[8] != 3 {
 			t.Fatalf("node 8 in layer %d, want 3", layer[8])
 		}
-		inLayer3 := 0
-		for _, l := range layer {
-			if l == 3 {
-				inLayer3++
-			}
-		}
 
 		lc := NewLayerColorer(g, delta, mode, 3, &local.Accountant{})
-		if rep := lc.ColorLayersReverse(colors, layer, slices.Max(layer), "t"); rep != inLayer3 {
-			t.Fatalf("mode %v: repairs = %d, want layer 3's %d nodes", mode, rep, inLayer3)
-		}
+		lc.ColorLayersReverse(colors, layer, slices.Max(layer), "t")
 		for v, l := range layer {
 			if (l == 3 || l == 0) != (colors[v] < 0) {
 				t.Fatalf("mode %v: node %d in layer %d has color %d; want exactly layers 0 and 3 uncolored", mode, v, l, colors[v])
@@ -678,16 +678,17 @@ func TestDiscoverAnchorsOneDCCPerMinNode(t *testing.T) {
 	}
 	mins := map[int]bool{}
 	for _, grp := range groups {
-		if grp.free || mins[minOf(grp.nodes)] {
+		if grp.free || mins[slices.Min(grp.nodes)] {
 			t.Fatalf("group %+v is free or repeats a minimum node: %+v", grp, groups)
 		}
-		mins[minOf(grp.nodes)] = true
+		mins[slices.Min(grp.nodes)] = true
 	}
 }
 
 func TestSmallComponentsOverlappingAnchors(t *testing.T) {
 	// End to end: colorSmallComponents on components whose anchors
-	// overlap must color all of L properly with nothing deferred. In the
+	// overlap must color all of L properly, leaving nothing to the safety
+	// net. In the
 	// diamond with a tail, free singletons sit inside the DCC group (the
 	// DCC anchor covers the whole component); on the 2xk ladders the DCC
 	// groups overlap one another.
@@ -716,12 +717,8 @@ func TestSmallComponentsOverlappingAnchors(t *testing.T) {
 			delta := 3
 			acct := &local.Accountant{}
 			lc := NewLayerColorer(g, delta, ListColorRandomized, 7, acct)
-			deferred, err := colorSmallComponents(g, inL, colors, delta, RandOptions{Seed: 7}.AutoParams(g.N(), delta), lc, acct)
-			if err != nil {
+			if err := colorSmallComponents(g, inL, colors, delta, RandOptions{Seed: 7}.AutoParams(g.N(), delta), lc, acct); err != nil {
 				t.Fatal(err)
-			}
-			if deferred != 0 {
-				t.Fatalf("deferred = %d, want 0", deferred)
 			}
 			for v := 0; v < g.N(); v++ {
 				if inL[v] && colors[v] < 0 {

@@ -45,8 +45,8 @@ func Deterministic(g *graph.G, seed int64) (*Result, error) {
 // (NewLayerColorer), B0 is colored via Theorem 5 through the batch
 // engine (the ruling-set spacing guarantees disjoint recoloring balls, so
 // every B0 repair lands in one batch charged max rounds — the
-// independence verified, not assumed), and the safety net completes any
-// deferred node.
+// independence verified, not assumed), and the frame's safety net
+// completes any node a failed layer left uncolored.
 func layered(g *graph.G, name string, seed int64, buildB0 func(acct *local.Accountant, bigR int) ([]int, error)) (*Result, error) {
 	f, err := Start(g, name)
 	if err != nil {
@@ -68,13 +68,13 @@ func layered(g *graph.G, name string, seed int64, buildB0 func(acct *local.Accou
 	f.Acct.End()
 
 	lc := NewLayerColorer(g, f.Delta, ListColorDeterministic, seed, f.Acct)
-	repairs := lc.ColorLayersReverse(f.Colors, layer, s, "layers")
-	if _, err := f.Repair("brooks-B0", "brooks-B0", base, seed+0xb0); err != nil {
+	lc.ColorLayersReverse(f.Colors, layer, s, "layers")
+	if err := f.Repair("brooks-B0", "brooks-B0", base, seed+0xb0); err != nil {
 		return nil, err
 	}
-	rres, err := f.Repair("repair", "repair", brooks.Holes(f.Colors), seed+0x4e9)
+	repairs, err := f.SafetyNet(seed + 0x4e9)
 	if err != nil {
 		return nil, err
 	}
-	return f.Finish(repairs + rres.Fixed)
+	return f.Finish(repairs)
 }

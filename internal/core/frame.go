@@ -69,9 +69,9 @@ type Result struct {
 	Delta  int
 	Rounds int
 	Phases []local.PhaseStat
-	// Repairs counts the nodes the pipeline left to Brooks repairs: its
-	// deferred nodes completed by the safety net, or the baseline's stuck
-	// nodes completed by its token walks.
+	// Repairs counts the nodes the pipeline left to Brooks repairs: the
+	// holes the safety net found (Frame.SafetyNet), or the baseline's
+	// stuck nodes completed by its token walks.
 	Repairs int
 	// RepairBatches counts the batch iterations the Brooks repair engine
 	// ran (across every engine invocation of the algorithm); 0 when no
@@ -87,10 +87,11 @@ type Result struct {
 }
 
 // Frame is the part every pipeline shares: Start checks the input and
-// opens the accounting, Repair runs the batched Brooks repairs, and
-// Finish checks the coloring and assembles the Result. Between them the
-// pipeline colors Colors (-1 = uncolored) and charges its rounds to Acct.
-// A Frame belongs to one run of one pipeline.
+// opens the accounting, Repair runs the batched Brooks repairs, SafetyNet
+// repairs whatever the pipeline left uncolored, and Finish checks the
+// coloring and assembles the Result. Between them the pipeline colors
+// Colors (-1 = uncolored) and charges its rounds to Acct. A Frame belongs
+// to one run of one pipeline.
 type Frame struct {
 	Delta  int
 	Colors []int
@@ -121,39 +122,68 @@ func Start(g *graph.G, name string) (*Frame, error) {
 }
 
 // Repair completes holes with the batched distributed Brooks engine
-// (Theorem 5 walks scheduled by an MIS over their repair balls) inside
-// span, charging each batch as "<prefix>-sched[i]" and "<prefix>-batch[i]"
-// (see brooks.RepairInSpan), and folds its batches into the result.
-// Called with the remaining uncolored nodes, it is the safety net that
-// makes every pipeline total on nice inputs.
-func (f *Frame) Repair(span, prefix string, holes []int, seed int64) (*brooks.BatchResult, error) {
-	res, err := brooks.RepairInSpan(f.Acct, span, prefix, f.g, f.Colors, holes, f.Delta, seed)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %s: %w", f.name, span, err)
+// (Theorem 5 walks scheduled by an MIS over their repair balls,
+// brooks.RepairHoles) inside a span named span, which is open while the
+// repair runs, so its wall time and engine rounds land in the phase that
+// bills them. Each batch is charged as "<prefix>-sched[i]" (when it needed
+// scheduling) and "<prefix>-batch[i]" and folded into the result. When
+// the repair fails, the batches it ran are charged all the same, and the
+// error is a *PartialError whose Result counts the holes as its Repairs.
+func (f *Frame) Repair(span, prefix string, holes []int, seed int64) error {
+	f.Acct.Begin(span)
+	res, err := brooks.RepairHoles(f.g, f.Colors, holes, f.Delta, seed)
+	for i, b := range res.Batches {
+		if b.SchedRounds > 0 {
+			f.Acct.Charge(fmt.Sprintf("%s-sched[%d]", prefix, i), b.SchedRounds)
+		}
+		f.Acct.Charge(fmt.Sprintf("%s-batch[%d]", prefix, i), b.Rounds)
 	}
+	f.Acct.End()
 	f.batchRounds = append(f.batchRounds, res.BatchRounds()...)
-	return res, nil
+	if err != nil {
+		return &PartialError{Result: f.result(len(holes)), Err: fmt.Errorf("%s: %s: %w", f.name, span, err)}
+	}
+	return nil
 }
 
-// CheckError is Finish's error when the final check fails. Result is the
-// run as the pipeline ended it, spans closed, with Colors the coloring
-// that failed the check, so a caller can repair it instead of starting
-// over.
-type CheckError struct {
+// SafetyNet repairs every node that is still uncolored (span and prefix
+// "repair") and returns how many there were: the pipeline's Repairs. It
+// makes every pipeline total on nice inputs, whatever its probabilistic
+// or fault-hit phases left behind.
+func (f *Frame) SafetyNet(seed int64) (int, error) {
+	holes := brooks.Holes(f.Colors)
+	return len(holes), f.Repair("repair", "repair", holes, seed)
+}
+
+// PartialError is the error of a run that reached a coloring it could
+// not complete: a failed repair (Repair, SafetyNet) or a failed final
+// check (Finish). Result is the run as the pipeline left it, spans
+// closed, with Colors the partial or failing coloring, so a caller can
+// repair it instead of starting over.
+type PartialError struct {
 	Result *Result
-	Err    error // the pipeline's name and the check's failure
+	Err    error // the pipeline's name and what failed
 }
 
-func (e *CheckError) Error() string { return e.Err.Error() }
+func (e *PartialError) Error() string { return e.Err.Error() }
 
-func (e *CheckError) Unwrap() error { return e.Err }
+func (e *PartialError) Unwrap() error { return e.Err }
 
 // Finish checks that Colors is a Δ-coloring (total, proper, every color
 // below Δ) and returns the Result, with repairs as its Repairs count and
-// the spans closed. When the check fails, the error is a *CheckError that
-// carries the Result.
+// the spans closed. When the check fails, the error is a *PartialError
+// that carries the Result.
 func (f *Frame) Finish(repairs int) (*Result, error) {
-	res := &Result{
+	res := f.result(repairs)
+	if err := verify.DeltaColoring(f.g, f.Colors, f.Delta); err != nil {
+		return nil, &PartialError{Result: res, Err: fmt.Errorf("%s: %w", f.name, err)}
+	}
+	return res, nil
+}
+
+// result assembles the run's Result so far and closes its spans.
+func (f *Frame) result(repairs int) *Result {
+	return &Result{
 		Colors:            f.Colors,
 		Delta:             f.Delta,
 		Rounds:            f.Acct.Total(),
@@ -163,8 +193,4 @@ func (f *Frame) Finish(repairs int) (*Result, error) {
 		RepairBatchRounds: f.batchRounds,
 		Span:              f.Acct.FinishSpans(),
 	}
-	if err := verify.DeltaColoring(f.g, f.Colors, f.Delta); err != nil {
-		return nil, &CheckError{Result: res, Err: fmt.Errorf("%s: %w", f.name, err)}
-	}
-	return res, nil
 }

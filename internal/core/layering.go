@@ -141,9 +141,8 @@ func NewLayerColorer(g *graph.G, delta int, mode ListColorMode, seed int64, acct
 // colors[v] < 0) in decreasing layer order, writing into colors. Layer 0 is
 // the caller's responsibility (base layers are colored with different
 // techniques). A layer whose list instance fails (not deg+1, or unsolved)
-// stays uncolored for the caller's final Brooks repair pass; the result
-// counts the nodes left so.
-func (lc *LayerColorer) ColorLayersReverse(colors []int, layer []int, s int, phase string) (repairs int) {
+// stays uncolored for the frame's safety net (Frame.SafetyNet).
+func (lc *LayerColorer) ColorLayersReverse(colors []int, layer []int, s int, phase string) {
 	lc.acct.Begin(phase)
 	defer lc.acct.End()
 	members := make([][]int, s+1)
@@ -170,11 +169,7 @@ func (lc *LayerColorer) ColorLayersReverse(colors []int, layer []int, s int, pha
 				colors[v] = got[j]
 			}
 		}
-		if err != nil {
-			repairs += len(nodes)
-		}
 	}
-	return repairs
 }
 
 // solve runs the configured list-coloring subroutine on the shared

@@ -3,9 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"deltacolor/graph"
-	"deltacolor/internal/brooks"
 	"deltacolor/internal/dist"
 	"deltacolor/internal/gallai"
 	"deltacolor/local"
@@ -89,8 +89,8 @@ func (o RandOptions) AutoParams(n, delta int) RandOptions {
 //	    (phases 8–9).
 //
 // Any node the probabilistic phases fail to cover is completed by the
-// distributed Brooks safety net and counted in Result.Repairs, so the
-// returned coloring is always a valid Δ-coloring on nice graphs.
+// frame's safety net (Frame.SafetyNet) and counted in Result.Repairs, so
+// the returned coloring is always a valid Δ-coloring on nice graphs.
 func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 	f, err := Start(g, "randomized")
 	if err != nil {
@@ -105,26 +105,12 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 	dccs, _, selRounds := gallai.SelectDCCs(g, o.R)
 	acct.Charge("dcc-select", selRounds)
 
-	inB0 := make([]bool, n)
 	var base []int
 	sB := 0
 	if len(dccs) > 0 {
-		// The virtual DCC network is built directly from g's port tables
-		// (linear in the groups' sizes and boundary edges), not by the
-		// O(m) graph.Quotient + NewNetwork rebuild.
-		qnet := local.QuotientNetwork(g, dccs, o.Seed+11)
-		inMIS, misRounds := dist.LubyMIS(qnet, nil)
+		var misRounds int
+		_, base, misRounds = rulingGroups(g, dccs, o.Seed+11)
 		acct.Charge("dcc-ruling-set", misRounds*(2*o.R+1))
-		for di, d := range dccs {
-			if inMIS[di] {
-				for _, v := range d {
-					if !inB0[v] {
-						inB0[v] = true
-						base = append(base, v)
-					}
-				}
-			}
-		}
 		sB = 4*o.R + 2
 	}
 	// Keep only layers 0..sB; beyond that nodes stay in H.
@@ -142,51 +128,33 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 	// ---- Phase II: shattering (phases 4-6). ----
 	acct.Begin("shatter")
 	sh := shatter(g, inH, colors, delta, o, acct)
-	repairs := 0
 	if sh.nL > 0 {
-		rep, err := colorSmallComponents(g, sh.inL, colors, delta, o, lc, acct)
-		if err != nil {
+		if err := colorSmallComponents(g, sh.inL, colors, delta, o, lc, acct); err != nil {
 			acct.End() // close "shatter" on the error path (spanpair)
 			return nil, err
 		}
-		repairs += rep
 	}
 	acct.End()
 
 	// ---- Phase III: color happy layers C_{2r}..C_0 (phase 7). ----
-	repairs += lc.ColorLayersReverse(colors, shiftLayers(sh.layerC), sh.sC+1, "C")
+	lc.ColorLayersReverse(colors, shiftLayers(sh.layerC), sh.sC+1, "C")
 
 	// ---- Phase IV: color DCC layers B_s..B_1 and base B0 (phases 8-9). ----
-	repairs += lc.ColorLayersReverse(colors, layerB, sB, "B")
+	lc.ColorLayersReverse(colors, layerB, sB, "B")
 
 	if len(dccs) > 0 {
 		maxRad := 0
 		for _, d := range dccs {
-			if !allUncolored(colors, d) {
-				continue
-			}
-			lists := gallai.DegreeLists(g, d, colors, delta)
-			sol, err := gallai.BruteListColor(g, d, lists)
-			if err != nil {
-				// Heuristic DCC turned out infeasible against this boundary
-				// (should not happen, Theorem 8); defer to repair.
-				continue
-			}
-			for i, v := range d {
-				colors[v] = sol[i]
-			}
-			if r := gallai.SetRadius(g, d); r > maxRad {
-				maxRad = r
-			}
+			maxRad = max(maxRad, colorDCC(g, d, colors, delta))
 		}
 		acct.Charge("B0-bruteforce", 2*maxRad+1)
 	}
 
-	rres, err := f.Repair("repair", "repair", brooks.Holes(colors), o.Seed+0x4e9)
+	repairs, err := f.SafetyNet(o.Seed + 0x4e9)
 	if err != nil {
 		return nil, err
 	}
-	return f.Finish(repairs + rres.Fixed)
+	return f.Finish(repairs)
 }
 
 // shattering is the outcome of phases (4)–(5) on H.
@@ -394,11 +362,49 @@ func shiftLayers(layer []int) []int {
 	return out
 }
 
-func allUncolored(colors []int, nodes []int) bool {
-	for _, v := range nodes {
-		if colors[v] >= 0 {
-			return false
+// rulingGroups picks a maximal independent set of node groups, the
+// ruling set of the Bourreau–Brandt–Nolin reduction to MIS that both DCC
+// phases use: it builds the groups' quotient network straight from g's
+// port tables (local.QuotientNetwork: groups that share a member or an
+// edge are adjacent; linear in the groups' sizes and boundary edges, not
+// an O(m) rebuild), runs dist.LubyMIS on it, and returns the chosen
+// groups' indices in order, their members, each once, in order of first
+// appearance, and the MIS's rounds on the quotient. The caller charges
+// those at its own cost per virtual round.
+func rulingGroups(g *graph.G, groups [][]int, seed int64) (chosen, members []int, rounds int) {
+	inMIS, rounds := dist.LubyMIS(local.QuotientNetwork(g, groups, seed), nil)
+	seen := make([]bool, g.N())
+	for gi, grp := range groups {
+		if !inMIS[gi] {
+			continue
+		}
+		chosen = append(chosen, gi)
+		for _, v := range grp {
+			if !seen[v] {
+				seen[v] = true
+				members = append(members, v)
+			}
 		}
 	}
-	return true
+	return chosen, members, rounds
+}
+
+// colorDCC brute-forces a DCC whose nodes are all uncolored: it list-colors
+// dcc from its degree lists (gallai.DegreeLists, gallai.BruteListColor)
+// and returns its radius. When a node of dcc is already colored, or the
+// DCC has no list coloring against its boundary (a heuristic DCC that
+// Theorem 8 rules out), it leaves colors unchanged and returns -1; the
+// safety net then repairs what stays uncolored.
+func colorDCC(g *graph.G, dcc, colors []int, delta int) int {
+	if slices.ContainsFunc(dcc, func(v int) bool { return colors[v] >= 0 }) {
+		return -1
+	}
+	sol, err := gallai.BruteListColor(g, dcc, gallai.DegreeLists(g, dcc, colors, delta))
+	if err != nil {
+		return -1
+	}
+	for i, v := range dcc {
+		colors[v] = sol[i]
+	}
+	return gallai.SetRadius(g, dcc)
 }

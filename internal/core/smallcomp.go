@@ -2,10 +2,10 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"deltacolor/graph"
 	"deltacolor/internal/brooks"
-	"deltacolor/internal/dist"
 	"deltacolor/internal/gallai"
 	"deltacolor/local"
 )
@@ -22,100 +22,46 @@ import (
 //	(4) anchors last: DCCs brute-forced from degree lists, free nodes
 //	    greedily (their outside slack guarantees a free color).
 //
-// Components the heuristics fail to anchor are deferred to the Brooks
-// repair pass; the count is returned.
-func colorSmallComponents(g *graph.G, inL []bool, colors []int, delta int, o RandOptions, lc *LayerColorer, acct *local.Accountant) (int, error) {
-	n := g.N()
-	deferred := 0
+// Whatever the heuristics leave uncolored — components without an
+// anchor, nodes no anchor reaches, failed layers and anchors — stays so
+// for the frame's safety net (Frame.SafetyNet).
+func colorSmallComponents(g *graph.G, inL []bool, colors []int, delta int, o RandOptions, lc *LayerColorer, acct *local.Accountant) error {
 	groups, maxRC, err := discoverAnchors(g, inL, colors, maskedComponents(g, inL), delta)
 	if err != nil {
-		return deferred, err
+		return err
 	}
 	acct.Charge("small-anchors", 2*maxRC)
 	if len(groups) == 0 {
-		// No component could be anchored; defer everything to the Brooks
-		// repair pass.
-		for v := 0; v < n; v++ {
-			if inL[v] {
-				deferred++
-			}
-		}
-		return deferred, nil
+		return nil // no component could be anchored
 	}
 
-	// Ruling set over the virtual anchor graph, built straight from g's
-	// port tables (see local.QuotientNetwork): anchors are L-nodes, so the
-	// edges g has between them are exactly G[L]'s.
+	// Ruling set over the virtual anchor graph: anchors are L-nodes, so
+	// the edges g has between them are exactly G[L]'s.
 	nodeSets := make([][]int, len(groups))
 	for gi, grp := range groups {
 		nodeSets[gi] = grp.nodes
 	}
-	qnet := local.QuotientNetwork(g, nodeSets, o.Seed+23)
-	inMIS, misRounds := dist.LubyMIS(qnet, nil)
+	chosen, base, misRounds := rulingGroups(g, nodeSets, o.Seed+23)
 	acct.Charge("small-ruling-set", misRounds*(2*maxRC+1))
-
-	inBase := make([]bool, n)
-	var base []int
-	var chosen []int
-	for gi, grp := range groups {
-		if !inMIS[gi] {
-			continue
-		}
-		chosen = append(chosen, gi)
-		for _, v := range grp.nodes {
-			if !inBase[v] {
-				inBase[v] = true
-				base = append(base, v)
-			}
-		}
-	}
 
 	// D layers by distance within L to the chosen anchors.
 	layerD := Layering(g, base, inL, -1)
-	sD := 0
-	for v := 0; v < n; v++ {
-		sD = max(sD, layerD[v])
-		if inL[v] && layerD[v] < 0 {
-			deferred++ // unreachable from any anchor; repaired later
-		}
-	}
+	sD := max(0, slices.Max(layerD))
 	acct.Charge("small-layers", sD)
-
-	deferred += lc.ColorLayersReverse(colors, layerD, sD, "D")
+	lc.ColorLayersReverse(colors, layerD, sD, "D")
 
 	// Anchors last (independently: MIS groups are pairwise non-adjacent).
 	maxRad := 0
 	for _, gi := range chosen {
 		grp := groups[gi]
-		if grp.free {
-			v := grp.nodes[0]
-			if colors[v] < 0 {
-				if c := brooks.FreeColor(g, colors, v, delta); c >= 0 {
-					colors[v] = c
-				} else {
-					deferred++
-				}
-			}
-			continue
-		}
-		if !allUncolored(colors, grp.nodes) {
-			continue
-		}
-		lists := gallai.DegreeLists(g, grp.nodes, colors, delta)
-		sol, err := gallai.BruteListColor(g, grp.nodes, lists)
-		if err != nil {
-			deferred += len(grp.nodes)
-			continue
-		}
-		for i, v := range grp.nodes {
-			colors[v] = sol[i]
-		}
-		if r := gallai.SetRadius(g, grp.nodes); r > maxRad {
-			maxRad = r
+		if !grp.free {
+			maxRad = max(maxRad, colorDCC(g, grp.nodes, colors, delta))
+		} else if v := grp.nodes[0]; colors[v] < 0 {
+			colors[v] = brooks.FreeColor(g, colors, v, delta) // -1: none free
 		}
 	}
 	acct.Charge("small-anchors-color", 2*maxRad+1)
-	return deferred, nil
+	return nil
 }
 
 // anchorGroup is one candidate anchor of a small component: a DCC (free ==
@@ -163,7 +109,7 @@ func discoverAnchors(g *graph.G, inL []bool, colors []int, byComp [][]int, delta
 			// yields 14 groups instead of 9, and on rr4 with R = 1 the
 			// small-component ruling set charges 351 rounds instead of 273
 			// at n = 512 (TestDiscoverAnchorsOneDCCPerMinNode).
-			key := minOf(d)
+			key := slices.Min(d)
 			if seen[key] {
 				continue
 			}
@@ -200,14 +146,4 @@ func isFreeNode(g *graph.G, inL []bool, colors []int, v, delta int) bool {
 		}
 	}
 	return false
-}
-
-func minOf(xs []int) int {
-	m := xs[0]
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }

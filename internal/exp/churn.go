@@ -14,10 +14,10 @@ package exp
 //     ChurnGate under -strict: at the largest n the incremental path wins
 //     on charged LOCAL rounds AND wall time.
 //
-//   - Fault rows: deltacolor.ColorUnderFaults under representative
-//     FaultPlans (drop, dup+delay, crash bursts), self-checking the
-//     all-or-typed-error contract; the gate demands at least one plan
-//     heals to a verified coloring.
+//   - Fault rows: deltacolor.ColorUnderFaults for every algorithm under
+//     representative FaultPlans (drop, dup+delay, crash bursts),
+//     self-checking the all-or-typed-error contract; the gate demands
+//     that every algorithm × plan run heals to a verified coloring.
 //
 // cmd/benchsuite serializes the report (BENCH_churn.json) and the CI quick
 // pass runs it under -strict.
@@ -35,7 +35,7 @@ import (
 )
 
 // ChurnSchema identifies the BENCH_churn.json layout.
-const ChurnSchema = "deltacolor/bench-churn/v1"
+const ChurnSchema = "deltacolor/bench-churn/v2"
 
 // ChurnMutationRow is one (family, n) incremental-vs-full measurement.
 type ChurnMutationRow struct {
@@ -58,8 +58,10 @@ type ChurnMutationRow struct {
 	WallRatio   float64 `json:"wall_ratio"`
 }
 
-// ChurnFaultRow is one ColorUnderFaults run under a named FaultPlan.
+// ChurnFaultRow is one ColorUnderFaults run of one algorithm under a
+// named FaultPlan.
 type ChurnFaultRow struct {
+	Algorithm     string  `json:"algorithm"`
 	Plan          string  `json:"plan"`
 	N             int     `json:"n"`
 	Delta         int     `json:"delta"`
@@ -208,30 +210,44 @@ func ChurnRecovery(cfg Config) *ChurnReport {
 		})
 	}
 
-	g := gen.MustRandomRegular(rand.New(rand.NewSource(cfg.Seed+7)), faultN, 4)
-	for _, tc := range churnPlans(cfg.Seed) {
-		t0 := time.Now()
-		res, stats, err := deltacolor.ColorUnderFaults(g, deltacolor.Options{Algorithm: deltacolor.AlgRandomized, Seed: cfg.Seed}, tc.plan)
-		millis := float64(time.Since(t0).Microseconds()) / 1000
-		row := ChurnFaultRow{Plan: tc.name, N: g.N(), Millis: millis}
-		if err != nil {
-			if !errors.Is(err, deltacolor.ErrUnrecoverable) {
-				panic(fmt.Sprintf("E16 fault plan %s: untyped error: %v", tc.name, err))
-			}
-			row.Unrecoverable = true
-		} else {
-			if verr := verify.DeltaColoring(g, res.Colors, res.Delta); verr != nil {
-				panic(fmt.Sprintf("E16 fault plan %s: nil error but invalid coloring: %v", tc.name, verr))
-			}
-			row.Delta = res.Delta
-			row.Rounds = res.Rounds
-			row.Conflicts = stats.Conflicts
-			row.Repaired = stats.Repaired
-			row.Verified = true
-		}
-		rep.FaultRows = append(rep.FaultRows, row)
-	}
+	rep.FaultRows = churnFaultRows(cfg, faultN)
 	return rep
+}
+
+// churnAlgorithms are the pipelines the fault rows run, in row order.
+var churnAlgorithms = []deltacolor.Algorithm{deltacolor.AlgRandomized, deltacolor.AlgDeterministic, deltacolor.AlgNetDec, deltacolor.AlgBaseline}
+
+// churnFaultRows runs ColorUnderFaults for every algorithm under every
+// churn plan on one random 4-regular graph of n nodes: one row per run,
+// algorithm by algorithm, plans in churnPlans order.
+func churnFaultRows(cfg Config, n int) []ChurnFaultRow {
+	g := gen.MustRandomRegular(rand.New(rand.NewSource(cfg.Seed+7)), n, 4)
+	var rows []ChurnFaultRow
+	for _, alg := range churnAlgorithms {
+		for _, tc := range churnPlans(cfg.Seed) {
+			t0 := time.Now()
+			res, stats, err := deltacolor.ColorUnderFaults(g, deltacolor.Options{Algorithm: alg, Seed: cfg.Seed}, tc.plan)
+			millis := float64(time.Since(t0).Microseconds()) / 1000
+			row := ChurnFaultRow{Algorithm: alg.String(), Plan: tc.name, N: g.N(), Millis: millis}
+			if err != nil {
+				if !errors.Is(err, deltacolor.ErrUnrecoverable) {
+					panic(fmt.Sprintf("E16 %s under fault plan %s: untyped error: %v", alg, tc.name, err))
+				}
+				row.Unrecoverable = true
+			} else {
+				if verr := verify.DeltaColoring(g, res.Colors, res.Delta); verr != nil {
+					panic(fmt.Sprintf("E16 %s under fault plan %s: nil error but invalid coloring: %v", alg, tc.name, verr))
+				}
+				row.Delta = res.Delta
+				row.Rounds = res.Rounds
+				row.Conflicts = stats.Conflicts
+				row.Repaired = stats.Repaired
+				row.Verified = true
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows
 }
 
 // Table renders the report as the E16 table.
@@ -252,21 +268,22 @@ func (rep *ChurnReport) Table() *Table {
 		if r.Verified {
 			outcome = fmt.Sprintf("healed %d/%d", r.Repaired, r.Conflicts)
 		}
-		t.AddRow("fault/"+r.Plan, itoa(r.N), "-", itoa(r.Delta), outcome, itoa(r.Conflicts),
+		t.AddRow("fault/"+r.Algorithm+"/"+r.Plan, itoa(r.N), "-", itoa(r.Delta), outcome, itoa(r.Conflicts),
 			"-", "-", itoa(r.Rounds), f2(r.Millis), "-", "-")
 	}
 	t.AddNote("GOMAXPROCS=%d, quick=%v. Churn rows: a 1%% mutation stream (80%% degree-capped inserts, 15%% degree-guarded deletes, "+
 		"5%% node arrivals) runs through the live network churn API, then the coloring is restored incrementally "+
 		"(ConflictSet scan + batched Brooks repair, charged sched+exec rounds) and from scratch (full pipeline). "+
 		"Ratios < 1 mean the incremental path wins; the -strict gate requires both at the largest n. Fault rows: "+
-		"ColorUnderFaults under bounded fault bursts — every run must heal to a verified coloring or return a typed "+
-		"ErrUnrecoverable; the gate requires at least one plan to heal.", rep.GoMaxProcs, rep.Quick)
+		"ColorUnderFaults for every algorithm under bounded fault bursts — every run must heal to a verified coloring "+
+		"or return a typed ErrUnrecoverable; the gate requires every algorithm × plan run to heal.", rep.GoMaxProcs, rep.Quick)
 	return t
 }
 
 // ChurnGate checks the report's central claims: at the largest measured n
 // the incremental path must beat the full pipeline on charged rounds AND
-// wall time, and at least one fault plan must heal to a verified coloring.
+// wall time, and every fault row (algorithm × plan) must heal to a
+// verified coloring.
 func ChurnGate(rep *ChurnReport) error {
 	var top *ChurnMutationRow
 	for i := range rep.MutationRows {
@@ -286,14 +303,13 @@ func ChurnGate(rep *ChurnReport) error {
 		return fmt.Errorf("churn gate: n=%d incremental wall %.2fms did not beat full pipeline %.2fms",
 			top.N, top.IncrMillis, top.FullMillis)
 	}
-	healed := 0
-	for _, r := range rep.FaultRows {
-		if r.Verified {
-			healed++
-		}
+	if len(rep.FaultRows) == 0 {
+		return fmt.Errorf("churn gate: report has no fault rows")
 	}
-	if len(rep.FaultRows) == 0 || healed == 0 {
-		return fmt.Errorf("churn gate: no fault plan healed to a verified coloring (%d rows)", len(rep.FaultRows))
+	for _, r := range rep.FaultRows {
+		if !r.Verified {
+			return fmt.Errorf("churn gate: %s under fault plan %s did not heal to a verified coloring", r.Algorithm, r.Plan)
+		}
 	}
 	return nil
 }

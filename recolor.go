@@ -147,15 +147,16 @@ func Recolor(g *graph.G, colors []int, delta int, seed int64) (*RecolorStats, er
 // networks all inherit it) and the previous default is restored before
 // repair runs.
 //
-// A pipeline that runs to its end hands its coloring to Recolor even
-// when the coloring fails the pipeline's final check: the Result then
-// holds the pipeline's rounds and phases, and its Colors the repaired
-// coloring.
+// A pipeline that reaches a coloring hands it to Recolor even when the
+// pipeline could not complete it: when one of its Brooks repairs fails
+// (the safety net included) or its final check does, the error carries
+// the run's partial Result (*core.PartialError), which then holds the
+// pipeline's rounds and phases, and its Colors the repaired coloring.
 //
 // The contract is all-or-typed-error: on nil error the returned
 // Result.Colors passes verify.DeltaColoring; every fault-induced failure
-// — an error in the middle of a pipeline, a pipeline panic on
-// fault-mangled state, or a repair that cannot converge — returns an
+// — any other error in the middle of a pipeline, a pipeline panic on
+// fault-mangled state, or a Recolor that cannot converge — returns an
 // error wrapping ErrUnrecoverable. Precondition errors (ErrBadOptions,
 // ErrNotNice, ErrComplete, ErrDegreeTooSmall) are not fault-induced and
 // pass through unwrapped.
@@ -171,11 +172,11 @@ func ColorUnderFaults(g *graph.G, opts Options, plan *local.FaultPlan) (*Result,
 	}
 	res, runErr := colorRecovering(g, opts)
 	_ = local.SetDefaultFaultPlan(prev)
-	var failedCheck *core.CheckError
+	var partial *core.PartialError
 	switch {
 	case runErr == nil:
-	case errors.As(runErr, &failedCheck):
-		res = newResult(failedCheck.Result, opts.algorithm())
+	case errors.As(runErr, &partial):
+		res = newResult(partial.Result, opts.algorithm())
 	case isStructuralErr(runErr):
 		return nil, nil, runErr
 	default:
