@@ -159,17 +159,19 @@ func TestColorUnderFaultsHealsFailedFinalCheck(t *testing.T) {
 	}
 }
 
-// TestColorUnderFaultsImproperLinial runs both deterministic pipelines
-// under 90% drops in every run's first round, which make Linial's
-// coloring improper: the color reduction rejects it, so no layer has a
-// schedule and every layer defers to the safety net. Each run must heal
-// to a verified coloring, and its Repairs, the holes the safety net
-// found, cannot exceed n (when each failed layer was tallied on top of
-// the safety net's count, it read 1,022 on these 512 nodes).
+// TestColorUnderFaultsImproperLinial runs the pipelines that reduce
+// Linial's coloring under 90% drops in every run's first round, which
+// make that coloring improper, so the color reduction rejects it. In both
+// deterministic pipelines no layer has a schedule and every layer defers
+// to the safety net; the baseline fails at once and hands its empty
+// coloring to Recolor. Each run must heal to a verified coloring, and its
+// Repairs, the holes the safety net found, cannot exceed n (when each
+// failed layer was tallied on top of the safety net's count, it read
+// 1,022 on these 512 nodes).
 func TestColorUnderFaultsImproperLinial(t *testing.T) {
 	g := gen.MustRandomRegular(rand.New(rand.NewSource(8)), 512, 4)
 	plan := &local.FaultPlan{Seed: 3, DropProb: 0.9, FromRound: 1, ToRound: 1, RoundLimit: 50_000}
-	for _, alg := range []deltacolor.Algorithm{deltacolor.AlgDeterministic, deltacolor.AlgNetDec} {
+	for _, alg := range []deltacolor.Algorithm{deltacolor.AlgDeterministic, deltacolor.AlgNetDec, deltacolor.AlgBaseline} {
 		t.Run(alg.String(), func(t *testing.T) {
 			res, stats, err := deltacolor.ColorUnderFaults(g, deltacolor.Options{Algorithm: alg, Seed: 1}, plan)
 			if err != nil {

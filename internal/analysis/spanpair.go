@@ -15,9 +15,9 @@ import (
 //     caused it. (StartSpans/FinishSpans are exempt: an abandoned
 //     collection is dropped wholesale and harmless.)
 //   - Tracer counters (Tracer/Counters fields, per-batch trInts/trRecs/
-//     trDrops) are written only by Tracer's own methods or functions
-//     annotated //deltacolor:coordinator — exactly one writer per
-//     counter is what keeps the two-adds-per-batch accounting exact
+//     trDrops/trWords/trMaxWords) are written only by Tracer's own
+//     methods or functions annotated //deltacolor:coordinator — exactly
+//     one writer per counter is what keeps the per-batch accounting exact
 //     without atomics.
 var SpanPair = &Analyzer{
 	Name: "spanpair",
@@ -30,7 +30,7 @@ var SpanPair = &Analyzer{
 // batchCounterFields are the per-batch trace and fault-injection counters
 // (owner-written, drained by the coordinator between phases/rounds).
 var batchCounterFields = map[string]bool{
-	"trInts": true, "trRecs": true, "trDrops": true,
+	"trInts": true, "trRecs": true, "trDrops": true, "trWords": true, "trMaxWords": true,
 	"ftDrops": true, "ftDups": true, "ftDelays": true,
 	"ftCrashIn": true, "ftOffline": true, "ftPanics": true,
 }

@@ -16,8 +16,6 @@
 package baseline
 
 import (
-	"fmt"
-
 	"deltacolor/graph"
 	"deltacolor/internal/brooks"
 	"deltacolor/internal/core"
@@ -47,7 +45,7 @@ func Color(g *graph.G, seed int64) (*core.Result, error) {
 	f.Acct.Charge("linial", r1)
 	reduced, r2, err := dist.ReduceColors(net, base, k, delta+1)
 	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
+		return nil, f.Fail(0, err)
 	}
 	copy(colors, reduced)
 	f.Acct.Charge("reduce", r2)

@@ -228,11 +228,13 @@ func RepairHoles(g *graph.G, colors []int, holes []int, delta int, seed int64) (
 				info.Rounds = rounds[i]
 			}
 		}
+		// An empty batch still ran its scheduling, so it is charged before
+		// the failure is reported.
+		res.Batches = append(res.Batches, info)
 		if info.Size == 0 {
 			return res, fmt.Errorf("brooks: batch repair scheduled an empty batch (%d holes left)", len(remaining))
 		}
 		res.Fixed += info.Size
-		res.Batches = append(res.Batches, info)
 
 		// Drop everything now colored: the chosen repairs, plus any hole a
 		// DCC or fallback recoloring completed as a side effect.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"deltacolor/graph"
@@ -60,7 +59,7 @@ func layered(g *graph.G, name string, seed int64, buildB0 func(acct *local.Accou
 	base, err := buildB0(f.Acct, bigR)
 	if err != nil {
 		f.Acct.End() // close "decompose" on the error path (spanpair)
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, f.Fail(0, err)
 	}
 	layer := Layering(g, base, nil, -1)
 	s := max(0, slices.Max(layer))

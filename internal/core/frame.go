@@ -88,10 +88,11 @@ type Result struct {
 
 // Frame is the part every pipeline shares: Start checks the input and
 // opens the accounting, Repair runs the batched Brooks repairs, SafetyNet
-// repairs whatever the pipeline left uncolored, and Finish checks the
-// coloring and assembles the Result. Between them the pipeline colors
-// Colors (-1 = uncolored) and charges its rounds to Acct. A Frame belongs
-// to one run of one pipeline.
+// repairs whatever the pipeline left uncolored, Finish checks the
+// coloring and assembles the Result, and Fail turns any error after Start
+// into one that carries the Result so far. Between them the pipeline
+// colors Colors (-1 = uncolored) and charges its rounds to Acct. A Frame
+// belongs to one run of one pipeline.
 type Frame struct {
 	Delta  int
 	Colors []int
@@ -141,7 +142,7 @@ func (f *Frame) Repair(span, prefix string, holes []int, seed int64) error {
 	f.Acct.End()
 	f.batchRounds = append(f.batchRounds, res.BatchRounds()...)
 	if err != nil {
-		return &PartialError{Result: f.result(len(holes)), Err: fmt.Errorf("%s: %s: %w", f.name, span, err)}
+		return f.Fail(len(holes), fmt.Errorf("%s: %w", span, err))
 	}
 	return nil
 }
@@ -155,11 +156,11 @@ func (f *Frame) SafetyNet(seed int64) (int, error) {
 	return len(holes), f.Repair("repair", "repair", holes, seed)
 }
 
-// PartialError is the error of a run that reached a coloring it could
-// not complete: a failed repair (Repair, SafetyNet) or a failed final
-// check (Finish). Result is the run as the pipeline left it, spans
-// closed, with Colors the partial or failing coloring, so a caller can
-// repair it instead of starting over.
+// PartialError is the error of a run that failed after Start: a failed
+// repair (Repair, SafetyNet), a failed final check (Finish) or any other
+// error a pipeline hands to Fail. Result is the run as the pipeline left
+// it, spans closed, with Colors the partial or failing coloring, so a
+// caller can repair it instead of starting over.
 type PartialError struct {
 	Result *Result
 	Err    error // the pipeline's name and what failed
@@ -171,14 +172,19 @@ func (e *PartialError) Unwrap() error { return e.Err }
 
 // Finish checks that Colors is a Δ-coloring (total, proper, every color
 // below Δ) and returns the Result, with repairs as its Repairs count and
-// the spans closed. When the check fails, the error is a *PartialError
-// that carries the Result.
+// the spans closed. When the check fails, the error is Fail's.
 func (f *Frame) Finish(repairs int) (*Result, error) {
-	res := f.result(repairs)
 	if err := verify.DeltaColoring(f.g, f.Colors, f.Delta); err != nil {
-		return nil, &PartialError{Result: res, Err: fmt.Errorf("%s: %w", f.name, err)}
+		return nil, f.Fail(repairs, err)
 	}
-	return res, nil
+	return f.result(repairs), nil
+}
+
+// Fail is the error of a run that fails after Start: a *PartialError
+// whose Result is the run so far, with repairs as its Repairs count and
+// the spans closed, and whose text is the pipeline's name and err.
+func (f *Frame) Fail(repairs int, err error) error {
+	return &PartialError{Result: f.result(repairs), Err: fmt.Errorf("%s: %w", f.name, err)}
 }
 
 // result assembles the run's Result so far and closes its spans.

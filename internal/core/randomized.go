@@ -131,7 +131,7 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 	if sh.nL > 0 {
 		if err := colorSmallComponents(g, sh.inL, colors, delta, o, lc, acct); err != nil {
 			acct.End() // close "shatter" on the error path (spanpair)
-			return nil, err
+			return nil, f.Fail(0, err)
 		}
 	}
 	acct.End()

@@ -158,8 +158,9 @@ func TestFinishCarriesResult(t *testing.T) {
 // MIS that schedules the repair batches before any node joins it, so the
 // safety net on the all-uncolored 4x4 torus schedules an empty batch and
 // fails. Its *PartialError carries the Result: the 16 holes as Repairs,
-// the rounds charged so far (the probe's 3 at least), and the coloring as
-// the repair left it.
+// the rounds charged so far (the probe's 3 and the empty batch's
+// scheduling, charged as "repair-sched[0]"), and the coloring as the
+// repair left it.
 func TestRepairFailureCarriesResult(t *testing.T) {
 	if err := local.SetDefaultFaultPlan(&local.FaultPlan{RoundLimit: 1}); err != nil {
 		t.Fatal(err)
@@ -175,7 +176,10 @@ func TestRepairFailureCarriesResult(t *testing.T) {
 	if holes != 16 || !ok {
 		t.Fatalf("SafetyNet under RoundLimit 1: %d holes, error %v; want 16 and a *PartialError", holes, err)
 	}
-	if !strings.HasPrefix(pe.Error(), "probe: repair: ") || pe.Result.Repairs != 16 || pe.Result.Rounds < 3 || !slices.Equal(pe.Result.Colors, f.Colors) {
+	if !strings.HasPrefix(pe.Error(), "probe: repair: ") || pe.Result.Repairs != 16 || pe.Result.Rounds <= 3 || !slices.Equal(pe.Result.Colors, f.Colors) {
 		t.Fatalf("error %q with result %+v", pe, pe.Result)
+	}
+	if !slices.ContainsFunc(pe.Result.Phases, func(p local.PhaseStat) bool { return p.Name == "repair-sched[0]" && p.Rounds > 0 }) {
+		t.Fatalf("the failed batch's scheduling is not charged: %v", pe.Result.Phases)
 	}
 }

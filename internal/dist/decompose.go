@@ -116,13 +116,12 @@ func Decompose(g *graph.G, active []bool, beta float64, seed int64) *Decompositi
 	for i := range adj {
 		adj[i] = make(map[int]bool)
 	}
-	for _, e := range g.Edges() {
-		a, b := cluster[e[0]], cluster[e[1]]
-		if a < 0 || b < 0 || a == b {
-			continue
+	for u, a := range cluster {
+		for _, v := range g.Neighbors(u) {
+			if b := cluster[v]; a >= 0 && b >= 0 && a != b {
+				adj[a][b] = true
+			}
 		}
-		adj[a][b] = true
-		adj[b][a] = true
 	}
 	colors := make([]int, len(centers))
 	numColors := 0
@@ -255,12 +254,13 @@ func VerifyDecomposition(g *graph.G, active []bool, dec *Decomposition) error {
 			return fmt.Errorf("decomposition: cluster %d radius %d exceeds MaxRadius %d", ci, maxDepth, dec.MaxRadius)
 		}
 	}
-	for _, e := range g.Edges() {
-		a, b := dec.Cluster[e[0]], dec.Cluster[e[1]]
-		if a < 0 || b < 0 || a == b {
-			continue
-		}
-		if dec.ClusterColor[a] == dec.ClusterColor[b] {
+	sameColor := func(u, v int) bool {
+		a, b := dec.Cluster[u], dec.Cluster[v]
+		return a >= 0 && b >= 0 && a != b && dec.ClusterColor[a] == dec.ClusterColor[b]
+	}
+	for u := range n {
+		if v := clashAbove(g, u, sameColor); v >= 0 {
+			a, b := dec.Cluster[u], dec.Cluster[v]
 			return fmt.Errorf("decomposition: adjacent clusters %d and %d share color %d", a, b, dec.ClusterColor[a])
 		}
 	}

@@ -358,16 +358,25 @@ func checkInstanceSolved(g *graph.G, li *ListInstance, colors []int) error {
 // whose endpoints are both active and share a key, reading only the
 // adjacency of active nodes.
 func activeClash(g *graph.G, li *ListInstance, key func(v int) int) (int, int, bool) {
+	clash := func(u, v int) bool { return li.Active[v] && key(v) == key(u) }
 	for _, u := range li.Nodes {
-		w := -1
-		for _, v := range g.Neighbors(u) {
-			if v > u && (w < 0 || v < w) && li.Active[v] && key(v) == key(u) {
-				w = v
-			}
-		}
-		if w >= 0 {
-			return u, w, true
+		if v := clashAbove(g, u, clash); v >= 0 {
+			return u, v, true
 		}
 	}
 	return 0, 0, false
+}
+
+// clashAbove returns the smallest neighbor v > u of u with clash(u, v),
+// or -1. Asked for u in ascending order, its first hit is the first such
+// edge in g.Edges() order, found without building or sorting the edge
+// list.
+func clashAbove(g *graph.G, u int, clash func(u, v int) bool) int {
+	w := -1
+	for _, v := range g.Neighbors(u) {
+		if v > u && (w < 0 || v < w) && clash(u, v) {
+			w = v
+		}
+	}
+	return w
 }

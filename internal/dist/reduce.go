@@ -54,9 +54,10 @@ func ReduceColors(net *local.Network, base []int, k, target int) ([]int, int, er
 			return nil, 0, fmt.Errorf("reduce colors: node %d has color %d outside [0, %d)", v, base[v], k)
 		}
 	}
-	for _, e := range g.Edges() {
-		if base[e[0]] == base[e[1]] {
-			return nil, 0, fmt.Errorf("reduce colors: input not proper: edge (%d,%d) both colored %d", e[0], e[1], base[e[0]])
+	same := func(u, v int) bool { return base[u] == base[v] }
+	for u := range n {
+		if v := clashAbove(g, u, same); v >= 0 {
+			return nil, 0, fmt.Errorf("reduce colors: input not proper: edge (%d,%d) both colored %d", u, v, base[u])
 		}
 	}
 	if k <= target {

@@ -90,8 +90,9 @@ func oracleReduceColors(net *local.Network, base []int, k, target int) ([]int, i
 // staged.
 func runReduce(g *graph.G, plan *local.FaultPlan, base []int, k, target int) (got, want listRun, messages int) {
 	got = runList(g, plan, func(net *local.Network) ([]int, int, error) {
-		net.EnableMessageStats()
-		defer func() { messages = net.MessageStats().Messages }()
+		tr := local.NewTracer(local.TraceCounters, 0)
+		net.SetTracer(tr)
+		defer func() { messages = int(tr.Counters().Messages()) }()
 		return ReduceColors(net, base, k, target)
 	})
 	want = runList(g, plan, func(net *local.Network) ([]int, int, error) { return oracleReduceColors(net, base, k, target) })
@@ -158,7 +159,6 @@ func TestReduceColorsQuietRun(t *testing.T) {
 	base, k, _ := Linial(local.NewNetwork(g, 1))
 	measure := func(run func(*local.Network) ([]int, int, error)) (rounds, messages, steps int) {
 		net := local.NewNetwork(g, 1)
-		net.EnableMessageStats()
 		tr := local.NewTracer(local.TraceFull, 0)
 		net.SetTracer(tr)
 		_, rounds, err := run(net)
@@ -168,7 +168,7 @@ func TestReduceColorsQuietRun(t *testing.T) {
 		for _, r := range tr.Rounds() {
 			steps += r.Live
 		}
-		return rounds, net.MessageStats().Messages, steps
+		return rounds, int(tr.Counters().Messages()), steps
 	}
 	rounds, msgs, steps := measure(func(net *local.Network) ([]int, int, error) { return ReduceColors(net, base, k, 5) })
 	orounds, omsgs, osteps := measure(func(net *local.Network) ([]int, int, error) { return oracleReduceColors(net, base, k, 5) })

@@ -68,12 +68,13 @@ func E2LargeDelta(cfg Config) *Table {
 		Title:  "Theorem 3 — randomized large-Δ coloring, rounds vs Δ at fixed n",
 		Header: []string{"Δ", "n", "rounds", "repairs", "rounds/log₂Δ"},
 	}
-	n := 1 << 12
+	e := 12
 	deltas := []int{4, 6, 8, 12, 16, 24, 32}
 	if cfg.Quick {
-		n = 1 << 9
+		e = 9
 		deltas = []int{4, 8, 16}
 	}
+	n := 1 << e
 	var xs, ys []float64
 	for _, delta := range deltas {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(delta)))
@@ -83,7 +84,7 @@ func E2LargeDelta(cfg Config) *Table {
 			panic(fmt.Sprintf("E2 Δ=%d: %v", delta, err))
 		}
 		mustColoring(g, res.Colors, res.Delta, "E2")
-		t.AddRow(itoa(delta), pow2(12), itoa(res.Rounds), itoa(res.Repairs), f2(float64(res.Rounds)/log2f(delta)))
+		t.AddRow(itoa(delta), pow2(e), itoa(res.Rounds), itoa(res.Repairs), f2(float64(res.Rounds)/log2f(delta)))
 		xs = append(xs, log2f(delta))
 		ys = append(ys, float64(res.Rounds))
 	}

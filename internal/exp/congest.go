@@ -29,16 +29,19 @@ func E11Congest(cfg Config) *Table {
 	rng := rand.New(rand.NewSource(cfg.Seed + 41))
 	g := gen.MustRandomRegular(rng, n, 4)
 
+	// Each primitive is one engine run on its own network; its tracer
+	// counts the messages and their words, 4 bytes each.
 	run := func(name string, f func(net *local.Network)) {
 		net := local.NewNetwork(g, cfg.Seed)
-		net.EnableMessageStats()
+		tr := local.NewTracer(local.TraceCounters, 0)
+		net.SetTracer(tr)
 		f(net)
-		st := net.MessageStats()
+		c := tr.Counters()
 		avg := 0.0
-		if st.Messages > 0 {
-			avg = float64(st.TotalBytes) / float64(st.Messages)
+		if m := c.Messages(); m > 0 {
+			avg = float64(4*c.Words) / float64(m)
 		}
-		t.AddRow(name, itoa(n), "4", itoa(net.Rounds()), itoa(st.Messages), itoa(st.MaxBytes), f2(avg))
+		t.AddRow(name, itoa(n), "4", itoa(net.Rounds()), itoa(int(c.Messages())), itoa(4*int(c.MaxWords)), f2(avg))
 	}
 
 	// The color reduction starts from a Linial coloring computed off the

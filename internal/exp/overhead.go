@@ -152,10 +152,11 @@ func (rep *OverheadReport) Table() *Table {
 		}
 		t.AddRow(r.Family, itoa(r.N), itoa(r.Edges), r.Level, f2(r.RoundsPerSec), ov)
 	}
-	t.AddNote("GOMAXPROCS=%d, quick=%v; one worker, best of %d reps per level. counters-only adds two integer "+
-		"adds per sending batch; full additionally takes %d time.Now calls per round and writes one preallocated "+
-		"ring record, so neither level allocates per round. The strict gate requires full <= %.0f%% overhead at "+
-		"the largest n of every family.", rep.GoMaxProcs, rep.Quick, overheadReps, 3, overheadGateTolerance*100)
+	t.AddNote("GOMAXPROCS=%d, quick=%v; one worker, best of %d reps per level. counters-only adds a few integer "+
+		"adds per sender (lanes and words; a pass over a record sender's ports); full additionally takes %d "+
+		"time.Now calls per round and writes one preallocated ring record, so neither level allocates per round. "+
+		"The strict gate requires full <= %.0f%% overhead at the largest n of every family.",
+		rep.GoMaxProcs, rep.Quick, overheadReps, 3, overheadGateTolerance*100)
 	return t
 }
 

@@ -58,9 +58,9 @@ type RuntimeRow struct {
 	NsPerNodeRound float64 `json:"ns_per_node_round"`
 
 	// MaxMsgBytes is the largest single message of the workload, 4 bytes
-	// per word, measured on a separate untimed run with message stats
-	// enabled (the size accounting would pollute the timed run). 4 for
-	// the int-path heartbeat.
+	// per word, measured on a separate untimed run with a counting tracer
+	// (the size accounting would pollute the timed run). 4 for the
+	// int-path heartbeat.
 	MaxMsgBytes int `json:"max_msg_bytes"`
 
 	// GOMAXPROCS sweep: the same run with a worker per CPU — or, on a
@@ -294,12 +294,13 @@ func RuntimeThroughput(cfg Config) *RuntimeReport {
 			}
 		}
 
-		// Untimed instrumented re-run for the max message size, after both
+		// Untimed traced re-run for the max message size, after both
 		// timed runs; the per-port size accounting would pollute the
 		// measurements.
-		net.EnableMessageStats()
+		tr := local.NewTracer(local.TraceCounters, 0)
+		net.SetTracer(tr)
 		runRuntimeWorkload(tc.family, net, rounds)
-		row.MaxMsgBytes = net.MessageStats().MaxBytes
+		row.MaxMsgBytes = 4 * int(tr.Counters().MaxWords)
 		rep.Rows = append(rep.Rows, row)
 	}
 	return rep

@@ -205,7 +205,8 @@ func TestIntPathDeadSendsAndStats(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g, 1)
 	net.TrackDeadSends(true)
-	net.EnableMessageStats()
+	tr := NewTracer(TraceCounters, 0)
+	net.SetTracer(tr)
 	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		if ctx.ID() == 0 {
 			return false // halts in sweep 0 => HaltRound 1
@@ -229,12 +230,12 @@ func TestIntPathDeadSendsAndStats(t *testing.T) {
 	if len(late) != 1 || late[0].Round != 2 {
 		t.Fatalf("late dead sends = %v, want the round-2 record only", late)
 	}
-	st := net.MessageStats()
-	if st.Messages != 2 || st.TotalBytes != 8 || st.MaxBytes != wordBytes {
-		t.Fatalf("stats = %+v, want 2 messages x 4 bytes", st)
+	c := tr.Counters()
+	if c.IntMessages != 2 || c.Words != 2 || c.MaxWords != 1 {
+		t.Fatalf("counters = %+v, want 2 one-word int messages", c)
 	}
-	if st.Dropped != 2 {
-		t.Fatalf("stats.Dropped = %d, want 2", st.Dropped)
+	if c.Drops != 2 {
+		t.Fatalf("counters.Drops = %d, want 2", c.Drops)
 	}
 }
 

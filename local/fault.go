@@ -320,8 +320,7 @@ func (net *Network) deliverBatchFaulty(b *batch) {
 		c := &net.ctxs[id]
 		base := net.off[id]
 		if count {
-			b.trRecs += c.nRecs
-			b.trInts += c.nInts
+			b.count(c)
 		}
 		for pt, rec := range c.out {
 			isInt := c.outHas[pt] != 0
@@ -450,9 +449,7 @@ func (net *Network) drainFault(tr *Tracer) {
 }
 
 // finishFaultRun closes out fault accounting at the end of a run: any
-// message still awaiting injection is lost, and the separate fault-drop
-// total is published to MessageStats so the dead-send accounting (and
-// its strict CI gate) stays distinct from injected faults.
+// message still awaiting injection is lost.
 //
 //deltacolor:coordinator
 func (net *Network) finishFaultRun(tr *Tracer) {
@@ -460,9 +457,5 @@ func (net *Network) finishFaultRun(tr *Tracer) {
 	if n := len(net.pendFault); n > 0 {
 		net.faultStats.DelayedDrops += int64(n)
 		net.pendFault = net.pendFault[:0]
-	}
-	if net.stats != nil {
-		s := &net.faultStats
-		net.stats.DroppedByFault = int(s.Drops + s.CrashDrops + s.DelayedDrops)
 	}
 }

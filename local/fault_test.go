@@ -95,7 +95,6 @@ func broadcastRounds(rounds int, out []int) Stepped[roundState[int]] {
 func TestDropAllMessages(t *testing.T) {
 	g := pathGraph(4) // directed degree sum 6
 	net := NewNetwork(g, 1)
-	net.EnableMessageStats()
 	tr := NewTracer(TraceCounters, 0)
 	net.SetTracer(tr)
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 9, DropProb: 1, RoundLimit: 50}); err != nil {
@@ -113,8 +112,8 @@ func TestDropAllMessages(t *testing.T) {
 	if fs.Drops != 18 {
 		t.Fatalf("Drops = %d, want 18", fs.Drops)
 	}
-	if got := net.MessageStats().DroppedByFault; got != 18 {
-		t.Fatalf("MessageStats.DroppedByFault = %d, want 18", got)
+	if got := fs.Drops + fs.CrashDrops + fs.DelayedDrops; got != 18 {
+		t.Fatalf("messages destroyed by the plan = %d, want 18", got)
 	}
 	if got := tr.Counters().FaultDrops; got != 18 {
 		t.Fatalf("tracer FaultDrops = %d, want 18", got)
@@ -126,13 +125,9 @@ func TestDropAllMessages(t *testing.T) {
 
 func TestNoFaultsLeaveStatsZero(t *testing.T) {
 	net := NewNetwork(pathGraph(4), 1)
-	net.EnableMessageStats()
 	RunStepped(net, broadcastRounds(2, make([]int, 4)))
 	if fs := net.FaultStats(); fs != (FaultStats{}) {
 		t.Fatalf("fault stats nonzero without a plan: %+v", fs)
-	}
-	if got := net.MessageStats().DroppedByFault; got != 0 {
-		t.Fatalf("DroppedByFault = %d without a plan", got)
 	}
 }
 

@@ -59,10 +59,9 @@
 // arbitrarily. The relabeling is invisible: a translation layer (two flat
 // arrays, applied exactly once at the API boundary) keeps every
 // observable surface — Ctx.ID (by which programs index their inputs and
-// outputs), Ctx.Rand seeding, port numbering, DeadSend records,
-// MessageStats — in the caller's external IDs, so outputs are
-// byte-identical with relabeling on or off. SetRelabel is the ablation
-// hook (and E14 measures the effect).
+// outputs), Ctx.Rand seeding, port numbering, DeadSend records — in the
+// caller's external IDs, so outputs are byte-identical with relabeling on
+// or off. SetRelabel is the ablation hook (and E14 measures the effect).
 //
 // # Message lanes
 //
@@ -72,7 +71,8 @@
 // allocate nothing. Send, Broadcast and Recv carry a record: a []int32 of
 // any length, handed to the receiver as the sender's own slice. An edge
 // carries at most one message per round, on either lane, and a message's
-// size is exact — 4 bytes per word — which is what MessageStats charges.
+// size is exact — 4 bytes per word — which is what a counting tracer
+// charges (Counters.Words and MaxWords).
 //
 // # Determinism
 //
@@ -310,11 +310,12 @@ type batch struct {
 
 	dead []DeadSend // sends to halted receivers found while delivering
 
-	// Per-round tracing counters, written by deliverBatch only when the
-	// network's tracer counts messages (exactly one worker owns a batch
-	// per phase, so no locks) and drained by the coordinator after the
-	// delivery phase.
+	// Per-round tracing counters, written by the delivery kernels only
+	// when the network's tracer counts messages (exactly one worker owns
+	// a batch per phase, so no locks) and drained by the coordinator
+	// after the delivery phase.
 	trInts, trRecs, trDrops int32
+	trWords, trMaxWords     int64
 
 	// Per-round fault-injection counters and the delayed/duplicated
 	// messages staged by this batch's faulty kernels (fault.go). Same
@@ -409,9 +410,8 @@ type Network struct {
 
 	noHalts bool // no node has halted yet this run: delivery skips the haltSeg checks
 
-	stats     *MessageStats // non-nil when EnableMessageStats was called
-	trackDead bool          // record sends to halted neighbors
-	strict    bool          // panic after a run that recorded dead sends
+	trackDead bool // record sends to halted neighbors
+	strict    bool // panic after a run that recorded dead sends
 
 	tracer    *Tracer // round-level tracing (see trace.go); nil = off
 	countMsgs bool    // per-run: tracer wants lane counts from delivery
@@ -705,13 +705,12 @@ const absent = -1
 
 // setup prepares a run of the given nodes (nil = every node) and resets
 // every piece of bookkeeping a previous run on the same network may have
-// left behind (round counter, run stats, message-stat counters, fault
-// counters, the batches' dead-send logs), so consecutive runs never leak
-// state into each other's reports. The run tables are rebuilt only after
-// a port-table build or a run that panicked (one that ended normally left
-// them clean); otherwise setup touches only the members: it marks them
-// running, gives each its state index and drops the previous run's
-// generator.
+// left behind (round counter, run stats, fault counters, the batches'
+// dead-send logs), so consecutive runs never leak state into each other's
+// reports. The run tables are rebuilt only after a port-table build or a
+// run that panicked (one that ended normally left them clean); otherwise
+// setup touches only the members: it marks them running, gives each its
+// state index and drops the previous run's generator.
 func (net *Network) setup(nodes []int) {
 	if net.dirty {
 		net.buildPorts()
@@ -719,9 +718,6 @@ func (net *Network) setup(nodes []int) {
 	n := net.g.N()
 	net.rounds = 0
 	net.lastRun = RunStats{}
-	if net.stats != nil {
-		*net.stats = MessageStats{}
-	}
 	net.runSeq++
 	if net.fault != nil {
 		net.faultStats = FaultStats{}
@@ -956,9 +952,10 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) {
 	}
 
 	// Tracing: a nil tracer costs one pointer check per phase. Counters
-	// mode adds two integer adds per sender inside delivery; full mode
-	// additionally takes two timestamps per phase and writes one record
-	// per round into the preallocated ring — no allocations either way.
+	// mode adds the lane and word counts per sender inside delivery (a
+	// pass over the ports of a record sender); full mode additionally
+	// takes two timestamps per phase and writes one record per round into
+	// the preallocated ring — no allocations either way.
 	tr := net.tracer
 	net.countMsgs = tr != nil && tr.level >= TraceCounters
 	full := tr != nil && tr.level >= TraceFull
@@ -996,9 +993,6 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) {
 		if running == 0 {
 			break
 		}
-		if net.stats != nil {
-			net.recordMessages()
-		}
 		if net.fault != nil {
 			// Delayed/duplicated messages whose due round arrived are
 			// written into the inbox lanes before the live senders deliver;
@@ -1028,7 +1022,9 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) {
 				rt.IntMsgs += int(b.trInts)
 				rt.RecordMsgs += int(b.trRecs)
 				rt.Drops += int(b.trDrops)
-				b.trInts, b.trRecs, b.trDrops = 0, 0, 0
+				tr.c.Words += b.trWords
+				tr.c.MaxWords = max(tr.c.MaxWords, b.trMaxWords)
+				b.trInts, b.trRecs, b.trDrops, b.trWords, b.trMaxWords = 0, 0, 0, 0, 0
 			}
 		}
 		if net.fault != nil {
@@ -1081,8 +1077,8 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) {
 	// An attached FaultPlan voids the protocol-bug detector: injected
 	// drops and crash windows legitimately make halt knowledge stale, so
 	// late dead sends under faults are expected collateral (the
-	// fault-destroyed ones are accounted separately in
-	// MessageStats.DroppedByFault), not protocol regressions.
+	// fault-destroyed ones are accounted separately in FaultStats), not
+	// protocol regressions.
 	if net.strict && net.fault == nil {
 		if ds := net.LateDeadSends(); len(ds) > 0 {
 			panic(fmt.Sprintf("local: strict mode: %d late dead send(s) recorded, first: %s", len(ds), ds[0]))
@@ -1200,10 +1196,10 @@ func (net *Network) deliverBatch(b *batch) {
 	for _, id := range b.senders {
 		c := &net.ctxs[id]
 		base := net.off[id]
+		if count {
+			b.count(c)
+		}
 		if c.nRecs > 0 {
-			if count {
-				b.trRecs += c.nRecs
-			}
 			out := c.out
 			for p, rec := range out {
 				if rec.p == nil {
@@ -1228,9 +1224,6 @@ func (net *Network) deliverBatch(b *batch) {
 			c.nRecs = 0
 		}
 		if c.nInts > 0 {
-			if count {
-				b.trInts += c.nInts
-			}
 			oh := c.outHas
 			for p, h := range oh {
 				if h == 0 {
@@ -1259,6 +1252,27 @@ func (net *Network) deliverBatch(b *batch) {
 		c.sentAny = false
 	}
 	b.senders = b.senders[:0]
+}
+
+// count adds c's staged messages to the batch's tracer counters, before
+// delivery clears them: the messages by lane, and their words (one per
+// int, len(rec) per record) with the largest message's.
+//
+//deltacolor:hotpath
+//deltacolor:coordinator
+func (b *batch) count(c *Ctx) {
+	b.trInts += c.nInts
+	b.trRecs += c.nRecs
+	if c.nInts > 0 {
+		b.trWords += int64(c.nInts)
+		b.trMaxWords = max(b.trMaxWords, 1)
+	}
+	if c.nRecs > 0 {
+		for _, rec := range c.out {
+			b.trWords += int64(rec.n)
+			b.trMaxWords = max(b.trMaxWords, int64(rec.n))
+		}
+	}
 }
 
 // deadSend is the record of c's send on port p to u, a halted or absent

@@ -93,23 +93,25 @@ func TestNodeSetRunStepsOnlyMembers(t *testing.T) {
 	}
 }
 
-// TestNodeSetRunScheduleInvariance: outputs, rounds and MessageStats of a
-// node-set run do not depend on the worker count or the batch size. The
-// set (about 800 nodes) is large enough for the parallel phases.
+// TestNodeSetRunScheduleInvariance: outputs, rounds and the tracer's
+// message counts of a node-set run do not depend on the worker count or
+// the batch size. The set (about 800 nodes) is large enough for the
+// parallel phases.
 func TestNodeSetRunScheduleInvariance(t *testing.T) {
 	g := randomGraph(1200, 0.004, 8)
 	nodes, in := setOf(g.N(), func(v int) bool { return v%3 != 1 })
-	run := func(batchSize, workers int) ([]int, int, MessageStats) {
+	run := func(batchSize, workers int) ([]int, int, Counters) {
 		net := NewNetwork(g, 4)
 		net.setBatch(batchSize)
 		net.SetWorkers(workers)
-		net.EnableMessageStats()
+		tr := NewTracer(TraceCounters, 0)
+		net.SetTracer(tr)
 		out := make([]int, g.N())
 		RunStepped(net, maskedFlood(in, out, make([]int, g.N())), nodes...)
-		return out, net.Rounds(), *net.MessageStats()
+		return out, net.Rounds(), tr.Counters()
 	}
 	base, baseRounds, baseStats := run(0, 1)
-	if baseStats.Messages == 0 {
+	if baseStats.Messages() == 0 {
 		t.Fatal("the members sent nothing")
 	}
 	for _, bs := range []int{0, 1, 3, 64, 5000} {
@@ -147,7 +149,8 @@ func TestNodeSetSendToAbsentIsLate(t *testing.T) {
 	}
 	for name, net := range map[string]*Network{"fresh": NewNetwork(g, 1), "after a cut-off run": cut} {
 		net.TrackDeadSends(true)
-		net.EnableMessageStats()
+		tr := NewTracer(TraceCounters, 0)
+		net.SetTracer(tr)
 		RunStepped(net, prog, 0, 1)
 		want := DeadSend{From: 1, Port: 1, To: 2, Round: 1, HaltRound: 0}
 		if ds := net.DeadSends(); len(ds) != 1 || ds[0] != want {
@@ -156,8 +159,8 @@ func TestNodeSetSendToAbsentIsLate(t *testing.T) {
 		if late := net.LateDeadSends(); len(late) != 1 {
 			t.Fatalf("%s: late dead sends %v, want the send to the absent node", name, late)
 		}
-		if st := net.MessageStats(); st.Messages != 1 || st.Dropped != 1 {
-			t.Fatalf("%s: stats %+v, want 1 message, 1 dropped", name, *st)
+		if c := tr.Counters(); c.Messages() != 1 || c.Drops != 1 {
+			t.Fatalf("%s: counters %+v, want 1 message, 1 dropped", name, c)
 		}
 	}
 

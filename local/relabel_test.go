@@ -111,13 +111,14 @@ type runOutcome struct {
 	rounds int
 	dead   []DeadSend
 	late   []DeadSend
-	stats  MessageStats
+	counts Counters
 }
 
 func captureRun[S any](g *graph.G, seed int64, prog func(out []int) Stepped[S]) runOutcome {
 	net := NewNetwork(g, seed)
 	net.TrackDeadSends(true)
-	net.EnableMessageStats()
+	tr := NewTracer(TraceCounters, 0)
+	net.SetTracer(tr)
 	outs := make([]int, g.N())
 	RunStepped(net, prog(outs))
 	return runOutcome{
@@ -125,14 +126,14 @@ func captureRun[S any](g *graph.G, seed int64, prog func(out []int) Stepped[S]) 
 		rounds: net.Rounds(),
 		dead:   net.DeadSends(),
 		late:   net.LateDeadSends(),
-		stats:  *net.MessageStats(),
+		counts: tr.Counters(),
 	}
 }
 
 // TestRelabelInvariance: relabeling on vs off must produce identical
-// outputs, round counts, dead-send reports (external From/To) and
-// message stats for a protocol that uses randomness, mixed message
-// paths, and irregular halting.
+// outputs, round counts, dead-send reports (external From/To) and the
+// tracer's message counts for a protocol that uses randomness, mixed
+// message paths, and irregular halting.
 func TestRelabelInvariance(t *testing.T) {
 	proto := func(out []int) Stepped[roundState[int]] {
 		return roundProgram(func(ctx *Ctx, sum *int, round int) bool {

@@ -7,14 +7,15 @@ import (
 
 // TestNetworkReuseResetsRunState is the regression test for the
 // run-state leak: a second Run on the same network must start from
-// clean dead-send logs, message-stat counters and run stats — a clean
-// second run must not report the first run's dead sends, message
-// counts, or rounds.
+// clean dead-send logs and run stats, and the tracer must count only its
+// own messages — a clean second run must not report the first run's dead
+// sends, message counts, or rounds.
 func TestNetworkReuseResetsRunState(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g, 1)
 	net.TrackDeadSends(true)
-	net.EnableMessageStats()
+	tr := NewTracer(TraceCounters, 0)
+	net.SetTracer(tr)
 
 	// Run 1: node 0 halts immediately, node 1 keeps talking to it — two
 	// dead sends, two one-word messages, two rounds.
@@ -32,9 +33,9 @@ func TestNetworkReuseResetsRunState(t *testing.T) {
 	if len(net.DeadSends()) != 2 {
 		t.Fatalf("run 1: dead sends = %v, want 2", net.DeadSends())
 	}
-	st1 := *net.MessageStats()
-	if st1.Messages != 2 || st1.Dropped != 2 {
-		t.Fatalf("run 1: stats = %+v, want 2 messages, 2 dropped", st1)
+	st1 := tr.Counters()
+	if st1.Messages() != 2 || st1.Drops != 2 || st1.Words != 2 {
+		t.Fatalf("run 1: counters = %+v, want 2 one-word messages, 2 dropped", st1)
 	}
 	rounds1 := net.LastRunStats().Rounds
 
@@ -44,12 +45,9 @@ func TestNetworkReuseResetsRunState(t *testing.T) {
 	if ds := net.DeadSends(); ds != nil {
 		t.Errorf("run 2 inherited dead sends: %v", ds)
 	}
-	st2 := *net.MessageStats()
-	if st2.Messages != 2 || st2.Dropped != 0 || st2.TotalBytes == st1.TotalBytes {
-		t.Errorf("run 2 stats not reset: %+v (run 1: %+v)", st2, st1)
-	}
-	if st2.RoundsActive != 1 {
-		t.Errorf("run 2 RoundsActive = %d, want 1", st2.RoundsActive)
+	st2 := tr.Counters()
+	if msgs, drops, words := st2.Messages()-st1.Messages(), st2.Drops-st1.Drops, st2.Words-st1.Words; msgs != 2 || drops != 0 || words != 4 {
+		t.Errorf("run 2 counted %d messages, %d drops, %d words; want 2, 0, 4 (run 1: %+v)", msgs, drops, words, st1)
 	}
 	lr := net.LastRunStats()
 	if lr.Rounds != 1 || lr.Rounds == rounds1 {
@@ -84,7 +82,8 @@ func TestSetupClearsLastRunStats(t *testing.T) {
 // and halt rounds as they were. The run after each on the same network
 // must neither deliver nor count any of it. That run, in which each node
 // draws from its generator and sends on port 0 only, must match the same
-// program on a fresh network in draws, outputs, rounds and MessageStats.
+// program on a fresh network in draws, outputs, rounds and the tracer's
+// counters.
 func TestReusedRunTablesStartClean(t *testing.T) {
 	g := randomGraph(80, 0.08, 11)
 	// Every node stages -1 on every port, records on even ports and ints
@@ -130,22 +129,27 @@ func TestReusedRunTablesStartClean(t *testing.T) {
 	}
 
 	fresh := NewNetwork(g, 1)
-	fresh.EnableMessageStats()
+	freshTr := NewTracer(TraceCounters, 0)
+	fresh.SetTracer(freshTr)
 	want, wantDraws := make([][]int, g.N()), make([]int64, g.N())
 	RunStepped(fresh, quiet(want, wantDraws))
 
+	// The reused network's tracer also watches the runs that leave state
+	// behind; each check counts the clean run alone.
 	reused := NewNetwork(g, 1)
-	reused.EnableMessageStats()
+	tr := NewTracer(TraceCounters, 0)
+	reused.SetTracer(tr)
 	checkClean := func(after string) {
 		t.Helper()
+		tr.Reset()
 		got, draws := make([][]int, g.N()), make([]int64, g.N())
 		RunStepped(reused, quiet(got, draws))
 		if !slices.Equal(draws, wantDraws) {
 			t.Fatalf("after %s: the generators did not restart", after)
 		}
-		if reused.Rounds() != fresh.Rounds() || *reused.MessageStats() != *fresh.MessageStats() {
-			t.Fatalf("after %s: rounds %d, stats %+v; fresh: rounds %d, stats %+v",
-				after, reused.Rounds(), *reused.MessageStats(), fresh.Rounds(), *fresh.MessageStats())
+		if reused.Rounds() != fresh.Rounds() || tr.Counters() != freshTr.Counters() {
+			t.Fatalf("after %s: rounds %d, counters %+v; fresh: rounds %d, counters %+v",
+				after, reused.Rounds(), tr.Counters(), fresh.Rounds(), freshTr.Counters())
 		}
 		for v := range want {
 			heard := got[v]

@@ -138,7 +138,8 @@ func TestDeadSendTracking(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g, 1)
 	net.TrackDeadSends(true)
-	net.EnableMessageStats()
+	tr := NewTracer(TraceCounters, 0)
+	net.SetTracer(tr)
 	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		switch {
 		case ctx.ID() == 0:
@@ -162,8 +163,8 @@ func TestDeadSendTracking(t *testing.T) {
 	if got := dead[0].String(); !strings.Contains(got, "node 1 sent to halted node 0") {
 		t.Fatalf("String() = %q", got)
 	}
-	if net.MessageStats().Dropped != 2 {
-		t.Fatalf("stats.Dropped = %d, want 2", net.MessageStats().Dropped)
+	if got := tr.Counters().Drops; got != 2 {
+		t.Fatalf("counters.Drops = %d, want 2", got)
 	}
 	// A clean follow-up run on the same network must not inherit the
 	// previous run's records.

@@ -26,8 +26,8 @@ type stagingOp struct {
 // nodes of every degree from 0 to 5, and checks one round of delivery
 // against a per-port model: the last staging on a port wins across lanes,
 // a nil record un-stages the port, and a broadcast on a degree-0 node does
-// nothing (the node does not even become a sender). MessageStats must
-// count exactly the modeled messages, at 4 bytes per word.
+// nothing (the node does not even become a sender). A counting tracer
+// must count exactly the modeled messages and their words.
 //
 // Each byte pair (sel, arg) is one call by node sel%7: sel/7%6 picks Send
 // with nil, Send with a record, Broadcast with nil, Broadcast with a
@@ -80,7 +80,8 @@ func FuzzCtxStaging(f *testing.F) {
 		}
 
 		net := NewNetwork(g, 1)
-		net.EnableMessageStats()
+		tr := NewTracer(TraceCounters, 0)
+		net.SetTracer(tr)
 		outs := make([][]portModel, g.N())
 		RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 			if round == 0 {
@@ -113,7 +114,7 @@ func FuzzCtxStaging(f *testing.F) {
 			return false
 		}))
 
-		msgs, bytes := 0, 0
+		var msgs, words int64
 		for u := 0; u < g.N(); u++ {
 			for q, v := range g.Neighbors(u) {
 				r, m := outs[u][q], want[v][slices.Index(g.Neighbors(v), u)]
@@ -121,14 +122,14 @@ func FuzzCtxStaging(f *testing.F) {
 					t.Fatalf("node %d port %d (from node %d) got %+v, want %+v", u, q, v, r, m)
 				}
 				if m.hasInt {
-					msgs, bytes = msgs+1, bytes+4
+					msgs, words = msgs+1, words+1
 				} else if m.rec != nil {
-					msgs, bytes = msgs+1, bytes+4*len(m.rec)
+					msgs, words = msgs+1, words+int64(len(m.rec))
 				}
 			}
 		}
-		if st := net.MessageStats(); st.Messages != msgs || st.TotalBytes != bytes {
-			t.Fatalf("MessageStats counted %d messages, %d bytes; model %d, %d", st.Messages, st.TotalBytes, msgs, bytes)
+		if c := tr.Counters(); c.Messages() != msgs || c.Words != words {
+			t.Fatalf("tracer counted %d messages, %d words; model %d, %d", c.Messages(), c.Words, msgs, words)
 		}
 	})
 }

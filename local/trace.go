@@ -2,9 +2,9 @@ package local
 
 // Round-level tracing and the span layer.
 //
-// The round engine's end-of-run aggregates (RunStats, MessageStats,
-// Accountant round sums) say what a run cost, not where the cost went. The
-// types here turn the engine into something profileable:
+// The round engine's end-of-run aggregates (RunStats, Accountant round
+// sums) say what a run cost, not where the cost went. The types here turn
+// the engine into something profileable:
 //
 //   - Tracer hooks into runRounds and records, per round, the wall time of
 //     the two engine phases (step, deliver), the live-node and sender
@@ -35,8 +35,9 @@ const (
 	// TraceOff records nothing (the zero value; equivalent to no tracer).
 	TraceOff TraceLevel = iota
 	// TraceCounters accumulates the cumulative counters (rounds, messages
-	// by lane, drops, halts) without per-round records or timing — the
-	// cost is two integer adds per sender during delivery.
+	// by lane, message words, drops, halts) without per-round records or
+	// timing — the cost is a few integer adds per sender during delivery,
+	// plus a pass over the ports of a sender that staged records.
 	TraceCounters
 	// TraceFull additionally records one RoundTrace per engine round into
 	// the ring buffer, with per-phase wall times.
@@ -82,6 +83,12 @@ type Counters struct {
 	BoxedMessages int64 `json:"boxed_messages"`
 	Drops         int64 `json:"drops"` // staged for halted receivers
 	Halts         int64 `json:"halts"`
+	// Words counts the message words staged, drops included: one per
+	// int-lane message, len(rec) per record, 4 bytes each on the wire.
+	// MaxWords is the largest single message's. Together they measure a
+	// run against the CONGEST model's O(log n)-bit budget (E11).
+	Words    int64 `json:"words"`
+	MaxWords int64 `json:"max_words"`
 	// Phase wall times, accumulated only at TraceFull (counters-only
 	// tracing takes no timestamps).
 	StepNanos    int64 `json:"step_ns"`

@@ -131,21 +131,24 @@ func mixedLanes(rounds int, out []int) Stepped[roundState[int]] {
 	})
 }
 
-// TestTracerCountsRecordLane checks the tracer's lane split against
-// MessageStats on record traffic: the gather engine (records only) and a
-// mixed-lane program with staggered halts, at both tracing levels.
-// Per-round lane counts must sum to the cumulative counters, those must
-// add up to MessageStats.Messages, counters-only must equal full, and
-// the byte total must be exactly 4 per word staged.
+// TestTracerCountsRecordLane checks the tracer's lane split on record
+// traffic: the gather engine (records only) and a mixed-lane program with
+// staggered halts, at both tracing levels. Per-round lane counts must sum
+// to the cumulative counters, counters-only must equal full, and the word
+// total must be exactly the words staged. A fault plan that destroys
+// nothing routes delivery through the faulty kernel, whose counts must
+// equal the healthy kernel's.
 func TestTracerCountsRecordLane(t *testing.T) {
 	g := randomGraph(60, 0.08, 5)
-	run := func(level TraceLevel, prog func(*Network) int) (Counters, []RoundTrace, MessageStats, int) {
+	run := func(level TraceLevel, plan *FaultPlan, prog func(*Network) int) (Counters, []RoundTrace, int) {
 		tr := NewTracer(level, 0)
 		net := NewNetwork(g, 3)
 		net.SetTracer(tr)
-		net.EnableMessageStats()
+		if err := net.SetFaultPlan(plan); err != nil {
+			t.Fatal(err)
+		}
 		words := prog(net)
-		return tr.Counters(), tr.Rounds(), *net.MessageStats(), words
+		return tr.Counters(), tr.Rounds(), words
 	}
 	gather := func(net *Network) int { GatherStepped(net, 3); return -1 }
 	mixed := func(net *Network) int {
@@ -158,8 +161,12 @@ func TestTracerCountsRecordLane(t *testing.T) {
 		return words
 	}
 	for name, prog := range map[string]func(*Network) int{"gather": gather, "mixed": mixed} {
-		full, recs, st, words := run(TraceFull, prog)
-		co, _, coSt, _ := run(TraceCounters, prog)
+		full, recs, words := run(TraceFull, nil, prog)
+		co, _, _ := run(TraceCounters, nil, prog)
+		faulty, _, _ := run(TraceCounters, &FaultPlan{RoundLimit: 1000}, prog)
+		if faulty != co {
+			t.Errorf("%s: the faulty kernel counted %+v, the healthy one %+v", name, faulty, co)
+		}
 		var ints, records int
 		for _, r := range recs {
 			ints += r.IntMsgs
@@ -168,18 +175,18 @@ func TestTracerCountsRecordLane(t *testing.T) {
 		if int64(ints) != full.IntMessages || int64(records) != full.RecordMessages {
 			t.Errorf("%s: per-round lanes sum to int %d record %d, counters say %d and %d", name, ints, records, full.IntMessages, full.RecordMessages)
 		}
-		if full.RecordMessages == 0 || full.Messages() != int64(st.Messages) {
-			t.Errorf("%s: tracer counted %d messages (%d records), MessageStats %d", name, full.Messages(), full.RecordMessages, st.Messages)
+		if full.RecordMessages == 0 {
+			t.Errorf("%s: tracer counted no records", name)
 		}
 		co.StepNanos, co.DeliverNanos = full.StepNanos, full.DeliverNanos
-		if co != full || coSt != st {
-			t.Errorf("%s: counters-only %+v / %+v disagrees with full %+v / %+v", name, co, coSt, full, st)
+		if co != full {
+			t.Errorf("%s: counters-only %+v disagrees with full %+v", name, co, full)
 		}
 		if full.BoxedMessages != 0 {
 			t.Errorf("%s: BoxedMessages = %d, want 0", name, full.BoxedMessages)
 		}
-		if words >= 0 && (full.IntMessages == 0 || st.TotalBytes != 4*words) {
-			t.Errorf("%s: TotalBytes = %d for %d words staged (%d ints), want 4 per word", name, st.TotalBytes, words, full.IntMessages)
+		if words >= 0 && (full.IntMessages == 0 || full.Words != int64(words)) {
+			t.Errorf("%s: Words = %d for %d words staged (%d ints)", name, full.Words, words, full.IntMessages)
 		}
 	}
 }
@@ -371,5 +378,64 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	}
 	if meta == 0 || counters == 0 {
 		t.Fatalf("missing metadata (%d) or counter (%d) events", meta, counters)
+	}
+}
+
+// TestMessageStatsCountsAndSizes: a counting tracer charges every staged
+// message its words.
+func TestMessageStatsCountsAndSizes(t *testing.T) {
+	net := NewNetwork(pathGraph(4), 1)
+	tr := NewTracer(TraceCounters, 0)
+	net.SetTracer(tr)
+	// One round: everyone broadcasts a two-word record.
+	RunStepped(net, oneRound(func(ctx *Ctx) { ctx.Broadcast([]int32{42, 43}) }))
+	c := tr.Counters()
+	// Path 0-1-2-3 has 6 directed (port) messages.
+	if c.RecordMessages != 6 || c.IntMessages != 0 {
+		t.Fatalf("messages = %d records, %d ints; want 6 records", c.RecordMessages, c.IntMessages)
+	}
+	if c.MaxWords != 2 || c.Words != 12 {
+		t.Fatalf("words = max %d total %d, want 2, 12", c.MaxWords, c.Words)
+	}
+}
+
+func TestMessageStatsGrowingMessages(t *testing.T) {
+	net := NewNetwork(pathGraph(4), 1)
+	tr := NewTracer(TraceCounters, 0)
+	net.SetTracer(tr)
+	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+		// Round 1: small message; round 2: big record.
+		switch round {
+		case 0:
+			ctx.Broadcast([]int32{1})
+		case 1:
+			ctx.Broadcast(make([]int32, 100))
+		}
+		return round < 2
+	}))
+	if c := tr.Counters(); c.MaxWords != 100 || c.Words != 6*101 {
+		t.Fatalf("words = max %d total %d, want 100 and %d", c.MaxWords, c.Words, 6*101)
+	}
+}
+
+// TestMessageStatsOffByDefault: without a counting tracer delivery counts
+// nothing, so the batches' trace counters stay zero.
+func TestMessageStatsOffByDefault(t *testing.T) {
+	for _, tr := range []*Tracer{nil, NewTracer(TraceOff, 0)} {
+		net := NewNetwork(pathGraph(4), 1)
+		net.SetTracer(tr)
+		RunStepped(net, oneRound(func(ctx *Ctx) { ctx.Broadcast([]int32{1}) }))
+		for i := range net.batches {
+			b := &net.batches[i]
+			if b.trInts != 0 || b.trRecs != 0 || b.trDrops != 0 || b.trWords != 0 || b.trMaxWords != 0 {
+				t.Fatalf("tracer %v: batch %d counted %+v", tr, i, *b)
+			}
+		}
+		if tr == nil {
+			continue
+		}
+		if c := tr.Counters(); c.Messages() != 0 || c.Words != 0 {
+			t.Fatalf("a TraceOff tracer counted %+v", c)
+		}
 	}
 }

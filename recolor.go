@@ -147,19 +147,19 @@ func Recolor(g *graph.G, colors []int, delta int, seed int64) (*RecolorStats, er
 // networks all inherit it) and the previous default is restored before
 // repair runs.
 //
-// A pipeline that reaches a coloring hands it to Recolor even when the
-// pipeline could not complete it: when one of its Brooks repairs fails
-// (the safety net included) or its final check does, the error carries
+// A pipeline that passed its input checks hands its coloring to Recolor
+// even when it could not complete it: every error it returns after them
+// (a failed Brooks repair, the safety net included, a failed final check,
+// or a phase that rejected a fault-mangled intermediate result) carries
 // the run's partial Result (*core.PartialError), which then holds the
-// pipeline's rounds and phases, and its Colors the repaired coloring.
+// pipeline's rounds and phases, and its Colors the coloring so far.
 //
 // The contract is all-or-typed-error: on nil error the returned
-// Result.Colors passes verify.DeltaColoring; every fault-induced failure
-// — any other error in the middle of a pipeline, a pipeline panic on
-// fault-mangled state, or a Recolor that cannot converge — returns an
-// error wrapping ErrUnrecoverable. Precondition errors (ErrBadOptions,
-// ErrNotNice, ErrComplete, ErrDegreeTooSmall) are not fault-induced and
-// pass through unwrapped.
+// Result.Colors passes verify.DeltaColoring; every other fault-induced
+// failure — a pipeline panic on fault-mangled state, or a Recolor that
+// cannot converge — returns an error wrapping ErrUnrecoverable.
+// Precondition errors (ErrBadOptions, ErrNotNice, ErrComplete,
+// ErrDegreeTooSmall) are not fault-induced and pass through unwrapped.
 //
 // Determinism: same graph, same Options, same plan ⇒ byte-identical
 // colors, rounds and repair stats, independent of worker count.
