@@ -27,12 +27,14 @@ var SpanPair = &Analyzer{
 	Run: runSpanPair,
 }
 
-// batchCounterFields are the per-batch trace and fault-injection counters
-// (owner-written, drained by the coordinator between phases/rounds).
+// batchCounterFields are the per-batch trace, fault-injection and late
+// dead-send counters (owner-written, read by the coordinator between
+// phases, rounds or runs).
 var batchCounterFields = map[string]bool{
 	"trInts": true, "trRecs": true, "trDrops": true, "trWords": true, "trMaxWords": true,
 	"ftDrops": true, "ftDups": true, "ftDelays": true,
 	"ftCrashIn": true, "ftOffline": true, "ftPanics": true,
+	"lateDead": true, "firstLate": true,
 }
 
 // tracerStateFields are Tracer's mutable run-state fields. Configuration

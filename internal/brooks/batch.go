@@ -129,6 +129,14 @@ func Holes(colors []int) []int {
 // gallai.Finder) serves every hole of the call, runs each token procedure
 // in place and undoes it after reading the result off the repair's ball.
 func RepairHoles(g *graph.G, colors []int, holes []int, delta int, seed int64) (*BatchResult, error) {
+	return RepairHolesFunc(g, colors, holes, delta, seed, nil)
+}
+
+// RepairHolesFunc is RepairHoles that calls onBatch, when it is not nil,
+// with each batch's index and BatchInfo as soon as the batch completes,
+// the failing empty one included, so a caller can charge a batch before
+// the next one runs.
+func RepairHolesFunc(g *graph.G, colors []int, holes []int, delta int, seed int64, onBatch func(i int, b BatchInfo)) (*BatchResult, error) {
 	res := &BatchResult{}
 	remaining := dedupeHoles(g, colors, holes)
 	// The fixer and the quotient builder are shared across iterations and
@@ -231,6 +239,9 @@ func RepairHoles(g *graph.G, colors []int, holes []int, delta int, seed int64) (
 		// An empty batch still ran its scheduling, so it is charged before
 		// the failure is reported.
 		res.Batches = append(res.Batches, info)
+		if onBatch != nil {
+			onBatch(iter, info)
+		}
 		if info.Size == 0 {
 			return res, fmt.Errorf("brooks: batch repair scheduled an empty batch (%d holes left)", len(remaining))
 		}

@@ -126,19 +126,20 @@ func Start(g *graph.G, name string) (*Frame, error) {
 // (Theorem 5 walks scheduled by an MIS over their repair balls,
 // brooks.RepairHoles) inside a span named span, which is open while the
 // repair runs, so its wall time and engine rounds land in the phase that
-// bills them. Each batch is charged as "<prefix>-sched[i]" (when it needed
-// scheduling) and "<prefix>-batch[i]" and folded into the result. When
-// the repair fails, the batches it ran are charged all the same, and the
-// error is a *PartialError whose Result counts the holes as its Repairs.
+// bills them. Each batch is charged as it completes, as
+// "<prefix>-sched[i]" (when it needed scheduling) and "<prefix>-batch[i]",
+// so its leaf spans hold its own time and engine rounds, and it is folded
+// into the result. When the repair fails, the batches it ran are charged
+// all the same, and the error is a *PartialError whose Result counts the
+// holes as its Repairs.
 func (f *Frame) Repair(span, prefix string, holes []int, seed int64) error {
 	f.Acct.Begin(span)
-	res, err := brooks.RepairHoles(f.g, f.Colors, holes, f.Delta, seed)
-	for i, b := range res.Batches {
+	res, err := brooks.RepairHolesFunc(f.g, f.Colors, holes, f.Delta, seed, func(i int, b brooks.BatchInfo) {
 		if b.SchedRounds > 0 {
 			f.Acct.Charge(fmt.Sprintf("%s-sched[%d]", prefix, i), b.SchedRounds)
 		}
 		f.Acct.Charge(fmt.Sprintf("%s-batch[%d]", prefix, i), b.Rounds)
-	}
+	})
 	f.Acct.End()
 	f.batchRounds = append(f.batchRounds, res.BatchRounds()...)
 	if err != nil {

@@ -7,25 +7,33 @@ import (
 )
 
 // byeTracker is the shared halt-announcement bookkeeping of the
-// early-halting protocols (LubyMIS, randomized list coloring): a node
-// that halts flags its final staged messages with a "bye" bit, and its
-// neighbors mute the port — no message is ever staged for a receiver the
-// sender could have known was gone, which is exactly what the runtime's
-// strict dead-send mode checks.
+// early-halting protocols (LubyMIS, the list colorings, ReduceColors): a
+// node that halts flags its final staged messages with a "bye" (or, in
+// ReduceColors, its final color), and its neighbors mute the port — no
+// message is ever staged for a receiver the sender could have known was
+// gone, which is exactly what the runtime's strict dead-send mode checks.
 type byeTracker struct {
-	dead  []bool // dead[p]: the neighbor on port p halted
+	dead  []uint64 // bit p: the neighbor on port p halted
 	ndead int
 }
 
-func (b *byeTracker) init(deg int) { b.dead = make([]bool, deg) }
+// init backs the tracker with fresh storage for deg ports.
+func (b *byeTracker) init(deg int) { b.use(make([]uint64, (deg+63)/64)) }
+
+// use backs the tracker with words, which must be zero and hold one bit
+// per port.
+func (b *byeTracker) use(words []uint64) { b.dead, b.ndead = words, 0 }
 
 // note records a bye heard on port p.
 func (b *byeTracker) note(p int) {
-	if !b.dead[p] {
-		b.dead[p] = true
+	if w, bit := p>>6, uint64(1)<<(p&63); b.dead[w]&bit == 0 {
+		b.dead[w] |= bit
 		b.ndead++
 	}
 }
+
+// listening reports whether the neighbor on port p has not said bye.
+func (b *byeTracker) listening(p int) bool { return b.dead[p>>6]&(1<<(p&63)) == 0 }
 
 // castInt stages an int-lane message on every listening port (a plain
 // Broadcast when all are).
@@ -34,8 +42,8 @@ func (b *byeTracker) castInt(ctx *local.Ctx, v int) {
 		ctx.BroadcastInt(v)
 		return
 	}
-	for p, dead := range b.dead {
-		if !dead {
+	for p := range ctx.Degree() {
+		if b.listening(p) {
 			ctx.SendInt(p, v)
 		}
 	}
@@ -48,28 +56,23 @@ func (b *byeTracker) castRec(ctx *local.Ctx, rec []int32) {
 		ctx.Broadcast(rec)
 		return
 	}
-	for p, dead := range b.dead {
-		if !dead {
+	for p := range ctx.Degree() {
+		if b.listening(p) {
 			ctx.Send(p, rec)
 		}
 	}
 }
 
-// maskedState is a masked protocol's node state: a boundary node only
-// says bye.
-type maskedState[S any] struct {
-	boundary bool
-	s        S
-}
-
 // runMasked runs p on the active nodes of a masked protocol (members, in
 // ascending order) and returns the rounds used. Only the members and their
 // boundary — the inactive nodes next to one — take part. A boundary node
-// never enters p: it stages bye toward its active neighbors in round 1 and
-// halts at its first Step, so every active node hears which ports lead out
-// of the layer before it could send there twice. A node farther out never
-// runs (the engine's node set), so the run costs the layer and its
-// boundary, not n. With no member nothing runs, in 0 rounds.
+// never enters p: it stages bye toward its active neighbors and halts in
+// Init, so every active node hears which ports lead out of the layer
+// before it could send there twice (a message an active node stages in
+// Init toward the boundary is an unavoidable dead send), and no crash
+// window can hold it. A node farther out never runs (the engine's node
+// set), so the run costs the layer and its boundary, not n. With no
+// member nothing runs, in 0 rounds.
 func runMasked[S any](net *local.Network, members []int, active []bool, bye int, p local.Stepped[S]) int {
 	if len(members) == 0 {
 		return 0
@@ -83,23 +86,20 @@ func runMasked[S any](net *local.Network, members []int, active []bool, bye int,
 			}
 		}
 	}
-	local.RunStepped(net, local.Stepped[maskedState[S]]{
-		Init: func(ctx *local.Ctx, m *maskedState[S]) bool {
+	local.RunStepped(net, local.Stepped[S]{
+		Init: func(ctx *local.Ctx, s *S) bool {
 			v := ctx.ID()
 			if active[v] {
-				return p.Init(ctx, &m.s)
+				return p.Init(ctx, s)
 			}
 			for q, u := range g.Neighbors(v) {
 				if active[u] {
 					ctx.SendInt(q, bye)
 				}
 			}
-			m.boundary = true
-			return true
+			return false
 		},
-		Step: func(ctx *local.Ctx, m *maskedState[S]) bool {
-			return !m.boundary && p.Step(ctx, &m.s)
-		},
+		Step: p.Step,
 	}, nodes...)
 	return net.Rounds()
 }

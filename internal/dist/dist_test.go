@@ -514,8 +514,8 @@ func TestRoundLimitCutReadsNoOutput(t *testing.T) {
 	}
 	checkCut := func(name string, net *local.Network) {
 		t.Helper()
-		if net.Rounds() != 2 || net.FaultStats().RoundLimited != 1 {
-			t.Fatalf("%s: %d rounds, RoundLimited = %d; want a run cut at round 2", name, net.Rounds(), net.FaultStats().RoundLimited)
+		if net.Rounds() != 2 || !net.LastRunStats().RoundLimited {
+			t.Fatalf("%s: %d rounds, RoundLimited = %v; want a run cut at round 2", name, net.Rounds(), net.LastRunStats().RoundLimited)
 		}
 	}
 

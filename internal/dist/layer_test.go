@@ -61,24 +61,26 @@ func TestListColoringLayerAllocations(t *testing.T) {
 }
 
 // TestListColoringIgnoresCrashOutsideLayer pins that a crash window on a
-// node outside a layer and its boundary does not touch the layer's run.
-// The node never ends its window ({Node: far, From: 1}), and the plan's
-// RoundLimit is 5,000. Only the layer and its boundary run, so both
-// protocols return the fault-free colors in the fault-free rounds, and the
-// run is not cut. The frozen oracles, in which every node runs, wait for
-// the crashed node until the RoundLimit.
+// node outside a layer does not touch the layer's run, whether the node
+// lies farther out or on the layer's boundary. The node never ends its
+// window ({Node: v, From: 1}), and the plan's RoundLimit is 5,000. Only
+// the layer and its boundary run, and a boundary node stages its bye and
+// halts in Init, before any window opens, so both protocols return the
+// fault-free colors in the fault-free rounds, and the run is not cut. The
+// frozen oracles, in which every node runs, wait for the crashed node
+// until the RoundLimit.
 func TestListColoringIgnoresCrashOutsideLayer(t *testing.T) {
 	g := gen.Torus(16, 16)
 	active := torusBlock(g, 16, 2, 2, 2)
 	partial := greedyPartial(g, active)
 	delta := g.MaxDegree() + 1
-	far := 10*16 + 10
-	plan := &local.FaultPlan{Crashes: []local.CrashWindow{{Node: far, From: 1}}, RoundLimit: 5000}
 	li := NewListInstance(g, active, partial, delta)
 	oli := oracleNewListInstance(g, active, partial, delta)
 	base, k, _ := Linial(local.NewNetwork(g, 14))
-	if active[far] || slices.ContainsFunc(g.Neighbors(far), func(u int) bool { return active[u] }) {
-		t.Fatal("the crashed node is in the layer or on its boundary")
+	far, boundary := 10*16+10, 1*16+2
+	onBoundary := func(v int) bool { return slices.ContainsFunc(g.Neighbors(v), func(u int) bool { return active[u] }) }
+	if active[far] || onBoundary(far) || active[boundary] || !onBoundary(boundary) {
+		t.Fatal("the crashed nodes are not one far from the layer and one on its boundary")
 	}
 
 	protocols := []struct {
@@ -93,35 +95,46 @@ func TestListColoringIgnoresCrashOutsideLayer(t *testing.T) {
 			func(net *local.Network) ([]int, int, error) { return ListColorDeterministic(net, li, base, k) },
 			func(net *local.Network) ([]int, int, error) { return oracleListColorDet(net, oli, base, k) }},
 	}
+	crashes := []struct {
+		name string
+		node int
+	}{{"far", far}, {"boundary", boundary}}
 	for _, p := range protocols {
 		t.Run(p.name, func(t *testing.T) {
 			want := runList(g, nil, p.run)
 			if want.err != "" || want.rounds == 0 {
 				t.Fatalf("fault-free run: %d rounds, error %q", want.rounds, want.err)
 			}
-			net := local.NewNetwork(g, 15)
-			if err := net.SetFaultPlan(plan); err != nil {
-				t.Fatal(err)
-			}
-			colors, rounds, err := p.run(net)
-			got := listRun{colors: colors, rounds: rounds}
-			if err != nil {
-				got.err = err.Error()
-			}
-			if d := got.diff(want); d != "" {
-				t.Fatalf("under the crash: %s", d)
-			}
-			if st := net.FaultStats(); st.RoundLimited != 0 || st.OfflineSteps != 0 {
-				t.Fatalf("under the crash: fault stats %+v, want no cut and no frozen step", st)
-			}
+			for _, crashed := range crashes {
+				t.Run(crashed.name, func(t *testing.T) {
+					plan := &local.FaultPlan{Crashes: []local.CrashWindow{{Node: crashed.node, From: 1}}, RoundLimit: 5000}
+					net := local.NewNetwork(g, 15)
+					tr := local.NewTracer(local.TraceCounters, 0)
+					net.SetTracer(tr)
+					if err := net.SetFaultPlan(plan); err != nil {
+						t.Fatal(err)
+					}
+					colors, rounds, err := p.run(net)
+					got := listRun{colors: colors, rounds: rounds}
+					if err != nil {
+						got.err = err.Error()
+					}
+					if d := got.diff(want); d != "" {
+						t.Fatalf("under the crash: %s", d)
+					}
+					if cut, frozen := net.LastRunStats().RoundLimited, tr.Counters().OfflineSteps; cut || frozen != 0 {
+						t.Fatalf("under the crash: RoundLimited %v, %d frozen steps; want no cut and no frozen step", cut, frozen)
+					}
 
-			onet := local.NewNetwork(g, 15)
-			if err := onet.SetFaultPlan(plan); err != nil {
-				t.Fatal(err)
-			}
-			if _, orounds, _ := p.oracle(onet); orounds != plan.RoundLimit || onet.FaultStats().RoundLimited != 1 {
-				t.Fatalf("oracle under the crash: %d rounds, RoundLimited %d; want the RoundLimit %d",
-					orounds, onet.FaultStats().RoundLimited, plan.RoundLimit)
+					onet := local.NewNetwork(g, 15)
+					if err := onet.SetFaultPlan(plan); err != nil {
+						t.Fatal(err)
+					}
+					if _, orounds, _ := p.oracle(onet); orounds != plan.RoundLimit || !onet.LastRunStats().RoundLimited {
+						t.Fatalf("oracle under the crash: %d rounds, RoundLimited %v; want the RoundLimit %d",
+							orounds, onet.LastRunStats().RoundLimited, plan.RoundLimit)
+					}
+				})
 			}
 		})
 	}

@@ -141,7 +141,7 @@ func (s *listRandState) lcNote(p int, done, bye bool, c int) {
 // (callers defer them to the repair pass).
 //
 // Only the layer and its boundary run (runMasked): an inactive neighbor
-// sends one bye (done, no color) toward the layer in round 1 and halts.
+// stages one bye (done, no color) toward the layer in Init and halts.
 // The colors are aligned with li.Nodes (-1 = uncolored). An instance with
 // no active node returns no colors in 0 rounds without running the
 // network.
@@ -257,11 +257,10 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 // succeeds.
 //
 // Only the layer and its boundary run (runMasked). An inactive neighbor
-// sends one bye (done, no color) toward the layer in round 1 and halts at
-// its first Step, leaving its color -1. An uncolored active node sends
-// nothing. A colored active node re-announces its final color every round
-// on every port not muted by a bye; the repetition is what lets a dropped
-// announcement heal. A node derives its list at Init and folds the first
+// stages one bye (done, no color) toward the layer in Init and halts
+// there. An uncolored active node sends nothing. A colored active node
+// re-announces its final color every round on every port not muted by a
+// bye; the repetition is what lets a dropped announcement heal. A node derives its list at Init and folds the first
 // final it hears on each port out of it, so the head of the list is always
 // its pick. Only the active nodes' base classes are read, and they must
 // lie in [0, baseK).

@@ -11,9 +11,9 @@ import (
 // reduceState is the cross-round node state of ReduceColors.
 type reduceState struct {
 	color int
-	class int      // class whose round the next Step completes
-	used  []uint64 // bit c: a neighbor holds target color c
-	muted []uint64 // bit p: the neighbor on port p halted
+	class int        // class whose round the next Step completes
+	used  []uint64   // bit c: a neighbor holds target color c
+	bye   byeTracker // a neighbor that announced a target color halted
 }
 
 // ReduceColors reduces a proper k-coloring to a proper target-coloring with
@@ -64,7 +64,7 @@ func ReduceColors(net *local.Network, base []int, k, target int) ([]int, int, er
 		return append([]int(nil), base...), 0, nil
 	}
 
-	// One row of bits per node: its used set, then its muted ports.
+	// One row of bits per node: its used set, then its bye tracker's ports.
 	wc, wp := (target+63)/64, (g.MaxDegree()+63)/64
 	row := wc + wp
 	sets := make([]uint64, n*row)
@@ -73,7 +73,7 @@ func ReduceColors(net *local.Network, base []int, k, target int) ([]int, int, er
 		Init: func(ctx *local.Ctx, s *reduceState) bool {
 			v := ctx.ID()
 			s.used = sets[v*row : v*row+wc : v*row+wc]
-			s.muted = sets[v*row+wc : (v+1)*row : (v+1)*row]
+			s.bye.use(sets[v*row+wc : (v+1)*row : (v+1)*row])
 			s.color, s.class = base[v], k-1
 			ctx.BroadcastInt(s.color)
 			if s.color < target {
@@ -86,14 +86,14 @@ func ReduceColors(net *local.Network, base []int, k, target int) ([]int, int, er
 			for p := range ctx.Degree() {
 				if c, ok := ctx.RecvInt(p); ok && uint(c) < uint(target) {
 					s.used[c>>6] |= 1 << (c & 63)
-					s.muted[p>>6] |= 1 << (p & 63)
+					s.bye.note(p)
 				}
 			}
 			if s.color == s.class {
 				if f := firstClear(s.used); f < target {
 					s.color = f
 					colors[ctx.ID()] = f
-					castUnmuted(ctx, s.muted, f)
+					s.bye.castInt(ctx, f)
 					return false
 				}
 				// No free color (target <= degree): keep the old color,
@@ -126,13 +126,4 @@ func firstClear(set []uint64) int {
 		}
 	}
 	return 64 * len(set)
-}
-
-// castUnmuted stages v on every port whose bit is clear in muted.
-func castUnmuted(ctx *local.Ctx, muted []uint64, v int) {
-	for p := range ctx.Degree() {
-		if muted[p>>6]&(1<<(p&63)) == 0 {
-			ctx.SendInt(p, v)
-		}
-	}
 }

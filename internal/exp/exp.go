@@ -22,7 +22,7 @@ import (
 // parameters; Quick shrinks every sweep to smoke-test size (used by -short
 // tests and the benchmark harness's inner loop). Strict turns every late
 // dead send — a message staged for a neighbor the sender could already
-// have known was halted (local.LateDeadSends) — into a panic via
+// have known was halted (see local.DeadSend) — into a panic via
 // local.SetStrictDeadSends, so dead-send protocol regressions fail the
 // harness — and CI — instead of surfacing in user runs; it also arms the
 // gates of E14–E16. Baseline and MultiWorkerBaseline, when set, arm E12's

@@ -199,12 +199,11 @@ func TestBroadcastDegreeZero(t *testing.T) {
 	}
 }
 
-// TestIntPathDeadSendsAndStats checks dead-send tracking, HaltRound
+// TestIntPathDeadSendsAndStats checks the dead-send accounting, HaltRound
 // bookkeeping and the 4-byte message costing on the int path.
 func TestIntPathDeadSendsAndStats(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g, 1)
-	net.TrackDeadSends(true)
 	tr := NewTracer(TraceCounters, 0)
 	net.SetTracer(tr)
 	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
@@ -216,19 +215,10 @@ func TestIntPathDeadSendsAndStats(t *testing.T) {
 		}
 		return round < 2
 	}))
-	dead := net.DeadSends()
-	if len(dead) != 2 {
-		t.Fatalf("dead sends = %v, want 2 records", dead)
-	}
-	for i, d := range dead {
-		if d.From != 1 || d.To != 0 || d.Round != i+1 || d.HaltRound != 1 {
-			t.Fatalf("dead[%d] = %+v", i, d)
-		}
-	}
 	// Round 1 crossed the halt in flight (forgivable); round 2 is late.
-	late := net.LateDeadSends()
-	if len(late) != 1 || late[0].Round != 2 {
-		t.Fatalf("late dead sends = %v, want the round-2 record only", late)
+	want := DeadSend{From: 1, Port: 0, To: 0, Round: 2, HaltRound: 1}
+	if st := net.LastRunStats(); st.LateDeadSends != 1 || st.FirstLate != want {
+		t.Fatalf("late dead sends %d, first %+v; want the round-2 send %+v only", st.LateDeadSends, st.FirstLate, want)
 	}
 	c := tr.Counters()
 	if c.IntMessages != 2 || c.Words != 2 || c.MaxWords != 1 {

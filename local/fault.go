@@ -13,29 +13,31 @@
 // the fast path is untouched (TestTracerZeroAllocsPerRound and the E15
 // overhead gate both run with fault == nil).
 //
-// Fault model:
+// Fault model (each event is counted by the network's tracer, when one
+// that counts is attached; see Counters):
 //
-//   - Drop: a staged message vanishes (counted in FaultStats.Drops).
-//   - Delay: a staged message is postponed 1..MaxDelay rounds, then
-//     injected into the receiver's inbox lane before that round's regular
-//     delivery; a fresh message on the same (receiver, port) overwrites
-//     the stale injection on either lane, preserving the
-//     one-message-per-edge-per-round rule. Of two injections due on one
-//     slot in one round, an int beats a record. A delayed message whose
-//     receiver halts first, or whose due round lies beyond the end of the
-//     run, is lost (DelayedDrops).
+//   - Drop: a staged message vanishes (FaultDrops).
+//   - Delay: a staged message is postponed 1..MaxDelay rounds
+//     (FaultDelays), then injected into the receiver's inbox lane before
+//     that round's regular delivery; a fresh message on the same
+//     (receiver, port) overwrites the stale injection on either lane,
+//     preserving the one-message-per-edge-per-round rule. Of two
+//     injections due on one slot in one round, an int beats a record. A
+//     delayed message whose receiver halts first, or whose due round lies
+//     beyond the end of the run, is lost (DelayedDrops).
 //   - Duplicate: the message is delivered normally and additionally
-//     re-injected in the following round (Dups).
+//     re-injected in the following round (FaultDups), where it can be
+//     lost like a delayed message.
 //   - Crash window: the node freezes for rounds [From, To): its program
-//     does not step, anything sent to it is dropped (CrashDrops), and its
-//     inbox is wiped. At round To it resumes with its program state
-//     intact — the single-process runtime models a process that stops
-//     participating, not one that loses memory. To == 0 means the node
-//     never comes back.
+//     does not step (OfflineSteps), anything delivered or injected to it
+//     is dropped (CrashDrops), and its inbox is wiped. At round To it
+//     resumes with its program state intact — the single-process runtime
+//     models a process that stops participating, not one that loses
+//     memory. To == 0 means the node never comes back.
 //
 // Because dropped or delayed messages can stall a protocol forever, any
 // plan that enables a fault must set RoundLimit: the engine force-halts
-// the run after that many rounds (FaultStats.RoundLimited), so every
+// the run after that many rounds (RunStats.RoundLimited), so every
 // faulty execution terminates. Node programs that panic on fault-mangled
 // input are force-halted instead of killing the process (NodePanics);
 // detection and repair then happen above the runtime (deltacolor.Recolor).
@@ -135,25 +137,6 @@ func (p *FaultPlan) Validate() error {
 	return nil
 }
 
-// FaultStats counts the faults injected during the last run. All zero
-// when no plan is attached.
-type FaultStats struct {
-	Drops        int64 // messages dropped by DropProb
-	Dups         int64 // duplicate deliveries queued by DupProb
-	Delays       int64 // messages postponed by DelayProb
-	DelayedDrops int64 // delayed/duplicated messages lost before injection
-	CrashDrops   int64 // messages dropped because the receiver was offline
-	OfflineSteps int64 // node-rounds frozen inside crash windows
-	NodePanics   int64 // node programs that panicked and were force-halted
-	RoundLimited int64 // 1 when the run hit the plan's RoundLimit
-}
-
-// Total returns the number of injected fault events (excluding
-// OfflineSteps and RoundLimited, which are states rather than events).
-func (s FaultStats) Total() int64 {
-	return s.Drops + s.Dups + s.Delays + s.DelayedDrops + s.CrashDrops + s.NodePanics
-}
-
 // defaultFaultPlan is the package default installed on new networks; see
 // SetDefaultFaultPlan.
 var defaultFaultPlan atomic.Pointer[FaultPlan]
@@ -200,9 +183,6 @@ func (net *Network) SetFaultPlan(p *FaultPlan) error {
 
 // FaultPlan returns the attached plan (nil when none).
 func (net *Network) FaultPlan() *FaultPlan { return net.fault }
-
-// FaultStats returns the fault counters of the last run.
-func (net *Network) FaultStats() FaultStats { return net.faultStats }
 
 // pendingFault is a delayed or duplicated message waiting to be injected
 // into its receiver's inbox lane at the start of round due.
@@ -299,8 +279,7 @@ func (net *Network) stepNodeRecover(fn func(*Ctx) bool, c *Ctx, b *batch) (cont 
 // staged message, on both lanes in one port sweep: receiver-offline drop,
 // then drop, then delay, then delivery plus optional duplication. At most
 // one fault fires per message. Protocol-level dead sends (halted
-// receivers) are recorded exactly as in the healthy kernel, so the strict
-// dead-send gate keeps its meaning under fault injection.
+// receivers) are counted exactly as in the healthy kernel.
 //
 //deltacolor:coordinator
 func (net *Network) deliverBatchFaulty(b *batch) {
@@ -330,12 +309,7 @@ func (net *Network) deliverBatchFaulty(b *batch) {
 			c.out[pt], c.outHas[pt] = recSlot{}, 0
 			u := net.portsFlat[base+pt]
 			if checkHalt && net.haltSeg[u] != 0 {
-				if count {
-					b.trDrops++
-				}
-				if net.trackDead {
-					b.dead = append(b.dead, net.deadSend(c, pt, u))
-				}
+				b.dropDead(net, c, pt, u)
 				continue
 			}
 			if hasCrash && net.offlineAt(net.toExt(int(u)), round) {
@@ -388,11 +362,12 @@ func (net *Network) put(pm pendingFault) {
 // regular delivery phase, so fresh messages overwrite stale injections
 // slot by slot. Of two injections due on one slot, the int wins: a record
 // is not injected over an int. Receivers that halted or are offline lose
-// the message.
+// the message, and a counting tracer counts it (fc; nil when none).
 //
 //deltacolor:coordinator
-func (net *Network) injectPending() {
+func (net *Network) injectPending(fc *Counters) {
 	round := net.rounds + 1
+	var halted, offline int64
 	kept := net.pendFault[:0]
 	for _, pm := range net.pendFault {
 		if pm.due != round {
@@ -400,11 +375,11 @@ func (net *Network) injectPending() {
 			continue
 		}
 		if net.haltSeg[pm.node] != 0 {
-			net.faultStats.DelayedDrops++
+			halted++
 			continue
 		}
 		if net.crashW != nil && net.offlineAt(net.toExt(int(pm.node)), round) {
-			net.faultStats.CrashDrops++
+			offline++
 			continue
 		}
 		if pm.isInt || net.inHas[pm.slot] == 0 {
@@ -412,39 +387,33 @@ func (net *Network) injectPending() {
 		}
 	}
 	net.pendFault = kept
+	if fc != nil {
+		fc.DelayedDrops += halted
+		fc.CrashDrops += offline
+	}
 }
 
-// drainFault folds the per-batch fault counters and pending-message lists
-// into the network's run-level state, and feeds the tracer's cumulative
-// fault counters. Coordinator-only, once per round.
+// drainFault moves the batches' pending messages into the network's list
+// and their fault counters into fc, a counting tracer's counters (with fc
+// nil they are only reset). Coordinator-only, once per round.
 //
 //deltacolor:coordinator
-func (net *Network) drainFault(tr *Tracer) {
-	s := &net.faultStats
-	var drops, dups, delays, crash int64
+func (net *Network) drainFault(fc *Counters) {
 	for i := range net.batches {
 		b := &net.batches[i]
 		if len(b.pend) > 0 {
 			net.pendFault = append(net.pendFault, b.pend...)
 			b.pend = b.pend[:0]
 		}
-		if b.ftDrops|b.ftDups|b.ftDelays|b.ftCrashIn|b.ftOffline|b.ftPanics == 0 {
-			continue
+		if fc != nil {
+			fc.FaultDrops += int64(b.ftDrops)
+			fc.FaultDups += int64(b.ftDups)
+			fc.FaultDelays += int64(b.ftDelays)
+			fc.CrashDrops += int64(b.ftCrashIn)
+			fc.OfflineSteps += int64(b.ftOffline)
+			fc.NodePanics += int64(b.ftPanics)
 		}
-		drops += int64(b.ftDrops)
-		dups += int64(b.ftDups)
-		delays += int64(b.ftDelays)
-		crash += int64(b.ftCrashIn)
-		s.OfflineSteps += int64(b.ftOffline)
-		s.NodePanics += int64(b.ftPanics)
 		b.ftDrops, b.ftDups, b.ftDelays, b.ftCrashIn, b.ftOffline, b.ftPanics = 0, 0, 0, 0, 0, 0
-	}
-	s.Drops += drops
-	s.Dups += dups
-	s.Delays += delays
-	s.CrashDrops += crash
-	if tr != nil && net.countMsgs {
-		tr.countFaults(drops+crash, dups, delays)
 	}
 }
 
@@ -452,10 +421,10 @@ func (net *Network) drainFault(tr *Tracer) {
 // message still awaiting injection is lost.
 //
 //deltacolor:coordinator
-func (net *Network) finishFaultRun(tr *Tracer) {
-	net.drainFault(tr)
-	if n := len(net.pendFault); n > 0 {
-		net.faultStats.DelayedDrops += int64(n)
-		net.pendFault = net.pendFault[:0]
+func (net *Network) finishFaultRun(fc *Counters) {
+	net.drainFault(fc)
+	if fc != nil {
+		fc.DelayedDrops += int64(len(net.pendFault))
 	}
+	net.pendFault = net.pendFault[:0]
 }

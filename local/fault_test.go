@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"deltacolor/graph"
+	"deltacolor/graph/gen"
 )
 
 func TestFaultPlanValidate(t *testing.T) {
@@ -92,11 +93,23 @@ func broadcastRounds(rounds int, out []int) Stepped[roundState[int]] {
 	})
 }
 
-func TestDropAllMessages(t *testing.T) {
-	g := pathGraph(4) // directed degree sum 6
-	net := NewNetwork(g, 1)
+// countedNetwork is a network over g with a counting tracer attached.
+func countedNetwork(g *graph.G, seed int64) (*Network, *Tracer) {
+	net := NewNetwork(g, seed)
 	tr := NewTracer(TraceCounters, 0)
 	net.SetTracer(tr)
+	return net, tr
+}
+
+// faultEvents sums a tracer's fault events: every counter of the fault
+// model except OfflineSteps, which counts frozen node-rounds.
+func faultEvents(c Counters) int64 {
+	return c.FaultDrops + c.FaultDups + c.FaultDelays + c.CrashDrops + c.DelayedDrops + c.NodePanics
+}
+
+func TestDropAllMessages(t *testing.T) {
+	g := pathGraph(4) // directed degree sum 6
+	net, tr := countedNetwork(g, 1)
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 9, DropProb: 1, RoundLimit: 50}); err != nil {
 		t.Fatal(err)
 	}
@@ -108,26 +121,26 @@ func TestDropAllMessages(t *testing.T) {
 		}
 	}
 	// Three delivery rounds of 6 staged messages each, all dropped.
-	fs := net.FaultStats()
-	if fs.Drops != 18 {
-		t.Fatalf("Drops = %d, want 18", fs.Drops)
+	c := tr.Counters()
+	if c.FaultDrops != 18 {
+		t.Fatalf("FaultDrops = %d, want 18", c.FaultDrops)
 	}
-	if got := fs.Drops + fs.CrashDrops + fs.DelayedDrops; got != 18 {
-		t.Fatalf("messages destroyed by the plan = %d, want 18", got)
+	if got := faultEvents(c); got != 18 {
+		t.Fatalf("fault events = %d, want the 18 drops (%+v)", got, c)
 	}
-	if got := tr.Counters().FaultDrops; got != 18 {
-		t.Fatalf("tracer FaultDrops = %d, want 18", got)
-	}
-	if fs.RoundLimited != 0 {
+	if net.LastRunStats().RoundLimited {
 		t.Fatalf("run flagged RoundLimited, rounds=%d", net.Rounds())
 	}
 }
 
 func TestNoFaultsLeaveStatsZero(t *testing.T) {
-	net := NewNetwork(pathGraph(4), 1)
+	net, tr := countedNetwork(pathGraph(4), 1)
 	RunStepped(net, broadcastRounds(2, make([]int, 4)))
-	if fs := net.FaultStats(); fs != (FaultStats{}) {
-		t.Fatalf("fault stats nonzero without a plan: %+v", fs)
+	if c := tr.Counters(); faultEvents(c) != 0 || c.OfflineSteps != 0 {
+		t.Fatalf("fault counters nonzero without a plan: %+v", c)
+	}
+	if net.LastRunStats().RoundLimited {
+		t.Fatal("run without a plan flagged RoundLimited")
 	}
 }
 
@@ -167,8 +180,8 @@ func TestFaultScheduleDeterministicAcrossWorkers(t *testing.T) {
 		Crashes:    []CrashWindow{{Node: 5, From: 2, To: 4}, {Node: 17, From: 3}},
 		RoundLimit: 60,
 	}
-	run := func(workers, batchSize int) ([]uint64, FaultStats, int) {
-		net := NewNetwork(cycleGraph(101), 3)
+	run := func(workers, batchSize int) ([]uint64, Counters, int) {
+		net, tr := countedNetwork(cycleGraph(101), 3)
 		net.SetWorkers(workers)
 		net.setBatch(batchSize)
 		if err := net.SetFaultPlan(plan); err != nil {
@@ -176,16 +189,16 @@ func TestFaultScheduleDeterministicAcrossWorkers(t *testing.T) {
 		}
 		outs := make([]uint64, 101)
 		RunStepped(net, faultHashProbe(6, outs))
-		return outs, net.FaultStats(), net.Rounds()
+		return outs, tr.Counters(), net.Rounds()
 	}
 	base, baseStats, baseRounds := run(1, 0)
-	if baseStats.Total() == 0 {
+	if faultEvents(baseStats) == 0 {
 		t.Fatal("probe run injected no faults; test is vacuous")
 	}
 	for _, cfg := range [][2]int{{4, 0}, {4, 7}, {2, 13}} {
 		outs, fs, rounds := run(cfg[0], cfg[1])
 		if fs != baseStats {
-			t.Fatalf("workers=%d batch=%d: fault stats %+v != %+v", cfg[0], cfg[1], fs, baseStats)
+			t.Fatalf("workers=%d batch=%d: counters %+v != %+v", cfg[0], cfg[1], fs, baseStats)
 		}
 		if rounds != baseRounds {
 			t.Fatalf("workers=%d batch=%d: rounds %d != %d", cfg[0], cfg[1], rounds, baseRounds)
@@ -195,6 +208,98 @@ func TestFaultScheduleDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d batch=%d: node %d output %v != %v", cfg[0], cfg[1], v, outs[v], base[v])
 			}
 		}
+	}
+}
+
+// TestTracerCountsEveryUndeliveredMessage checks the tracer's fault
+// ledger against what the nodes read. Every node stages one message per
+// port in Init and then only listens, so an edge carries one message,
+// which the plan drops, delays, duplicates or delivers, and no injection
+// is ever overwritten: a message is read exactly when the tracer does not
+// count it lost. So the messages read are the messages staged plus the
+// duplicates, less the dead sends, the plan's drops, the crash drops (at
+// delivery or at injection) and the delayed drops. Some nodes halt in
+// Init, some panic, four sit in crash windows, one of which never ends,
+// so the RoundLimit cuts the run. The torus has more than parallelWork
+// nodes, so with several workers the coordinator drains the batches'
+// fault counters while worker goroutines run, and the counters must not
+// depend on the worker count or the batch size.
+func TestTracerCountsEveryUndeliveredMessage(t *testing.T) {
+	g := gen.Torus(24, 24)
+	n := g.N()
+	plan := &FaultPlan{
+		Seed: 5, DropProb: 0.1, DupProb: 0.3, DelayProb: 0.3, MaxDelay: 6,
+		Crashes: []CrashWindow{
+			{Node: 3, From: 1, To: 3},  // loses the round-1 delivery and round-2 injections
+			{Node: 40, From: 2, To: 5}, // loses injections due in rounds 2-4
+			{Node: 41, From: 3, To: 6},
+			{Node: 100, From: 2}, // never back: the RoundLimit cuts the run
+		},
+		RoundLimit: 12,
+	}
+	haltsInInit := func(v int) bool { return v%17 == 0 }
+	panics := func(v int) bool { return v%50 == 7 && !haltsInInit(v) }
+	run := func(workers, batchSize int) (Counters, RunStats, int64) {
+		net, tr := countedNetwork(g, 1)
+		net.SetWorkers(workers)
+		net.setBatch(batchSize)
+		if err := net.SetFaultPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+		read := make([]int64, n)
+		RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
+			v := ctx.ID()
+			if round == 0 {
+				if v%2 == 0 {
+					ctx.BroadcastInt(v)
+				} else {
+					ctx.Broadcast([]int32{int32(v)})
+				}
+				return !haltsInInit(v)
+			}
+			for p := range ctx.Degree() {
+				if _, ok := ctx.RecvInt(p); ok || ctx.Recv(p) != nil {
+					read[v]++
+				}
+			}
+			if panics(v) {
+				panic("fault-mangled state")
+			}
+			return round < 1+v%6
+		}))
+		var sum int64
+		for _, r := range read {
+			sum += r
+		}
+		return tr.Counters(), net.LastRunStats(), sum
+	}
+
+	c, st, read := run(1, 0)
+	if want := c.Messages() + c.FaultDups - c.Drops - c.FaultDrops - c.CrashDrops - c.DelayedDrops; read != want {
+		t.Fatalf("nodes read %d messages; the tracer leaves %d undropped (%+v)", read, want, c)
+	}
+	wantPanics := int64(0)
+	for v := range n {
+		if panics(v) {
+			wantPanics++
+		}
+	}
+	// Nodes 3, 40 and 41 freeze for 2, 3 and 3 of their live rounds, and
+	// node 100 for rounds 2 to 12.
+	if c.NodePanics != wantPanics || c.OfflineSteps != 2+3+3+11 || !st.RoundLimited {
+		t.Fatalf("NodePanics %d, OfflineSteps %d, RoundLimited %v; want %d, 19, true",
+			c.NodePanics, c.OfflineSteps, st.RoundLimited, wantPanics)
+	}
+	for name, v := range map[string]int64{
+		"Drops": c.Drops, "FaultDrops": c.FaultDrops, "FaultDups": c.FaultDups, "FaultDelays": c.FaultDelays,
+		"CrashDrops": c.CrashDrops, "DelayedDrops": c.DelayedDrops,
+	} {
+		if v == 0 {
+			t.Errorf("%s = 0: the test does not exercise it", name)
+		}
+	}
+	if c2, st2, read2 := run(4, 64); c2 != c || st2.Rounds != st.Rounds || read2 != read {
+		t.Fatalf("4 workers: counters %+v, %d rounds, %d read; 1 worker: %+v, %d, %d", c2, st2.Rounds, read2, c, st.Rounds, read)
 	}
 }
 
@@ -222,7 +327,7 @@ func TestFaultScheduleVariesAcrossRuns(t *testing.T) {
 }
 
 func TestCrashWindowFreezeAndRestart(t *testing.T) {
-	net := NewNetwork(pathGraph(3), 1)
+	net, tr := countedNetwork(pathGraph(3), 1)
 	if err := net.SetFaultPlan(&FaultPlan{
 		Crashes:    []CrashWindow{{Node: 1, From: 2, To: 4}},
 		RoundLimit: 50,
@@ -242,12 +347,12 @@ func TestCrashWindowFreezeAndRestart(t *testing.T) {
 	if outs[0] != 3 || outs[2] != 3 {
 		t.Errorf("neighbors received %v / %v, want 3 / 3", outs[0], outs[2])
 	}
-	fs := net.FaultStats()
-	if fs.OfflineSteps != 2 {
-		t.Errorf("OfflineSteps = %d, want 2", fs.OfflineSteps)
+	c := tr.Counters()
+	if c.OfflineSteps != 2 {
+		t.Errorf("OfflineSteps = %d, want 2", c.OfflineSteps)
 	}
-	if fs.CrashDrops != 4 {
-		t.Errorf("CrashDrops = %d, want 4", fs.CrashDrops)
+	if c.CrashDrops != 4 {
+		t.Errorf("CrashDrops = %d, want 4", c.CrashDrops)
 	}
 	if net.Rounds() != 7 {
 		t.Errorf("rounds = %d, want 7", net.Rounds())
@@ -257,7 +362,7 @@ func TestCrashWindowFreezeAndRestart(t *testing.T) {
 func TestDelayedMessageArrivesLater(t *testing.T) {
 	g := graph.New(2)
 	g.MustEdge(0, 1)
-	net := NewNetwork(g, 1)
+	net, tr := countedNetwork(g, 1)
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 3, DelayProb: 1, MaxDelay: 1, RoundLimit: 20}); err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +392,8 @@ func TestDelayedMessageArrivesLater(t *testing.T) {
 	if got := outs[1]; got != 2 {
 		t.Fatalf("message arrived in round %v, want 2", outs[1])
 	}
-	if fs := net.FaultStats(); fs.Delays != 1 || fs.Drops != 0 {
-		t.Fatalf("stats %+v, want exactly one delay", fs)
+	if c := tr.Counters(); c.FaultDelays != 1 || faultEvents(c) != 1 {
+		t.Fatalf("counters %+v, want exactly one delay", c)
 	}
 }
 
@@ -299,7 +404,7 @@ func TestDelayedMessageArrivesLater(t *testing.T) {
 func TestDelayedRecordYieldsToFreshInt(t *testing.T) {
 	g := graph.New(2)
 	g.MustEdge(0, 1)
-	net := NewNetwork(g, 1)
+	net, tr := countedNetwork(g, 1)
 	// Message faults fire in round 1 only, where every message is delayed
 	// by exactly one round.
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 3, DelayProb: 1, MaxDelay: 1, ToRound: 1, RoundLimit: 20}); err != nil {
@@ -336,15 +441,15 @@ func TestDelayedRecordYieldsToFreshInt(t *testing.T) {
 	if got[2].rec != nil || got[2].ok {
 		t.Fatalf("round 3: receiver saw %+v, want nothing", got[2])
 	}
-	if fs := net.FaultStats(); fs.Delays != 1 || fs.Total() != 1 {
-		t.Fatalf("stats %+v, want exactly one delay", fs)
+	if c := tr.Counters(); c.FaultDelays != 1 || faultEvents(c) != 1 {
+		t.Fatalf("counters %+v, want exactly one delay", c)
 	}
 }
 
 func TestDuplicatedMessageArrivesTwice(t *testing.T) {
 	g := graph.New(2)
 	g.MustEdge(0, 1)
-	net := NewNetwork(g, 1)
+	net, tr := countedNetwork(g, 1)
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 3, DupProb: 1, RoundLimit: 20}); err != nil {
 		t.Fatal(err)
 	}
@@ -366,8 +471,8 @@ func TestDuplicatedMessageArrivesTwice(t *testing.T) {
 	if seen != 2 {
 		t.Fatalf("message seen %d times, want 2", seen)
 	}
-	if fs := net.FaultStats(); fs.Dups != 1 {
-		t.Fatalf("stats %+v, want exactly one dup", fs)
+	if c := tr.Counters(); c.FaultDups != 1 {
+		t.Fatalf("counters %+v, want exactly one dup", c)
 	}
 }
 
@@ -388,8 +493,8 @@ func TestRoundLimitForceHalts(t *testing.T) {
 	if net.Rounds() != 5 {
 		t.Fatalf("rounds = %d, want the limit 5", net.Rounds())
 	}
-	if fs := net.FaultStats(); fs.RoundLimited != 1 {
-		t.Fatalf("RoundLimited = %d, want 1", fs.RoundLimited)
+	if !net.LastRunStats().RoundLimited {
+		t.Fatal("RoundLimited = false, want true")
 	}
 	for v, o := range outs {
 		if o != -1 {
@@ -399,7 +504,7 @@ func TestRoundLimitForceHalts(t *testing.T) {
 }
 
 func TestNodePanicContained(t *testing.T) {
-	net := NewNetwork(pathGraph(3), 1)
+	net, tr := countedNetwork(pathGraph(3), 1)
 	if err := net.SetFaultPlan(&FaultPlan{RoundLimit: 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -425,8 +530,8 @@ func TestNodePanicContained(t *testing.T) {
 	if outs[1] != "" {
 		t.Fatalf("panicked node has output %q, want the initial empty string", outs[1])
 	}
-	if fs := net.FaultStats(); fs.NodePanics != 1 {
-		t.Fatalf("NodePanics = %d, want 1", fs.NodePanics)
+	if c := tr.Counters(); c.NodePanics != 1 {
+		t.Fatalf("NodePanics = %d, want 1", c.NodePanics)
 	}
 }
 
@@ -482,7 +587,7 @@ func TestPanicWithoutPlanStillPropagates(t *testing.T) {
 
 func TestMessageFaultWindow(t *testing.T) {
 	// Drops confined to rounds [2,2]: round 1 and 3+ deliver normally.
-	net := NewNetwork(pathGraph(4), 1)
+	net, tr := countedNetwork(pathGraph(4), 1)
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 1, DropProb: 1, FromRound: 2, ToRound: 2, RoundLimit: 50}); err != nil {
 		t.Fatal(err)
 	}
@@ -495,8 +600,8 @@ func TestMessageFaultWindow(t *testing.T) {
 			t.Fatalf("node %d received %v, want %d (outs=%v)", v, o, want[v], outs)
 		}
 	}
-	if fs := net.FaultStats(); fs.Drops != 6 {
-		t.Fatalf("Drops = %d, want 6 (one round of 6 staged messages)", fs.Drops)
+	if c := tr.Counters(); c.FaultDrops != 6 {
+		t.Fatalf("FaultDrops = %d, want 6 (one round of 6 staged messages)", c.FaultDrops)
 	}
 }
 
@@ -524,8 +629,9 @@ func TestStrictDeadSendsSuppressedUnderFaults(t *testing.T) {
 
 	func() {
 		defer func() {
-			if recover() == nil {
-				t.Fatal("strict mode did not panic on a late dead send without a plan")
+			const want = "local: strict mode: 1 late dead send(s) recorded, first: round 2: node 1 sent to halted node 0 on port 0"
+			if r := recover(); r != want {
+				t.Fatalf("strict mode without a plan recovered %v, want the panic %q", r, want)
 			}
 		}()
 		RunStepped(NewNetwork(pathGraph(2), 1), chatty)
@@ -533,15 +639,16 @@ func TestStrictDeadSendsSuppressedUnderFaults(t *testing.T) {
 
 	// Same protocol, plan attached (its fault window never fires): the
 	// strict check must stand down, and the run completes normally.
-	net := NewNetwork(pathGraph(2), 1)
+	net, tr := countedNetwork(pathGraph(2), 1)
 	if err := net.SetFaultPlan(&FaultPlan{Seed: 1, DropProb: 1, FromRound: 1000, ToRound: 1000, RoundLimit: 2000}); err != nil {
 		t.Fatal(err)
 	}
 	RunStepped(net, chatty)
-	if late := net.LateDeadSends(); len(late) != 1 {
-		t.Fatalf("late dead sends still tracked for post-mortems, got %v", late)
+	want := DeadSend{From: 1, Port: 0, To: 0, Round: 2, HaltRound: 1}
+	if st := net.LastRunStats(); st.LateDeadSends != 1 || st.FirstLate != want {
+		t.Fatalf("late dead sends %d, first %+v; want 1, %+v, kept for post-mortems", st.LateDeadSends, st.FirstLate, want)
 	}
-	if fs := net.FaultStats(); fs.Total() != 0 {
-		t.Fatalf("inert window injected faults: %+v", fs)
+	if c := tr.Counters(); faultEvents(c) != 0 {
+		t.Fatalf("inert window injected faults: %+v", c)
 	}
 }

@@ -28,7 +28,7 @@
 // round, a fixed worker pool pulls batches off a shared cursor and
 // advances every live node in the batch by one segment, then delivers the
 // staged messages batch by batch.
-// Each batch owns its live list, sender list and dead-send log, so workers
+// Each batch owns its live list, sender list and counters, so workers
 // never contend on shared state, and small rounds are run inline by the
 // coordinating goroutine without waking the pool at all — a round costs
 // O(workers) park/wake transitions instead of O(n), and with one worker
@@ -59,7 +59,7 @@
 // arbitrarily. The relabeling is invisible: a translation layer (two flat
 // arrays, applied exactly once at the API boundary) keeps every
 // observable surface — Ctx.ID (by which programs index their inputs and
-// outputs), Ctx.Rand seeding, port numbering, DeadSend records — in the
+// outputs), Ctx.Rand seeding, port numbering, the DeadSend record — in the
 // caller's external IDs, so outputs are byte-identical with relabeling on
 // or off. SetRelabel is the ablation hook (and E14 measures the effect).
 //
@@ -85,13 +85,13 @@
 package local
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -308,7 +308,11 @@ type batch struct {
 	senders []int32 // members that staged sends this round
 	halts   int     // nodes that halted during the last step sweep
 
-	dead []DeadSend // sends to halted receivers found while delivering
+	// The run's late dead sends found while delivering: how many, and the
+	// first by (round, sender, port). Read by the coordinator when the
+	// run ends.
+	lateDead  int
+	firstLate DeadSend
 
 	// Per-round tracing counters, written by the delivery kernels only
 	// when the network's tracer counts messages (exactly one worker owns
@@ -328,15 +332,16 @@ type batch struct {
 	_ [64]byte
 }
 
-// DeadSend records a message that was staged for a neighbor that had
-// already halted; the message is dropped. A send with Round == HaltRound
-// is unavoidable in the LOCAL model: the receiver halted in the very sweep
-// the message was staged, before any signal could reach the sender. A send
-// with Round > HaltRound means the sender kept talking to a node it could
-// already have learned was gone — a protocol bug (see LateDeadSends). A
-// node outside the run's node set (see RunStepped) reads as halted from
-// round 0, so every send to one is late.
-// Enable tracking with Network.TrackDeadSends.
+// DeadSend describes a message that was staged for a neighbor that had
+// already halted; the message is dropped, and a counting tracer counts it
+// (Counters.Drops). A send with Round == HaltRound is unavoidable in the
+// LOCAL model: the receiver halted in the very sweep the message was
+// staged, before any signal could reach the sender. A send with Round >
+// HaltRound is late: the sender kept talking to a node it could already
+// have learned was gone — a protocol bug. A node outside the run's node set
+// (see RunStepped) reads as halted from round 0, so every send to one is
+// late. A run keeps its late dead sends' count and the first of them
+// (RunStats), and strict mode panics on them (SetStrictDeadSends).
 type DeadSend struct {
 	From      int // sender node ID
 	Port      int // sender's port the message was staged on
@@ -349,12 +354,25 @@ func (d DeadSend) String() string {
 	return fmt.Sprintf("round %d: node %d sent to halted node %d on port %d", d.Round, d.From, d.To, d.Port)
 }
 
-// RunStats summarizes the throughput of the last run.
+// before orders dead sends by (round, sender, port).
+func (d DeadSend) before(e DeadSend) bool {
+	return cmp.Or(cmp.Compare(d.Round, e.Round), cmp.Compare(d.From, e.From), cmp.Compare(d.Port, e.Port)) < 0
+}
+
+// RunStats summarizes the last run: its size and throughput, whether a
+// RoundLimit cut it, and its late dead sends.
 type RunStats struct {
 	Nodes        int // nodes that ran (the node set's size, or n)
 	Rounds       int
 	WallTime     time.Duration
 	RoundsPerSec float64 // 0 when the run had no rounds
+	// RoundLimited is true when the fault plan's RoundLimit force-halted
+	// the run with nodes still running.
+	RoundLimited bool
+	// LateDeadSends counts the run's late dead sends (see DeadSend), and
+	// FirstLate is the first of them by (round, sender, port).
+	LateDeadSends int
+	FirstLate     DeadSend
 }
 
 // Network runs node programs over a graph.
@@ -410,8 +428,7 @@ type Network struct {
 
 	noHalts bool // no node has halted yet this run: delivery skips the haltSeg checks
 
-	trackDead bool // record sends to halted neighbors
-	strict    bool // panic after a run that recorded dead sends
+	strict bool // panic after a run with late dead sends
 
 	tracer    *Tracer // round-level tracing (see trace.go); nil = off
 	countMsgs bool    // per-run: tracer wants lane counts from delivery
@@ -420,11 +437,10 @@ type Network struct {
 	// kernels ever see on a healthy network: doBatch dispatches to the
 	// separate faulty kernels on one pointer check, so the injection-free
 	// fast path keeps its zero-allocs-per-round guarantee bit for bit.
-	fault      *FaultPlan            // nil = no injection
-	crashW     map[int][]CrashWindow // external ID -> offline windows, built by SetFaultPlan
-	faultStats FaultStats            // per-run fault counters (coordinator-owned)
-	pendFault  []pendingFault        // delayed/duplicated messages awaiting injection
-	runSeq     int64                 // run sequence number; domain-separates fault hashing across runs
+	fault     *FaultPlan            // nil = no injection
+	crashW    map[int][]CrashWindow // external ID -> offline windows, built by SetFaultPlan
+	pendFault []pendingFault        // delayed/duplicated messages awaiting injection
+	runSeq    int64                 // run sequence number; domain-separates fault hashing across runs
 
 	// Churn (churn.go): set by the mutation API; setup rebuilds the flat
 	// edge tables before the next run.
@@ -436,8 +452,8 @@ type Network struct {
 var strictDead atomic.Bool
 
 // SetStrictDeadSends installs a package-wide default for networks created
-// afterwards: dead-send tracking is enabled and any run that records a
-// late dead send (see LateDeadSends) panics with the report. Intended for
+// afterwards: a run without a fault plan that made a late dead send (see
+// DeadSend) panics with their count and the first of them. Intended for
 // experiment harnesses and CI (`benchsuite -strict`), where a message
 // staged for a neighbor the sender could have known was halted is a
 // protocol regression that must fail loudly instead of being silently
@@ -491,11 +507,7 @@ func (net *Network) toInt(v int) int {
 // slot can address.
 func NewNetwork(g *graph.G, seed int64) *Network {
 	n := g.N()
-	net := &Network{g: g, seed: seed, tracer: defaultTracer.Load()}
-	if strictDead.Load() {
-		net.trackDead = true
-		net.strict = true
-	}
+	net := &Network{g: g, seed: seed, tracer: defaultTracer.Load(), strict: strictDead.Load()}
 	if p := defaultFaultPlan.Load(); p != nil {
 		// The default plan was validated when it was installed, so the
 		// attach cannot fail here.
@@ -614,53 +626,11 @@ func (net *Network) Reseed(seed int64) { net.seed = seed }
 // Rounds returns the number of synchronous rounds of the last run.
 func (net *Network) Rounds() int { return net.rounds }
 
-// LastRunStats returns throughput statistics for the last completed run.
+// LastRunStats returns the statistics of the last completed run.
 func (net *Network) LastRunStats() RunStats { return net.lastRun }
 
 // Graph returns the underlying graph.
 func (net *Network) Graph() *graph.G { return net.g }
-
-// TrackDeadSends toggles the debug mode that records every message staged
-// for an already-halted neighbor (the message is dropped either way, as it
-// always was). Such sends indicate protocol bugs; read the report with
-// DeadSends after the run.
-func (net *Network) TrackDeadSends(on bool) { net.trackDead = on }
-
-// DeadSends returns the dead sends recorded during the last run (tracking
-// must be enabled before the run starts), sorted by (round, sender, port).
-// It returns nil when tracking is off or nothing was dropped.
-func (net *Network) DeadSends() []DeadSend {
-	var all []DeadSend
-	for i := range net.batches {
-		all = append(all, net.batches[i].dead...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.Port < b.Port
-	})
-	return all
-}
-
-// LateDeadSends returns only the dead sends staged after the sweep the
-// receiver halted in — the ones a well-behaved protocol can avoid (a
-// halting node can announce itself in its final staged messages, and its
-// neighbors read that announcement before staging the following round).
-// These are the sends strict mode treats as protocol regressions.
-func (net *Network) LateDeadSends() []DeadSend {
-	var late []DeadSend
-	for _, d := range net.DeadSends() {
-		if d.Round > d.HaltRound {
-			late = append(late, d)
-		}
-	}
-	return late
-}
 
 // Stepped is a node program, split into the segments between round
 // barriers:
@@ -686,8 +656,8 @@ type Stepped[S any] struct {
 // (external IDs, in any order; a repeat counts once) run, and a list that
 // names every node is the same run as none. A node outside the set never
 // runs Init or Step, gets no program state and reads as halted from round
-// 0: a message staged for it is dropped as a dead send with HaltRound 0,
-// which strict mode rejects. An empty list therefore runs nothing, in 0
+// 0: a message staged for it is dropped as a late dead send with HaltRound
+// 0, which strict mode rejects. An empty list therefore runs nothing, in 0
 // rounds. The run costs its members and their ports, not n.
 func RunStepped[S any](net *Network, p Stepped[S], nodes ...int) {
 	net.setup(nodes)
@@ -705,8 +675,8 @@ const absent = -1
 
 // setup prepares a run of the given nodes (nil = every node) and resets
 // every piece of bookkeeping a previous run on the same network may have
-// left behind (round counter, run stats, fault counters, the batches'
-// dead-send logs), so consecutive runs never leak state into each other's
+// left behind (round counter, run stats, pending faults, the batches'
+// counters), so consecutive runs never leak state into each other's
 // reports. The run tables are rebuilt only after a port-table build or a
 // run that panicked (one that ended normally left them clean); otherwise
 // setup touches only the members: it marks them running, gives each its
@@ -719,10 +689,7 @@ func (net *Network) setup(nodes []int) {
 	net.rounds = 0
 	net.lastRun = RunStats{}
 	net.runSeq++
-	if net.fault != nil {
-		net.faultStats = FaultStats{}
-		net.pendFault = net.pendFault[:0]
-	}
+	net.pendFault = net.pendFault[:0]
 	if !net.clean {
 		net.resetRunTables()
 	}
@@ -782,7 +749,7 @@ func (net *Network) setup(nodes []int) {
 	for i := range net.batches {
 		b := &net.batches[i]
 		lo, hi := min(i*bs, m), min((i+1)*bs, m)
-		*b = batch{live: append(b.live[:0], ms[lo:hi]...), senders: b.senders[:0], dead: b.dead[:0], pend: b.pend[:0]}
+		*b = batch{live: append(b.live[:0], ms[lo:hi]...), senders: b.senders[:0], pend: b.pend[:0]}
 	}
 }
 
@@ -962,6 +929,11 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) {
 	if tr != nil {
 		tr.beginRun()
 	}
+	var fc *Counters // where fault events are counted; nil = nowhere
+	if net.countMsgs {
+		fc = &tr.c
+	}
+	limited := false
 
 	running := m
 	net.segment = init
@@ -998,7 +970,7 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) {
 			// written into the inbox lanes before the live senders deliver;
 			// a fresh message on the same (receiver, port) slot overwrites
 			// the stale injection, matching the one-message-per-edge rule.
-			net.injectPending()
+			net.injectPending(fc)
 		}
 		var rt RoundTrace
 		if full {
@@ -1028,7 +1000,7 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) {
 			}
 		}
 		if net.fault != nil {
-			net.drainFault(tr)
+			net.drainFault(fc)
 		}
 		net.rounds++
 		net.segment = step
@@ -1059,30 +1031,35 @@ func (net *Network) runRounds(init, step func(*Ctx) bool) {
 				rem -= net.batches[i].halts
 			}
 			if rem > 0 {
-				net.faultStats.RoundLimited = 1
+				limited = true
 				break
 			}
 		}
 	}
 	if net.fault != nil {
-		net.finishFaultRun(tr)
+		net.finishFaultRun(fc)
 	}
 	net.finishRun()
 
 	wall := time.Since(start)
-	net.lastRun = RunStats{Nodes: m, Rounds: net.rounds, WallTime: wall}
+	st := RunStats{Nodes: m, Rounds: net.rounds, WallTime: wall, RoundLimited: limited}
 	if net.rounds > 0 && wall > 0 {
-		net.lastRun.RoundsPerSec = float64(net.rounds) / wall.Seconds()
+		st.RoundsPerSec = float64(net.rounds) / wall.Seconds()
 	}
+	for i := range net.batches {
+		b := &net.batches[i]
+		if b.lateDead > 0 && (st.LateDeadSends == 0 || b.firstLate.before(st.FirstLate)) {
+			st.FirstLate = b.firstLate
+		}
+		st.LateDeadSends += b.lateDead
+	}
+	net.lastRun = st
 	// An attached FaultPlan voids the protocol-bug detector: injected
 	// drops and crash windows legitimately make halt knowledge stale, so
-	// late dead sends under faults are expected collateral (the
-	// fault-destroyed ones are accounted separately in FaultStats), not
-	// protocol regressions.
-	if net.strict && net.fault == nil {
-		if ds := net.LateDeadSends(); len(ds) > 0 {
-			panic(fmt.Sprintf("local: strict mode: %d late dead send(s) recorded, first: %s", len(ds), ds[0]))
-		}
+	// late dead sends under faults are expected collateral, not protocol
+	// regressions.
+	if net.strict && net.fault == nil && st.LateDeadSends > 0 {
+		panic(fmt.Sprintf("local: strict mode: %d late dead send(s) recorded, first: %s", st.LateDeadSends, st.FirstLate))
 	}
 }
 
@@ -1208,12 +1185,7 @@ func (net *Network) deliverBatch(b *batch) {
 				out[p] = recSlot{}
 				u := net.portsFlat[base+p]
 				if checkHalt && net.haltSeg[u] != 0 {
-					if count {
-						b.trDrops++
-					}
-					if net.trackDead {
-						b.dead = append(b.dead, net.deadSend(c, p, u))
-					}
+					b.dropDead(net, c, p, u)
 					continue
 				}
 				net.inRec[sf[base+p]] = rec
@@ -1232,12 +1204,7 @@ func (net *Network) deliverBatch(b *batch) {
 				oh[p] = 0
 				u := net.portsFlat[base+p]
 				if checkHalt && net.haltSeg[u] != 0 {
-					if count {
-						b.trDrops++
-					}
-					if net.trackDead {
-						b.dead = append(b.dead, net.deadSend(c, p, u))
-					}
+					b.dropDead(net, c, p, u)
 					continue
 				}
 				slot := sf[base+p]
@@ -1275,10 +1242,33 @@ func (b *batch) count(c *Ctx) {
 	}
 }
 
-// deadSend is the record of c's send on port p to u, a halted or absent
-// node (internal index).
-func (net *Network) deadSend(c *Ctx, p int, u int32) DeadSend {
-	return DeadSend{From: c.id, Port: p, To: net.toExt(int(u)), Round: net.rounds + 1, HaltRound: max(int(net.haltSeg[u]), 0)}
+// dropDead accounts for c's message on port p to u, a halted or absent
+// node (internal index), which is dropped: a counting tracer counts it,
+// and so does the batch when it is late (u halted before the sweep that
+// staged it, or is absent).
+//
+//deltacolor:hotpath
+//deltacolor:coordinator
+func (b *batch) dropDead(net *Network, c *Ctx, p int, u int32) {
+	if net.countMsgs {
+		b.trDrops++
+	}
+	if net.haltSeg[u] <= int32(net.rounds) {
+		b.noteLate(net, c, p, u)
+	}
+}
+
+// noteLate counts a late dead send and keeps it when it is the batch's
+// first by (round, sender, port). It is a call of its own so that
+// dropDead stays small enough to inline into the delivery loops.
+//
+//deltacolor:coordinator
+func (b *batch) noteLate(net *Network, c *Ctx, p int, u int32) {
+	d := DeadSend{From: c.id, Port: p, To: net.toExt(int(u)), Round: net.rounds + 1, HaltRound: max(int(net.haltSeg[u]), 0)}
+	if b.lateDead == 0 || d.before(b.firstLate) {
+		b.firstLate = d
+	}
+	b.lateDead++
 }
 
 // Accountant aggregates rounds across the phases of a composite algorithm.

@@ -148,16 +148,12 @@ func TestNodeSetSendToAbsentIsLate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, net := range map[string]*Network{"fresh": NewNetwork(g, 1), "after a cut-off run": cut} {
-		net.TrackDeadSends(true)
 		tr := NewTracer(TraceCounters, 0)
 		net.SetTracer(tr)
 		RunStepped(net, prog, 0, 1)
 		want := DeadSend{From: 1, Port: 1, To: 2, Round: 1, HaltRound: 0}
-		if ds := net.DeadSends(); len(ds) != 1 || ds[0] != want {
-			t.Fatalf("%s: dead sends %v, want [%+v]", name, ds, want)
-		}
-		if late := net.LateDeadSends(); len(late) != 1 {
-			t.Fatalf("%s: late dead sends %v, want the send to the absent node", name, late)
+		if st := net.LastRunStats(); st.LateDeadSends != 1 || st.FirstLate != want {
+			t.Fatalf("%s: late dead sends %d, first %+v; want the send to the absent node %+v", name, st.LateDeadSends, st.FirstLate, want)
 		}
 		if c := tr.Counters(); c.Messages() != 1 || c.Drops != 1 {
 			t.Fatalf("%s: counters %+v, want 1 message, 1 dropped", name, c)

@@ -7,18 +7,17 @@ import (
 
 // TestNetworkReuseResetsRunState is the regression test for the
 // run-state leak: a second Run on the same network must start from
-// clean dead-send logs and run stats, and the tracer must count only its
-// own messages — a clean second run must not report the first run's dead
-// sends, message counts, or rounds.
+// clean run stats, and the tracer must count only its own messages — a
+// clean second run must not report the first run's late dead sends,
+// message counts, or rounds.
 func TestNetworkReuseResetsRunState(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g, 1)
-	net.TrackDeadSends(true)
 	tr := NewTracer(TraceCounters, 0)
 	net.SetTracer(tr)
 
 	// Run 1: node 0 halts immediately, node 1 keeps talking to it — two
-	// dead sends, two one-word messages, two rounds.
+	// dead sends (the second late), two one-word messages, two rounds.
 	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
 		switch {
 		case ctx.ID() == 0:
@@ -30,8 +29,8 @@ func TestNetworkReuseResetsRunState(t *testing.T) {
 		}
 		return round < 2
 	}))
-	if len(net.DeadSends()) != 2 {
-		t.Fatalf("run 1: dead sends = %v, want 2", net.DeadSends())
+	if late := net.LastRunStats().LateDeadSends; late != 1 {
+		t.Fatalf("run 1: late dead sends = %d, want 1", late)
 	}
 	st1 := tr.Counters()
 	if st1.Messages() != 2 || st1.Drops != 2 || st1.Words != 2 {
@@ -42,8 +41,8 @@ func TestNetworkReuseResetsRunState(t *testing.T) {
 	// Run 2: one clean round of two-word records, no dead sends. Every
 	// report must describe this run only.
 	RunStepped(net, oneRound(func(ctx *Ctx) { ctx.Broadcast([]int32{3, 4}) }))
-	if ds := net.DeadSends(); ds != nil {
-		t.Errorf("run 2 inherited dead sends: %v", ds)
+	if st := net.LastRunStats(); st.LateDeadSends != 0 || st.FirstLate != (DeadSend{}) {
+		t.Errorf("run 2 inherited late dead sends: %d, first %+v", st.LateDeadSends, st.FirstLate)
 	}
 	st2 := tr.Counters()
 	if msgs, drops, words := st2.Messages()-st1.Messages(), st2.Drops-st1.Drops, st2.Words-st1.Words; msgs != 2 || drops != 0 || words != 4 {
@@ -168,7 +167,7 @@ func TestReusedRunTablesStartClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	RunStepped(reused, noisy)
-	if reused.FaultStats().RoundLimited != 1 {
+	if !reused.LastRunStats().RoundLimited {
 		t.Fatal("the noisy run was not cut off by its RoundLimit")
 	}
 	if err := reused.SetFaultPlan(nil); err != nil {

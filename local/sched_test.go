@@ -137,7 +137,6 @@ func TestActiveSetSparseRounds(t *testing.T) {
 func TestDeadSendTracking(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g, 1)
-	net.TrackDeadSends(true)
 	tr := NewTracer(TraceCounters, 0)
 	net.SetTracer(tr)
 	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
@@ -151,43 +150,23 @@ func TestDeadSendTracking(t *testing.T) {
 		}
 		return round < 2
 	}))
-	dead := net.DeadSends()
-	if len(dead) != 2 {
-		t.Fatalf("dead sends = %v, want 2 records", dead)
+	// Both sends are dropped; the round-1 one crossed the halt in flight,
+	// and the round-2 one is late.
+	st := net.LastRunStats()
+	if d := st.FirstLate; st.LateDeadSends != 1 || d.From != 1 || d.To != 0 || d.Port != 0 || d.Round != 2 {
+		t.Fatalf("late dead sends %d, first %+v; want the round-2 send only", st.LateDeadSends, d)
 	}
-	for i, d := range dead {
-		if d.From != 1 || d.To != 0 || d.Port != 0 || d.Round != i+1 {
-			t.Fatalf("dead[%d] = %+v", i, d)
-		}
-	}
-	if got := dead[0].String(); !strings.Contains(got, "node 1 sent to halted node 0") {
+	if got := st.FirstLate.String(); !strings.Contains(got, "node 1 sent to halted node 0") {
 		t.Fatalf("String() = %q", got)
 	}
 	if got := tr.Counters().Drops; got != 2 {
 		t.Fatalf("counters.Drops = %d, want 2", got)
 	}
 	// A clean follow-up run on the same network must not inherit the
-	// previous run's records.
+	// previous run's record.
 	RunStepped(net, oneRound(func(ctx *Ctx) { ctx.Broadcast([]int32{0}) }))
-	if ds := net.DeadSends(); ds != nil {
-		t.Fatalf("stale dead sends after clean run: %v", ds)
-	}
-}
-
-func TestDeadSendTrackingOffByDefault(t *testing.T) {
-	g := pathGraph(2)
-	net := NewNetwork(g, 1)
-	RunStepped(net, roundProgram(func(ctx *Ctx, _ *struct{}, round int) bool {
-		if ctx.ID() == 0 {
-			return false
-		}
-		if round == 0 {
-			ctx.Send(0, []int32{1})
-		}
-		return round == 0
-	}))
-	if ds := net.DeadSends(); ds != nil {
-		t.Fatalf("tracking off, got %v", ds)
+	if st := net.LastRunStats(); st.LateDeadSends != 0 || st.FirstLate != (DeadSend{}) {
+		t.Fatalf("stale late dead sends after clean run: %d, first %+v", st.LateDeadSends, st.FirstLate)
 	}
 }
 

@@ -81,7 +81,7 @@ type Counters struct {
 	// BoxedMessages is always 0: the runtime has no boxed lane. The field
 	// is kept only because bench/traced.go reads it.
 	BoxedMessages int64 `json:"boxed_messages"`
-	Drops         int64 `json:"drops"` // staged for halted receivers
+	Drops         int64 `json:"drops"` // dead sends: staged for halted or absent receivers
 	Halts         int64 `json:"halts"`
 	// Words counts the message words staged, drops included: one per
 	// int-lane message, len(rec) per record, 4 bytes each on the wire.
@@ -94,12 +94,21 @@ type Counters struct {
 	StepNanos    int64 `json:"step_ns"`
 	DeliverNanos int64 `json:"deliver_ns"`
 	// Fault-injection counters (fault.go), accumulated only when a
-	// FaultPlan is attached to the traced network: messages destroyed by
-	// the plan (drops plus crash-window drops), duplicated deliveries,
-	// and delayed deliveries.
-	FaultDrops  int64 `json:"fault_drops,omitempty"`
-	FaultDups   int64 `json:"fault_dups,omitempty"`
-	FaultDelays int64 `json:"fault_delays,omitempty"`
+	// FaultPlan is attached to the traced network. FaultDrops, FaultDups
+	// and FaultDelays count the messages the plan dropped, duplicated and
+	// delayed. CrashDrops counts the messages lost to a receiver inside a
+	// crash window, at delivery or when a delayed or duplicated one is
+	// injected; DelayedDrops the delayed or duplicated messages lost
+	// because their receiver halted first or the run ended before they
+	// were due. OfflineSteps counts the node-rounds frozen in crash
+	// windows, NodePanics the node programs force-halted after a panic.
+	FaultDrops   int64 `json:"fault_drops,omitempty"`
+	FaultDups    int64 `json:"fault_dups,omitempty"`
+	FaultDelays  int64 `json:"fault_delays,omitempty"`
+	CrashDrops   int64 `json:"crash_drops,omitempty"`
+	DelayedDrops int64 `json:"delayed_drops,omitempty"`
+	OfflineSteps int64 `json:"offline_steps,omitempty"`
+	NodePanics   int64 `json:"node_panics,omitempty"`
 }
 
 // Messages returns the total staged messages across both lanes.
@@ -230,14 +239,6 @@ func (t *Tracer) countRound(ints, recs, drops int) {
 	t.c.IntMessages += int64(ints)
 	t.c.RecordMessages += int64(recs)
 	t.c.Drops += int64(drops)
-}
-
-// countFaults folds one round's fault-injection counters (drained by the
-// coordinator from the batch kernels in fault.go).
-func (t *Tracer) countFaults(drops, dups, delays int64) {
-	t.c.FaultDrops += drops
-	t.c.FaultDups += dups
-	t.c.FaultDelays += delays
 }
 
 // defaultTracer is the package-wide tracer networks created afterwards

@@ -79,6 +79,24 @@ func TestTracingDoesNotPerturbColorings(t *testing.T) {
 			if c.Runs == 0 || c.Rounds == 0 || c.Messages() == 0 {
 				t.Fatalf("tracer observed nothing: %+v", c)
 			}
+
+			// Every span, down to each repair batch's leaves, charges at
+			// least the engine rounds that start inside it.
+			rounds := tr.Rounds()
+			if int64(len(rounds)) != c.Rounds {
+				t.Fatalf("the ring kept %d of %d engine rounds", len(rounds), c.Rounds)
+			}
+			traced.Span.Walk(func(sp *local.Span, _ int) {
+				ran := 0
+				for _, r := range rounds {
+					if r.StartNanos >= sp.StartNanos && r.StartNanos < sp.StartNanos+sp.DurNanos {
+						ran++
+					}
+				}
+				if ran > sp.Rounds {
+					t.Errorf("span %q charges %d rounds, but %d engine rounds start inside it", sp.Name, sp.Rounds, ran)
+				}
+			})
 		})
 	}
 }
