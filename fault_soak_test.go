@@ -11,11 +11,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"deltacolor"
+	"deltacolor/graph"
 	"deltacolor/graph/gen"
+	"deltacolor/internal/dist"
 	"deltacolor/local"
 	"deltacolor/verify"
 )
@@ -104,6 +107,19 @@ func TestFaultChurnSoak(t *testing.T) {
 	}
 }
 
+// reductionRounds returns the rounds the color reduction that the
+// deterministic pipelines and the baseline share executes on g,
+// fault-free: Linial's coloring reduced to Δ+1 classes.
+func reductionRounds(t *testing.T, g *graph.G) int {
+	t.Helper()
+	net := local.NewNetwork(g, 1)
+	base, k, _ := dist.Linial(net)
+	if _, _, err := dist.ReduceColors(net, base, k, g.MaxDegree()+1); err != nil {
+		t.Fatal(err)
+	}
+	return net.Rounds()
+}
+
 // TestColorUnderFaultsRoundLimitCut runs every algorithm under a
 // FaultPlan whose RoundLimit cuts its engine runs short. Nodes halted by
 // the limit never write their outputs, so the pipelines read each slot's
@@ -111,15 +127,25 @@ func TestFaultChurnSoak(t *testing.T) {
 // RoundLimit 1 and 2 cut even the MIS that schedules the pipelines'
 // repair batches, so those repairs fail; the run's coloring still
 // reaches Recolor (a *core.PartialError), where before it ended
-// ErrUnrecoverable with an empty residual. RoundLimit 20 and 115 cut the
-// 116-round color reduction that schedules the deterministic pipelines'
-// layers, 115 by one round, so the nodes of its last class keep no class.
+// ErrUnrecoverable with an empty residual. The third limit cuts the color
+// reduction that schedules the deterministic pipelines' layers (and
+// colors the baseline) one round short: it lasts 6 rounds on this graph,
+// so the nodes that pick last keep no class. RoundLimit 20 and 115 cut
+// the reduction while it counted down 116 rounds; it now ends long
+// before them, no engine run on this graph reaches them, and a limit
+// that cuts nothing must leave the fault-free coloring as it is.
 func TestColorUnderFaultsRoundLimitCut(t *testing.T) {
 	g := gen.MustRandomRegular(rand.New(rand.NewSource(8)), 512, 4)
 	algs := []deltacolor.Algorithm{deltacolor.AlgRandomized, deltacolor.AlgDeterministic, deltacolor.AlgBaseline, deltacolor.AlgNetDec}
+	const uncut = 20 // no engine run on g lasts this many rounds
+	limits := []int{1, 2, reductionRounds(t, g) - 1, uncut, 115}
 	for _, alg := range algs {
 		t.Run(alg.String(), func(t *testing.T) {
-			for _, limit := range []int{1, 2, 20, 115} {
+			free, err := deltacolor.Color(g, deltacolor.Options{Algorithm: alg, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, limit := range limits {
 				t.Run(fmt.Sprintf("RoundLimit=%d", limit), func(t *testing.T) {
 					plan := &local.FaultPlan{Seed: 1, RoundLimit: limit}
 					res, _, err := deltacolor.ColorUnderFaults(g, deltacolor.Options{Algorithm: alg, Seed: 1}, plan)
@@ -129,6 +155,9 @@ func TestColorUnderFaultsRoundLimitCut(t *testing.T) {
 					if verr := verify.DeltaColoring(g, res.Colors, res.Delta); verr != nil {
 						t.Errorf("nil error but invalid coloring: %v", verr)
 					}
+					if limit >= uncut && !slices.Equal(res.Colors, free.Colors) {
+						t.Errorf("colors differ from the fault-free run's, but a limit of %d rounds cuts no run", limit)
+					}
 				})
 			}
 		})
@@ -137,13 +166,13 @@ func TestColorUnderFaultsRoundLimitCut(t *testing.T) {
 
 // TestColorUnderFaultsHealsFailedFinalCheck pins that a pipeline whose
 // coloring fails its final check still heals: ColorUnderFaults hands that
-// coloring to Recolor. AlgBaseline's color reduction takes 116 rounds on
-// this graph, so every RoundLimit below cuts it, and the cut nodes reach
-// the final check uncolored. Before the failed check's coloring reached
-// Recolor, all seven limits ended ErrUnrecoverable.
+// coloring to Recolor. Every RoundLimit from 1 to one below the length of
+// AlgBaseline's color reduction cuts it, and the cut nodes reach the
+// final check uncolored. Before the failed check's
+// coloring reached Recolor, every such limit ended ErrUnrecoverable.
 func TestColorUnderFaultsHealsFailedFinalCheck(t *testing.T) {
 	g := gen.MustRandomRegular(rand.New(rand.NewSource(8)), 512, 4)
-	for _, limit := range []int{1, 2, 5, 10, 20, 50, 100} {
+	for limit, cut := 1, reductionRounds(t, g); limit < cut; limit++ {
 		plan := &local.FaultPlan{Seed: 1, RoundLimit: limit}
 		res, stats, err := deltacolor.ColorUnderFaults(g, deltacolor.Options{Algorithm: deltacolor.AlgBaseline, Seed: 1}, plan)
 		if err != nil {

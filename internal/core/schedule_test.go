@@ -68,14 +68,21 @@ func TestDeterministicLayerSchedule(t *testing.T) {
 //
 //   - 90% drops in every run's first round make Linial's coloring
 //     improper; the reduction rejects it, and every layer defers;
-//   - a RoundLimit of 115 cuts the 116-round reduction one round short;
-//     the nodes of the last class keep class -1, each layer that holds
-//     one defers, and the other layers are colored properly.
+//   - a RoundLimit one below the reduction's fault-free run (6 rounds on
+//     this graph) cuts it one round short; the nodes that would pick in
+//     its last round keep class -1, each layer that holds one defers, and
+//     the other layers are colored properly.
 func TestLayerColorerUnusableSchedule(t *testing.T) {
 	g := gen.MustRandomRegular(rand.New(rand.NewSource(8)), 512, 4)
 	delta := g.MaxDegree()
 	layer := Layering(g, []int{0}, nil, -1)
 	s := slices.Max(layer)
+	net := local.NewNetwork(g, 1)
+	linial, k, _ := dist.Linial(net)
+	if _, _, err := dist.ReduceColors(net, linial, k, delta+1); err != nil {
+		t.Fatal(err)
+	}
+	reduction := net.Rounds()
 	cases := []struct {
 		name string
 		plan *local.FaultPlan
@@ -94,7 +101,7 @@ func TestLayerColorerUnusableSchedule(t *testing.T) {
 				}
 				return all
 			}},
-		{"cut reduction", &local.FaultPlan{RoundLimit: 115},
+		{"cut reduction", &local.FaultPlan{RoundLimit: reduction - 1},
 			func(t *testing.T, lc *LayerColorer) map[int]bool {
 				if lc.classErr != nil {
 					t.Fatalf("schedule error %v, want a cut run without one", lc.classErr)

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -65,15 +64,15 @@ func Decompose(g *graph.G, active []bool, beta float64, seed int64) *Decompositi
 		center[v] = -1
 		hops[v] = -1
 	}
-	pq := &shiftHeap{}
+	var pq shiftHeap
 	for v := 0; v < n; v++ {
 		if active != nil && !active[v] {
 			continue
 		}
-		heap.Push(pq, shiftItem{key: -shift[v], center: v, node: v, hops: 0})
+		pq.push(shiftItem{key: -shift[v], center: v, node: v, hops: 0})
 	}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(shiftItem)
+	for len(pq) > 0 {
+		it := pq.pop()
 		if center[it.node] >= 0 {
 			continue
 		}
@@ -84,7 +83,7 @@ func Decompose(g *graph.G, active []bool, beta float64, seed int64) *Decompositi
 				continue
 			}
 			if center[u] < 0 {
-				heap.Push(pq, shiftItem{key: it.key + 1, center: it.center, node: u, hops: it.hops + 1})
+				pq.push(shiftItem{key: it.key + 1, center: it.center, node: u, hops: it.hops + 1})
 			}
 		}
 	}
@@ -165,23 +164,55 @@ type shiftItem struct {
 	hops   int
 }
 
+// shiftHeap is the Dijkstra queue, a binary min-heap by (key, center).
+// push and pop take container/heap's Push and Pop steps exactly, so
+// entries with equal (key, center) leave in the same order, and so do the
+// clusters that order decides.
 type shiftHeap []shiftItem
 
-func (h shiftHeap) Len() int { return len(h) }
-func (h shiftHeap) Less(i, j int) bool {
+func (h shiftHeap) less(i, j int) bool {
 	if h[i].key != h[j].key {
 		return h[i].key < h[j].key
 	}
 	return h[i].center < h[j].center
 }
-func (h shiftHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *shiftHeap) Push(x any)   { *h = append(*h, x.(shiftItem)) }
-func (h *shiftHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// push appends it and sifts it up.
+func (h *shiftHeap) push(it shiftItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+// pop swaps the minimum to the end, sifts the new root down over the
+// rest, and removes and returns the minimum.
+func (h *shiftHeap) pop() shiftItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2 // right child
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // VerifyDecomposition checks the decomposition invariants the Theorem 21

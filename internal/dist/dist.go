@@ -6,11 +6,14 @@
 //     starts from its ID and repeatedly maps its color through a family of
 //     low-degree polynomials over a prime field, shrinking the palette from
 //     n to O(Δ²) in a deterministic, globally known number of rounds.
-//   - ReduceColors: Barenboim–Elkin-style one-class-per-round reduction
-//     from a k-coloring down to a target palette (Δ+1 in every caller),
-//     the second half of the classic O(log* n + k) (Δ+1)-coloring. It is
-//     quiet: each node speaks at the start and when it recolors, and
-//     halts once its color is below the target.
+//   - ReduceColors: the colors of Barenboim–Elkin-style
+//     one-class-per-round reduction from a k-coloring down to a target
+//     palette (Δ+1 in every caller), the second half of the classic
+//     O(log* n + k) (Δ+1)-coloring. It decides early: a node recolors as
+//     soon as its higher-class neighbors have, so the run lasts as long
+//     as the longest chain of decreasing classes, while the charge stays
+//     the schedule's k - target rounds. It is quiet: each node speaks at
+//     the start and when it recolors, and halts then.
 //   - LubyMIS: Luby's randomized maximal independent set, restricted to an
 //     active node subset; used for ruling sets over virtual (quotient)
 //     graphs in the shattering and DCC phases.

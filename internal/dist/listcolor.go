@@ -260,10 +260,11 @@ func ListColorRandomized(net *local.Network, li *ListInstance) ([]int, int, erro
 // stages one bye (done, no color) toward the layer in Init and halts
 // there. An uncolored active node sends nothing. A colored active node
 // re-announces its final color every round on every port not muted by a
-// bye; the repetition is what lets a dropped announcement heal. A node derives its list at Init and folds the first
-// final it hears on each port out of it, so the head of the list is always
-// its pick. Only the active nodes' base classes are read, and they must
-// lie in [0, baseK).
+// bye; the repetition is what lets a dropped announcement heal. A node
+// keeps the set of palette colors its neighbors hold, filled from Partial
+// at Init and with every final it hears, in one bitset row of the run, so
+// the lowest color outside the set is its pick. Only the active nodes'
+// base classes are read, and they must lie in [0, baseK).
 //
 // With at least one active node the run takes exactly baseK rounds: every
 // active node steps through all baseK classes and halts after the last.
@@ -285,23 +286,37 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 		return nil, 0, fmt.Errorf("deterministic list coloring: base classes not proper on edge (%d,%d)", u, v)
 	}
 
+	// One row of bits per active node, at its index in li.Nodes: the
+	// colors its neighbors hold, in Partial or as announced finals, then
+	// its bye tracker's ports.
+	maxDeg := 0
+	for _, v := range li.Nodes {
+		maxDeg = max(maxDeg, g.Deg(v))
+	}
+	wc, wp := (li.Delta+63)/64, (maxDeg+63)/64
+	row := wc + wp
+	sets := make([]uint64, len(li.Nodes)*row)
 	type listDetState struct {
-		color  int
-		class  int    // class whose round the next Step completes
-		list   []int  // own list minus every final folded in so far
-		folded []bool // folded[p]: port p's final is out of list
-		bye    byeTracker
+		color int
+		class int // class whose round the next Step completes
+		i     int // index in li.Nodes
+		bye   byeTracker
 	}
 	colors := slices.Repeat([]int{-1}, len(li.Nodes))
 	rounds := runMasked(net, li.Nodes, li.Active, encDC(true, true, -1), local.Stepped[listDetState]{
 		Init: func(ctx *local.Ctx, s *listDetState) bool {
-			s.color = -1
-			s.list = li.list(make([]int, 0, li.Delta), g, ctx.ID())
-			s.folded = make([]bool, ctx.Degree())
-			s.bye.init(ctx.Degree())
+			s.color, s.i = -1, li.index(ctx.ID())
+			used := sets[s.i*row : s.i*row+wc]
+			for _, u := range g.Neighbors(ctx.ID()) {
+				if c := li.Partial[u]; uint(c) < uint(li.Delta) {
+					used[c>>6] |= 1 << (c & 63)
+				}
+			}
+			s.bye.use(sets[s.i*row+wc : (s.i+1)*row : (s.i+1)*row])
 			return true
 		},
 		Step: func(ctx *local.Ctx, s *listDetState) bool {
+			used := sets[s.i*row : s.i*row+wc]
 			for p := 0; p < ctx.Degree(); p++ {
 				e, ok := ctx.RecvInt(p)
 				if !ok {
@@ -311,17 +326,18 @@ func ListColorDeterministic(net *local.Network, li *ListInstance, baseColors []i
 				if bye {
 					s.bye.note(p)
 				}
-				if done && c >= 0 && !s.folded[p] {
-					s.folded[p] = true
-					s.list = slices.DeleteFunc(s.list, func(x int) bool { return x == c })
+				if done && uint(c) < uint(li.Delta) {
+					used[c>>6] |= 1 << (c & 63)
 				}
 			}
-			if s.color < 0 && len(s.list) > 0 && baseColors[ctx.ID()] == s.class {
-				s.color = s.list[0]
+			if s.color < 0 && baseColors[ctx.ID()] == s.class {
+				if f := firstClear(used); f < li.Delta {
+					s.color = f
+				}
 			}
 			s.class++
 			if s.class >= baseK {
-				colors[li.index(ctx.ID())] = s.color
+				colors[s.i] = s.color
 				return false
 			}
 			if s.color >= 0 {

@@ -8,38 +8,51 @@ import (
 	"deltacolor/local"
 )
 
-// reduceState is the cross-round node state of ReduceColors.
+// reduceState is the cross-round node state of ReduceColors. The node's
+// used set and settled ports live in its row of the run's bits.
 type reduceState struct {
 	color int
 	class int        // class whose round the next Step completes
-	used  []uint64   // bit c: a neighbor holds target color c
+	open  int        // ports not yet settled
 	bye   byeTracker // a neighbor that announced a target color halted
 }
 
-// ReduceColors reduces a proper k-coloring to a proper target-coloring with
-// the classic one-color-class-per-round schedule: in the round dedicated to
-// class c (from k-1 down to target), every node holding c — an independent
-// set, since the coloring stays proper throughout — picks the smallest
-// color in [0, target) no neighbor holds. With target >= Δ+1 a free color
-// always exists; otherwise the stuck nodes keep their old color and an
-// error reports them.
+// ReduceColors reduces a proper k-coloring to a proper target-coloring.
+// It gives every node the color of the classic one-class-per-round
+// schedule: in the round dedicated to class c (from k-1 down to target),
+// every node holding c — an independent set, since the coloring stays
+// proper throughout — picks the smallest color in [0, target) no neighbor
+// holds. With target >= Δ+1 a free color always exists; otherwise the
+// stuck nodes keep their old color and an error reports them.
+//
+// A node does not wait for its class's round. Its pick there reads only
+// the colors of its neighbors below target, final from the start, and the
+// target colors its higher-class neighbors picked before it; every
+// lower-class neighbor picks after it. So a node settles a port when it
+// hears a lower class (the start broadcast tells it every neighbor's
+// class) or a target color on it, and it picks the smallest free target
+// color as soon as every port is settled, or in its class's round at the
+// latest, so a lost message cannot stall it. Fault-free, the colors are
+// the schedule's, and the run lasts as many rounds as the longest path of
+// strictly decreasing classes at or above target, not k - target (a
+// stuck node still counts down to the end).
 //
 // The protocol is quiet. A node announces its color at the start and once
-// more in the round it recolors, so the run sends at most 2·Σdeg messages.
-// A color below target never changes again, so a node keeps only the set
-// of target colors its neighbors hold, a set that only grows. For the same
-// reason a node halts as soon as its color is below target and announced:
-// every such announcement is its sender's last, and the receivers mute
-// that port.
+// more when it recolors, so the run sends at most 2·Σdeg messages. A color
+// below target never changes again, so a node keeps only the set of target
+// colors its neighbors hold, a set that only grows. For the same reason a
+// node halts as soon as its color is below target and announced: every
+// such announcement is its sender's last, and the receivers mute that
+// port.
 //
 // It returns the new coloring, the rounds charged, and an error when the
 // input is not a proper coloring in [0, k) or some node could not be
-// recolored below target. The charge is the schedule's k - target rounds:
-// the run ends sooner when no node holds a class just above target, but no
-// node could know that before the schedule's last round. A run that takes
-// longer under a FaultPlan (a crashed node resumes its countdown late) is
-// charged the rounds it took. A node cut off by the plan's RoundLimit
-// before it halted keeps -1.
+// recolored below target. The charge stays the schedule's k - target
+// rounds although the run ends sooner: a node that has picked cannot know
+// that every other node has, so whatever runs on the coloring starts at
+// the schedule's bound. A run that takes longer under a FaultPlan (a
+// crashed node resumes its countdown late) is charged the rounds it took.
+// A node cut off by the plan's RoundLimit before it halted keeps -1.
 func ReduceColors(net *local.Network, base []int, k, target int) ([]int, int, error) {
 	g := net.Graph()
 	n := g.N()
@@ -64,17 +77,17 @@ func ReduceColors(net *local.Network, base []int, k, target int) ([]int, int, er
 		return append([]int(nil), base...), 0, nil
 	}
 
-	// One row of bits per node: its used set, then its bye tracker's ports.
+	// One row of bits per node: its used set, its bye tracker's ports,
+	// then its settled ports.
 	wc, wp := (target+63)/64, (g.MaxDegree()+63)/64
-	row := wc + wp
+	row := wc + 2*wp
 	sets := make([]uint64, n*row)
 	colors := slices.Repeat([]int{-1}, n)
 	local.RunStepped(net, local.Stepped[reduceState]{
 		Init: func(ctx *local.Ctx, s *reduceState) bool {
 			v := ctx.ID()
-			s.used = sets[v*row : v*row+wc : v*row+wc]
-			s.bye.use(sets[v*row+wc : (v+1)*row : (v+1)*row])
-			s.color, s.class = base[v], k-1
+			s.bye.use(sets[v*row+wc : v*row+wc+wp : v*row+wc+wp])
+			s.color, s.class, s.open = base[v], k-1, ctx.Degree()
 			ctx.BroadcastInt(s.color)
 			if s.color < target {
 				colors[v] = s.color
@@ -83,16 +96,28 @@ func ReduceColors(net *local.Network, base []int, k, target int) ([]int, int, er
 			return true
 		},
 		Step: func(ctx *local.Ctx, s *reduceState) bool {
+			v := ctx.ID()
+			used, settled := sets[v*row:v*row+wc], sets[v*row+wc+wp:(v+1)*row]
 			for p := range ctx.Degree() {
-				if c, ok := ctx.RecvInt(p); ok && uint(c) < uint(target) {
-					s.used[c>>6] |= 1 << (c & 63)
+				c, ok := ctx.RecvInt(p)
+				if !ok {
+					continue
+				}
+				if uint(c) < uint(target) {
+					used[c>>6] |= 1 << (c & 63)
 					s.bye.note(p)
+				} else if c > s.color {
+					continue // a higher class, whose pick is still to come
+				}
+				if w, bit := p>>6, uint64(1)<<(p&63); settled[w]&bit == 0 {
+					settled[w] |= bit
+					s.open--
 				}
 			}
-			if s.color == s.class {
-				if f := firstClear(s.used); f < target {
+			if s.open == 0 || s.color == s.class {
+				if f := firstClear(used); f < target {
 					s.color = f
-					colors[ctx.ID()] = f
+					colors[v] = f
 					s.bye.castInt(ctx, f)
 					return false
 				}
@@ -101,7 +126,7 @@ func ReduceColors(net *local.Network, base []int, k, target int) ([]int, int, er
 			}
 			s.class--
 			if s.class < target {
-				colors[ctx.ID()] = s.color
+				colors[v] = s.color
 				return false
 			}
 			return true

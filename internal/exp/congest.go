@@ -93,6 +93,6 @@ func E11Congest(cfg Config) *Table {
 		local.GatherStepped(net, 4)
 	})
 
-	t.AddNote("the symmetry-breaking protocols (Linial, color reduction, MIS, list coloring) move a few bytes per edge per round — CONGEST-portable as-is — while ball gathering ships whole neighborhoods (max message orders of magnitude larger): exactly the phases that make the paper's algorithms LOCAL-model results. The color reduction is quiet: a node speaks at the start and once when it recolors, so its 116 rounds carry at most two messages per directed edge. The deterministic list coloring talks only inside its layer, for Δ+1 rounds. The gather packs each round's frontier into one flat integer record per edge.")
+	t.AddNote("the symmetry-breaking protocols (Linial, color reduction, MIS, list coloring) move a few bytes per edge per round — CONGEST-portable as-is — while ball gathering ships whole neighborhoods (max message orders of magnitude larger): exactly the phases that make the paper's algorithms LOCAL-model results. The color reduction is quiet and decides early: a node speaks at the start and once when it recolors, which it does as soon as its higher-class neighbors have, so its run lasts the longest chain of decreasing classes (charged the schedule's k − (Δ+1) rounds) and carries at most two messages per directed edge. The deterministic list coloring talks only inside its layer, for Δ+1 rounds. The gather packs each round's frontier into one flat integer record per edge.")
 	return t
 }
